@@ -1,7 +1,8 @@
 """Command-line front door: every check the library proves is reachable as
 a subcommand with deterministic JSON output.
 
-Exit codes: 0 success/pass, 1 check failure, 2 usage or input error.
+Exit codes: 0 success/pass, 1 check failure, 2 usage or input error,
+3 internal error (a bug: the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+import traceback
 
 from . import __version__
 from .ffield import FieldError, FqContext, sgn
@@ -347,10 +349,7 @@ def _cmd_sp4(args):
     if args.twist not in ("trivial", "sign"):
         raise UsageError("--twist must be trivial or sign")
     fn = convolve_s if args.point == "s" else convolve_e
-    try:
-        value = fn(args.twist, args.q, args.N)
-    except Exception as e:
-        raise UsageError(str(e))
+    value = fn(args.twist, args.q, args.N)
     _emit({"q": args.q, "twist": args.twist, "point": args.point,
            "value": value})
     return 0
@@ -640,12 +639,14 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, ValueError) as e:
+        # the package's error classes all derive from ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except Exception as e:  # malformed inputs surface as diagnostics
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except Exception:
+        print("internal error", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -125,6 +125,13 @@ class CycloContext:
 
     def reduce(self, coeffs):
         """Reduce an overlong integer coefficient list mod Phi_N."""
+        half = self.n // 2
+        if self.n % 2 == 0 and half < len(coeffs) <= self.n:
+            # zeta^{N/2} = -1 folds the top half down without the table
+            folded = list(coeffs[:half])
+            for k, c in enumerate(coeffs[half:]):
+                folded[k] -= c
+            coeffs = folded
         out = list(coeffs[:self.degree]) + [0] * (self.degree - len(coeffs))
         for k in range(self.degree, len(coeffs)):
             c = coeffs[k]

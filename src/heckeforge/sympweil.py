@@ -11,7 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import CycloContext, CycloMatrix
+import numpy as np
+
+from .cyclo import CycloContext, CycloMatrix, CyclotomicNumber
 from .ffield import SignValue, _is_prime
 
 
@@ -341,14 +343,14 @@ class HeisenbergRep:
         n = self.space.n
         return c[:n], c[n:]
 
-    def operator(self, elem):
-        """Exact matrix of rho(v, a)."""
+    def _monomial(self, elem):
+        """rho(v, a) is monomial: column s holds the single entry
+        zeta_{4p}^{exps[s]} in row rows[s].  Returns (rows, exps)."""
         p = self.space.p
         n = self.space.n
         x, y = self._coords(elem)
-        m = CycloMatrix.zeros(self.cyclo, self.dim)
-        table = self.cyclo.power_table
-        deg = self.cyclo.degree
+        base = elem.a - self._half * sum(xi * yi for xi, yi in zip(x, y))
+        rows, exps = [], []
         for sidx in range(self.dim):
             s = []
             k = sidx
@@ -356,15 +358,20 @@ class HeisenbergRep:
                 s.append(k % p)
                 k //= p
             t = tuple((si + yi) % p for si, yi in zip(s, y))
-            phase = elem.a
-            phase += sum(xi * ti for xi, ti in zip(x, t))
-            phase -= self._half * sum(xi * yi for xi, yi in zip(x, y))
-            e = self._psi_exp(phase)
-            vec = table[(4 * e) % self.cyclo.n]
-            ridx = self._index(t)
-            for d in range(deg):
-                if vec[d]:
-                    m.planes[d, ridx, sidx] = vec[d]
+            rows.append(self._index(t))
+            exps.append(4 * self._psi_exp(
+                base + sum(xi * ti for xi, ti in zip(x, t))))
+        return rows, exps
+
+    def operator(self, elem):
+        """Exact matrix of rho(v, a)."""
+        m = CycloMatrix.zeros(self.cyclo, self.dim)
+        table = self.cyclo.power_table
+        rows, exps = self._monomial(elem)
+        for sidx, (ridx, e) in enumerate(zip(rows, exps)):
+            for d, c in enumerate(table[e]):
+                if c:
+                    m.planes[d, ridx, sidx] = c
         return m
 
     def character(self, elem):
@@ -374,24 +381,17 @@ class HeisenbergRep:
         return self.psi(elem.a) * self.dim
 
     def trace_with(self, mat, elem):
-        """Trace of mat . rho(v, a), using that rho is a generalized
-        permutation matrix."""
-        p = self.space.p
-        n = self.space.n
-        x, y = self._coords(elem)
-        acc = self.cyclo.zero()
-        for sidx in range(self.dim):
-            s = []
-            k = sidx
-            for _ in range(n):
-                s.append(k % p)
-                k //= p
-            t = tuple((si + yi) % p for si, yi in zip(s, y))
-            phase = elem.a
-            phase += sum(xi * ti for xi, ti in zip(x, t))
-            phase -= self._half * sum(xi * yi for xi, yi in zip(x, y))
-            acc = acc + mat.entry(sidx, self._index(t)) * self.psi(phase)
-        return acc
+        """Trace of mat . rho(v, a) = sum_s mat[s, rows[s]] zeta^{exps[s]},
+        accumulated in the group ring Z[Z/4p] and reduced mod Phi_{4p}
+        once."""
+        ctx = self.cyclo
+        rows, exps = self._monomial(elem)
+        entries = {(s, t): [(d, int(c))
+                            for d, c in enumerate(mat.planes[:, s, t]) if c]
+                   for s, t in enumerate(rows)}
+        acc = [0] * ctx.n
+        _add_trace(acc, entries, rows, exps)
+        return CyclotomicNumber(ctx, ctx.reduce(acc), mat.den)
 
 
 # ---------------------------------------------------------------------------
@@ -734,58 +734,94 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
     weil = WeilSL2(rep)
     if qrep is not None:
         qweil = WeilSL2(qrep)
-
+    big_n = ctx.n
+    half = (p + 1) // 2
+    vectors = list(space.vectors())
+    columns = [rep._monomial(HeisenbergElement(space, v, 0)) for v in vectors]
+    # the sigma-term of each vector of U-perp at central part 0: the
+    # monomial columns of the quotient representation, or None for psi
     perp_ech, perp_piv = _echelonize(perp, p)
-
-    def in_perp(v):
-        v = list(v)
-        for row, c in zip(perp_ech, perp_piv):
-            if v[c] % p:
-                f = v[c]
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        return not any(x % p for x in v)
-
-    def sigma_char(g, h, chi):
-        """Character of the inducing representation on P x| (U-perp)#."""
-        if not in_perp(h.v):
-            return None
-        if qrep is None:
-            val = psi(h.a)
-        else:
-            qv = quotient_coords(h.v)
-            qg = _quotient_action(space, quotient, lifts, u_basis, g)
-            qh = HeisenbergElement(quotient, _quot_vec(quotient, qv), h.a)
-            val = qrep.trace_with(qweil(_basis_coords(quotient, qg)), qh)
-        return val if chi == 1 else -val
-
+    sigma_columns = {}
+    for v in vectors:
+        if any(_reduce_echelon(perp_ech, perp_piv, v, p)):
+            continue
+        sigma_columns[v] = None if qrep is None else qrep._monomial(
+            HeisenbergElement(quotient,
+                              _quot_vec(quotient, quotient_coords(v)), 0))
     coset_reps = _complement_transversal(space, perp)
-    equal = True
-    witness = None
-    for g in stab:
-        ginv = _mat_inv(g, p)
-        weil_g = weil(_basis_coords(space, g))
-        chi = 1
-        if include_chi and u_basis:
-            chi = int(det_sign_character(space, g, u_basis))
-        # r = (1, (w, 0)):  r^{-1} (g, h) r = (g, (-g^{-1}w, 0) h (w, 0))
-        shifts = [(HeisenbergElement(
-                      space, tuple((-x) % p for x in _mat_vec(ginv, w, p)), 0),
-                   HeisenbergElement(space, w, 0)) for w in coset_reps]
-        for v in space.vectors():
-            for a in range(p):
-                h = HeisenbergElement(space, v, a)
-                lhs = rep.trace_with(weil_g, h)
-                rhs = ctx.zero()
-                for left, right in shifts:
-                    val = sigma_char(g, left * h * right, chi)
-                    if val is not None:
-                        rhs = rhs + val
-                if lhs != rhs:
-                    equal = False
-                    if witness is None:
-                        witness = (g, (v, a))
-    return equal and dims_ok, {
+
+    def first_failure():
+        for g in stab:
+            ginv = _mat_inv(g, p)
+            weil_g = weil(_basis_coords(space, g))
+            chi = 1
+            if include_chi and u_basis:
+                chi = int(det_sign_character(space, g, u_basis))
+            # compare lhs / weil_g.den with rhs / sigma_den crosswise
+            if qrep is None:
+                sigma_den, sigma_g = 1, None
+            else:
+                qw = qweil(_basis_coords(quotient, _quotient_action(
+                    space, quotient, lifts, u_basis, g)))
+                sigma_den = qw.den
+                sigma_g = _sparse_entries(qw, chi * weil_g.den)
+            lhs_g = _sparse_entries(weil_g, sigma_den)
+            # r = (1, (w, 0)):  r^{-1} (g, (v, a)) r = (g, (v + l + w, a + c))
+            # with l = -g^{-1} w and c = half (<l - w, v> + <l, w>)
+            shifts = []
+            for w in coset_reps:
+                l = tuple((-x) % p for x in _mat_vec(ginv, w, p))
+                lw = _vec_sub(l, w, p)
+                row = [sum(lw[i] * space.form[i][j] for i in range(space.dim))
+                       for j in range(space.dim)]
+                shifts.append((_vec_add(l, w, p), row, space.pairing(l, w)))
+            for v, (rows, exps) in zip(vectors, columns):
+                lhs = [0] * big_n
+                _add_trace(lhs, lhs_g, rows, exps)
+                rhs = [0] * big_n
+                for shift, row, const in shifts:
+                    conj_v = _vec_add(v, shift, p)
+                    if conj_v not in sigma_columns:
+                        continue
+                    k = 4 * rep._psi_exp(
+                        half * (sum(r * x for r, x in zip(row, v)) + const))
+                    if sigma_g is None:
+                        rhs[k] += chi * weil_g.den
+                    else:
+                        _add_trace(rhs, sigma_g, *sigma_columns[conj_v], k)
+                # psi(a) multiplies both sides, which rotates Z[Z/4p]; the
+                # sides agree when their difference reduces to zero
+                diff = [x - y for x, y in zip(lhs, rhs)]
+                for a in range(p):
+                    k = big_n - 4 * rep._psi_exp(a)
+                    if any(ctx.reduce(diff[k:] + diff[:k])):
+                        return g, (v, a)
+        return None
+
+    witness = first_failure()
+    return witness is None and dims_ok, {
         "induced_dim": induced_dim, "rep_dim": p ** n, "witness": witness}
+
+
+def _sparse_entries(mat, scale=1):
+    """The nonzero entries of scale * mat's planes: {(s, t): [(d, c), ...]}
+    with int c, meaning mat[s, t] = sum c zeta^d / mat.den."""
+    out = {}
+    planes = mat.planes
+    for d, s, t in zip(*np.nonzero(planes)):
+        out.setdefault((int(s), int(t)), []).append(
+            (int(d), scale * int(planes[d, s, t])))
+    return out
+
+
+def _add_trace(acc, entries, rows, exps, shift=0):
+    """acc += zeta^shift trace(mat . m) in the group ring Z[Z/len(acc)],
+    for mat given by its sparse entries and m monomial with column s
+    holding zeta^exps[s] in row rows[s]."""
+    n = len(acc)
+    for s, (t, e) in enumerate(zip(rows, exps)):
+        for d, c in entries.get((s, t), ()):
+            acc[(d + e + shift) % n] += c
 
 
 def _quot_vec(quotient, coords):
@@ -815,10 +851,11 @@ def _quotient_action(space, quotient, lifts, u_basis, g):
 def _complement_transversal(space, perp):
     """Coset representatives of U-perp in V."""
     p = space.p
-    reps = [tuple([0] * space.dim)]
-    seen = {_coset_key(space, perp, reps[0])}
+    mat, pivots = _echelonize(perp, p)
+    reps = []
+    seen = set()
     for v in space.vectors():
-        key = _coset_key(space, perp, v)
+        key = _reduce_echelon(mat, pivots, v, p)
         if key not in seen:
             seen.add(key)
             reps.append(v)
@@ -847,22 +884,15 @@ def _echelonize(basis, p):
     return mat[:r], pivots
 
 
-def _reduce_by_span(basis, v, p):
-    """Canonical representative of v + span(basis)."""
-    if not basis:
-        return tuple(x % p for x in v)
-    mat, pivots = _echelonize(basis, p)
-    v = list(v)
+def _reduce_echelon(mat, pivots, v, p):
+    """Canonical representative of v + span(mat), for mat, pivots from
+    _echelonize."""
+    v = [x % p for x in v]
     for row, c in zip(mat, pivots):
-        if v[c] % p:
+        if v[c]:
             f = v[c]
             v = [(x - f * y) % p for x, y in zip(v, row)]
-    return tuple(x % p for x in v)
-
-
-def _coset_key(space, perp, v):
-    """Canonical key for v + span(perp)."""
-    return _reduce_by_span(perp, v, space.p)
+    return tuple(v)
 
 
 def _basis_coords(space, g):

@@ -148,6 +148,18 @@ def test_suite_unknown_filter(capsys):
     assert main(["suite", "--filter", "nonsense"]) == 2
 
 
+def test_internal_error_exits_3(monkeypatch, capsys):
+    from heckeforge import cli
+
+    def boom(args):
+        raise RuntimeError("deliberate bug")
+    monkeypatch.setattr(cli, "_cmd_sgn", boom)
+    assert main(["sgn", "--p", "7", "--element", "3"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error" in err and "Traceback" in err
+    assert "RuntimeError: deliberate bug" in err
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
 

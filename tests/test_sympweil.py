@@ -4,6 +4,7 @@ representation, the det-sign character, and the induction identity."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckeforge import (SympError, SymplecticSpace, HeisenbergElement,
                         CentralCharacterChoice, HeisenbergRep, heisenberg_rep,
@@ -11,7 +12,10 @@ from heckeforge import (SympError, SymplecticSpace, HeisenbergElement,
                         det_sign_character, isotropic_reduction,
                         graded_symplectic_split, induction_identity_check,
                         sl2_elements, SignValue, CycloMatrix)
-from heckeforge.sympweil import _mat_mul, _mat_vec
+from heckeforge.sympweil import (
+    _mat_mul, _mat_vec, _mat_inv, _span_basis, _solve_mod, _echelonize,
+    _stabilizer_sl2, _complement_transversal, _quotient_action,
+    _basis_coords, _quot_vec, _gauss_sum)
 
 
 def _all_heisenberg(space):
@@ -226,3 +230,159 @@ def test_induction_identity_trivial_subspace():
     V = SymplecticSpace.standard(3, 1)
     ok, _ = induction_identity_check(V, [], "with_sl2_levi", True)
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# oracles: the entrywise evaluation the group-ring kernel replaced
+
+
+def _oracle_trace_with(rep, mat, elem):
+    """Trace of mat . rho(v, a) summed entry by entry in Q(zeta_{4p})."""
+    p = rep.space.p
+    n = rep.space.n
+    x, y = rep._coords(elem)
+    acc = rep.cyclo.zero()
+    for sidx in range(rep.dim):
+        s = []
+        k = sidx
+        for _ in range(n):
+            s.append(k % p)
+            k //= p
+        t = tuple((si + yi) % p for si, yi in zip(s, y))
+        phase = elem.a
+        phase += sum(xi * ti for xi, ti in zip(x, t))
+        phase -= rep._half * sum(xi * yi for xi, yi in zip(x, y))
+        acc = acc + mat.entry(sidx, rep._index(t)) * rep.psi(phase)
+    return acc
+
+
+def _oracle_induction_check(space, u_basis, include_chi=True, iota=None):
+    """(equal, witness) of the with_sl2_levi check, comparing every
+    (g, v, a) as cyclotomic numbers built entry by entry."""
+    p = space.p
+    u_basis = _span_basis(u_basis, p)
+    perp, quotient, lifts = isotropic_reduction(space, u_basis)
+    rep = HeisenbergRep(space, iota)
+    qrep = HeisenbergRep(quotient, iota) if quotient.dim else None
+    weil = WeilSL2(rep)
+    qweil = WeilSL2(qrep) if qrep is not None else None
+    perp_ech, perp_piv = _echelonize(perp, p)
+
+    def in_perp(v):
+        v = list(v)
+        for row, c in zip(perp_ech, perp_piv):
+            if v[c] % p:
+                f = v[c]
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        return not any(x % p for x in v)
+
+    def quotient_coords(v):
+        cols = lifts + u_basis
+        m = [[vec[i] for vec in cols] for i in range(space.dim)]
+        return _solve_mod(m, list(v), p)[:len(lifts)]
+
+    def sigma_char(g, h, chi):
+        if not in_perp(h.v):
+            return None
+        if qrep is None:
+            val = rep.psi(h.a)
+        else:
+            qg = _quotient_action(space, quotient, lifts, u_basis, g)
+            qh = HeisenbergElement(
+                quotient, _quot_vec(quotient, quotient_coords(h.v)), h.a)
+            val = _oracle_trace_with(
+                qrep, qweil(_basis_coords(quotient, qg)), qh)
+        return val if chi == 1 else -val
+
+    coset_reps = _complement_transversal(space, perp)
+    for g in _stabilizer_sl2(space, u_basis):
+        ginv = _mat_inv(g, p)
+        weil_g = weil(_basis_coords(space, g))
+        chi = 1
+        if include_chi and u_basis:
+            chi = int(det_sign_character(space, g, u_basis))
+        shifts = [(HeisenbergElement(
+                      space, tuple((-x) % p for x in _mat_vec(ginv, w, p)), 0),
+                   HeisenbergElement(space, w, 0)) for w in coset_reps]
+        for v in space.vectors():
+            for a in range(p):
+                h = HeisenbergElement(space, v, a)
+                lhs = _oracle_trace_with(rep, weil_g, h)
+                rhs = rep.cyclo.zero()
+                for left, right in shifts:
+                    val = sigma_char(g, left * h * right, chi)
+                    if val is not None:
+                        rhs = rhs + val
+                if lhs != rhs:
+                    return False, (g, (v, a))
+    return True, None
+
+
+def _lines(p):
+    """One spanning vector per line of F_p^2."""
+    return [(1, 0)] + [(x, 1) for x in range(p)]
+
+
+def test_trace_with_matches_dense_trace_exhaustive_p3():
+    V = SymplecticSpace.standard(3, 1)
+    rep = HeisenbergRep(V)
+    w = WeilSL2(rep)
+    for g in sl2_elements(3):
+        wg = w(g)
+        for h in _all_heisenberg(V):
+            expected = (wg @ rep.operator(h)).trace()
+            assert rep.trace_with(wg, h) == expected
+            assert _oracle_trace_with(rep, wg, h) == expected
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_trace_with_matches_dense_trace_sampled(p):
+    V = SymplecticSpace.standard(p, 1)
+    rep = HeisenbergRep(V)
+    w = WeilSL2(rep)
+    els = list(sl2_elements(p))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(els), st.integers(0, p - 1),
+           st.integers(0, p - 1), st.integers(0, p - 1))
+    def check(g, x, y, a):
+        h = HeisenbergElement(V, (x, y), a)
+        assert rep.trace_with(w(g), h) == (w(g) @ rep.operator(h)).trace()
+
+    check()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("include_chi", [True, False])
+def test_induction_check_matches_oracle_on_every_line(p, include_chi):
+    V = SymplecticSpace.standard(p, 1)
+    for line in _lines(p):
+        equal, details = induction_identity_check(
+            V, [line], "with_sl2_levi", include_chi)
+        assert (equal, details["witness"]) == _oracle_induction_check(
+            V, [line], include_chi)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_induction_check_matches_oracle_trivial_subspace(p):
+    V = SymplecticSpace.standard(p, 1)
+    equal, details = induction_identity_check(V, [], "with_sl2_levi")
+    assert (equal, details["witness"]) == _oracle_induction_check(V, [])
+
+
+def test_induction_check_matches_oracle_nondefault_iota():
+    V = SymplecticSpace.standard(5, 1)
+    iota = CentralCharacterChoice(5, 2)
+    for include_chi in (True, False):
+        equal, details = induction_identity_check(
+            V, [(3, 1)], "with_sl2_levi", include_chi, iota)
+        assert (equal, details["witness"]) == _oracle_induction_check(
+            V, [(3, 1)], include_chi, iota)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_gauss_sum_square_and_norm(p):
+    g = _gauss_sum(p, 1, 4 * p)
+    sign = 1 if p % 4 == 1 else -1  # sgn(-1)
+    assert g * g == sign * p
+    assert g * g.conj() == p
