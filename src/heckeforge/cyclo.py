@@ -358,15 +358,13 @@ class CycloMatrix:
             raise CycloError("matrix context mismatch")
         deg = self.ctx.degree
         conv = [None] * (2 * deg - 1)
+        right = [j for j in range(deg) if other.planes[j].any()]
         for i in range(deg):
             a = self.planes[i]
             if not a.any():
                 continue
-            for j in range(deg):
-                b = other.planes[j]
-                if not b.any():
-                    continue
-                prod = a @ b
+            for j in right:
+                prod = a @ other.planes[j]
                 if conv[i + j] is None:
                     conv[i + j] = prod
                 else:

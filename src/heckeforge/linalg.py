@@ -115,17 +115,20 @@ def mat_inv(m):
     return tuple(tuple(row[n:]) for row in a)
 
 
-def null_space(m):
-    """Basis of the right null space of m (rows x cols)."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    ctx = m[0][0].ctx
+def rref(m):
+    """Reduced row echelon form of m (rows x cols): (rows, pivots), where
+    rows is the reduced matrix and pivots lists the pivot column of each
+    nonzero row, in order."""
     a = [list(row) for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in range(ncols):
+        if r == nrows:
+            break
         pr = None
-        for rr in range(r, rows):
+        for rr in range(r, nrows):
             if not a[rr][c].is_zero():
                 pr = rr
                 break
@@ -134,14 +137,20 @@ def null_space(m):
         a[r], a[pr] = a[pr], a[r]
         inv = a[r][c].inv()
         a[r] = [inv * x for x in a[r]]
-        for rr in range(rows):
+        for rr in range(nrows):
             if rr != r and not a[rr][c].is_zero():
                 f = a[rr][c]
                 a[rr] = [x - f * y for x, y in zip(a[rr], a[r])]
         pivots.append(c)
         r += 1
-        if r == rows:
-            break
+    return tuple(tuple(row) for row in a), pivots
+
+
+def null_space(m):
+    """Basis of the right null space of m (rows x cols)."""
+    cols = len(m[0])
+    ctx = m[0][0].ctx
+    a, pivots = rref(m)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
@@ -155,32 +164,12 @@ def null_space(m):
 
 def solve(m, b):
     """One solution of m x = b, or None."""
-    rows = len(m)
     cols = len(m[0])
     ctx = m[0][0].ctx
-    a = [list(row) + [bv] for row, bv in zip(m, b)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for rr in range(r, rows):
-            if not a[rr][c].is_zero():
-                pr = rr
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c].inv()
-        a[r] = [inv * x for x in a[r]]
-        for rr in range(rows):
-            if rr != r and not a[rr][c].is_zero():
-                f = a[rr][c]
-                a[rr] = [x - f * y for x, y in zip(a[rr], a[r])]
-        pivots.append(c)
-        r += 1
-    for rr in range(r, rows):
-        if not a[rr][cols].is_zero():
-            return None
+    a, pivots = rref([tuple(row) + (bv,) for row, bv in zip(m, b)])
+    # a pivot in the b column is a row reading 0 = 1
+    if pivots and pivots[-1] == cols:
+        return None
     x = [ctx.zero] * cols
     for pi, pc in enumerate(pivots):
         x[pc] = a[pi][cols]

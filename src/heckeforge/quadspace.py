@@ -162,69 +162,91 @@ class OrthogonalMap:
 
 
 def reflection(space, v):
-    """The reflection r_v(w) = w - B(w,v)/phi(v) * v, for anisotropic v."""
+    """The reflection r_v(w) = w - B(w,v)/phi(v) * v, for anisotropic v,
+    built as the rank-1 update I - v (Gram v)^T / phi(v)."""
     v = tuple(space.ctx.elem(c) for c in v)
     phi_v = space.evaluate_form(v)
     if phi_v.is_zero():
         raise QuadSpaceError("reflection vector must be anisotropic")
-    inv = phi_v.inv()
-    cols = []
-    for j in range(space.dim):
-        e = tuple(space.ctx.one if i == j else space.ctx.zero
-                  for i in range(space.dim))
-        c = space.bilinear(e, v) * inv
-        cols.append(linalg.vec_sub(e, linalg.vec_scale(c, v)))
-    matrix = linalg.transpose(cols)
+    s = linalg.vec_scale(phi_v.inv(), linalg.mat_vec(space.gram, v))
+    ident = linalg.identity(space.ctx, space.dim)
+    matrix = tuple(tuple(e - vi * sj for e, sj in zip(row, s))
+                   for row, vi in zip(ident, v))
     return OrthogonalMap(space, matrix, check=False)
+
+
+def _one_minus(g):
+    """The matrix of 1 - g."""
+    ident = linalg.identity(g.space.ctx, g.space.dim)
+    return tuple(linalg.vec_sub(e, row) for e, row in zip(ident, g.matrix))
+
+
+def _is_exceptional(g):
+    """Whether im(1-g) is nonzero and totally isotropic.  By Scherk's
+    refinement of Cartan-Dieudonne, g != 1 is a product of rank(1-g)
+    reflections exactly when it is not exceptional; otherwise it needs two
+    more."""
+    m = _one_minus(g)
+    image_gram = linalg.mat_mul(linalg.mat_mul(linalg.transpose(m),
+                                               g.space.gram), m)
+    return (not g.is_identity()
+            and all(x.is_zero() for row in image_gram for x in row))
 
 
 def factor_into_reflections(g):
     """Cartan-Dieudonne: anisotropic vectors whose reflections compose
-    (in list order) to g.  Length is at most dim + 2: if no direct step is
-    available (the Wall/Eichler exceptional case), an auxiliary reflection
-    is inserted first."""
+    (in list order) to g.  Each step takes the first w = current(v) - v that
+    is anisotropic and leaves a non-exceptional remainder, which exists
+    whenever current is not exceptional, so the length is rank(1-g).  In
+    the exceptional (Wall/Eichler) case an auxiliary reflection is inserted
+    first; the remainder then has odd rank and is not exceptional, so the
+    length is rank(1-g) + 2 <= dim + 2."""
     space = g.space
     result = []
     current = g
-    wall_steps = 0
-    guard = 0
     while not current.is_identity():
-        guard += 1
-        if guard > space.dim + 4:
+        if len(result) >= space.dim + 2:
             raise QuadSpaceError("reflection factorization did not terminate")
-        step = None
         for v in space.nonzero_vectors():
-            if space.evaluate_form(v).is_zero():
+            w = linalg.vec_sub(current(v), v)
+            if space.evaluate_form(w).is_zero():
                 continue
-            gv = current(v)
-            if gv == v:
-                continue
-            w = linalg.vec_sub(gv, v)
-            if not space.evaluate_form(w).is_zero():
-                step = w
+            rest = reflection(space, w) * current
+            if not _is_exceptional(rest):
                 break
-        if step is None:
-            # exceptional case: g - id has totally isotropic image
-            if wall_steps >= 2:
+        else:
+            # exceptional case: 1 - current has totally isotropic image
+            if result:
                 raise QuadSpaceError("exceptional case persisted")
-            wall_steps += 1
-            for v in space.nonzero_vectors():
-                if not space.evaluate_form(v).is_zero():
-                    step = v
-                    break
-        r = reflection(space, step)
-        result.append(step)
-        current = r * current
+            w = next(v for v in space.nonzero_vectors()
+                     if not space.evaluate_form(v).is_zero())
+            rest = reflection(space, w) * current
+        result.append(w)
+        current = rest
     return result
 
 
 def spinor_norm(g):
-    """sn(g) in f^x/(f^x)^2, the product of phi-values over a reflection
-    factorization.  Well-defined independently of the factorization."""
-    cls = TRIVIAL
-    for v in factor_into_reflections(g):
-        cls = cls * SquareClass.of(g.space.evaluate_form(v))
-    return cls
+    """sn(g) in f^x/(f^x)^2, the discriminant of the Wall form on im(1-g)
+    (Zassenhaus, "On the spinor norm", Arch. Math. 13 (1962)):
+    chi((1-g)x, (1-g)y) = B((1-g)x, y).  With M = 1-g and P its pivot
+    columns, the M e_c (c in P) are a basis of im(1-g) with preimages e_c,
+    so chi has the matrix (M^T Gram)[P, P].  For g = r_v this is
+    B(e_c,v)^2/phi(v), the class of phi(v); the class equals the product of
+    phi-values over any reflection factorization of g."""
+    space = g.space
+    m = _one_minus(g)
+    _, pivots = linalg.rref(m)
+    if not pivots:
+        return TRIVIAL
+    # row i of M^T is M e_i; Gram is symmetric, so column j of Gram is row j
+    cols = linalg.transpose(m)
+    gram_rows = tuple(space.gram[j] for j in pivots)
+    wall = tuple(linalg.mat_vec(gram_rows, cols[i]) for i in pivots)
+    d = linalg.det(wall)
+    if d.is_zero():
+        raise QuadSpaceError("Wall form is degenerate")
+    return SquareClass.of(d)
 
 
 def sgn_spinor(g):
@@ -263,12 +285,17 @@ def block_embed(space_sum, g1, g2):
 
 
 def random_orthogonal(space, rng, max_reflections=None):
-    """A random product of reflections (uniform enough for property tests)."""
+    """A random product of reflections (uniform enough for property tests).
+    Each reflection vector is uniform on the anisotropic vectors: uniform
+    vectors are drawn and the isotropic ones (zero included) rejected."""
     if max_reflections is None:
         max_reflections = 2 * space.dim
-    aniso = [v for v in space.nonzero_vectors()
-             if not space.evaluate_form(v).is_zero()]
+    els = list(space.ctx.elements())
     g = OrthogonalMap.identity(space)
     for _ in range(rng.randrange(max_reflections + 1)):
-        g = g * reflection(space, rng.choice(aniso))
+        while True:
+            v = tuple(rng.choice(els) for _ in range(space.dim))
+            if not space.evaluate_form(v).is_zero():
+                break
+        g = g * reflection(space, v)
     return g
