@@ -19,13 +19,15 @@ from .quadspace import (QuadraticSpace, OrthogonalMap, spinor_norm,
                         sgn_spinor, reflection, random_orthogonal)
 from .gradedorth import GradedQuadraticSpace, extended_sn, otilde_membership
 from .sympweil import (SymplecticSpace, HeisenbergElement, HeisenbergRep,
-                       WeilSL2, sl2_elements, graded_symplectic_split,
+                       SympError, WeilSL2, sl2_elements,
+                       graded_symplectic_split,
                        induction_identity_check, isotropic_reduction,
                        _mat_mul, _in_span)
 from .heckealg import (CoxeterSystem, ParameterFunction, HeckeAlgebra,
-                       HeckeError)
-from .sp4oracle import (TruncContext, convolve_s, convolve_e, weyl_s,
-                        upper_u, iwahori_member, welldefinedness_check)
+                       HeckeError, LengthCapError)
+from .sp4oracle import (OracleError, TruncContext, convolve_s, convolve_e,
+                        weyl_s, upper_u, iwahori_member,
+                        welldefinedness_check)
 from .cyclo import CycloMatrix
 
 
@@ -69,10 +71,13 @@ def _parse_element(text):
 
 
 def _cmd_sgn(args):
-    ctx = FqContext(args.p, args.m,
-                    tuple(_parse_element(args.modulus))
-                    if args.modulus else None)
-    a = ctx.elem(_parse_element(args.element))
+    modulus = tuple(_parse_element(args.modulus)) if args.modulus else None
+    element = _parse_element(args.element)
+    try:
+        ctx = FqContext(args.p, args.m, modulus)
+        a = ctx.elem(element)
+    except FieldError as e:
+        raise UsageError(f"bad input: {e}")
     if a.is_zero():
         raise UsageError("sgn is undefined at 0")
     _emit({"p": ctx.p, "m": ctx.m, "modulus": list(ctx.modulus),
@@ -134,6 +139,10 @@ def _cmd_weil(args):
     p, dim = args.p, args.dim
     if dim % 2 or dim < 2:
         raise UsageError("--dim must be a positive even integer")
+    try:
+        V = SymplecticSpace.standard(p, dim // 2)
+    except SympError as e:
+        raise UsageError(f"bad input: {e}")
     params = {"p": p, "dim": dim}
     check = args.check
     rng = random.Random(0)
@@ -141,7 +150,6 @@ def _cmd_weil(args):
     if check == "mult":
         if dim != 2:
             raise UsageError("--check mult needs --dim 2 (weil_sl2)")
-        V = SymplecticSpace.standard(p, 1)
         w = WeilSL2(HeisenbergRep(V))
         pairs = ([(g, h) for g in sl2_elements(p) for h in sl2_elements(p)]
                  if p == 3 else None)
@@ -155,7 +163,6 @@ def _cmd_weil(args):
                 witness = {"g": g, "h": h}
                 break
     elif check == "central":
-        V = SymplecticSpace.standard(p, dim // 2)
         rep = HeisenbergRep(V)
         ident = CycloMatrix.identity(rep.cyclo, rep.dim)
         ok = all(rep.operator(HeisenbergElement(V, (0,) * dim, a))
@@ -163,7 +170,6 @@ def _cmd_weil(args):
     elif check == "induction":
         if dim != 2:
             raise UsageError("--check induction needs --dim 2")
-        V = SymplecticSpace.standard(p, 1)
         ok = True
         for line in _isotropic_lines(V):
             with_chi, det1 = induction_identity_check(
@@ -262,6 +268,14 @@ def _split_postconditions(space, weights):
 
 def _cmd_hecke(args):
     try:
+        return _hecke_check(args)
+    except LengthCapError as e:
+        # the cap is the user's --len-cap
+        raise UsageError(f"{e}; raise --len-cap")
+
+
+def _hecke_check(args):
+    try:
         system = (CoxeterSystem.from_type(args.type, length_cap=args.len_cap)
                   if not args.type.endswith(".json")
                   else _system_from_file(args.type, args.len_cap))
@@ -348,6 +362,10 @@ def _params_from_flag(system, flag):
 def _cmd_sp4(args):
     if args.twist not in ("trivial", "sign"):
         raise UsageError("--twist must be trivial or sign")
+    try:
+        TruncContext.for_q(args.q, args.N)
+    except (FieldError, OracleError) as e:
+        raise UsageError(f"bad input: {e}")
     fn = convolve_s if args.point == "s" else convolve_e
     value = fn(args.twist, args.q, args.N)
     _emit({"q": args.q, "twist": args.twist, "point": args.point,
@@ -639,8 +657,7 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except (UsageError, ValueError) as e:
-        # the package's error classes all derive from ValueError
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception:

@@ -3,8 +3,11 @@
 Numbers are integer coefficient vectors in the power basis of the N-th
 cyclotomic polynomial together with a positive common denominator, so all
 representation-theoretic identities are checked with zero tolerance.
-Matrices keep one integer numpy plane per basis power, which makes products
-of operator matrices a short sequence of integer matrix multiplications.
+Matrices keep one integer numpy plane per basis power.  A product of two
+matrices, or of a matrix by a scalar, is one stacked integer matrix product
+of all nonzero planes, folded into the output planes by x^(i+j) mod Phi_N.
+It runs in int64 when an exact bound rules out overflow and on Python ints
+otherwise; the stored planes are Python ints either way.
 """
 
 from __future__ import annotations
@@ -98,6 +101,11 @@ class CycloContext:
             cur = nxt[:self.degree]
             table.append(tuple(cur))
         self.power_table = table
+        # fold[i, j] = x^(i+j) mod Phi_N: the product of planes i and j
+        # adds fold[i, j, d] times itself to plane d
+        steps = np.arange(self.degree)
+        powers = np.array(table[:2 * self.degree - 1], dtype=np.int64)
+        self._fold = powers[steps[:, None] + steps]
 
     def __eq__(self, other):
         return isinstance(other, CycloContext) and self.n == other.n
@@ -286,6 +294,48 @@ def _solve_fractions(mat, rhs):
     return [a[i][n] for i in range(n)]
 
 
+def _nonzero_planes(planes):
+    return np.flatnonzero((planes != 0).reshape(len(planes), -1).any(axis=1))
+
+
+def _extent(planes):
+    """max |entry| as a Python int, read from min and max so that an int64
+    minimum is negated only after leaving int64."""
+    return max(-int(planes.min()), int(planes.max()))
+
+
+def _plane_product(ctx, a, b):
+    """The planes of sum_{i,j} (a[i] @ b[j]) x^(i+j), reduced mod Phi_N.
+
+    a has shape (deg, r, k) and b (deg, k, c), with integer entries.  The
+    products of all nonzero planes of a with all nonzero planes of b are one
+    stacked (L r) x k by k x (R c) matrix product, and one product with the
+    fold tensor sends the L R blocks to the deg output planes.  This runs in
+    int64 when an exact bound shows that no partial sum can overflow, and
+    on Python ints otherwise; the result is an object array either way.
+    """
+    deg, r, k = a.shape
+    c = b.shape[2]
+    try:
+        a, b = a.astype(np.int64), b.astype(np.int64)
+    except OverflowError:
+        pass
+    left, right = _nonzero_planes(a), _nonzero_planes(b)
+    if not len(left) or not len(right):
+        return np.zeros((deg, r, c), dtype=object)
+    fold = ctx._fold[np.ix_(left, right)]
+    if a.dtype == object or (_extent(a) * _extent(b) * k
+                             * int(np.abs(fold).sum(axis=(0, 1)).max())
+                             >= 2 ** 63):
+        a, b, fold = a.astype(object), b.astype(object), fold.astype(object)
+    lhs = a[left].reshape(-1, k)
+    rhs = b[right].transpose(1, 0, 2).reshape(k, -1)
+    blocks = (lhs @ rhs).reshape(len(left), r, len(right), c)
+    blocks = blocks.transpose(0, 2, 1, 3).reshape(-1, r * c)
+    planes = fold.reshape(-1, deg).T @ blocks
+    return planes.reshape(deg, r, c).astype(object, copy=False)
+
+
 class CycloMatrix:
     """A square matrix over Q(zeta_N): one integer plane per basis power,
     over a positive common denominator."""
@@ -356,30 +406,7 @@ class CycloMatrix:
     def __matmul__(self, other):
         if self.ctx != other.ctx or self.n != other.n:
             raise CycloError("matrix context mismatch")
-        deg = self.ctx.degree
-        conv = [None] * (2 * deg - 1)
-        right = [j for j in range(deg) if other.planes[j].any()]
-        for i in range(deg):
-            a = self.planes[i]
-            if not a.any():
-                continue
-            for j in right:
-                prod = a @ other.planes[j]
-                if conv[i + j] is None:
-                    conv[i + j] = prod
-                else:
-                    conv[i + j] = conv[i + j] + prod
-        planes = np.zeros((deg, self.n, self.n), dtype=object)
-        for k, m in enumerate(conv):
-            if m is None:
-                continue
-            if k < deg:
-                planes[k] = planes[k] + m
-            else:
-                row = self.ctx.power_table[k]
-                for d in range(deg):
-                    if row[d]:
-                        planes[d] = planes[d] + row[d] * m
+        planes = _plane_product(self.ctx, self.planes, other.planes)
         return CycloMatrix(self.ctx, self.n, planes, self.den * other.den)
 
     def __add__(self, other):
@@ -400,29 +427,13 @@ class CycloMatrix:
         """Multiply by a scalar (CyclotomicNumber or rational)."""
         if not isinstance(c, CyclotomicNumber):
             c = self.ctx.from_rational(c)
-        deg = self.ctx.degree
-        conv = [None] * (2 * deg - 1)
-        for d, coef in enumerate(c.num):
-            if coef:
-                for k in range(deg):
-                    if self.planes[k].any():
-                        t = coef * self.planes[k]
-                        if conv[d + k] is None:
-                            conv[d + k] = t
-                        else:
-                            conv[d + k] = conv[d + k] + t
-        planes = np.zeros((deg, self.n, self.n), dtype=object)
-        for k, m in enumerate(conv):
-            if m is None:
-                continue
-            if k < deg:
-                planes[k] = planes[k] + m
-            else:
-                row = self.ctx.power_table[k]
-                for d in range(deg):
-                    if row[d]:
-                        planes[d] = planes[d] + row[d] * m
-        return CycloMatrix(self.ctx, self.n, planes, self.den * c.den)
+        deg, n = self.ctx.degree, self.n
+        # c's coefficients are 1x1 planes acting on the planes viewed as rows
+        coeffs = np.array(c.num, dtype=object).reshape(deg, 1, 1)
+        planes = _plane_product(self.ctx, coeffs,
+                                self.planes.reshape(deg, 1, n * n))
+        return CycloMatrix(self.ctx, n, planes.reshape(deg, n, n),
+                           self.den * c.den)
 
     def trace(self):
         deg = self.ctx.degree

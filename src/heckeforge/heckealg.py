@@ -16,6 +16,10 @@ class HeckeError(ValueError):
     pass
 
 
+class LengthCapError(HeckeError):
+    """A word grew past the Coxeter system's length cap."""
+
+
 # Cartan integer pairs (a_st, a_ts) realizing each edge label; the
 # asymmetric labels are assigned in generator order
 _CARTAN_PAIRS = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3),
@@ -142,7 +146,7 @@ class CoxeterSystem:
         out = []
         while mat != ident:
             if len(out) > self.length_cap:
-                raise HeckeError(
+                raise LengthCapError(
                     f"word exceeds the length cap {self.length_cap}")
             s = next(g for g in self.generators
                      if self._is_left_descent(g, inv))

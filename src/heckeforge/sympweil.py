@@ -420,6 +420,7 @@ class WeilSL2:
         self.cyclo = rep.cyclo
         self._gauss = _gauss_sum(self.p, rep.iota.unit_inv, 4 * self.p)
         self._cache = {}
+        self._weyl_matrix = None
 
     def _upper(self, b):
         """omega(u(b)) = multiplication by psi(b t^2 / 2)."""
@@ -445,7 +446,13 @@ class WeilSL2:
         return m
 
     def _weyl(self):
-        """omega(w), w = [[0,-1],[1,0]]: normalized Fourier transform."""
+        """omega(w), w = [[0,-1],[1,0]]: normalized Fourier transform,
+        built once per instance."""
+        if self._weyl_matrix is None:
+            self._weyl_matrix = self._build_weyl()
+        return self._weyl_matrix
+
+    def _build_weyl(self):
         p = self.p
         m = CycloMatrix.zeros(self.cyclo, p)
         for t in range(p):
@@ -732,7 +739,11 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
 
     stab = _stabilizer_sl2(space, u_basis)
     weil = WeilSL2(rep)
-    if qrep is not None:
+    # for U = 0 the quotient is V with the same form and symplectic basis,
+    # so its Weil operators are weil's own
+    same_weil = (quotient.form == space.form
+                 and quotient.basis == space.basis)
+    if qrep is not None and not same_weil:
         qweil = WeilSL2(qrep)
     big_n = ctx.n
     half = (p + 1) // 2
@@ -761,8 +772,9 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
             if qrep is None:
                 sigma_den, sigma_g = 1, None
             else:
-                qw = qweil(_basis_coords(quotient, _quotient_action(
-                    space, quotient, lifts, u_basis, g)))
+                qw = weil_g if same_weil else qweil(_basis_coords(
+                    quotient,
+                    _quotient_action(space, quotient, lifts, u_basis, g)))
                 sigma_den = qw.den
                 sigma_g = _sparse_entries(qw, chi * weil_g.den)
             lhs_g = _sparse_entries(weil_g, sigma_den)

@@ -160,6 +160,35 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert "RuntimeError: deliberate bug" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sp4", "--q", "4", "--twist", "trivial"],
+    ["sp4", "--q", "3", "--twist", "trivial", "--N", "1"],
+    ["weil", "--p", "4", "--check", "mult"],
+    ["sgn", "--p", "4", "--element", "1"],
+    ["hecke", "--type", "A1~", "--check", "assoc", "--len-cap", "2"],
+])
+def test_bad_input_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+
+
+def test_package_error_on_valid_input_exits_3(tmp_path, monkeypatch, capsys):
+    from heckeforge import cli
+    from heckeforge.quadspace import QuadSpaceError
+
+    def broken(g):
+        raise QuadSpaceError("deliberate bug")
+    monkeypatch.setattr(cli, "spinor_norm", broken)
+    data = {"field": {"p": 3}, "gram": [[0, 1], [1, 0]],
+            "matrix": [[-1, 0], [0, -1]]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    assert main(["spinor-norm", "--input", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "internal error" in err and "QuadSpaceError: deliberate bug" in err
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
 

@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckeforge import (CycloError, CycloContext, CyclotomicNumber,
                         CycloMatrix, cyclotomic_polynomial)
@@ -108,3 +110,154 @@ def test_matrix_identity_and_proportionality():
     i, j, e = a.first_nonzero()
     assert (i, j) == (0, 0) and e == ctx.zeta_pow(3)
     assert CycloMatrix.zeros(ctx, 2).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-plane loops that the stacked plane kernel replaced
+
+CONDUCTORS = [3, 4, 5, 8, 12, 20, 28, 44]
+INT64_MIN = -2 ** 63
+# int64's edges, INT64_MIN, and entries beyond int64 that force Python ints
+EDGE_ENTRIES = [2 ** 31, -2 ** 31, 2 ** 62, 2 ** 63 - 1, -(2 ** 63 - 1),
+                INT64_MIN, INT64_MIN - 1, 2 ** 63, 2 ** 64 + 3]
+
+
+def _oracle_fold(ctx, conv, n):
+    deg = ctx.degree
+    planes = np.zeros((deg, n, n), dtype=object)
+    for k, m in enumerate(conv):
+        if m is None:
+            continue
+        if k < deg:
+            planes[k] = planes[k] + m
+        else:
+            row = ctx.power_table[k]
+            for d in range(deg):
+                if row[d]:
+                    planes[d] = planes[d] + row[d] * m
+    return planes
+
+
+def _oracle_matmul(a, b):
+    """a @ b, one plane product a_i @ b_j at a time."""
+    deg = a.ctx.degree
+    conv = [None] * (2 * deg - 1)
+    for i in range(deg):
+        if not a.planes[i].any():
+            continue
+        for j in range(deg):
+            if b.planes[j].any():
+                prod = a.planes[i] @ b.planes[j]
+                conv[i + j] = (prod if conv[i + j] is None
+                               else conv[i + j] + prod)
+    return CycloMatrix(a.ctx, a.n, _oracle_fold(a.ctx, conv, a.n),
+                       a.den * b.den)
+
+
+def _oracle_scale(m, c):
+    """m.scale(c), one coefficient of c times one plane of m at a time."""
+    if not isinstance(c, CyclotomicNumber):
+        c = m.ctx.from_rational(c)
+    deg = m.ctx.degree
+    conv = [None] * (2 * deg - 1)
+    for d, coef in enumerate(c.num):
+        if coef:
+            for k in range(deg):
+                if m.planes[k].any():
+                    t = coef * m.planes[k]
+                    conv[d + k] = (t if conv[d + k] is None
+                                   else conv[d + k] + t)
+    return CycloMatrix(m.ctx, m.n, _oracle_fold(m.ctx, conv, m.n),
+                       m.den * c.den)
+
+
+def _assert_same(got, want):
+    # planes and den agree, and the planes hold Python ints only
+    assert got == want
+    assert got.planes.dtype == object
+    assert all(type(x) is int for x in got.planes.flat)
+
+
+_small = st.integers(-3, 3)
+_mixed = st.one_of(_small, _small, st.sampled_from(EDGE_ENTRIES))
+
+
+@st.composite
+def _matrix(draw, ctx, n, entries):
+    """A matrix with a drawn set of nonzero planes: none (the zero matrix),
+    one, or several."""
+    deg = ctx.degree
+    planes = np.zeros((deg, n, n), dtype=object)
+    for d in draw(st.sets(st.integers(0, deg - 1), max_size=deg)):
+        vals = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+        planes[d] = np.array(vals, dtype=object).reshape(n, n)
+    return CycloMatrix(ctx, n, planes, draw(st.integers(1, 6)))
+
+
+@st.composite
+def _operands(draw, entries):
+    ctx = CycloContext(draw(st.sampled_from(CONDUCTORS)))
+    n = draw(st.integers(1, 6))
+    return ctx, draw(_matrix(ctx, n, entries)), draw(_matrix(ctx, n, entries))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_operands(_small))
+def test_matmul_matches_per_plane_oracle_small(ops):
+    _, a, b = ops
+    _assert_same(a @ b, _oracle_matmul(a, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_operands(_mixed))
+def test_matmul_matches_per_plane_oracle_edge_entries(ops):
+    _, a, b = ops
+    _assert_same(a @ b, _oracle_matmul(a, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_operands(_mixed), st.data())
+def test_scale_matches_per_plane_oracle(ops, data):
+    ctx, a, _ = ops
+    num = data.draw(st.one_of(_small, st.sampled_from(EDGE_ENTRIES)))
+    den = data.draw(st.integers(1, 6))
+    if data.draw(st.booleans()):
+        c = Fraction(num, den)
+    else:
+        c = CyclotomicNumber(ctx, tuple(data.draw(st.lists(
+            _mixed, min_size=ctx.degree, max_size=ctx.degree))), den)
+    _assert_same(a.scale(c), _oracle_scale(a, c))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.integers(1, 6), st.data())
+def test_kernel_at_the_int64_bound(conductor, n, data):
+    """One-plane operands of constant sign whose kernel bound
+    max|a| max|b| k max_d sum |fold| is 2^63 - 1 or less, or just above it;
+    the largest entry of the product then reaches the bound."""
+    ctx = CycloContext(conductor)
+    deg = ctx.degree
+    i = data.draw(st.integers(0, deg - 1))
+    j = data.draw(st.integers(0, deg - 1))
+    fold = max(abs(x) for x in ctx.power_table[i + j])
+    scale = data.draw(st.booleans())
+    k = 1 if scale else n
+    b_max = data.draw(st.integers(1, 5))
+    a_max = ((2 ** 63 - 1) // (b_max * k * fold)
+             + data.draw(st.integers(0, 1)))
+    a_sign = data.draw(st.sampled_from([1, -1]))
+    b_sign = data.draw(st.sampled_from([1, -1]))
+    planes = np.zeros((deg, n, n), dtype=object)
+    planes[j] = b_sign * b_max
+    b = CycloMatrix(ctx, n, planes, normalize=False)
+    if scale:
+        num = [0] * deg
+        num[i] = a_sign * a_max
+        c = CyclotomicNumber(ctx, tuple(num), 1)
+        _assert_same(b.scale(c), _oracle_scale(b, c))
+    else:
+        planes = np.zeros((deg, n, n), dtype=object)
+        planes[i] = a_sign * a_max
+        a = CycloMatrix(ctx, n, planes, normalize=False)
+        _assert_same(a @ b, _oracle_matmul(a, b))
+

@@ -2,6 +2,7 @@
 representation, the det-sign character, and the induction identity."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,6 +231,45 @@ def test_induction_identity_trivial_subspace():
     V = SymplecticSpace.standard(3, 1)
     ok, _ = induction_identity_check(V, [], "with_sl2_levi", True)
     assert ok
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_induction_trivial_subspace_builds_each_weil_operator_once(
+        p, monkeypatch):
+    # for U = 0 the quotient Weil operator is omega(g) itself; building it
+    # a second time doubled the count of products below
+    calls = []
+    matmul = CycloMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append(1)
+        return matmul(a, b)
+    monkeypatch.setattr(CycloMatrix, "__matmul__", counted)
+    V = SymplecticSpace.standard(p, 1)
+    w = WeilSL2(HeisenbergRep(V))
+    for g in sl2_elements(p):
+        w(g)
+    one_build = len(calls)
+    del calls[:]
+    ok, _ = induction_identity_check(V, [], "with_sl2_levi")
+    assert ok and len(calls) == one_build
+
+
+@pytest.mark.parametrize("p,unit", [(3, 1), (5, 1), (5, 2), (7, 3)])
+def test_weyl_operator_is_the_normalized_fourier_matrix(p, unit):
+    # omega(w)[t, s] = psi(-s t) sgn(2) conj(G) / p, built once per instance
+    V = SymplecticSpace.standard(p, 1)
+    rep = HeisenbergRep(V, CentralCharacterChoice(p, unit))
+    w = WeilSL2(rep)
+    sgn2 = 1 if pow(2, (p - 1) // 2, p) == 1 else -1
+    const = w._gauss.conj() * Fraction(sgn2, p)
+    want = CycloMatrix.from_entries(
+        rep.cyclo, [[rep.psi(-s * t) * const for s in range(p)]
+                    for t in range(p)])
+    built = w._weyl()
+    assert built == want
+    w(((0, p - 1), (1, 0)))
+    assert w._weyl() is built
 
 
 # ---------------------------------------------------------------------------
