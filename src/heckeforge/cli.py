@@ -363,11 +363,11 @@ def _cmd_sp4(args):
     if args.twist not in ("trivial", "sign"):
         raise UsageError("--twist must be trivial or sign")
     try:
-        TruncContext.for_q(args.q, args.N)
+        ctx = TruncContext.for_q(args.q, args.N)
     except (FieldError, OracleError) as e:
         raise UsageError(f"bad input: {e}")
     fn = convolve_s if args.point == "s" else convolve_e
-    value = fn(args.twist, args.q, args.N)
+    value = fn(args.twist, args.q, args.N, ctx=ctx)
     _emit({"q": args.q, "twist": args.twist, "point": args.point,
            "value": value})
     return 0

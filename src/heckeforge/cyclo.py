@@ -5,7 +5,8 @@ cyclotomic polynomial together with a positive common denominator, so all
 representation-theoretic identities are checked with zero tolerance.
 Matrices keep one integer numpy plane per basis power.  A product of two
 matrices, or of a matrix by a scalar, is one stacked integer matrix product
-of all nonzero planes, folded into the output planes by x^(i+j) mod Phi_N.
+of all nonzero planes; its blocks are summed by i + j and folded into the
+output planes by x^(i+j) mod Phi_N.
 It runs in int64 when an exact bound rules out overflow and on Python ints
 otherwise; the stored planes are Python ints either way.
 """
@@ -101,11 +102,9 @@ class CycloContext:
             cur = nxt[:self.degree]
             table.append(tuple(cur))
         self.power_table = table
-        # fold[i, j] = x^(i+j) mod Phi_N: the product of planes i and j
-        # adds fold[i, j, d] times itself to plane d
-        steps = np.arange(self.degree)
-        powers = np.array(table[:2 * self.degree - 1], dtype=np.int64)
-        self._fold = powers[steps[:, None] + steps]
+        # row s is x^s mod Phi_N: the products of planes i and j with
+        # i + j = s add row[d] times their sum to plane d
+        self._fold = np.array(table[:2 * self.degree - 1], dtype=np.int64)
 
     def __eq__(self, other):
         return isinstance(other, CycloContext) and self.n == other.n
@@ -309,10 +308,11 @@ def _plane_product(ctx, a, b):
 
     a has shape (deg, r, k) and b (deg, k, c), with integer entries.  The
     products of all nonzero planes of a with all nonzero planes of b are one
-    stacked (L r) x k by k x (R c) matrix product, and one product with the
-    fold tensor sends the L R blocks to the deg output planes.  This runs in
-    int64 when an exact bound shows that no partial sum can overflow, and
-    on Python ints otherwise; the result is an object array either way.
+    stacked (L r) x k by k x (R c) matrix product.  The blocks are summed by
+    i + j, and one product with the rows x^(i+j) mod Phi_N sends those sums
+    to the deg output planes.  This runs in int64 when an exact bound shows
+    that no partial sum can overflow, and on Python ints otherwise; the
+    result is an object array either way.
     """
     deg, r, k = a.shape
     c = b.shape[2]
@@ -323,16 +323,30 @@ def _plane_product(ctx, a, b):
     left, right = _nonzero_planes(a), _nonzero_planes(b)
     if not len(left) or not len(right):
         return np.zeros((deg, r, c), dtype=object)
-    fold = ctx._fold[np.ix_(left, right)]
+    sums = (left[:, None] + right).ravel()
+    counts = np.bincount(sums)
+    powers = np.flatnonzero(counts)
+    counts = counts[powers]
+    fold = ctx._fold[powers]
+    # max|a| max|b| k max_d sum_{i in L, j in R} |x^(i+j)|_d bounds every
+    # partial sum of the fold, and of the block sums by i + j too, since
+    # every x^s has a coefficient of size at least 1
     if a.dtype == object or (_extent(a) * _extent(b) * k
-                             * int(np.abs(fold).sum(axis=(0, 1)).max())
+                             * int((counts[:, None] * np.abs(fold))
+                                   .sum(axis=0).max())
                              >= 2 ** 63):
         a, b, fold = a.astype(object), b.astype(object), fold.astype(object)
     lhs = a[left].reshape(-1, k)
     rhs = b[right].transpose(1, 0, 2).reshape(k, -1)
     blocks = (lhs @ rhs).reshape(len(left), r, len(right), c)
     blocks = blocks.transpose(0, 2, 1, 3).reshape(-1, r * c)
-    planes = fold.reshape(-1, deg).T @ blocks
+    if len(left) > 1 and len(right) > 1:
+        # sum the blocks by i + j; with one plane on either side the sums
+        # are distinct and already in increasing order
+        order = np.argsort(sums, kind="stable")
+        blocks = np.add.reduceat(blocks[order], np.cumsum(counts) - counts,
+                                 axis=0)
+    planes = fold.T @ blocks
     return planes.reshape(deg, r, c).astype(object, copy=False)
 
 

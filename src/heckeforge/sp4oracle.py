@@ -263,10 +263,12 @@ def phi(g, twist):
     return int(epsilon_char(k1, twist)) * int(epsilon_char(k2, twist))
 
 
-def convolve_s(twist, q, trunc=3):
+def convolve_s(twist, q, trunc=3, ctx=None):
     """(phi * phi)(s) = sum over coset representatives u(x)s of
-    phi(u(x)s) . phi(s^{-1}u(-x)s); exact integer."""
-    ctx = TruncContext.for_q(q, trunc)
+    phi(u(x)s) . phi(s^{-1}u(-x)s); exact integer.  ctx, when given, is
+    TruncContext.for_q(q, trunc) built by the caller."""
+    if ctx is None:
+        ctx = TruncContext.for_q(q, trunc)
     s = weyl_s(ctx)
     total = 0
     for x in ctx.fq.elements():
@@ -275,9 +277,11 @@ def convolve_s(twist, q, trunc=3):
     return total
 
 
-def convolve_e(twist, q, trunc=3):
-    """(phi * phi)(e) over the same coset representatives; exact integer."""
-    ctx = TruncContext.for_q(q, trunc)
+def convolve_e(twist, q, trunc=3, ctx=None):
+    """(phi * phi)(e) over the same coset representatives; exact integer.
+    ctx is as for convolve_s."""
+    if ctx is None:
+        ctx = TruncContext.for_q(q, trunc)
     s = weyl_s(ctx)
     total = 0
     for x in ctx.fq.elements():

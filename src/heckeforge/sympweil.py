@@ -739,12 +739,6 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
 
     stab = _stabilizer_sl2(space, u_basis)
     weil = WeilSL2(rep)
-    # for U = 0 the quotient is V with the same form and symplectic basis,
-    # so its Weil operators are weil's own
-    same_weil = (quotient.form == space.form
-                 and quotient.basis == space.basis)
-    if qrep is not None and not same_weil:
-        qweil = WeilSL2(qrep)
     big_n = ctx.n
     half = (p + 1) // 2
     vectors = list(space.vectors())
@@ -772,11 +766,10 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
             if qrep is None:
                 sigma_den, sigma_g = 1, None
             else:
-                qw = weil_g if same_weil else qweil(_basis_coords(
-                    quotient,
-                    _quotient_action(space, quotient, lifts, u_basis, g)))
-                sigma_den = qw.den
-                sigma_g = _sparse_entries(qw, chi * weil_g.den)
+                # qrep exists only for U = 0 (dim V = 2), where the quotient
+                # is V itself and its Weil operator is weil_g
+                sigma_den = weil_g.den
+                sigma_g = _sparse_entries(weil_g, chi * weil_g.den)
             lhs_g = _sparse_entries(weil_g, sigma_den)
             # r = (1, (w, 0)):  r^{-1} (g, (v, a)) r = (g, (v + l + w, a + c))
             # with l = -g^{-1} w and c = half (<l - w, v> + <l, w>)

@@ -261,3 +261,33 @@ def test_kernel_at_the_int64_bound(conductor, n, data):
         a = CycloMatrix(ctx, n, planes, normalize=False)
         _assert_same(a @ b, _oracle_matmul(a, b))
 
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.integers(1, 6), st.data())
+def test_kernel_at_the_int64_bound_with_shared_powers(conductor, n, data):
+    """Constant operands on planes 0..u-1 and 0..w-1 with u + w <= deg + 1:
+    min(u, w) block products land on one power x^s, s < deg, so the largest
+    entry of the product is the bound max|a| max|b| k min(u, w), taken at
+    2^63 - 1 or less, or just above it."""
+    ctx = CycloContext(conductor)
+    deg = ctx.degree
+    u = data.draw(st.integers(1, deg))
+    w = data.draw(st.integers(1, deg + 1 - u))
+    scale = data.draw(st.booleans())
+    k = 1 if scale else n
+    b_max = data.draw(st.integers(1, 5))
+    a_max = ((2 ** 63 - 1) // (b_max * k * min(u, w))
+             + data.draw(st.integers(0, 1)))
+    a_val = data.draw(st.sampled_from([1, -1])) * a_max
+    planes = np.zeros((deg, n, n), dtype=object)
+    planes[:w] = data.draw(st.sampled_from([1, -1])) * b_max
+    b = CycloMatrix(ctx, n, planes, normalize=False)
+    if scale:
+        c = CyclotomicNumber(ctx, (a_val,) * u + (0,) * (deg - u), 1)
+        _assert_same(b.scale(c), _oracle_scale(b, c))
+    else:
+        planes = np.zeros((deg, n, n), dtype=object)
+        planes[:u] = a_val
+        a = CycloMatrix(ctx, n, planes, normalize=False)
+        _assert_same(a @ b, _oracle_matmul(a, b))

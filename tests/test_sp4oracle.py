@@ -123,3 +123,13 @@ def test_quadratic_relation_pairs():
     assert quadratic_relation("sign", 3) == (-3, 0)
     assert quadratic_relation("trivial", 5) == (5, 4)
     assert quadratic_relation("sign", 5) == (5, 0)
+
+
+@pytest.mark.parametrize("q", [3, 9])
+def test_convolution_on_given_context(q):
+    ctx = TruncContext.for_q(q, 2)
+    for twist in ("trivial", "sign"):
+        assert (convolve_s(twist, q, 2, ctx=ctx)
+                == convolve_s(twist, q, 2))
+        assert (convolve_e(twist, q, 2, ctx=ctx)
+                == convolve_e(twist, q, 2))
