@@ -228,23 +228,16 @@ class CyclotomicNumber:
         return self * self._coerce(other).inv()
 
     def inv(self):
+        """x^-1 = prod_{k != 1} sigma_k(x) / N(x): the product of the other
+        Galois conjugates over the norm, which is rational."""
         if self.is_zero():
             raise CycloError("inversion of zero")
-        deg = self.ctx.degree
-        # columns: self * x^j in the power basis
-        cols = []
-        for j in range(deg):
-            shifted = [0] * j + list(self.num)
-            cols.append(self.ctx.reduce(shifted))
-        mat = [[Fraction(cols[j][i]) for j in range(deg)] for i in range(deg)]
-        rhs = [Fraction(self.den) if i == 0 else Fraction(0)
-               for i in range(deg)]
-        sol = _solve_fractions(mat, rhs)
-        den = 1
-        for s in sol:
-            den = den * s.denominator // gcd(den, s.denominator)
-        num = tuple(int(s * den) for s in sol)
-        return CyclotomicNumber(self.ctx, num, den)
+        ctx = self.ctx
+        others = ctx.one()
+        for k in range(2, ctx.n):
+            if gcd(k, ctx.n) == 1:
+                others = others * ctx.galois(self, k)
+        return others * (1 / (self * others).as_rational())
 
     def conj(self):
         """Complex conjugation zeta -> zeta^{-1}."""
@@ -276,21 +269,6 @@ class CyclotomicNumber:
 
     def __repr__(self):
         return f"Cyclo{self.num}/{self.den}@{self.ctx.n}"
-
-
-def _solve_fractions(mat, rhs):
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 def _nonzero_planes(planes):

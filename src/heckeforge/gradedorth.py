@@ -7,7 +7,8 @@ extending sgn o sn.
 from __future__ import annotations
 
 from .ffield import FieldError, adjoin_zeta, sgn
-from .quadspace import QuadraticSpace, OrthogonalMap, sgn_spinor
+from .quadspace import (QuadraticSpace, OrthogonalMap, QuadSpaceError,
+                        sgn_spinor)
 from . import linalg
 
 
@@ -270,7 +271,7 @@ def otilde_membership(space, g):
         rational.append(tuple(out))
     try:
         h_map = OrthogonalMap(space.space, tuple(rational))
-    except Exception:
+    except QuadSpaceError:
         return None
     ok, _ = glplus_membership(space, space.embed_matrix(rational))
     if not ok:

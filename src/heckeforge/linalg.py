@@ -1,8 +1,9 @@
-"""Dense exact linear algebra over FqElement matrices.
+"""Dense exact linear algebra over F_q and F_p.
 
-Matrices are tuples of tuples of field elements; vectors are tuples.
-Sizes here are tiny (dim <= 12), so everything is straightforward
-Gaussian elimination.
+Matrices are tuples of tuples and vectors are tuples.  Entries are
+FqElements, or plain ints mod p wherever a function takes p.  Sizes here
+are tiny (dim <= 12), and one Gauss-Jordan elimination, _eliminate, gives
+every echelon form, determinant, inverse, solution and null space.
 """
 
 from __future__ import annotations
@@ -64,117 +65,121 @@ def mat_scale(c, m):
     return tuple(tuple(c * x for x in row) for row in m)
 
 
-def det(m):
-    n = len(m)
-    a = [list(row) for row in m]
-    ctx = m[0][0].ctx
-    result = ctx.one
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            return ctx.zero
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            result = -result
-        result = result * a[col][col]
-        inv = a[col][col].inv()
-        for r in range(col + 1, n):
-            if a[r][col].is_zero():
-                continue
-            f = a[r][col] * inv
-            for c in range(col, n):
-                a[r][c] = a[r][c] - f * a[col][c]
-    return result
-
-
-def mat_inv(m):
-    n = len(m)
-    ctx = m[0][0].ctx
-    a = [list(row) + [ctx.one if i == j else ctx.zero for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            raise FieldError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col].inv()
-        a[col] = [inv * x for x in a[col]]
-        for r in range(n):
-            if r == col or a[r][col].is_zero():
-                continue
-            f = a[r][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
-def rref(m):
-    """Reduced row echelon form of m (rows x cols): (rows, pivots), where
-    rows is the reduced matrix and pivots lists the pivot column of each
-    nonzero row, in order."""
-    a = [list(row) for row in m]
+def _eliminate(m, p=None):
+    """Gauss-Jordan elimination of m (rows x cols), the package's one
+    elimination loop.  Returns (rows, pivots, det): rows is the reduced row
+    echelon form, pivots lists the pivot column of each nonzero row, in
+    order, and det is the product of the pivots before scaling times the
+    sign of the row swaps, which is the determinant when m is square and
+    every column has a pivot.  Entries are FqElements, or ints mod p when p
+    is given; ints stay ints.
+    """
+    if p is None:
+        a = [list(row) for row in m]
+        nonzero = _fq_nonzero
+    else:
+        a = [[x % p for x in row] for row in m]
+        nonzero = bool
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     pivots = []
+    det = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pr = None
-        for rr in range(r, nrows):
-            if not a[rr][c].is_zero():
-                pr = rr
+        for pr in range(r, nrows):
+            if nonzero(a[pr][c]):
                 break
-        if pr is None:
+        else:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c].inv()
-        a[r] = [inv * x for x in a[r]]
-        for rr in range(nrows):
-            if rr != r and not a[rr][c].is_zero():
-                f = a[rr][c]
-                a[rr] = [x - f * y for x, y in zip(a[rr], a[r])]
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            det = -det
+        det = det * a[r][c]
+        # row r is zero left of column c, so the row operations start at c
+        if p is None:
+            s = a[r][c].inv()
+            row = [s * x for x in a[r][c:]]
+        else:
+            s = pow(a[r][c], p - 2, p)
+            row = [s * x % p for x in a[r][c:]]
+        a[r][c:] = row
+        for i in range(nrows):
+            f = a[i][c]
+            if i != r and nonzero(f):
+                a[i][c:] = ([x - f * y for x, y in zip(a[i][c:], row)]
+                            if p is None else
+                            [(x - f * y) % p for x, y in zip(a[i][c:], row)])
         pivots.append(c)
         r += 1
-    return tuple(tuple(row) for row in a), pivots
+    if p is not None:
+        det %= p
+    return tuple(tuple(row) for row in a), pivots, det
 
 
-def null_space(m):
+def _fq_nonzero(x):
+    return not x.is_zero()
+
+
+def _zero_one(m, p):
+    if p is not None:
+        return 0, 1
+    ctx = m[0][0].ctx
+    return ctx.zero, ctx.one
+
+
+def rref(m, p=None):
+    """Reduced row echelon form of m (rows x cols): (rows, pivots), where
+    rows is the reduced matrix and pivots lists the pivot column of each
+    nonzero row, in order."""
+    rows, pivots, _ = _eliminate(m, p)
+    return rows, pivots
+
+
+def det(m, p=None):
+    """Determinant of the square matrix m."""
+    _, pivots, d = _eliminate(m, p)
+    return d if len(pivots) == len(m) else _zero_one(m, p)[0]
+
+
+def mat_inv(m, p=None):
+    """Inverse of the square matrix m; FieldError when m is singular."""
+    n = len(m)
+    zero, one = _zero_one(m, p)
+    rows, pivots, _ = _eliminate(
+        [tuple(row) + tuple(one if i == j else zero for j in range(n))
+         for i, row in enumerate(m)], p)
+    if pivots != list(range(n)):
+        raise FieldError("singular matrix")
+    return tuple(row[n:] for row in rows)
+
+
+def null_space(m, p=None):
     """Basis of the right null space of m (rows x cols)."""
     cols = len(m[0])
-    ctx = m[0][0].ctx
-    a, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
+    zero, one = _zero_one(m, p)
+    a, pivots = rref(m, p)
     basis = []
-    for fc in free:
-        v = [ctx.zero] * cols
-        v[fc] = ctx.one
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        v = [zero] * cols
+        v[fc] = one
         for pi, pc in enumerate(pivots):
-            v[pc] = -a[pi][fc]
+            v[pc] = -a[pi][fc] if p is None else -a[pi][fc] % p
         basis.append(tuple(v))
     return basis
 
 
-def solve(m, b):
+def solve(m, b, p=None):
     """One solution of m x = b, or None."""
     cols = len(m[0])
-    ctx = m[0][0].ctx
-    a, pivots = rref([tuple(row) + (bv,) for row, bv in zip(m, b)])
+    a, pivots = rref([tuple(row) + (bv,) for row, bv in zip(m, b)], p)
     # a pivot in the b column is a row reading 0 = 1
     if pivots and pivots[-1] == cols:
         return None
-    x = [ctx.zero] * cols
+    x = [_zero_one(m, p)[0]] * cols
     for pi, pc in enumerate(pivots):
         x[pc] = a[pi][cols]
     return tuple(x)
-
-
-def mat_eq(a, b):
-    return a == b

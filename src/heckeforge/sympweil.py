@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import linalg
 from .cyclo import CycloContext, CycloMatrix, CyclotomicNumber
 from .ffield import SignValue, _is_prime
 
@@ -58,88 +59,19 @@ def _mat_mul(a, b, p):
                        for col in bt) for row in a)
 
 
-def _mat_det(m, p):
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col] % p
-        inv = pow(a[col][col], p - 2, p)
-        for r in range(col + 1, n):
-            f = a[r][col] * inv % p
-            for c in range(col, n):
-                a[r][c] = (a[r][c] - f * a[col][c]) % p
-    return det % p
-
-
-def _mat_inv(m, p):
-    n = len(m)
-    a = [list(row) + [1 if i == j else 0 for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p), None)
-        if piv is None:
-            raise SympError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], p - 2, p)
-        a[col] = [x * inv % p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] % p:
-                f = a[r][col]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
-def _solve_mod(m, b, p):
-    """One solution of m x = b over F_p (m given as list of rows), or None."""
-    rows, cols = len(m), (len(m[0]) if m else 0)
-    a = [list(r) + [bv] for r, bv in zip(m, b)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((rr for rr in range(r, rows) if a[rr][c] % p), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for rr in range(rows):
-            if rr != r and a[rr][c] % p:
-                f = a[rr][c]
-                a[rr] = [(x - f * y) % p for x, y in zip(a[rr], a[r])]
-        pivots.append(c)
-        r += 1
-    for rr in range(r, rows):
-        if a[rr][cols] % p:
-            return None
-    x = [0] * cols
-    for pi, pc in enumerate(pivots):
-        x[pc] = a[pi][cols]
-    return tuple(x)
-
-
 def _in_span(vectors, v, p):
-    if not vectors:
-        return all(x % p == 0 for x in v)
     m = [[vec[i] for vec in vectors] for i in range(len(v))]
-    return _solve_mod(m, list(v), p) is not None
+    return linalg.solve(m, v, p) is not None
 
 
 def _span_basis(vectors, p):
-    """Row-reduce to an independent basis."""
-    basis = []
-    for v in vectors:
-        if not _in_span(basis, v, p):
-            basis.append(_vec_mod(v, p))
-    return basis
+    """The first independent vectors, in order: the pivot columns of the
+    matrix whose columns are the vectors."""
+    vectors = [_vec_mod(v, p) for v in vectors]
+    if not vectors:
+        return []
+    _, pivots = linalg.rref(linalg.transpose(vectors), p)
+    return [vectors[c] for c in pivots]
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +95,7 @@ class SymplecticSpace:
             for j in range(d):
                 if (form[i][j] + form[j][i]) % p:
                     raise SympError("form must be alternating")
-        if d and _mat_det(form, p) == 0:
+        if d and linalg.det(form, p) == 0:
             raise SympError("form must be nondegenerate")
         self.form = form
         self.dim = d
@@ -227,10 +159,7 @@ class SymplecticSpace:
 
     def coordinates(self, v):
         """Coordinates of v in the distinguished symplectic basis."""
-        p = self.p
-        m = [[self.basis[j][i] for j in range(self.dim)]
-             for i in range(self.dim)]
-        sol = _solve_mod(m, list(v), p)
+        sol = linalg.solve(linalg.transpose(self.basis), v, self.p)
         if sol is None:
             raise SympError("vector outside the space")
         return sol
@@ -536,14 +465,13 @@ def det_sign_character(space, g, u_basis):
     if not u_basis:
         return SignValue(1)
     action = []
-    m = [[vec[i] for vec in u_basis] for i in range(space.dim)]
+    m = linalg.transpose(u_basis)
     for u in u_basis:
-        gu = _mat_vec(g, u, p)
-        sol = _solve_mod(m, list(gu), p)
+        sol = linalg.solve(m, _mat_vec(g, u, p), p)
         if sol is None:
             raise SympError("g does not stabilize the subspace")
         action.append(sol)
-    det = _mat_det(tuple(zip(*action)), p)
+    det = linalg.det(linalg.transpose(action), p)
     if det == 0:
         raise SympError("g is singular on the subspace")
     return SignValue(_sgn_mod_p(det, p))
@@ -567,17 +495,12 @@ def isotropic_reduction(space, u_basis):
                                         for i in range(space.dim)))
                  for j in range(space.dim)] for u in u_basis]
         # null space of the pairing rows
-        perp = _nullspace_mod(rows, p)
+        perp = linalg.null_space(rows, p)
     else:
         perp = [tuple(1 if i == j else 0 for i in range(space.dim))
                 for j in range(space.dim)]
     # complement of U inside U-perp
-    lifts = []
-    current = list(u_basis)
-    for v in perp:
-        if not _in_span(current, v, p):
-            lifts.append(v)
-            current.append(v)
+    lifts = _span_basis(u_basis + perp, p)[len(u_basis):]
     qdim = len(lifts)
     form = [[space.pairing(a, b) for b in lifts] for a in lifts]
     quotient = SymplecticSpace(p, form) if qdim else _ZeroSymplectic(p)
@@ -599,37 +522,6 @@ class _ZeroSymplectic(SymplecticSpace):
 
     def vectors(self):
         yield ()
-
-
-def _nullspace_mod(rows, p):
-    cols = len(rows[0])
-    a = [list(r) for r in rows]
-    nrows = len(a)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((rr for rr in range(r, nrows) if a[rr][c] % p), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for rr in range(nrows):
-            if rr != r and a[rr][c] % p:
-                f = a[rr][c]
-                a[rr] = [(x - f * y) % p for x, y in zip(a[rr], a[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    for fc in range(cols):
-        if fc in pivots:
-            continue
-        v = [0] * cols
-        v[fc] = 1
-        for pi, pc in enumerate(pivots):
-            v[pc] = (-a[pi][fc]) % p
-        basis.append(tuple(v))
-    return basis
 
 
 def graded_symplectic_split(space, weights):
@@ -687,14 +579,13 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
     induced_dim = p ** u * p ** ((space.dim - 2 * u) // 2)
     dims_ok = induced_dim == p ** n
 
+    perp_cols = linalg.transpose(lifts + u_basis)
+
     def quotient_coords(v):
-        """Coordinates of v-bar in the lifted basis of U-perp/U."""
-        cols = lifts + u_basis
-        m = [[vec[i] for vec in cols] for i in range(space.dim)]
-        sol = _solve_mod(m, list(v), p)
-        if sol is None:
-            raise SympError("vector not in U-perp")
-        return sol[:len(lifts)]
+        """Coordinates of v-bar in the lifted basis of U-perp/U, or None
+        when v is not in U-perp."""
+        sol = linalg.solve(perp_cols, v, p)
+        return None if sol is None else sol[:len(lifts)]
 
     if mode == "heisenberg_only":
         # compare chi of rho|_{V#} with the character induced from the
@@ -710,18 +601,14 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
                 for w in transversal:
                     r = HeisenbergElement(space, w, 0)
                     conj = r.inv() * h * r
-                    if _in_span(perp, conj.v, p):
-                        if qrep is None:
-                            if any(quotient_coords(conj.v)):
-                                raise AssertionError
-                            val = psi(conj.a)
-                        else:
-                            qv = quotient_coords(conj.v)
-                            qh = HeisenbergElement(
-                                quotient,
-                                _quot_vec(quotient, qv), conj.a)
-                            val = qrep.character(qh)
-                        rhs = rhs + val
+                    qv = quotient_coords(conj.v)
+                    if qv is None:
+                        continue
+                    if qrep is None:
+                        rhs = rhs + psi(conj.a)
+                    else:
+                        rhs = rhs + qrep.character(
+                            HeisenbergElement(quotient, qv, conj.a))
                 table_lhs.append(lhs)
                 table_rhs.append(rhs)
                 if lhs != rhs:
@@ -745,19 +632,17 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
     columns = [rep._monomial(HeisenbergElement(space, v, 0)) for v in vectors]
     # the sigma-term of each vector of U-perp at central part 0: the
     # monomial columns of the quotient representation, or None for psi
-    perp_ech, perp_piv = _echelonize(perp, p)
     sigma_columns = {}
     for v in vectors:
-        if any(_reduce_echelon(perp_ech, perp_piv, v, p)):
-            continue
-        sigma_columns[v] = None if qrep is None else qrep._monomial(
-            HeisenbergElement(quotient,
-                              _quot_vec(quotient, quotient_coords(v)), 0))
+        qv = quotient_coords(v)
+        if qv is not None:
+            sigma_columns[v] = None if qrep is None else qrep._monomial(
+                HeisenbergElement(quotient, qv, 0))
     coset_reps = _complement_transversal(space, perp)
 
     def first_failure():
         for g in stab:
-            ginv = _mat_inv(g, p)
+            ginv = linalg.mat_inv(g, p)
             weil_g = weil(_basis_coords(space, g))
             chi = 1
             if include_chi and u_basis:
@@ -794,13 +679,10 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
                         rhs[k] += chi * weil_g.den
                     else:
                         _add_trace(rhs, sigma_g, *sigma_columns[conj_v], k)
-                # psi(a) multiplies both sides, which rotates Z[Z/4p]; the
-                # sides agree when their difference reduces to zero
-                diff = [x - y for x, y in zip(lhs, rhs)]
-                for a in range(p):
-                    k = big_n - 4 * rep._psi_exp(a)
-                    if any(ctx.reduce(diff[k:] + diff[:k])):
-                        return g, (v, a)
+                # psi(a) multiplies both sides by a unit of Z[zeta_4p], so
+                # the sides agree at every a exactly when they agree at a = 0
+                if any(ctx.reduce([x - y for x, y in zip(lhs, rhs)])):
+                    return g, (v, 0)
         return None
 
     witness = first_failure()
@@ -829,24 +711,13 @@ def _add_trace(acc, entries, rows, exps, shift=0):
             acc[(d + e + shift) % n] += c
 
 
-def _quot_vec(quotient, coords):
-    if quotient.dim == 0:
-        return ()
-    # coordinates are already in the quotient's own standard basis order?
-    # the quotient space was built on the lifted basis, so coordinates in
-    # that basis ARE the vector in the quotient's coordinate space
-    return tuple(coords)
-
-
 def _quotient_action(space, quotient, lifts, u_basis, g):
     """Matrix of the action induced by g on U-perp/U in the lifted basis."""
     p = space.p
-    cols = lifts + u_basis
-    m = [[vec[i] for vec in cols] for i in range(space.dim)]
+    m = linalg.transpose(lifts + u_basis)
     out = []
     for lv in lifts:
-        gv = _mat_vec(g, lv, p)
-        sol = _solve_mod(m, list(gv), p)
+        sol = linalg.solve(m, _mat_vec(g, lv, p), p)
         if sol is None:
             raise SympError("g does not stabilize U-perp")
         out.append(sol[:len(lifts)])
@@ -854,50 +725,14 @@ def _quotient_action(space, quotient, lifts, u_basis, g):
 
 
 def _complement_transversal(space, perp):
-    """Coset representatives of U-perp in V."""
+    """Coset representatives of U-perp in V: the first vector of each coset,
+    told apart by the linear forms that vanish on U-perp."""
     p = space.p
-    mat, pivots = _echelonize(perp, p)
-    reps = []
-    seen = set()
+    forms = linalg.null_space(perp, p)
+    reps = {}
     for v in space.vectors():
-        key = _reduce_echelon(mat, pivots, v, p)
-        if key not in seen:
-            seen.add(key)
-            reps.append(v)
-    return reps
-
-
-def _echelonize(basis, p):
-    """Reduced row-echelon form with pivot columns."""
-    mat = [list(b) for b in basis]
-    cols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((rr for rr in range(r, len(mat)) if mat[rr][c] % p), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [x * inv % p for x in mat[r]]
-        for rr in range(len(mat)):
-            if rr != r and mat[rr][c] % p:
-                f = mat[rr][c]
-                mat[rr] = [(x - f * y) % p for x, y in zip(mat[rr], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat[:r], pivots
-
-
-def _reduce_echelon(mat, pivots, v, p):
-    """Canonical representative of v + span(mat), for mat, pivots from
-    _echelonize."""
-    v = [x % p for x in v]
-    for row, c in zip(mat, pivots):
-        if v[c]:
-            f = v[c]
-            v = [(x - f * y) % p for x, y in zip(v, row)]
-    return tuple(v)
+        reps.setdefault(_mat_vec(forms, v, p), v)
+    return list(reps.values())
 
 
 def _basis_coords(space, g):
@@ -906,9 +741,8 @@ def _basis_coords(space, g):
     if space.dim == 0:
         return ()
     p = space.p
-    c = tuple(tuple(space.basis[j][i] for j in range(space.dim))
-              for i in range(space.dim))
-    return _mat_mul(_mat_mul(_mat_inv(c, p), g, p), c, p)
+    c = linalg.transpose(space.basis)
+    return _mat_mul(_mat_mul(linalg.mat_inv(c, p), g, p), c, p)
 
 
 def heisenberg_rep(space, iota=None):

@@ -189,6 +189,42 @@ def test_package_error_on_valid_input_exits_3(tmp_path, monkeypatch, capsys):
     assert "internal error" in err and "QuadSpaceError: deliberate bug" in err
 
 
+def _raise_bug(*args, **kwargs):
+    raise RuntimeError("deliberate bug")
+
+
+@pytest.mark.parametrize("command,name", [
+    ("spinor-norm", "OrthogonalMap"),
+    ("extended-sn", "_graded_element"),
+])
+def test_bug_while_reading_input_exits_3(command, name, tmp_path,
+                                         monkeypatch, capsys):
+    from heckeforge import cli
+    monkeypatch.setattr(cli, name, _raise_bug)
+    data = {"field": {"p": 3},
+            "blocks": [{"label": "a", "dim": 2, "kind": "asym"}],
+            "gram": [[0, 1], [1, 0]], "matrix": [[-1, 0], [0, -1]],
+            "element": [["zeta", 0], [0, "zeta"]]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--input", str(path)]) == 3
+    assert "RuntimeError: deliberate bug" in capsys.readouterr().err
+
+
+def test_bug_in_split_helpers_propagates(monkeypatch):
+    import random
+    from heckeforge import cli
+    from heckeforge.sympweil import SymplecticSpace
+    space = SymplecticSpace.standard(3, 2)
+    monkeypatch.setattr(cli, "SymplecticSpace", _raise_bug)
+    with pytest.raises(RuntimeError):
+        cli._random_weighted_space(3, 4, random.Random(0))
+    # weights -1, 0, 1, 0 on (e1, e2, f1, f2) give a nonempty V2, whose
+    # form is checked
+    with pytest.raises(RuntimeError):
+        cli._split_postconditions(space, [-1, 0, 1, 0])
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
 

@@ -1,6 +1,7 @@
 """Unit tests for exact Q(zeta_N) arithmetic and matrices."""
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -291,3 +292,40 @@ def test_kernel_at_the_int64_bound_with_shared_powers(conductor, n, data):
         planes[:u] = a_val
         a = CycloMatrix(ctx, n, planes, normalize=False)
         _assert_same(a @ b, _oracle_matmul(a, b))
+
+
+def _oracle_inv(x):
+    """x^-1 by solving x y = 1 in the power basis over Q, one Fraction
+    Gauss-Jordan elimination."""
+    ctx = x.ctx
+    deg = ctx.degree
+    # column j is x * zeta^j; the right-hand side is 1 = x.den / x.den
+    cols = [ctx.reduce([0] * j + list(x.num)) for j in range(deg)]
+    a = [[Fraction(cols[j][i]) for j in range(deg)]
+         + [Fraction(x.den if i == 0 else 0)] for i in range(deg)]
+    for col in range(deg):
+        piv = next(r for r in range(col, deg) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        lead = a[col][col]
+        a[col] = [v / lead for v in a[col]]
+        for r in range(deg):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    sol = [a[i][deg] for i in range(deg)]
+    den = 1
+    for s in sol:
+        den = den * s.denominator // gcd(den, s.denominator)
+    return CyclotomicNumber(ctx, tuple(int(s * den) for s in sol), den)
+
+
+@settings(max_examples=160, deadline=None)
+@given(st.sampled_from([3, 4, 5, 8, 12, 20, 28, 44]), st.data())
+def test_galois_norm_inverse_matches_elimination(conductor, data):
+    ctx = CycloContext(conductor)
+    num = data.draw(st.lists(st.integers(-4, 4), min_size=ctx.degree,
+                             max_size=ctx.degree).filter(any))
+    x = CyclotomicNumber(ctx, tuple(num), data.draw(st.integers(1, 6)))
+    got, want = x.inv(), _oracle_inv(x)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert x * got == ctx.one()

@@ -91,6 +91,18 @@ def test_otilde_membership_factors_zeta_scaling():
     assert otilde_membership(sp, sp.embed_matrix([[1, 1], [0, 1]])) is None
 
 
+def test_otilde_membership_lets_bugs_through(monkeypatch):
+    from heckeforge import gradedorth
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("deliberate bug")
+    sp = _one_orbit_space(3)
+    z = zeta_scaling(sp, "a")
+    monkeypatch.setattr(gradedorth, "OrthogonalMap", broken)
+    with pytest.raises(RuntimeError):
+        otilde_membership(sp, z)
+
+
 @pytest.mark.parametrize("p,expected", [(3, Mu4Value(1)), (5, Mu4Value(0))])
 def test_extended_sn_of_zeta_scaling(p, expected):
     sp = _one_orbit_space(p)

@@ -2,10 +2,12 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckeforge import FqContext
+from heckeforge import FieldError, FqContext
 from heckeforge import linalg
+from heckeforge.sympweil import _in_span, _span_basis
 
 
 def test_rref_example_f5():
@@ -44,3 +46,106 @@ def test_rref_null_space_and_solve(data):
     assert (y is not None) == solvable
     if y is not None:
         assert linalg.mat_vec(m, y) == b
+
+
+# (p, m) of the F_q cases, and the primes of the plain-int cases
+FIELDS = [(3, 1), (5, 1), (3, 2)]
+PRIMES = [3, 5, 7, 11]
+
+
+@st.composite
+def _square(draw):
+    """(m, p, zero, one): an n x n matrix, n <= 4, over F_3, F_5 or F_9
+    (p is None), or of ints mod p, drawn unreduced so that the reduction
+    mod p is exercised."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        ctx = FqContext(*draw(st.sampled_from(FIELDS)))
+        els = st.sampled_from(list(ctx.elements()))
+        return (tuple(draw(st.tuples(*[els] * n)) for _ in range(n)), None,
+                ctx.zero, ctx.one)
+    p = draw(st.sampled_from(PRIMES))
+    ints = st.integers(-2 * p, 3 * p)
+    return tuple(draw(st.tuples(*[ints] * n)) for _ in range(n)), p, 0, 1
+
+
+def _leibniz(m, zero, one):
+    """det m by the permutation expansion."""
+    n = len(m)
+    total = zero
+    for perm in itertools.permutations(range(n)):
+        term = one
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _reduced(m, p):
+    return m if p is None else tuple(tuple(x % p for x in row) for row in m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square())
+def test_det_matches_leibniz(case):
+    m, p, zero, one = case
+    want = _leibniz(m, zero, one)
+    assert linalg.det(m, p) == (want if p is None else want % p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square())
+def test_mat_inv_is_a_left_inverse_or_raises(case):
+    m, p, zero, one = case
+    n = len(m)
+    if linalg.det(m, p) == zero:
+        with pytest.raises(FieldError):
+            linalg.mat_inv(m, p)
+        return
+    inv = linalg.mat_inv(m, p)
+    assert _reduced(linalg.mat_mul(inv, m), p) == tuple(
+        tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def _as_ints(m):
+    return tuple(tuple(x.coeffs[0] for x in row) for row in m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_int_path_matches_prime_field_elements(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    ctx = FqContext(p)
+    ints = st.integers(-2 * p, 3 * p)
+    nrows = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(1, 4))
+    m = tuple(data.draw(st.tuples(*[ints] * cols)) for _ in range(nrows))
+    b = data.draw(st.tuples(*[ints] * nrows))
+    mf = linalg.mat_from_ints(ctx, m)
+    bf = tuple(ctx.elem(x) for x in b)
+    rows, pivots = linalg.rref(m, p)
+    rows_f, pivots_f = linalg.rref(mf)
+    assert all(type(x) is int for row in rows for x in row)
+    assert (rows, pivots) == (_as_ints(rows_f), pivots_f)
+    assert linalg.null_space(m, p) == list(
+        _as_ints(linalg.null_space(mf)))
+    y, y_f = linalg.solve(m, b, p), linalg.solve(mf, bf)
+    assert (y is None) == (y_f is None)
+    if y is not None:
+        assert y == _as_ints((y_f,))[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_span_basis_matches_greedy_in_span(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    dim = data.draw(st.integers(1, 4))
+    small = st.sampled_from([0, 0, 1, 2, -1, p, p + 1])
+    vectors = data.draw(st.lists(st.tuples(*[small] * dim), max_size=6))
+    greedy = []
+    for v in vectors:
+        if not _in_span(greedy, v, p):
+            greedy.append(tuple(x % p for x in v))
+    assert _span_basis(vectors, p) == greedy

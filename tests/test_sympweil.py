@@ -13,10 +13,11 @@ from heckeforge import (SympError, SymplecticSpace, HeisenbergElement,
                         det_sign_character, isotropic_reduction,
                         graded_symplectic_split, induction_identity_check,
                         sl2_elements, SignValue, CycloMatrix)
+from heckeforge import linalg
 from heckeforge.sympweil import (
-    _mat_mul, _mat_vec, _mat_inv, _span_basis, _solve_mod, _echelonize,
+    _mat_mul, _mat_vec, _span_basis,
     _stabilizer_sl2, _complement_transversal, _quotient_action,
-    _basis_coords, _quot_vec, _gauss_sum)
+    _basis_coords, _gauss_sum)
 
 
 def _all_heisenberg(space):
@@ -306,7 +307,7 @@ def _oracle_induction_check(space, u_basis, include_chi=True, iota=None):
     qrep = HeisenbergRep(quotient, iota) if quotient.dim else None
     weil = WeilSL2(rep)
     qweil = WeilSL2(qrep) if qrep is not None else None
-    perp_ech, perp_piv = _echelonize(perp, p)
+    perp_ech, perp_piv = linalg.rref(perp, p)
 
     def in_perp(v):
         v = list(v)
@@ -319,7 +320,7 @@ def _oracle_induction_check(space, u_basis, include_chi=True, iota=None):
     def quotient_coords(v):
         cols = lifts + u_basis
         m = [[vec[i] for vec in cols] for i in range(space.dim)]
-        return _solve_mod(m, list(v), p)[:len(lifts)]
+        return linalg.solve(m, list(v), p)[:len(lifts)]
 
     def sigma_char(g, h, chi):
         if not in_perp(h.v):
@@ -329,14 +330,14 @@ def _oracle_induction_check(space, u_basis, include_chi=True, iota=None):
         else:
             qg = _quotient_action(space, quotient, lifts, u_basis, g)
             qh = HeisenbergElement(
-                quotient, _quot_vec(quotient, quotient_coords(h.v)), h.a)
+                quotient, quotient_coords(h.v), h.a)
             val = _oracle_trace_with(
                 qrep, qweil(_basis_coords(quotient, qg)), qh)
         return val if chi == 1 else -val
 
     coset_reps = _complement_transversal(space, perp)
     for g in _stabilizer_sl2(space, u_basis):
-        ginv = _mat_inv(g, p)
+        ginv = linalg.mat_inv(g, p)
         weil_g = weil(_basis_coords(space, g))
         chi = 1
         if include_chi and u_basis:
