@@ -9,17 +9,23 @@ the linear term, and no support-preserving rescaling can undo that.
 Run with python3.
 """
 
+import sys
+
 from heckeforge import (quadratic_relation, support_preserving_map_check,
                         QuadraticConvolutionAlgebra, LaurentPoly)
 
 
 def main():
+    """Print the relations and the rescaling checks; 0 when every identity
+    narrated here holds, 1 otherwise."""
+    ok = True
     print("quadratic relations from the convolution oracle")
     print("    q   twist     c_e    c_s")
     for q in (3, 5, 7, 9):
         for twist in ("trivial", "sign"):
             c_e, c_s = quadratic_relation(twist, q)
             print(f"  {q:3d}   {twist:<7} {c_e:5d}  {c_s:5d}")
+            ok &= c_s == (q - 1 if twist == "trivial" else 0)
     print()
 
     q = 3
@@ -33,18 +39,22 @@ def main():
         return lam if len(w) == 1 else 1
 
     print(f"q = {q}: is T_s -> lam T_s an isomorphism between the two?")
-    print("  symbolic lam:      ",
-          support_preserving_map_check(triv, sign, rescale))
+    symbolic = support_preserving_map_check(triv, sign, rescale)
+    print("  symbolic lam:      ", symbolic)
+    ok &= not symbolic
     for c in (1, -1, 2, -2):
-        ok = support_preserving_map_check(
+        iso = support_preserving_map_check(
             triv, sign, lambda w, _c=c: _c if len(w) == 1 else 1)
-        print(f"  lam = {c:2d}:           {ok}")
-    print("  identity self-map: ",
-          support_preserving_map_check(triv, triv, lambda w: 1))
+        print(f"  lam = {c:2d}:           {iso}")
+        ok &= not iso
+    identity = support_preserving_map_check(triv, triv, lambda w: 1)
+    print("  identity self-map: ", identity)
+    ok &= identity
     print()
     print("No support-preserving rescaling matches (q-1) against 0: the")
     print("sign-twisted algebra is genuinely different.")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

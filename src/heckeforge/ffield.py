@@ -1,14 +1,18 @@
 """Exact arithmetic in F_q for odd q, the quadratic sign character, and
 adjunction of a square root of -1.
 
-Elements are stored as reduced coefficient tuples over Z/p with respect to
-a monic irreducible modulus.  Everything is immutable; all operations are
-pure functions.
+F_q is F_p[x]/(modulus) for a monic irreducible modulus, and an element is
+stored as one integer code, sum c_i p^i over its coefficients c_i.  Prime
+fields compute on the code mod p.  Extension fields with q at most
+SMALL_FIELD_BOUND look everything up in exp, log and Zech-logarithm tables
+built on first use: with g primitive, g^i + g^j = g^(i + Z(j - i)) where
+g^Z(k) = 1 + g^k.  Larger extension fields multiply polynomials.  Elements
+are immutable.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property
 
 
 class FieldError(ValueError):
@@ -143,6 +147,205 @@ def _is_prime(n):
 
 
 # ---------------------------------------------------------------------------
+# integer codes: code = sum c_i p^i, so code order is the order of elements()
+
+# extension fields up to this size get exp/log/Zech tables
+SMALL_FIELD_BOUND = 10_000
+
+
+def _digits(code, p, m):
+    """The coefficient tuple (low degree first) of a code."""
+    out = []
+    for _ in range(m):
+        code, c = divmod(code, p)
+        out.append(c)
+    return tuple(out)
+
+
+def _code(coeffs, p):
+    code = 0
+    for c in reversed(coeffs):
+        code = code * p + c % p
+    return code
+
+
+def _tonelli_shanks(arith, a):
+    """A square root of the nonzero square a (a code) by Tonelli-Shanks, the
+    root with the least coefficient tuple."""
+    q = arith.q
+    s, t = 0, q - 1
+    while t % 2 == 0:
+        t //= 2
+        s += 1
+    # deterministic nonsquare search in code order
+    z = next(c for c in range(2, q) if not arith.is_square(c))
+    mul, pw = arith.mul, arith.pow
+    c = pw(z, t)
+    x = pw(a, (t + 1) // 2)
+    b = pw(a, t)
+    m = s
+    while b != 1:
+        i, b2 = 0, b
+        while b2 != 1:
+            b2 = mul(b2, b2)
+            i += 1
+        c2 = pw(c, 2 ** (m - i - 1))
+        x = mul(x, c2)
+        c = mul(c2, c2)
+        b = mul(b, c)
+        m = i
+    return min(x, arith.neg(x), key=arith.digits)
+
+
+class _PrimeArith:
+    """F_p on the ints 0..p-1."""
+
+    def __init__(self, p):
+        self.p = self.q = p
+
+    def digits(self, a):
+        return (a,)
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
+
+    def pow(self, a, e):
+        return pow(a, e, self.p)
+
+    def is_square(self, a):
+        # Euler's criterion
+        return pow(a, (self.p - 1) // 2, self.p) == 1
+
+    def sqrt(self, a):
+        return _tonelli_shanks(self, a)
+
+
+class _PolyArith:
+    """F_q on codes through polynomial arithmetic mod the modulus; the path
+    for extension fields past SMALL_FIELD_BOUND."""
+
+    def __init__(self, ctx):
+        self.p, self.m, self.q = ctx.p, ctx.m, ctx.q
+        self.modulus = list(ctx.modulus)
+
+    def digits(self, a):
+        return _digits(a, self.p, self.m)
+
+    def add(self, a, b):
+        return _code([x + y for x, y in zip(self.digits(a), self.digits(b))],
+                     self.p)
+
+    def sub(self, a, b):
+        return _code([x - y for x, y in zip(self.digits(a), self.digits(b))],
+                     self.p)
+
+    def neg(self, a):
+        return _code([-x for x in self.digits(a)], self.p)
+
+    def mul(self, a, b):
+        return _code(_poly_mulmod(self.digits(a), self.digits(b),
+                                  self.modulus, self.p), self.p)
+
+    def pow(self, a, e):
+        return _code(_poly_powmod(self.digits(a), e, self.modulus, self.p),
+                     self.p)
+
+    def inv(self, a):
+        return self.pow(a, self.q - 2)
+
+    def is_square(self, a):
+        return self.pow(a, (self.q - 1) // 2) == 1
+
+    def sqrt(self, a):
+        return _tonelli_shanks(self, a)
+
+
+class _ZechArith:
+    """F_q on codes through the tables of a primitive element g:
+    exp[k] = g^k (doubled, so sums of two logs need no reduction),
+    log[g^k] = k, zech[k] = log(1 + g^k) (-1 where 1 + g^k = 0) and
+    negs[a] = -a.  The squares are the even powers of g, so sgn is the
+    parity of the log."""
+
+    def __init__(self, ctx):
+        poly = _PolyArith(ctx)
+        p, q = ctx.p, ctx.q
+        n = q - 1
+        self.p, self.m, self.n = p, ctx.m, n
+        cofactors = [n // r for r in _prime_factors(n)]
+        g = next(c for c in range(2, q)
+                 if all(poly.pow(c, e) != 1 for e in cofactors))
+        exp = [1] * n
+        for k in range(1, n):
+            exp[k] = poly.mul(exp[k - 1], g)
+        log = [0] * q
+        for k, a in enumerate(exp):
+            log[a] = k
+        zech = [-1] * n
+        for k, a in enumerate(exp):
+            # adding 1 changes only the constant coefficient
+            b = a - a % p + (a + 1) % p
+            if b:
+                zech[k] = log[b]
+        half = n // 2  # g^half = -1
+        negs = [0] * q
+        for k, a in enumerate(exp):
+            negs[a] = exp[(k + half) % n]
+        self.exp, self.log, self.zech, self.negs = exp + exp, log, zech, negs
+
+    def digits(self, a):
+        return _digits(a, self.p, self.m)
+
+    def add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self.log[a]
+        # a negative index reads zech at (log b - log a) mod n
+        z = self.zech[self.log[b] - la]
+        return self.exp[la + z] if z >= 0 else 0
+
+    def sub(self, a, b):
+        return self.add(a, self.negs[b])
+
+    def neg(self, a):
+        return self.negs[a]
+
+    def mul(self, a, b):
+        if a and b:
+            return self.exp[self.log[a] + self.log[b]]
+        return 0
+
+    def inv(self, a):
+        return self.exp[self.n - self.log[a]]
+
+    def pow(self, a, e):
+        if a:
+            return self.exp[self.log[a] * e % self.n]
+        return 0 if e else 1
+
+    def is_square(self, a):
+        return not self.log[a] & 1
+
+    def sqrt(self, a):
+        x = self.exp[self.log[a] >> 1]
+        return min(x, self.negs[x], key=self.digits)
+
+
+# ---------------------------------------------------------------------------
 
 
 class FqContext:
@@ -161,21 +364,34 @@ class FqContext:
         else:
             if modulus is None:
                 modulus = _least_irreducible(p, m)
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise FieldError("modulus must be monic of degree m")
-            if not _is_irreducible(list(modulus), p):
-                raise FieldError("modulus is reducible")
+            else:
+                modulus = tuple(c % p for c in modulus)
+                if len(modulus) != m + 1 or modulus[-1] != 1:
+                    raise FieldError("modulus must be monic of degree m")
+                if not _is_irreducible(list(modulus), p):
+                    raise FieldError("modulus is reducible")
             self.modulus = modulus
         self.q = p ** m
+        self._key = (p, m, self.modulus)
+        self._hash = hash(self._key)
+        self.zero = FqElement(self, 0)
+        self.one = FqElement(self, 1)
+
+    @cached_property
+    def _arith(self):
+        """The code arithmetic, chosen and (for tables) built on first use."""
+        if self.m == 1:
+            return _PrimeArith(self.p)
+        if self.q <= SMALL_FIELD_BOUND:
+            return _ZechArith(self)
+        return _PolyArith(self)
 
     def __eq__(self, other):
-        return (isinstance(other, FqContext)
-                and (self.p, self.m, self.modulus)
-                == (other.p, other.m, other.modulus))
+        return self is other or (isinstance(other, FqContext)
+                                 and self._key == other._key)
 
     def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
+        return self._hash
 
     def __repr__(self):
         if self.m == 1:
@@ -185,124 +401,104 @@ class FqContext:
     def elem(self, value):
         """Build an element from an integer (constant) or coefficient list."""
         if isinstance(value, FqElement):
-            if value.ctx != self:
+            if value.ctx is not self and value.ctx != self:
                 raise FieldError("context mismatch")
             return value
         if isinstance(value, int):
-            coeffs = [value] + [0] * (self.m - 1)
-        else:
-            coeffs = list(value)
-            if len(coeffs) > self.m:
-                raise FieldError("too many coefficients")
-            coeffs += [0] * (self.m - len(coeffs))
-        return FqElement(self, tuple(c % self.p for c in coeffs))
-
-    @property
-    def zero(self):
-        return self.elem(0)
-
-    @property
-    def one(self):
-        return self.elem(1)
+            return FqElement(self, value % self.p)
+        coeffs = list(value)
+        if len(coeffs) > self.m:
+            raise FieldError("too many coefficients")
+        return FqElement(self, _code(coeffs, self.p))
 
     def elements(self):
-        """All q elements, in lexicographic coefficient order."""
-        for idx in range(self.q):
-            coeffs = []
-            k = idx
-            for _ in range(self.m):
-                coeffs.append(k % self.p)
-                k //= self.p
-            yield FqElement(self, tuple(coeffs))
+        """All q elements, in lexicographic coefficient order (the first
+        coefficient varies fastest)."""
+        for code in range(self.q):
+            yield FqElement(self, code)
 
     def units(self):
-        for a in self.elements():
-            if not a.is_zero():
-                yield a
+        for code in range(1, self.q):
+            yield FqElement(self, code)
 
 
 class FqElement:
-    """An element of F_q as a reduced coefficient tuple of length m."""
+    """An element of F_q as its code, sum c_i p^i over the coefficients."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "code")
 
-    def __init__(self, ctx, coeffs):
+    def __init__(self, ctx, code):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.code = code
+
+    @property
+    def coeffs(self):
+        """The reduced coefficient tuple of length m, low degree first."""
+        return _digits(self.code, self.ctx.p, self.ctx.m)
 
     def _check(self, other):
         if not isinstance(other, FqElement):
-            other = self.ctx.elem(other)
-        if other.ctx != self.ctx:
+            return self.ctx.elem(other)
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
             raise FieldError("context mismatch")
         return other
 
     def __add__(self, other):
-        other = self._check(other)
-        p = self.ctx.p
-        return FqElement(self.ctx, tuple(
-            (a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        ctx = self.ctx
+        if other.__class__ is not FqElement or other.ctx is not ctx:
+            other = self._check(other)
+        return FqElement(ctx, ctx._arith.add(self.code, other.code))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        p = self.ctx.p
-        return FqElement(self.ctx, tuple(
-            (a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        ctx = self.ctx
+        if other.__class__ is not FqElement or other.ctx is not ctx:
+            other = self._check(other)
+        return FqElement(ctx, ctx._arith.sub(self.code, other.code))
 
     def __neg__(self):
-        p = self.ctx.p
-        return FqElement(self.ctx, tuple((-a) % p for a in self.coeffs))
+        return FqElement(self.ctx, self.ctx._arith.neg(self.code))
 
     def __mul__(self, other):
-        other = self._check(other)
         ctx = self.ctx
-        if ctx.m == 1:
-            return FqElement(ctx, ((self.coeffs[0] * other.coeffs[0]) % ctx.p,))
-        prod = _poly_mulmod(list(self.coeffs), list(other.coeffs),
-                            list(ctx.modulus), ctx.p)
-        prod += [0] * (ctx.m - len(prod))
-        return FqElement(ctx, tuple(prod))
+        if other.__class__ is not FqElement or other.ctx is not ctx:
+            other = self._check(other)
+        return FqElement(ctx, ctx._arith.mul(self.code, other.code))
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
         if e < 0:
             return self.inv() ** (-e)
-        result = self.ctx.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FqElement(self.ctx, self.ctx._arith.pow(self.code, e))
 
     def inv(self):
-        if self.is_zero():
+        if not self.code:
             raise FieldError("inversion of zero")
-        return self ** (self.ctx.q - 2)
+        return FqElement(self.ctx, self.ctx._arith.inv(self.code))
 
     def __truediv__(self, other):
         other = self._check(other)
         return self * other.inv()
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not self.code
 
     def __eq__(self, other):
+        if isinstance(other, FqElement):
+            return self.code == other.code and (self.ctx is other.ctx
+                                                or self.ctx == other.ctx)
         if isinstance(other, int):
-            other = self.ctx.elem(other)
-        return (isinstance(other, FqElement) and self.ctx == other.ctx
-                and self.coeffs == other.coeffs)
+            return self.code == other % self.ctx.p
+        return False
 
     def __hash__(self):
-        return hash((self.ctx, self.coeffs))
+        return hash((self.ctx._hash, self.code))
 
     def __repr__(self):
         if self.ctx.m == 1:
-            return f"Fq({self.coeffs[0]} mod {self.ctx.p})"
+            return f"Fq({self.code} mod {self.ctx.p})"
         return f"Fq{self.coeffs}"
 
 
@@ -338,66 +534,21 @@ class SignValue:
 
 def sgn(a):
     """The quadratic-residue character of F_q^x: +1 on squares, -1 otherwise."""
-    if a.is_zero():
+    if not a.code:
         raise FieldError("sgn of zero")
-    power = a ** ((a.ctx.q - 1) // 2)
-    return SignValue(1 if power == a.ctx.one else -1)
-
-
-@lru_cache(maxsize=None)
-def _square_table(ctx):
-    table = {}
-    for x in ctx.elements():
-        sq = x * x
-        if sq not in table or x.coeffs < table[sq].coeffs:
-            table[sq] = x
-    return table
+    return SignValue(1 if a.ctx._arith.is_square(a.code) else -1)
 
 
 def square_root(a):
     """A square root of a with a deterministic tie-break (least coefficient
     tuple), or None if a is a nonsquare.  square_root(0) = 0."""
     ctx = a.ctx
-    if a.is_zero():
+    if not a.code:
         return ctx.zero
-    if int(sgn(a)) == -1:
+    arith = ctx._arith
+    if not arith.is_square(a.code):
         return None
-    if ctx.q <= 10_000:
-        return _square_table(ctx)[a]
-    return _tonelli_shanks(a)
-
-
-def _tonelli_shanks(a):
-    """Tonelli-Shanks in F_q, for fields past the exhaustive-search bound."""
-    ctx = a.ctx
-    q = ctx.q
-    s, t = 0, q - 1
-    while t % 2 == 0:
-        t //= 2
-        s += 1
-    # deterministic nonsquare search in coefficient order
-    z = None
-    for cand in ctx.elements():
-        if not cand.is_zero() and int(sgn(cand)) == -1:
-            z = cand
-            break
-    c = z ** t
-    x = a ** ((t + 1) // 2)
-    b = a ** t
-    m = s
-    while b != ctx.one:
-        i, b2 = 0, b
-        while b2 != ctx.one:
-            b2 = b2 * b2
-            i += 1
-        e = 2 ** (m - i - 1)
-        c2 = c ** e
-        x = x * c2
-        b = b * c2 * c2
-        c = c2 * c2
-        m = i
-    neg = -x
-    return x if x.coeffs <= neg.coeffs else neg
+    return FqElement(ctx, arith.sqrt(a.code))
 
 
 def adjoin_zeta(ctx):
@@ -414,7 +565,8 @@ def adjoin_zeta(ctx):
     big = FqContext(ctx.p, 2 * ctx.m)
     if ctx.m == 1:
         def embed(a, _big=big):
-            return _big.elem(a.coeffs[0])
+            # a constant keeps its code
+            return FqElement(_big, a.code)
     else:
         # embed by sending x to the least root of the old modulus
         root_elt = None

@@ -107,7 +107,10 @@ class GradedQuadraticSpace:
         self.gram = self.space.gram
         self._check_block_shape()
         self.ext_ctx, self.embed, self.zeta = adjoin_zeta(ctx)
-        self._embed_table = {self.embed(a): a for a in ctx.elements()}
+        # embed is F_p-linear: its image has the F_p-basis of the images of
+        # 1, x, ..., x^(m-1), written as the columns of this matrix
+        self._image_basis = linalg.transpose(
+            [self.embed(ctx.elem([0] * i + [1])).coeffs for i in range(ctx.m)])
         # the character needs a fixed square root of sgn_f(-1); surfaced as
         # a constructor parameter with a deterministic default
         sm1 = int(sgn(-ctx.one))
@@ -164,14 +167,23 @@ class GradedQuadraticSpace:
         return tuple(tuple(self.embed(self.ctx.elem(c)) for c in row)
                      for row in m)
 
+    def _preimage(self, x):
+        """The element of f that embeds to x, or None."""
+        ctx = self.ctx
+        if ctx.m == 1:
+            # the image of F_p is the constants, whose codes are below p
+            return ctx.elem(x.code) if x.code < ctx.p else None
+        sol = linalg.solve(self._image_basis, x.coeffs, ctx.p)
+        return None if sol is None else ctx.elem(sol)
+
     def is_rational(self, x):
-        return x in self._embed_table
+        return self._preimage(x) is not None
 
     def retract(self, x):
-        try:
-            return self._embed_table[x]
-        except KeyError:
-            raise GradedError("element is not f-rational") from None
+        a = self._preimage(x)
+        if a is None:
+            raise GradedError("element is not f-rational")
+        return a
 
     @property
     def ext_gram(self):
@@ -265,9 +277,10 @@ def otilde_membership(space, g):
     for row in h:
         out = []
         for x in row:
-            if not space.is_rational(x):
+            try:
+                out.append(space.retract(x))
+            except GradedError:
                 return None
-            out.append(space.retract(x))
         rational.append(tuple(out))
     try:
         h_map = OrthogonalMap(space.space, tuple(rational))

@@ -196,18 +196,20 @@ def _is_exceptional(g):
 def factor_into_reflections(g):
     """Cartan-Dieudonne: anisotropic vectors whose reflections compose
     (in list order) to g.  Each step takes the first w = current(v) - v that
-    is anisotropic and leaves a non-exceptional remainder, which exists
+    is anisotropic and leaves a non-exceptional remainder, trying the basis
+    vectors (w a column of current - 1) before all of V; such a w exists
     whenever current is not exceptional, so the length is rank(1-g).  In
     the exceptional (Wall/Eichler) case an auxiliary reflection is inserted
     first; the remainder then has odd rank and is not exceptional, so the
     length is rank(1-g) + 2 <= dim + 2."""
     space = g.space
+    basis = linalg.identity(space.ctx, space.dim)
     result = []
     current = g
     while not current.is_identity():
         if len(result) >= space.dim + 2:
             raise QuadSpaceError("reflection factorization did not terminate")
-        for v in space.nonzero_vectors():
+        for v in itertools.chain(basis, space.nonzero_vectors()):
             w = linalg.vec_sub(current(v), v)
             if space.evaluate_form(w).is_zero():
                 continue

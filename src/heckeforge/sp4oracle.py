@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .ffield import FqContext, SignValue, sgn
+from .ffield import FqContext, FqElement, SignValue, sgn
 
 
 class OracleError(ValueError):
@@ -54,8 +54,9 @@ class TruncContext:
         return self.series([0, 1])
 
     def __eq__(self, other):
-        return (isinstance(other, TruncContext)
-                and self.fq == other.fq and self.trunc == other.trunc)
+        return self is other or (isinstance(other, TruncContext)
+                                 and self.fq == other.fq
+                                 and self.trunc == other.trunc)
 
     def __hash__(self):
         return hash((self.fq, self.trunc))
@@ -83,13 +84,14 @@ class TruncSeries:
     def __init__(self, ctx, coeffs):
         self.ctx = ctx
         fq = ctx.fq
-        coeffs = [fq.elem(c) for c in coeffs[:ctx.trunc]]
+        coeffs = [c if c.__class__ is FqElement and c.ctx is fq
+                  else fq.elem(c) for c in coeffs[:ctx.trunc]]
         coeffs += [fq.zero] * (ctx.trunc - len(coeffs))
         self.coeffs = tuple(coeffs)
 
     def _coerce(self, other):
         if isinstance(other, TruncSeries):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise OracleError("context mismatch")
             return other
         return TruncSeries(self.ctx, [other])

@@ -101,6 +101,8 @@ class SymplecticSpace:
         self.dim = d
         self.n = d // 2
         self.basis = self._symplectic_basis()
+        # coordinates(v) = B^-1 v, where the columns of B are the basis
+        self._to_coordinates = linalg.mat_inv(linalg.transpose(self.basis), p)
 
     @classmethod
     def standard(cls, p, n):
@@ -159,10 +161,9 @@ class SymplecticSpace:
 
     def coordinates(self, v):
         """Coordinates of v in the distinguished symplectic basis."""
-        sol = linalg.solve(linalg.transpose(self.basis), v, self.p)
-        if sol is None:
+        if len(v) != self.dim:
             raise SympError("vector outside the space")
-        return sol
+        return _mat_vec(self._to_coordinates, v, self.p)
 
     def vectors(self):
         p = self.p

@@ -26,6 +26,27 @@ def test_sgn_extension_field(capsys):
     assert payload["element"] == [0, 1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--p", "10007", "--element", "5"],
+    ["--p", "10007", "--element", "-3"],
+    ["--p", "7", "--m", "2", "--element", "3,5"],
+    ["--p", "101", "--m", "2", "--element", "3,7"],
+    ["--p", "101", "--m", "2", "--element", "0,1"]])
+def test_sgn_is_the_legendre_symbol_of_the_norm(capsys, argv):
+    # for q = p^m with m <= 2, a^((q-1)/2) = N(a)^((p-1)/2), with N(a) the
+    # determinant of multiplication by a on F_p[x]/(x^2 + c1 x + c0)
+    code, payload = _run(capsys, ["sgn"] + argv)
+    assert code == 0
+    p, element = payload["p"], payload["element"]
+    if payload["m"] == 1:
+        norm = element[0]
+    else:
+        (a0, a1), (c0, c1, _) = element, payload["modulus"]
+        norm = a0 * a0 - a0 * a1 * c1 + a1 * a1 * c0
+    euler = pow(norm, (p - 1) // 2, p)
+    assert payload["sgn"] == ("+1" if euler == 1 else "-1")
+
+
 def test_sgn_of_zero_is_usage_error(capsys):
     assert main(["sgn", "--p", "5", "--element", "0"]) == 2
 

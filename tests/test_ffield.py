@@ -1,9 +1,15 @@
-"""Unit tests for the F_q layer: sgn, square roots, zeta adjunction."""
+"""Unit tests for the F_q layer: sgn, square roots, zeta adjunction, and
+the integer-coded arithmetic against the polynomial path as its oracle."""
+
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckeforge import (FieldError, FqContext, SignValue, sgn, square_root,
                         adjoin_zeta)
+from heckeforge.ffield import (SMALL_FIELD_BOUND, _PolyArith, _PrimeArith,
+                               _ZechArith)
 
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
@@ -20,6 +26,21 @@ def test_rejects_even_characteristic_and_composites():
         FqContext(9)
     with pytest.raises(FieldError):
         FqContext(3, 0)
+
+
+def test_modulus_validation_and_default():
+    assert FqContext(3, 2, (1, 0, 1)).modulus == (1, 0, 1)
+    assert FqContext(3, 2, (4, 3, 4)).modulus == (1, 0, 1)
+    for bad in [(2, 0, 1), (1, 1), (1, 0, 2)]:
+        # x^2 - 1 is reducible; the others are not monic of degree 2
+        with pytest.raises(FieldError):
+            FqContext(3, 2, bad)
+    for (p, m), modulus in {(3, 2): (1, 0, 1), (5, 2): (1, 1, 1),
+                            (3, 3): (1, 0, 2, 1),
+                            (3, 4): (1, 0, 1, 1, 1)}.items():
+        ctx = FqContext(p, m)
+        assert ctx.modulus == modulus
+        assert FqContext(p, m, modulus) == ctx
 
 
 def test_field_axioms_small():
@@ -107,3 +128,137 @@ def test_sign_value_arithmetic():
     assert int(SignValue(-1)) == -1
     with pytest.raises(ValueError):
         SignValue(0)
+
+
+# ---------------------------------------------------------------------------
+# integer codes against the polynomial path
+
+
+TABLE_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2)]
+
+
+def _least_root_table(ctx):
+    """The old exhaustive square-root table: for each square, its root with
+    the least coefficient tuple."""
+    table = {}
+    for x in ctx.elements():
+        sq = x * x
+        if sq not in table or x.coeffs < table[sq].coeffs:
+            table[sq] = x
+    return table
+
+
+def test_codes_and_coefficient_tuples():
+    for p, m in [(7, 1)] + TABLE_FIELDS:
+        ctx = FqContext(p, m)
+        els = list(ctx.elements())
+        # elements() keeps its order: the first coefficient varies fastest
+        assert [a.coeffs for a in els] == [
+            tuple(idx // p ** i % p for i in range(m))
+            for idx in range(ctx.q)]
+        assert all(type(a.coeffs) is tuple for a in els)
+        assert all(ctx.elem(list(a.coeffs)) == a for a in els)
+        assert ctx.zero.coeffs == (0,) * m
+        assert ctx.one.coeffs == (1,) + (0,) * (m - 1)
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS)
+def test_zech_tables_match_polynomial_path(p, m):
+    ctx = FqContext(p, m)
+    assert type(ctx._arith) is _ZechArith
+    poly = _PolyArith(ctx)
+    els = list(ctx.elements())
+    roots = _least_root_table(ctx)
+    for a in els:
+        x = a.code
+        assert (-a).code == poly.neg(x)
+        if x:
+            assert a.inv().code == poly.inv(x)
+            square = poly.is_square(x)
+            assert sgn(a) == (1 if square else -1)
+            r = square_root(a)
+            assert (r.code if r is not None else None) == (
+                poly.sqrt(x) if square else None)
+            assert r == roots.get(a)
+        for b in els:
+            y = b.code
+            assert (a + b).code == poly.add(x, y)
+            assert (a - b).code == poly.sub(x, y)
+            assert (a * b).code == poly.mul(x, y)
+            assert (a == b) == (a.coeffs == b.coeffs)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+def test_equal_contexts_share_equality_and_hashes():
+    # sp4 builds a fresh context on every call
+    one, two = FqContext(5, 2), FqContext(5, 2)
+    assert one is not two and one == two and hash(one) == hash(two)
+    for a, b in zip(one.elements(), two.elements()):
+        assert a == b and hash(a) == hash(b)
+        assert a + b == a * 2 == b + a
+    assert {a: a.code for a in one.elements()}[two.elem([3, 4])] == 23
+    with pytest.raises(FieldError):
+        FqContext(5, 1).one + one.one
+
+
+def test_arithmetic_is_chosen_by_the_field():
+    assert type(FqContext(10007)._arith) is _PrimeArith
+    assert type(FqContext(3, 2)._arith) is _ZechArith
+    big = FqContext(101, 2)
+    assert big.q > SMALL_FIELD_BOUND
+    assert type(big._arith) is _PolyArith
+
+
+LARGE_PRIME = 10007
+
+
+@lru_cache(maxsize=None)
+def _large_prime():
+    ctx = FqContext(LARGE_PRIME)
+    return ctx, _PolyArith(ctx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, LARGE_PRIME - 1), st.integers(0, LARGE_PRIME - 1))
+def test_large_prime_field_matches_polynomial_path(x, y):
+    ctx, poly = _large_prime()
+    a, b = ctx.elem(x), ctx.elem(y)
+    assert (a + b).code == poly.add(x, y)
+    assert (a - b).code == poly.sub(x, y)
+    assert (a * b).code == poly.mul(x, y)
+    if x:
+        assert a.inv().code == poly.inv(x)
+        assert int(sgn(a)) == (1 if poly.is_square(x) else -1)
+        r = square_root(a)
+        if poly.is_square(x):
+            assert r.code == poly.sqrt(x) == min(r.code, LARGE_PRIME - r.code)
+            assert r * r == a
+        else:
+            assert r is None
+
+
+@lru_cache(maxsize=None)
+def _past_the_bound():
+    """F_{101^2}, which computes with polynomials, and tables for it built
+    anyway as the reference."""
+    ctx = FqContext(101, 2)
+    return ctx, _ZechArith(ctx)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 101 ** 2 - 1), st.integers(0, 101 ** 2 - 1))
+def test_field_past_the_bound_matches_tables(x, y):
+    ctx, tables = _past_the_bound()
+    a, b = ctx.elem([x % 101, x // 101]), ctx.elem([y % 101, y // 101])
+    assert (a.code, b.code) == (x, y)
+    assert (a + b).code == tables.add(x, y)
+    assert (a - b).code == tables.sub(x, y)
+    assert (a * b).code == tables.mul(x, y)
+    if x:
+        assert a.inv().code == tables.inv(x)
+        square = tables.is_square(x)
+        assert int(sgn(a)) == (1 if square else -1)
+        r = square_root(a)
+        assert (r.code if r is not None else None) == (
+            tables.sqrt(x) if square else None)

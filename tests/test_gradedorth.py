@@ -32,6 +32,23 @@ def _orthogonal_matrices(space):
     return out
 
 
+@pytest.mark.parametrize("q", [3, 7, 9, 27])
+def test_retraction_matches_the_embedding_table(q):
+    # F_27 (m = 3, -1 a nonsquare) embeds into F_729 off the constants
+    ctx = FqContext(3, 2) if q == 9 else (
+        FqContext(3, 3) if q == 27 else FqContext(q))
+    space = GradedQuadraticSpace(ctx, [("b", 1, "sym")], [[2]])
+    table = {space.embed(a): a for a in ctx.elements()}
+    assert len(table) == q
+    for x in space.ext_ctx.elements():
+        assert space.is_rational(x) == (x in table)
+        if x in table:
+            assert space.retract(x) == table[x]
+        else:
+            with pytest.raises(GradedError):
+                space.retract(x)
+
+
 def test_block_shape_validation():
     ctx = FqContext(3)
     with pytest.raises(GradedError):

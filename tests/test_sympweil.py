@@ -49,6 +49,26 @@ def test_nonstandard_form_gets_symplectic_basis():
     assert V.pairing(e, f) == 1
 
 
+@pytest.mark.parametrize("p,change", [
+    (3, ((1, 1, 0, 2), (0, 1, 1, 0), (1, 0, 1, 1), (0, 0, 0, 1))),
+    (5, ((2, 1), (1, 4)))])
+def test_coordinates_match_a_fresh_solve(p, change):
+    # the form A^T J A of an invertible A is alternating, nondegenerate and
+    # has a symplectic basis other than the unit vectors
+    J = SymplecticSpace.standard(p, len(change) // 2).form
+    at = tuple(zip(*change))
+    V = SymplecticSpace(p, _mat_mul(_mat_mul(at, J, p), change, p))
+    assert V.basis != tuple(tuple(int(i == j) for j in range(V.dim))
+                            for i in range(V.dim))
+    for v in V.vectors():
+        c = V.coordinates(v)
+        assert c == linalg.solve(linalg.transpose(V.basis), v, p)
+        assert _mat_vec(linalg.transpose(V.basis), c, p) == v
+    for bad in ((1,) * (V.dim - 1), (1,) * (V.dim + 1)):
+        with pytest.raises(SympError):
+            V.coordinates(bad)
+
+
 def test_heisenberg_group_axioms():
     V = SymplecticSpace.standard(3, 1)
     els = list(_all_heisenberg(V))
