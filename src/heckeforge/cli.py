@@ -588,6 +588,8 @@ def _cmd_suite(args):
 
 
 def build_parser():
+    """The argparse tree; each subcommand names its handler, which main looks
+    up when it runs."""
     parser = argparse.ArgumentParser(
         prog="hecke-forge",
         description="exact sign characters, Weil representations, Hecke "
@@ -601,24 +603,24 @@ def build_parser():
     p_sgn.add_argument("--m", type=int, default=1)
     p_sgn.add_argument("--modulus")
     p_sgn.add_argument("--element", required=True)
-    p_sgn.set_defaults(func=_cmd_sgn)
+    p_sgn.set_defaults(handler="_cmd_sgn")
 
     p_sn = sub.add_parser("spinor-norm",
                           help="spinor norm of an orthogonal matrix")
     p_sn.add_argument("--input", help="JSON file (default: stdin)")
-    p_sn.set_defaults(func=_cmd_spinor_norm)
+    p_sn.set_defaults(handler="_cmd_spinor_norm")
 
     p_esn = sub.add_parser("extended-sn",
                            help="mu_4 character on the extended group")
     p_esn.add_argument("--input", help="JSON file (default: stdin)")
-    p_esn.set_defaults(func=_cmd_extended_sn)
+    p_esn.set_defaults(handler="_cmd_extended_sn")
 
     p_weil = sub.add_parser("weil", help="Heisenberg-Weil checks")
     p_weil.add_argument("--p", type=int, required=True)
     p_weil.add_argument("--dim", type=int, default=2)
     p_weil.add_argument("--check", required=True,
                         choices=["mult", "central", "induction", "split"])
-    p_weil.set_defaults(func=_cmd_weil)
+    p_weil.set_defaults(handler="_cmd_weil")
 
     p_hecke = sub.add_parser("hecke", help="Hecke algebra checks")
     p_hecke.add_argument("--type", required=True,
@@ -627,30 +629,35 @@ def build_parser():
     p_hecke.add_argument("--check", required=True,
                          choices=["braid", "assoc", "quadratic"])
     p_hecke.add_argument("--len-cap", type=int, default=64)
-    p_hecke.set_defaults(func=_cmd_hecke)
+    p_hecke.set_defaults(handler="_cmd_hecke")
 
     p_sp4 = sub.add_parser("sp4", help="Iwahori convolution oracle")
     p_sp4.add_argument("--q", type=int, required=True)
     p_sp4.add_argument("--twist", required=True)
     p_sp4.add_argument("--N", type=int, default=3)
     p_sp4.add_argument("--point", choices=["s", "e"], default="s")
-    p_sp4.set_defaults(func=_cmd_sp4)
+    p_sp4.set_defaults(handler="_cmd_sp4")
 
     p_suite = sub.add_parser("suite", help="run the check battery")
     p_suite.add_argument("--filter", help="restrict to one module")
-    p_suite.set_defaults(func=_cmd_suite)
+    p_suite.set_defaults(handler="_cmd_suite")
 
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    if not getattr(args, "handler", None):
+        _parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ class TruncContext:
             raise OracleError("N >= 2 required")
         self.fq = fq_ctx
         self.trunc = trunc
+        self._one_codes = (1,) + (0,) * (trunc - 1)
 
     @classmethod
     def for_q(cls, q, trunc=3):
@@ -43,11 +44,11 @@ class TruncContext:
 
     @property
     def zero(self):
-        return self.series([])
+        return TruncSeries._of(self, (0,) * self.trunc)
 
     @property
     def one(self):
-        return self.series([1])
+        return TruncSeries._of(self, self._one_codes)
 
     @property
     def t(self):
@@ -77,17 +78,33 @@ def _prime_power(q):
 
 
 class TruncSeries:
-    """c_0 + c_1 t + ... + c_{N-1} t^{N-1} over F_q."""
+    """c_0 + c_1 t + ... + c_{N-1} t^{N-1} over F_q, stored as the tuple of
+    the F_q codes of its coefficients and computed on through the field's
+    code arithmetic."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "codes")
 
     def __init__(self, ctx, coeffs):
-        self.ctx = ctx
         fq = ctx.fq
-        coeffs = [c if c.__class__ is FqElement and c.ctx is fq
-                  else fq.elem(c) for c in coeffs[:ctx.trunc]]
-        coeffs += [fq.zero] * (ctx.trunc - len(coeffs))
-        self.coeffs = tuple(coeffs)
+        codes = [c.code if c.__class__ is FqElement and c.ctx is fq
+                 else fq.elem(c).code for c in coeffs[:ctx.trunc]]
+        codes += [0] * (ctx.trunc - len(codes))
+        self.ctx = ctx
+        self.codes = tuple(codes)
+
+    @classmethod
+    def _of(cls, ctx, codes):
+        """The series with these codes, a tuple of length ctx.trunc; no
+        coercion."""
+        out = object.__new__(cls)
+        out.ctx = ctx
+        out.codes = codes
+        return out
+
+    @property
+    def coeffs(self):
+        fq = self.ctx.fq
+        return tuple(FqElement(fq, c) for c in self.codes)
 
     def _coerce(self, other):
         if isinstance(other, TruncSeries):
@@ -98,101 +115,137 @@ class TruncSeries:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return TruncSeries(self.ctx, [a + b for a, b
-                                      in zip(self.coeffs, other.coeffs)])
+        add = self.ctx.fq._arith.add
+        return TruncSeries._of(self.ctx, tuple(map(add, self.codes,
+                                                   other.codes)))
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return TruncSeries(self.ctx, [a - b for a, b
-                                      in zip(self.coeffs, other.coeffs)])
+        sub = self.ctx.fq._arith.sub
+        return TruncSeries._of(self.ctx, tuple(map(sub, self.codes,
+                                                   other.codes)))
 
     def __neg__(self):
-        return TruncSeries(self.ctx, [-a for a in self.coeffs])
+        return TruncSeries._of(self.ctx, tuple(map(self.ctx.fq._arith.neg,
+                                                   self.codes)))
 
     def __mul__(self, other):
         other = self._coerce(other)
-        n = self.ctx.trunc
-        out = [self.ctx.fq.zero] * n
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.ctx, out)
+        return TruncSeries._of(self.ctx, _mul_codes(self.ctx, self.codes,
+                                                    other.codes))
 
     def val(self):
         """t-adic valuation (trunc for the zero series)."""
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
+        for i, c in enumerate(self.codes):
+            if c:
                 return i
         return self.ctx.trunc
 
     def is_unit(self):
-        return self.val() == 0
+        return self.codes[0] != 0
 
     def is_zero(self):
-        return self.val() == self.ctx.trunc
+        return not any(self.codes)
 
     def inv(self):
-        if not self.is_unit():
+        if not self.codes[0]:
             raise OracleError("non-unit series")
-        n = self.ctx.trunc
-        out = [self.coeffs[0].inv()]
-        for k in range(1, n):
-            acc = self.ctx.fq.zero
+        ar = self.ctx.fq._arith
+        add, mul = ar.add, ar.mul
+        a = self.codes
+        out = [ar.inv(a[0])]
+        minus_inv0 = ar.neg(out[0])
+        for k in range(1, self.ctx.trunc):
+            acc = 0
             for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * out[k - i]
-            out.append(-out[0] * acc)
-        return TruncSeries(self.ctx, out)
+                acc = add(acc, mul(a[i], out[k - i]))
+            out.append(mul(minus_inv0, acc))
+        return TruncSeries._of(self.ctx, tuple(out))
 
     def residue(self):
         """The image in F_q = O/(t)."""
-        return self.coeffs[0]
+        return FqElement(self.ctx.fq, self.codes[0])
 
     def __eq__(self, other):
         return (isinstance(other, TruncSeries)
-                and self.ctx == other.ctx and self.coeffs == other.coeffs)
+                and self.codes == other.codes and self.ctx == other.ctx)
 
     def __hash__(self):
-        return hash((self.ctx, self.coeffs))
+        return hash((self.ctx, self.codes))
 
     def __repr__(self):
+        if self.is_zero():
+            return "0"
         return "(" + " + ".join(f"{c}t^{i}" for i, c in enumerate(self.coeffs)
-                                if not c.is_zero()) + ")" if not self.is_zero() else "0"
+                                if not c.is_zero()) + ")"
+
+
+def _mul_codes(ctx, a, b):
+    """The truncated product of two code tuples."""
+    ar = ctx.fq._arith
+    add, mul = ar.add, ar.mul
+    n = ctx.trunc
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j in range(n - i):
+                y = b[j]
+                if y:
+                    out[i + j] = add(out[i + j], mul(x, y))
+    return tuple(out)
+
+
+def _pair_codes(ctx, op, x, y, z, w):
+    """op(x y, z w) coefficientwise, for code tuples x, y, z, w."""
+    return tuple(map(op, _mul_codes(ctx, x, y), _mul_codes(ctx, z, w)))
 
 
 class Mat2:
-    """An element of SL_2(F_q[t]/(t^N))."""
+    """An element of SL_2(F_q[t]/(t^N)).  The constructor checks
+    ad - bc = 1; products and inverses skip the check, since SL_2 is closed
+    under both."""
 
     __slots__ = ("ctx", "a", "b", "c", "d")
 
     def __init__(self, ctx, a, b, c, d):
         def co(x):
-            return x if isinstance(x, TruncSeries) else ctx.series(
-                x if isinstance(x, (list, tuple)) else [x])
+            if isinstance(x, TruncSeries):
+                if x.ctx is not ctx and x.ctx != ctx:
+                    raise OracleError("context mismatch")
+                return x
+            return ctx.series(x if isinstance(x, (list, tuple)) else [x])
         self.ctx = ctx
         self.a, self.b, self.c, self.d = co(a), co(b), co(c), co(d)
-        det = self.a * self.d - self.b * self.c
-        if det != ctx.one:
+        if _pair_codes(ctx, ctx.fq._arith.sub, self.a.codes, self.d.codes,
+                       self.b.codes, self.c.codes) != ctx._one_codes:
             raise OracleError("determinant must be 1")
+
+    @classmethod
+    def _of(cls, ctx, a, b, c, d):
+        """The matrix of four series already known to have ad - bc = 1."""
+        out = object.__new__(cls)
+        out.ctx, out.a, out.b, out.c, out.d = ctx, a, b, c, d
+        return out
 
     @classmethod
     def identity(cls, ctx):
         return cls(ctx, 1, 0, 0, 1)
 
     def __mul__(self, other):
-        if self.ctx != other.ctx:
+        ctx = self.ctx
+        if other.ctx is not ctx and other.ctx != ctx:
             raise OracleError("context mismatch")
-        return Mat2(self.ctx,
-                    self.a * other.a + self.b * other.c,
-                    self.a * other.b + self.b * other.d,
-                    self.c * other.a + self.d * other.c,
-                    self.c * other.b + self.d * other.d)
+        add = ctx.fq._arith.add
+        a, b, c, d = self.a.codes, self.b.codes, self.c.codes, self.d.codes
+        e, f, g, h = other.a.codes, other.b.codes, other.c.codes, other.d.codes
+
+        def dot(x, y, z, w):
+            return TruncSeries._of(ctx, _pair_codes(ctx, add, x, y, z, w))
+        return Mat2._of(ctx, dot(a, e, b, g), dot(a, f, b, h),
+                        dot(c, e, d, g), dot(c, f, d, h))
 
     def inv(self):
-        return Mat2(self.ctx, self.d, -self.b, -self.c, self.a)
+        return Mat2._of(self.ctx, self.d, -self.b, -self.c, self.a)
 
     def __eq__(self, other):
         return (isinstance(other, Mat2) and self.ctx == other.ctx
@@ -326,4 +379,6 @@ def quadratic_relation(twist, q, trunc=3):
     """The pair (c_e, c_s) with phi * phi = c_e . delta_e + c_s . phi
     (support of phi * phi is {e} + IsI); the twisted and untwisted
     relations differ in the linear coefficient."""
-    return convolve_e(twist, q, trunc), convolve_s(twist, q, trunc)
+    ctx = TruncContext.for_q(q, trunc)
+    return (convolve_e(twist, q, trunc, ctx=ctx),
+            convolve_s(twist, q, trunc, ctx=ctx))

@@ -256,3 +256,38 @@ def test_output_is_deterministic(capsys):
     code2 = main(["sgn", "--p", "7", "--element", "3"])
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0 and out1 == out2
+
+
+PARSER_SEQUENCE = [
+    ["sgn", "--p", "7", "--element", "3"],
+    ["sp4", "--q", "5", "--twist", "sign", "--point", "e"],
+    ["sgn", "--p", "7"],                           # argparse: missing option
+    ["sp4", "--q", "3", "--twist", "bogus"],       # UsageError
+    ["hecke", "--type", "B2", "--check", "quadratic"],
+    [],                                            # no subcommand
+    ["sgn", "--p", "3", "--m", "2", "--element", "0,1"],
+    ["sp4", "--q", "3", "--twist", "trivial"],
+]
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+def test_parser_built_once_matches_fresh_parsers(monkeypatch, capsys):
+    from heckeforge import cli
+    cached = []
+    for argv in PARSER_SEQUENCE:
+        cached.append((_exit_code(argv), capsys.readouterr().out))
+    parser = cli._parser
+    assert parser is not None
+    fresh = []
+    for argv in PARSER_SEQUENCE:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append((_exit_code(argv), capsys.readouterr().out))
+        assert cli._parser is not parser
+    assert cached == fresh
+    assert [code for code, _ in cached] == [0, 0, 2, 2, 0, 2, 0, 0]

@@ -1,11 +1,14 @@
-"""Unit tests for the truncated-series Iwahori convolution oracle."""
+"""Unit tests for the truncated-series Iwahori convolution oracle, with a
+per-coefficient FqElement series as the oracle of the code arithmetic."""
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heckeforge import (OracleError, TruncContext, Mat2, weyl_s, upper_u,
-                        coroot, iwahori_member, bruhat_decompose,
+from heckeforge import (OracleError, TruncContext, TruncSeries, Mat2, weyl_s,
+                        upper_u, coroot, iwahori_member, bruhat_decompose,
                         epsilon_char, convolve_s, convolve_e,
                         welldefinedness_check, quadratic_relation, SignValue)
 from heckeforge.sp4oracle import phi, random_iwahori
@@ -47,6 +50,16 @@ def test_mat2_enforces_determinant():
     m = Mat2(ctx, 1, 1, 0, 1)
     assert m * m.inv() == Mat2.identity(ctx)
     assert coroot(ctx, 2) == Mat2(ctx, 2, 0, 0, 2)  # 2^{-1} = 2 mod 3
+
+
+def test_mat2_rejects_series_of_another_context():
+    ctx3, ctx5 = TruncContext.for_q(3), TruncContext.for_q(5)
+    with pytest.raises(OracleError):
+        Mat2(ctx3, ctx5.one, 0, 0, 1)
+    with pytest.raises(OracleError):
+        Mat2(ctx3, 1, 0, 0, TruncContext.for_q(3, trunc=2).one)
+    assert Mat2(ctx3, TruncContext.for_q(3).one, 0, 0, 1) == \
+        Mat2.identity(ctx3)
 
 
 def test_iwahori_membership_pattern():
@@ -133,3 +146,157 @@ def test_convolution_on_given_context(q):
                 == convolve_s(twist, q, 2))
         assert (convolve_e(twist, q, 2, ctx=ctx)
                 == convolve_e(twist, q, 2))
+
+
+# ---------------------------------------------------------------------------
+# the code-level series against a per-coefficient FqElement reference
+
+
+class RefSeries:
+    """c_0 + ... + c_{N-1} t^{N-1} as a tuple of FqElements, each operation
+    done coefficient by coefficient in FqElement arithmetic."""
+
+    def __init__(self, ctx, coeffs):
+        fq = ctx.fq
+        coeffs = [fq.elem(c) for c in coeffs[:ctx.trunc]]
+        self.ctx = ctx
+        self.coeffs = tuple(coeffs + [fq.zero] * (ctx.trunc - len(coeffs)))
+
+    def __add__(self, other):
+        return RefSeries(self.ctx, [a + b for a, b
+                                    in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        return RefSeries(self.ctx, [a - b for a, b
+                                    in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return RefSeries(self.ctx, [-a for a in self.coeffs])
+
+    def __mul__(self, other):
+        n = self.ctx.trunc
+        out = [self.ctx.fq.zero] * n
+        for i, a in enumerate(self.coeffs):
+            for j in range(n - i):
+                out[i + j] = out[i + j] + a * other.coeffs[j]
+        return RefSeries(self.ctx, out)
+
+    def val(self):
+        return next((i for i, c in enumerate(self.coeffs) if not c.is_zero()),
+                    self.ctx.trunc)
+
+    def inv(self):
+        out = [self.coeffs[0].inv()]
+        for k in range(1, self.ctx.trunc):
+            acc = self.ctx.fq.zero
+            for i in range(1, k + 1):
+                acc = acc + self.coeffs[i] * out[k - i]
+            out.append(-out[0] * acc)
+        return RefSeries(self.ctx, out)
+
+
+SERIES_FIELDS = (3, 7, 9, 25, 27)
+
+
+@lru_cache(maxsize=None)
+def _trunc_ctx(q, trunc):
+    return TruncContext.for_q(q, trunc)
+
+
+@st.composite
+def _series_pairs(draw):
+    ctx = _trunc_ctx(draw(st.sampled_from(SERIES_FIELDS)),
+                     draw(st.sampled_from((2, 3, 4))))
+    elements = list(ctx.fq.elements())
+
+    def coeffs():
+        # zero-heavy, so that units, non-units and zero series all occur
+        return draw(st.lists(st.one_of(st.just(ctx.fq.zero),
+                                       st.sampled_from(elements)),
+                             min_size=ctx.trunc, max_size=ctx.trunc))
+    return ctx, coeffs(), coeffs()
+
+
+def _agrees(series, ref):
+    assert isinstance(series, TruncSeries)
+    assert series.coeffs == ref.coeffs
+    assert series.codes == tuple(c.code for c in ref.coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series_pairs())
+def test_series_codes_match_reference(case):
+    ctx, xs, ys = case
+    a, b = ctx.series(xs), ctx.series(ys)
+    ra, rb = RefSeries(ctx, xs), RefSeries(ctx, ys)
+    _agrees(a, ra)
+    _agrees(a + b, ra + rb)
+    _agrees(a - b, ra - rb)
+    _agrees(-a, -ra)
+    _agrees(a * b, ra * rb)
+    assert a.val() == ra.val()
+    assert a.is_unit() == (ra.val() == 0)
+    assert a.is_zero() == (ra.val() == ctx.trunc)
+    assert a.residue() == ra.coeffs[0]
+    assert a.residue().ctx is ctx.fq
+    if ra.val() == 0:
+        _agrees(a.inv(), ra.inv())
+    else:
+        with pytest.raises(OracleError):
+            a.inv()
+
+
+# ---------------------------------------------------------------------------
+# SL_2 is closed under products and inverses, which is why they skip the
+# constructor's determinant check
+
+
+def _det_is_one(g):
+    return g.a * g.d - g.b * g.c == g.ctx.one
+
+
+@pytest.mark.parametrize("q,trunc", [(3, 2), (5, 3), (9, 2), (25, 3),
+                                     (27, 4)])
+def test_products_and_inverses_keep_determinant_one(q, trunc):
+    ctx = TruncContext.for_q(q, trunc)
+    s = weyl_s(ctx)
+    rng = random.Random(q * trunc)
+    for _ in range(25):
+        g, h = random_iwahori(ctx, rng), random_iwahori(ctx, rng)
+        k1, k2 = bruhat_decompose(g * s * h)[1]
+        for x in (g, h, k1, k2, g * s, s * h, g * s * h):
+            assert _det_is_one(x) and _det_is_one(x.inv())
+        for x, y in ((g, h), (k1, k2), (k1, s), (g * s * h, k2.inv())):
+            assert _det_is_one(x * y)
+
+
+def _iwahori_elements(ctx):
+    """Every element of the Iwahori subgroup: a a unit, c in tO, d fixed by
+    the determinant."""
+    fq = ctx.fq
+    n = ctx.trunc
+    series = [ctx.series(list(cs)) for cs in _tuples(list(fq.elements()), n)]
+    units = [a for a in series if a.is_unit()]
+    tails = [c for c in series if c.val() >= 1]
+    return [Mat2(ctx, a, b, c, (ctx.one + b * c) * a.inv())
+            for a in units for b in series for c in tails]
+
+
+def _tuples(elements, n):
+    if n == 0:
+        return [()]
+    return [(x,) + rest for x in elements for rest in _tuples(elements, n - 1)]
+
+
+def test_phi_well_defined_on_every_pair_of_iwahori_elements():
+    """phi(k1 s k2) = eps(k1) eps(k2) for all (k1, k2) in I x I at
+    (q, N) = (3, 2); welldefinedness_check samples the same identity."""
+    ctx = TruncContext.for_q(3, 2)
+    s = weyl_s(ctx)
+    iwahori = _iwahori_elements(ctx)
+    assert len(iwahori) == 2 * 3 * 9 * 3
+    eps = [int(epsilon_char(k, "sign")) for k in iwahori]
+    for k1, e1 in zip(iwahori, eps):
+        k1s = k1 * s
+        for k2, e2 in zip(iwahori, eps):
+            assert phi(k1s * k2, "sign") == e1 * e2
