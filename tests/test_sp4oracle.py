@@ -1,6 +1,7 @@
 """Unit tests for the truncated-series Iwahori convolution oracle, with a
 per-coefficient FqElement series as the oracle of the code arithmetic."""
 
+import itertools
 import random
 from functools import lru_cache
 
@@ -273,19 +274,12 @@ def test_products_and_inverses_keep_determinant_one(q, trunc):
 def _iwahori_elements(ctx):
     """Every element of the Iwahori subgroup: a a unit, c in tO, d fixed by
     the determinant."""
-    fq = ctx.fq
-    n = ctx.trunc
-    series = [ctx.series(list(cs)) for cs in _tuples(list(fq.elements()), n)]
+    series = [ctx.series(list(cs)) for cs
+              in itertools.product(ctx.fq.elements(), repeat=ctx.trunc)]
     units = [a for a in series if a.is_unit()]
     tails = [c for c in series if c.val() >= 1]
     return [Mat2(ctx, a, b, c, (ctx.one + b * c) * a.inv())
             for a in units for b in series for c in tails]
-
-
-def _tuples(elements, n):
-    if n == 0:
-        return [()]
-    return [(x,) + rest for x in elements for rest in _tuples(elements, n - 1)]
 
 
 def test_phi_well_defined_on_every_pair_of_iwahori_elements():
