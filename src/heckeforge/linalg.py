@@ -24,7 +24,11 @@ def transpose(m):
     return tuple(zip(*m))
 
 
-def mat_mul(a, b):
+def mat_mul(a, b, p=None):
+    if p is not None:
+        bt = list(zip(*b))
+        return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p
+                           for col in bt) for row in a)
     n, k = len(a), len(b)
     cols = len(b[0])
     out = []
@@ -39,7 +43,9 @@ def mat_mul(a, b):
     return tuple(out)
 
 
-def mat_vec(a, v):
+def mat_vec(a, v, p=None):
+    if p is not None:
+        return tuple(sum(r * x for r, x in zip(row, v)) % p for row in a)
     out = []
     for row in a:
         acc = row[0] * v[0]
@@ -49,15 +55,21 @@ def mat_vec(a, v):
     return tuple(out)
 
 
-def vec_add(u, v):
+def vec_add(u, v, p=None):
+    if p is not None:
+        return tuple((a + b) % p for a, b in zip(u, v))
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u, v):
+def vec_sub(u, v, p=None):
+    if p is not None:
+        return tuple((a - b) % p for a, b in zip(u, v))
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(c, v):
+def vec_scale(c, v, p=None):
+    if p is not None:
+        return tuple((c * x) % p for x in v)
     return tuple(c * x for x in v)
 
 

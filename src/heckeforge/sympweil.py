@@ -37,28 +37,6 @@ def _vec_mod(v, p):
     return tuple(x % p for x in v)
 
 
-def _vec_add(u, v, p):
-    return tuple((a + b) % p for a, b in zip(u, v))
-
-
-def _vec_sub(u, v, p):
-    return tuple((a - b) % p for a, b in zip(u, v))
-
-
-def _vec_scale(c, v, p):
-    return tuple((c * x) % p for x in v)
-
-
-def _mat_vec(m, v, p):
-    return tuple(sum(r * x for r, x in zip(row, v)) % p for row in m)
-
-
-def _mat_mul(a, b, p):
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p
-                       for col in bt) for row in a)
-
-
 def _in_span(vectors, v, p):
     m = [[vec[i] for vec in vectors] for i in range(len(v))]
     return linalg.solve(m, v, p) is not None
@@ -135,7 +113,7 @@ class SymplecticSpace:
             for v in pool:
                 c = self.pairing(e, v)
                 if c and not _in_span(used + [e], v, p):
-                    f = _vec_scale(pow(c, p - 2, p), v, p)
+                    f = linalg.vec_scale(pow(c, p - 2, p), v, p)
                     break
             if f is None:
                 # complete the pool with sums (rare for degenerate-looking
@@ -143,15 +121,15 @@ class SymplecticSpace:
                 for v in self.vectors():
                     c = self.pairing(e, v)
                     if c and not _in_span(used + [e], v, p):
-                        f = _vec_scale(pow(c, p - 2, p), v, p)
+                        f = linalg.vec_scale(pow(c, p - 2, p), v, p)
                         break
             # reduce the pool modulo the found hyperbolic pair
             new_pool = []
             for v in pool:
                 a = self.pairing(v, f)
                 b = self.pairing(e, v)
-                w = _vec_sub(v, _vec_scale(a, e, p), p)
-                w = _vec_sub(w, _vec_scale(b, f, p), p)
+                w = linalg.vec_sub(v, linalg.vec_scale(a, e, p), p)
+                w = linalg.vec_sub(w, linalg.vec_scale(b, f, p), p)
                 new_pool.append(w)
             es.append(e)
             fs.append(f)
@@ -163,7 +141,7 @@ class SymplecticSpace:
         """Coordinates of v in the distinguished symplectic basis."""
         if len(v) != self.dim:
             raise SympError("vector outside the space")
-        return _mat_vec(self._to_coordinates, v, self.p)
+        return linalg.mat_vec(self._to_coordinates, v, self.p)
 
     def vectors(self):
         p = self.p
@@ -178,7 +156,7 @@ class SymplecticSpace:
     def is_symplectic_matrix(self, g):
         p = self.p
         gt = tuple(zip(*g))
-        lhs = _mat_mul(_mat_mul(gt, self.form, p), g, p)
+        lhs = linalg.mat_mul(linalg.mat_mul(gt, self.form, p), g, p)
         return lhs == self.form
 
     def __eq__(self, other):
@@ -206,7 +184,7 @@ class HeisenbergElement:
         half = (p + 1) // 2
         pairing = self.space.pairing(self.v, other.v)
         return HeisenbergElement(
-            self.space, _vec_add(self.v, other.v, p),
+            self.space, linalg.vec_add(self.v, other.v, p),
             (self.a + other.a + half * pairing) % p)
 
     def inv(self):
@@ -448,7 +426,8 @@ def projective_weil(rep, g):
         t = CycloMatrix.zeros(rep.cyclo, dim)
         for v in space.vectors():
             rv = rep.operator(HeisenbergElement(space, v, 0))
-            gv = rep.operator(HeisenbergElement(space, _mat_vec(g, v, p), 0))
+            gv = rep.operator(
+                HeisenbergElement(space, linalg.mat_vec(g, v, p), 0))
             rv_inv = rep.operator(HeisenbergElement(
                 space, tuple((-x) % p for x in v), 0))
             t = t + gv @ c @ rv_inv
@@ -468,7 +447,7 @@ def det_sign_character(space, g, u_basis):
     action = []
     m = linalg.transpose(u_basis)
     for u in u_basis:
-        sol = linalg.solve(m, _mat_vec(g, u, p), p)
+        sol = linalg.solve(m, linalg.mat_vec(g, u, p), p)
         if sol is None:
             raise SympError("g does not stabilize the subspace")
         action.append(sol)
@@ -661,17 +640,18 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
             # with l = -g^{-1} w and c = half (<l - w, v> + <l, w>)
             shifts = []
             for w in coset_reps:
-                l = tuple((-x) % p for x in _mat_vec(ginv, w, p))
-                lw = _vec_sub(l, w, p)
+                l = tuple((-x) % p for x in linalg.mat_vec(ginv, w, p))
+                lw = linalg.vec_sub(l, w, p)
                 row = [sum(lw[i] * space.form[i][j] for i in range(space.dim))
                        for j in range(space.dim)]
-                shifts.append((_vec_add(l, w, p), row, space.pairing(l, w)))
+                shifts.append((linalg.vec_add(l, w, p), row,
+                               space.pairing(l, w)))
             for v, (rows, exps) in zip(vectors, columns):
                 lhs = [0] * big_n
                 _add_trace(lhs, lhs_g, rows, exps)
                 rhs = [0] * big_n
                 for shift, row, const in shifts:
-                    conj_v = _vec_add(v, shift, p)
+                    conj_v = linalg.vec_add(v, shift, p)
                     if conj_v not in sigma_columns:
                         continue
                     k = 4 * rep._psi_exp(
@@ -718,7 +698,7 @@ def _quotient_action(space, quotient, lifts, u_basis, g):
     m = linalg.transpose(lifts + u_basis)
     out = []
     for lv in lifts:
-        sol = linalg.solve(m, _mat_vec(g, lv, p), p)
+        sol = linalg.solve(m, linalg.mat_vec(g, lv, p), p)
         if sol is None:
             raise SympError("g does not stabilize U-perp")
         out.append(sol[:len(lifts)])
@@ -732,7 +712,7 @@ def _complement_transversal(space, perp):
     forms = linalg.null_space(perp, p)
     reps = {}
     for v in space.vectors():
-        reps.setdefault(_mat_vec(forms, v, p), v)
+        reps.setdefault(linalg.mat_vec(forms, v, p), v)
     return list(reps.values())
 
 
@@ -743,7 +723,7 @@ def _basis_coords(space, g):
         return ()
     p = space.p
     c = linalg.transpose(space.basis)
-    return _mat_mul(_mat_mul(linalg.mat_inv(c, p), g, p), c, p)
+    return linalg.mat_mul(linalg.mat_mul(linalg.mat_inv(c, p), g, p), c, p)
 
 
 def heisenberg_rep(space, iota=None):

@@ -18,8 +18,7 @@ from heckeforge import (
     GradedQuadraticSpace, Mu4Value, zeta_scaling, otilde_membership,
     extended_sn,
     # sympweil
-    SymplecticSpace, HeisenbergElement, HeisenbergRep, WeilSL2, sl2_elements,
-    induction_identity_check, CycloMatrix,
+    SymplecticSpace, HeisenbergElement, HeisenbergRep, WeilSL2,
     # heckealg
     CoxeterSystem, ParameterFunction, HeckeAlgebra, LaurentPoly,
     TwistedGroupAlgebraContext, SemidirectAlgebra,
@@ -28,11 +27,9 @@ from heckeforge import (
     TruncContext, weyl_s, upper_u, convolve_s, convolve_e, quadratic_relation,
     iwahori_member,
 )
-from heckeforge import linalg
+from heckeforge import checks, linalg
 from heckeforge.cli import main as cli_main
 from heckeforge.sp4oracle import phi
-from heckeforge.sympweil import _mat_mul, _mat_vec
-from heckeforge.cli import _random_weighted_space, _split_postconditions
 
 
 def _report(num, label, ok):
@@ -92,18 +89,11 @@ def test_criterion_03_weil_genuineness():
         V = SymplecticSpace.standard(p, 1)
         rep = HeisenbergRep(V)
         w = WeilSL2(rep)
-        els = list(sl2_elements(p))
-        if p == 3:
-            pairs = [(g, h) for g in els for h in els]  # 576 pairs
-        else:
-            rng = random.Random(p)
-            pairs = [(rng.choice(els), rng.choice(els)) for _ in range(500)]
-        tested = set()
-        for g, h in pairs:
-            gh = _mat_mul(g, h, p)
-            if (w(g) @ w(h)) != w(gh):
-                ok = False
-            tested.update((g, h, gh))
+        # all 576 pairs at p = 3, else 500 random pairs
+        pairs = checks.weil_pairs(p, random.Random(p))
+        ok = ok and checks.weil_mult(w, pairs)[0]
+        tested = {x for g, h in pairs
+                  for x in (g, h, linalg.mat_mul(g, h, p))}
         # intertwining relation, exact on every tested g
         gens = [((1, 0), 0), ((0, 1), 0), ((0, 0), 1)]
         ops = {(v, a): rep.operator(HeisenbergElement(V, v, a))
@@ -112,7 +102,7 @@ def test_criterion_03_weil_genuineness():
             wg = w(g)
             for v, a in gens:
                 moved = rep.operator(
-                    HeisenbergElement(V, _mat_vec(g, v, p), a))
+                    HeisenbergElement(V, linalg.mat_vec(g, v, p), a))
                 if wg @ ops[v, a] != moved @ wg:
                     ok = False
     elapsed = time.perf_counter() - start
@@ -126,22 +116,9 @@ def test_criterion_04_induction_identity():
     ok = True
     for p in (3, 5):
         V = SymplecticSpace.standard(p, 1)
-        lagrangians = []
-        for v in V.vectors():
-            if not any(v):
-                continue
-            if any(l == tuple((c * s) % p for c in v)
-                   for l in lagrangians for s in range(1, p)):
-                continue
-            lagrangians.append(v)
+        lagrangians = checks.isotropic_lines(V)
         assert len(lagrangians) == p + 1
-        for line in lagrangians:
-            with_chi, _ = induction_identity_check(
-                V, [line], "with_sl2_levi", include_chi=True)
-            without, _ = induction_identity_check(
-                V, [line], "with_sl2_levi", include_chi=False)
-            if not with_chi or without:
-                ok = False
+        ok = ok and checks.induction_needs_chi(V, lagrangians)[0]
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10.0
     _report(4, "induction identity: equal with chi^U, unequal without, "
@@ -154,11 +131,7 @@ def test_criterion_05_heisenberg():
         V = SymplecticSpace.standard(p, n)
         rep = HeisenbergRep(V)
         # central character (0, a) -> iota^{-1}(a), exact
-        ident = CycloMatrix.identity(rep.cyclo, rep.dim)
-        for a in range(p):
-            op = rep.operator(HeisenbergElement(V, (0,) * V.dim, a))
-            if op != ident.scale(rep.psi(a)):
-                ok = False
+        ok = ok and checks.weil_central(rep)[0]
         # irreducibility: <chi, chi> = 1
         total = rep.cyclo.zero()
         for v in V.vectors():
@@ -177,10 +150,7 @@ def test_criterion_06_graded_split():
     rng = random.Random(0)
     for p in (3, 5):
         for dim in (2, 4, 6):
-            for _ in range(200):
-                sp, weights = _random_weighted_space(p, dim, rng)
-                if not _split_postconditions(sp, weights):
-                    ok = False
+            ok = ok and checks.graded_split(p, dim, rng, 200)[0]
     _report(6, "graded_symplectic_split postconditions, 200 random "
                "instances per (p, dim) in {3,5}x{2,4,6}", ok)
 
@@ -299,30 +269,14 @@ def test_criterion_08_extended_sn():
 def test_criterion_09_hecke_kernel():
     ok = True
     # braid + quadratic relations, symbolically exact
-    for tag, m, unequal in (("A2", 3, False), ("B2", 4, True),
-                            ("G2", 6, True), ("A1~", None, True)):
+    for tag, unequal in (("A2", False), ("B2", True), ("G2", True),
+                         ("A1~", True)):
         system = CoxeterSystem.from_type(tag)
         names = {s: f"q{s}" for s in system.generators} if unequal \
             else {s: "q" for s in system.generators}
         algebra = HeckeAlgebra(system, ParameterFunction(system, names))
-        for s in system.generators:
-            ts = algebra.basis((s,))
-            q = algebra.q(s)
-            if algebra.mul(ts, ts) != ts.scale(q - 1) + \
-                    algebra.one().scale(q):
-                ok = False
-        if m is not None:
-            s, t = system.generators
-            a = algebra.one()
-            b = algebra.one()
-            cur_a, cur_b = s, t
-            for _ in range(m):
-                a = algebra.mul(a, algebra.basis((cur_a,)))
-                b = algebra.mul(b, algebra.basis((cur_b,)))
-                cur_a = t if cur_a == s else s
-                cur_b = t if cur_b == s else s
-            if a != b:
-                ok = False
+        ok = ok and checks.hecke_quadratic(algebra)[0]
+        ok = ok and checks.hecke_braid(algebra)[0]
     # structure constants vs the reduced-word oracle, exhaustive to length 6
     system = CoxeterSystem.from_type("B2")
     algebra = HeckeAlgebra(system,
@@ -341,18 +295,8 @@ def test_criterion_09_hecke_kernel():
                         != algebra.mul_via_word(word, t_w):
                     ok = False
     # associativity on 500 random triples
-    rng = random.Random(9)
-
-    def rnd():
-        letters = tuple(rng.choice(system.generators)
-                        for _ in range(rng.randrange(5)))
-        return algebra.basis(system.normal_form(letters))
-
-    for _ in range(500):
-        a, b, c = rnd(), rnd(), rnd()
-        if algebra.mul(algebra.mul(a, b), c) \
-                != algebra.mul(a, algebra.mul(b, c)):
-            ok = False
+    ok = ok and checks.hecke_assoc(
+        algebra, checks.random_triples(system, random.Random(9), 500, 4))[0]
     # semidirect product Ã1 x| Z/2: conjugation and associativity
     aff = CoxeterSystem.from_type("A1~", length_cap=16)
     haff = HeckeAlgebra(aff)

@@ -101,7 +101,9 @@ def test_weil_mult_check(capsys):
 def test_weil_central_check(capsys):
     code, payload = _run(capsys, ["weil", "--p", "3", "--dim", "4",
                                   "--check", "central"])
-    assert code == 0 and payload["pass"] is True
+    # a passing verdict carries no witness key
+    assert code == 0 and payload == {"check": "central", "pass": True,
+                                     "params": {"p": 3, "dim": 4}}
 
 
 def test_weil_split_check(capsys):
@@ -125,7 +127,8 @@ def test_hecke_braid_check(capsys):
 def test_hecke_quadratic_check(capsys):
     code, payload = _run(capsys, ["hecke", "--type", "G2",
                                   "--check", "quadratic"])
-    assert code == 0 and payload["pass"] is True
+    assert code == 0 and payload == {"check": "quadratic", "pass": True,
+                                     "type": "G2"}
 
 
 def test_hecke_invalid_params(capsys):
@@ -167,6 +170,46 @@ def test_suite_filter(capsys):
 
 def test_suite_unknown_filter(capsys):
     assert main(["suite", "--filter", "nonsense"]) == 2
+
+
+def test_suite_failure_emits_the_witness(monkeypatch, capsys):
+    from heckeforge import checks
+    monkeypatch.setattr(checks, "convolve_s", lambda twist, q, N=3: 7)
+    code, payload = _run(capsys, ["suite", "--filter", "sp4oracle"])
+    assert code == 1 and payload["pass"] is False
+    entries = {c["name"]: c for c in payload["checks"]}
+    assert entries["convolve_s trivial q=3 equals 2"] == {
+        "module": "sp4oracle", "name": "convolve_s trivial q=3 equals 2",
+        "pass": False, "witness": {"value": 7}}
+    # a constant is independent of N: that entry passes, without a witness
+    assert entries["truncation independence N in {2,3,4}"] == {
+        "module": "sp4oracle", "name": "truncation independence N in {2,3,4}",
+        "pass": True}
+
+
+def test_hecke_failure_names_the_first_generator(monkeypatch, capsys):
+    from heckeforge.heckealg import HeckeAlgebra
+    mul = HeckeAlgebra.mul
+
+    def doubled_squares(self, a, b):
+        return mul(self, a, b).scale(2) if a == b else mul(self, a, b)
+    monkeypatch.setattr(HeckeAlgebra, "mul", doubled_squares)
+    code, payload = _run(capsys, ["hecke", "--type", "B2", "--params",
+                                  "s=qs,t=qt", "--check", "quadratic"])
+    assert code == 1
+    assert payload == {"check": "quadratic", "type": "B2", "pass": False,
+                       "witness": {"generator": "s"}}
+
+
+def test_weil_central_failure_names_a(monkeypatch, capsys):
+    from heckeforge.sympweil import HeisenbergRep
+    operator = HeisenbergRep.operator
+
+    def negated_off_zero(self, h):
+        return -operator(self, h) if h.a else operator(self, h)
+    monkeypatch.setattr(HeisenbergRep, "operator", negated_off_zero)
+    code, payload = _run(capsys, ["weil", "--p", "5", "--check", "central"])
+    assert code == 1 and payload["witness"] == {"a": 1}
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
@@ -234,16 +277,16 @@ def test_bug_while_reading_input_exits_3(command, name, tmp_path,
 
 def test_bug_in_split_helpers_propagates(monkeypatch):
     import random
-    from heckeforge import cli
+    from heckeforge import checks
     from heckeforge.sympweil import SymplecticSpace
     space = SymplecticSpace.standard(3, 2)
-    monkeypatch.setattr(cli, "SymplecticSpace", _raise_bug)
+    monkeypatch.setattr(checks, "SymplecticSpace", _raise_bug)
     with pytest.raises(RuntimeError):
-        cli._random_weighted_space(3, 4, random.Random(0))
+        checks._random_weighted_space(3, 4, random.Random(0))
     # weights -1, 0, 1, 0 on (e1, e2, f1, f2) give a nonempty V2, whose
     # form is checked
     with pytest.raises(RuntimeError):
-        cli._split_postconditions(space, [-1, 0, 1, 0])
+        checks._split_postconditions(space, [-1, 0, 1, 0])
 
 
 def test_no_subcommand_is_usage_error(capsys):

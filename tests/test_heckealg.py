@@ -12,6 +12,7 @@ from heckeforge import (HeckeError, CoxeterSystem, GroupWord,
                         SemidirectAlgebra, semidirect_product,
                         length_zero_subgroup, support_preserving_map_check,
                         QuadraticConvolutionAlgebra)
+from heckeforge import checks
 
 
 # ---------------------------------------------------------------------------
@@ -94,37 +95,21 @@ def test_laurent_poly_ring():
 # Hecke algebras
 
 
-def _braid_products(algebra, m):
-    a = algebra.one()
-    b = algebra.one()
-    cur_a, cur_b = "s", "t"
-    for _ in range(m):
-        a = algebra.mul(a, algebra.basis((cur_a,)))
-        b = algebra.mul(b, algebra.basis((cur_b,)))
-        cur_a = "t" if cur_a == "s" else "s"
-        cur_b = "t" if cur_b == "s" else "s"
-    return a, b
-
-
 @pytest.mark.parametrize("tag,m,unequal", [("A2", 3, False), ("B2", 4, True),
                                            ("G2", 6, True)])
 def test_braid_relations_symbolic(tag, m, unequal):
     system = CoxeterSystem.from_type(tag)
     params = (ParameterFunction(system, {"s": "qs", "t": "qt"})
               if unequal else ParameterFunction.constant(system))
-    algebra = HeckeAlgebra(system, params)
-    a, b = _braid_products(algebra, m)
-    assert a == b
+    assert system.m["s", "t"] == m
+    assert checks.hecke_braid(HeckeAlgebra(system, params)) == (True, None)
 
 
 def test_quadratic_relation_symbolic():
     system = CoxeterSystem.from_type("B2")
     algebra = HeckeAlgebra(system,
                            ParameterFunction(system, {"s": "qs", "t": "qt"}))
-    for s in system.generators:
-        ts = algebra.basis((s,))
-        q = algebra.q(s)
-        assert algebra.mul(ts, ts) == ts.scale(q - 1) + algebra.one().scale(q)
+    assert checks.hecke_quadratic(algebra) == (True, None)
 
 
 def test_mul_via_word_oracle_b2():
@@ -149,17 +134,8 @@ def test_associativity_random():
     system = CoxeterSystem.from_type("B2")
     algebra = HeckeAlgebra(system,
                            ParameterFunction(system, {"s": "qs", "t": "qt"}))
-    rng = random.Random(0)
-
-    def rnd():
-        letters = tuple(rng.choice(system.generators)
-                        for _ in range(rng.randrange(5)))
-        return algebra.basis(system.normal_form(letters))
-
-    for _ in range(100):
-        a, b, c = rnd(), rnd(), rnd()
-        assert (algebra.mul(algebra.mul(a, b), c)
-                == algebra.mul(a, algebra.mul(b, c)))
+    triples = checks.random_triples(system, random.Random(0), 100, 4)
+    assert checks.hecke_assoc(algebra, triples) == (True, None)
     assert hecke_mul(algebra.one(), algebra.basis(("s",))) \
         == algebra.basis(("s",))
 

@@ -135,6 +135,24 @@ def test_int_path_matches_prime_field_elements(data):
     assert (y is None) == (y_f is None)
     if y is not None:
         assert y == _as_ints((y_f,))[0]
+    # the products: m times a cols x k matrix and a vector, and the
+    # vector operations on b and a second vector
+    k = data.draw(st.integers(1, 4))
+    m2 = tuple(data.draw(st.tuples(*[ints] * k)) for _ in range(cols))
+    v = data.draw(st.tuples(*[ints] * cols))
+    b2 = data.draw(st.tuples(*[ints] * nrows))
+    c = data.draw(ints)
+    m2f = linalg.mat_from_ints(ctx, m2)
+    vf, b2f = (tuple(ctx.elem(x) for x in w) for w in (v, b2))
+    assert linalg.mat_mul(m, m2, p) == _as_ints(linalg.mat_mul(mf, m2f))
+    assert (linalg.mat_vec(m, v, p),
+            linalg.vec_add(b, b2, p),
+            linalg.vec_sub(b, b2, p),
+            linalg.vec_scale(c, b, p)) == _as_ints(
+        (linalg.mat_vec(mf, vf),
+         linalg.vec_add(bf, b2f),
+         linalg.vec_sub(bf, b2f),
+         linalg.vec_scale(ctx.elem(c), bf)))
 
 
 @settings(max_examples=150, deadline=None)

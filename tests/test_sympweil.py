@@ -13,9 +13,9 @@ from heckeforge import (SympError, SymplecticSpace, HeisenbergElement,
                         det_sign_character, isotropic_reduction,
                         graded_symplectic_split, induction_identity_check,
                         sl2_elements, SignValue, CycloMatrix)
-from heckeforge import linalg
+from heckeforge import checks, linalg
 from heckeforge.sympweil import (
-    _mat_mul, _mat_vec, _span_basis,
+    _span_basis,
     _stabilizer_sl2, _complement_transversal, _quotient_action,
     _basis_coords, _gauss_sum)
 
@@ -57,13 +57,13 @@ def test_coordinates_match_a_fresh_solve(p, change):
     # has a symplectic basis other than the unit vectors
     J = SymplecticSpace.standard(p, len(change) // 2).form
     at = tuple(zip(*change))
-    V = SymplecticSpace(p, _mat_mul(_mat_mul(at, J, p), change, p))
+    V = SymplecticSpace(p, linalg.mat_mul(linalg.mat_mul(at, J, p), change, p))
     assert V.basis != tuple(tuple(int(i == j) for j in range(V.dim))
                             for i in range(V.dim))
     for v in V.vectors():
         c = V.coordinates(v)
         assert c == linalg.solve(linalg.transpose(V.basis), v, p)
-        assert _mat_vec(linalg.transpose(V.basis), c, p) == v
+        assert linalg.mat_vec(linalg.transpose(V.basis), c, p) == v
     for bad in ((1,) * (V.dim - 1), (1,) * (V.dim + 1)):
         with pytest.raises(SympError):
             V.coordinates(bad)
@@ -101,10 +101,7 @@ def test_heisenberg_central_character_and_nondefault_iota():
     for unit in (1, 2):
         V = SymplecticSpace.standard(3, 1)
         rep = HeisenbergRep(V, CentralCharacterChoice(3, unit))
-        ident = CycloMatrix.identity(rep.cyclo, rep.dim)
-        for a in range(3):
-            op = rep.operator(HeisenbergElement(V, (0, 0), a))
-            assert op == ident.scale(rep.psi(a))
+        assert checks.weil_central(rep) == (True, None)
         # psi is the character a -> zeta_p^{a / unit}
         assert rep.psi(unit) == rep.cyclo.zeta_pow(4)
 
@@ -126,8 +123,7 @@ def test_weil_sl2_multiplicative_sample(p):
     rng = random.Random(p)
     els = list(sl2_elements(p))
     pairs = [(rng.choice(els), rng.choice(els)) for _ in range(60)]
-    for g, h in pairs:
-        assert (w(g) @ w(h)) == w(_mat_mul(g, h, p))
+    assert checks.weil_mult(w, pairs) == (True, None)
 
 
 def test_weil_sl2_genuine_not_projective_only():
@@ -151,7 +147,7 @@ def test_weil_intertwines_heisenberg():
             for a in (0, 1):
                 lhs = wg @ rep.operator(HeisenbergElement(V, v, a))
                 rhs = rep.operator(
-                    HeisenbergElement(V, _mat_vec(g, v, p), a)) @ wg
+                    HeisenbergElement(V, linalg.mat_vec(g, v, p), a)) @ wg
                 assert lhs == rhs
 
 
@@ -185,7 +181,8 @@ def test_projective_weil_intertwines_rank_two():
     t = projective_weil(rep, g)
     for v in [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]:
         lhs = t @ rep.operator(HeisenbergElement(V, v, 0))
-        rhs = rep.operator(HeisenbergElement(V, _mat_vec(g, v, p), 0)) @ t
+        rhs = rep.operator(
+            HeisenbergElement(V, linalg.mat_vec(g, v, p), 0)) @ t
         assert lhs == rhs
 
 
@@ -241,10 +238,8 @@ def test_induction_identity_heisenberg_only():
 
 def test_induction_identity_needs_chi():
     V = SymplecticSpace.standard(3, 1)
-    with_chi, _ = induction_identity_check(V, [(1, 0)], "with_sl2_levi", True)
-    without, details = induction_identity_check(V, [(1, 0)], "with_sl2_levi",
-                                                False)
-    assert with_chi and not without
+    assert checks.induction_needs_chi(V, [(1, 0)]) == (True, None)
+    _, details = induction_identity_check(V, [(1, 0)], "with_sl2_levi", False)
     assert details["witness"] is not None
 
 
@@ -363,7 +358,8 @@ def _oracle_induction_check(space, u_basis, include_chi=True, iota=None):
         if include_chi and u_basis:
             chi = int(det_sign_character(space, g, u_basis))
         shifts = [(HeisenbergElement(
-                      space, tuple((-x) % p for x in _mat_vec(ginv, w, p)), 0),
+                      space,
+                      tuple((-x) % p for x in linalg.mat_vec(ginv, w, p)), 0),
                    HeisenbergElement(space, w, 0)) for w in coset_reps]
         for v in space.vectors():
             for a in range(p):
