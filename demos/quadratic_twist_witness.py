@@ -12,7 +12,8 @@ Run with python3.
 import sys
 
 from heckeforge import (quadratic_relation, support_preserving_map_check,
-                        QuadraticConvolutionAlgebra, LaurentPoly)
+                        CoxeterSystem, HeckeAlgebra, ParameterFunction,
+                        LaurentPoly)
 
 
 def main():
@@ -29,10 +30,16 @@ def main():
     print()
 
     q = 3
-    triv = QuadraticConvolutionAlgebra(*quadratic_relation("trivial", q),
-                                       ("lam",))
-    sign = QuadraticConvolutionAlgebra(*quadratic_relation("sign", q),
-                                       ("lam",))
+    a1 = CoxeterSystem.from_type("A1")
+    # coefficients in Z[lam, 1/lam]; T_s^2 = c_s T_s + c_e replaces the
+    # default relation
+    ring = ParameterFunction.constant(a1, "lam")
+
+    def algebra(twist):
+        c_e, c_s = quadratic_relation(twist, q)
+        return HeckeAlgebra(a1, ring, relation={"s": (c_s, c_e)})
+
+    triv, sign = algebra("trivial"), algebra("sign")
     lam = LaurentPoly.variable(("lam",), "lam")
 
     def rescale(w):

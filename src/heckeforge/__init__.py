@@ -25,8 +25,7 @@ from .heckealg import (HeckeError, CoxeterSystem, GroupWord,
                        ParameterFunction, LaurentPoly, HeckeAlgebra,
                        HeckeElement, hecke_mul, TwistedGroupAlgebraContext,
                        twisted_mul, SemidirectAlgebra, semidirect_product,
-                       length_zero_subgroup, support_preserving_map_check,
-                       QuadraticConvolutionAlgebra)
+                       length_zero_subgroup, support_preserving_map_check)
 from .sp4oracle import (OracleError, TruncContext, TruncSeries, Mat2,
                         weyl_s, upper_u, coroot, iwahori_member,
                         bruhat_decompose, epsilon_char, convolve_s,

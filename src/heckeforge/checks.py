@@ -66,10 +66,11 @@ def hecke_braid(algebra):
 
 
 def hecke_quadratic(algebra):
-    """T_s^2 = (q_s - 1) T_s + q_s for every generator s."""
+    """T_s^2 = a_s T_s + b_s for every generator s, with (a_s, b_s) the
+    algebra's own quadratic relation (by default (q_s - 1, q_s))."""
     def holds(s):
-        ts, q = algebra.basis((s,)), algebra.q(s)
-        return algebra.mul(ts, ts) == ts.scale(q - 1) + algebra.one().scale(q)
+        ts, (a, b) = algebra.basis((s,)), algebra.relation[s]
+        return algebra.mul(ts, ts) == ts.scale(a) + algebra.one().scale(b)
     return _first({"generator": s} for s in algebra.system.generators
                   if not holds(s))
 

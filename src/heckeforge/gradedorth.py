@@ -6,7 +6,7 @@ extending sgn o sn.
 
 from __future__ import annotations
 
-from .ffield import FieldError, adjoin_zeta, sgn
+from .ffield import adjoin_zeta, sgn
 from .quadspace import (QuadraticSpace, OrthogonalMap, QuadSpaceError,
                         sgn_spinor)
 from . import linalg

@@ -1,6 +1,6 @@
 """Coxeter systems with ShortLex normal forms, generic affine Hecke algebras
-with parameter functions, twisted group algebras, and their semidirect
-product.
+with parameter functions and a quadratic relation per generator, twisted
+group algebras, and their semidirect product.
 
 Normal forms use the integer geometric representation on the root lattice
 (crystallographic Cartan pairs per edge label), so length and descent tests
@@ -8,8 +8,6 @@ are exact; affine groups are handled through a configurable length cap.
 """
 
 from __future__ import annotations
-
-import itertools
 
 
 class HeckeError(ValueError):
@@ -70,7 +68,7 @@ class CoxeterSystem:
 
     @classmethod
     def from_type(cls, tag, length_cap=64):
-        tag = tag.upper().replace("~", "~")
+        tag = tag.upper()
         if tag == "A1":
             return cls(("s",), {}, type_tag="A1", length_cap=length_cap)
         if tag == "A1XA1":
@@ -209,6 +207,18 @@ class GroupWord:
         return "e" if not self.letters else "".join(map(str, self.letters))
 
 
+def _require_conjugate_constant(system, values, what):
+    """Raise unless values[s] == values[t] whenever m(s, t) is odd: such s
+    and t are conjugate in W, so a Hecke algebra must treat them alike."""
+    for s in system.generators:
+        for t in system.generators:
+            m = system.m[s, t]
+            if (s != t and m is not INFINITY and m % 2 == 1
+                    and values[s] != values[t]):
+                raise HeckeError(f"generators {s},{t} are conjugate (m={m}) "
+                                 f"but carry different {what}")
+
+
 class ParameterFunction:
     """s -> parameter name, constant along odd-m chains of the diagram."""
 
@@ -217,16 +227,7 @@ class ParameterFunction:
         self.names = dict(names)
         if set(self.names) != set(system.generators):
             raise HeckeError("parameter function must cover S exactly")
-        for s in system.generators:
-            for t in system.generators:
-                if s == t:
-                    continue
-                m = system.m[s, t]
-                if m is not INFINITY and m % 2 == 1:
-                    if self.names[s] != self.names[t]:
-                        raise HeckeError(
-                            f"generators {s},{t} are conjugate (m={m}) but "
-                            "carry different parameters")
+        _require_conjugate_constant(system, self.names, "parameters")
         self.parameters = tuple(sorted(set(self.names.values())))
 
     @classmethod
@@ -341,15 +342,38 @@ class LaurentPoly:
 
 
 class HeckeAlgebra:
-    """Generic Hecke algebra of (W, S, q) over integer Laurent polynomials,
-    with the quadratic relation T_s^2 = (q_s - 1) T_s + q_s."""
+    """Generic Hecke algebra of (W, S) over integer Laurent polynomials in
+    the parameters of params: basis T_w, T_s T_w = T_sw when l(sw) > l(w),
+    and T_s^2 = a_s T_s + b_s for each generator s.
 
-    def __init__(self, system, params=None):
+    relation maps s to (a_s, b_s), ints or LaurentPolys in self.names,
+    equal on conjugate generators; by default (a_s, b_s) = (q_s - 1, q_s).
+    A relation with a_s = 0 is the sign-twisted one of the Iwahori
+    convolution oracle."""
+
+    def __init__(self, system, params=None, relation=None):
         self.system = system
         self.params = params or ParameterFunction.constant(system)
         if self.params.system != system:
             raise HeckeError("parameter function is for a different system")
         self.names = self.params.parameters
+        if relation is None:
+            relation = {s: (self.q(s) - 1, self.q(s))
+                        for s in system.generators}
+        if set(relation) != set(system.generators):
+            raise HeckeError("quadratic relation must cover S exactly")
+        self.relation = {s: (self._lift(a), self._lift(b))
+                         for s, (a, b) in relation.items()}
+        _require_conjugate_constant(system, self.relation,
+                                    "quadratic relations")
+
+    def _lift(self, c):
+        if isinstance(c, int):
+            return self.poly(c)
+        if not isinstance(c, LaurentPoly) or c.params != self.names:
+            raise HeckeError(f"relation coefficient {c!r} is not a Laurent "
+                             f"polynomial in {self.names}")
+        return c
 
     def poly(self, c=0):
         return LaurentPoly.constant(self.names, c)
@@ -375,9 +399,9 @@ class HeckeAlgebra:
             if len(sw) > len(w):
                 out[sw] = out.get(sw, self.poly(0)) + coeff
             else:
-                qs = self.q(s)
-                out[w] = out.get(w, self.poly(0)) + (qs - 1) * coeff
-                out[sw] = out.get(sw, self.poly(0)) + qs * coeff
+                a, b = self.relation[s]
+                out[w] = out.get(w, self.poly(0)) + a * coeff
+                out[sw] = out.get(sw, self.poly(0)) + b * coeff
         return HeckeElement(self, out)
 
     def mul(self, a, b):
@@ -400,11 +424,14 @@ class HeckeAlgebra:
         return acc
 
     def __eq__(self, other):
-        return (isinstance(other, HeckeAlgebra)
-                and self.system == other.system and self.params == other.params)
+        return self is other or (isinstance(other, HeckeAlgebra)
+                                 and self.system == other.system
+                                 and self.params == other.params
+                                 and self.relation == other.relation)
 
     def __hash__(self):
-        return hash((self.system, self.params))
+        return hash((self.system, self.params,
+                     tuple(sorted(self.relation.items()))))
 
 
 class HeckeElement:
@@ -550,10 +577,9 @@ class SemidirectAlgebra:
                     if system.m[s, t] != system.m[perm[s], perm[t]]:
                         raise HeckeError(
                             f"act({w}) does not preserve the Coxeter matrix")
-                if (self.hecke.params.names[s]
-                        != self.hecke.params.names[perm[s]]):
+                if self.hecke.relation[s] != self.hecke.relation[perm[s]]:
                     raise HeckeError(
-                        f"act({w}) does not preserve the parameter function")
+                        f"act({w}) does not preserve the quadratic relations")
         for w1 in tw.elements:
             for w2 in tw.elements:
                 composed = {s: self.act[w1][self.act[w2][s]]
@@ -603,64 +629,14 @@ def length_zero_subgroup(system, omega_elements, omega_mul, act):
     return ctx
 
 
-class QuadraticConvolutionAlgebra:
-    """A rank-1 double-coset function algebra: basis T_e, T_s over the
-    Laurent ring, with T_s^2 = c_e T_e + c_s T_s (structure constants taken
-    e.g. from the Iwahori convolution oracle).  Duck-types HeckeAlgebra far
-    enough for support_preserving_map_check."""
-
-    def __init__(self, c_e, c_s, parameter_names=()):
-        self.system = CoxeterSystem(("s",), {}, type_tag="A1")
-        self.names = tuple(parameter_names)
-        self.c_e = self._lift(c_e)
-        self.c_s = self._lift(c_s)
-
-    def _lift(self, c):
-        return LaurentPoly.constant(self.names, c) if isinstance(c, int) \
-            else c
-
-    def poly(self, c=0):
-        return LaurentPoly.constant(self.names, c)
-
-    def zero(self):
-        return HeckeElement(self, {})
-
-    def one(self):
-        return self.basis(())
-
-    def basis(self, letters):
-        w = GroupWord(self.system, letters)
-        return HeckeElement(self, {w: self.poly(1)})
-
-    def mul(self, a, b):
-        e = GroupWord(self.system, ())
-        s = GroupWord(self.system, ("s",))
-        out = {e: self.poly(0), s: self.poly(0)}
-        for w1, c1 in a.coeffs.items():
-            for w2, c2 in b.coeffs.items():
-                c = c1 * c2
-                if w1 == e or w2 == e:
-                    tgt = w2 if w1 == e else w1
-                    out[tgt] = out[tgt] + c
-                else:
-                    out[e] = out[e] + c * self.c_e
-                    out[s] = out[s] + c * self.c_s
-        return HeckeElement(self, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, QuadraticConvolutionAlgebra)
-                and (self.c_e, self.c_s, self.names)
-                == (other.c_e, other.c_s, other.names))
-
-    def __hash__(self):
-        return hash((self.c_e, self.c_s, self.names))
-
-
 def support_preserving_map_check(algebra_a, algebra_b, scalars, length_bound=4):
     """Whether T_w -> c_w T'_w extends to an algebra homomorphism, checked
-    on all products T_s . T_w with l(w) <= length_bound."""
+    on all products T_s . T_w with l(w) <= length_bound.  Both algebras
+    must share the Coxeter system and the coefficient ring (names)."""
     if algebra_a.system != algebra_b.system:
         raise HeckeError("algebras must share the index group")
+    if algebra_a.names != algebra_b.names:
+        raise HeckeError("algebras must share the coefficient ring")
     system = algebra_a.system
 
     def c(word):
@@ -670,11 +646,7 @@ def support_preserving_map_check(algebra_a, algebra_b, scalars, length_bound=4):
         out = algebra_b.zero()
         for w, coeff in elem.coeffs.items():
             cw = c(w)
-            if isinstance(cw, int):
-                cw = algebra_b.poly(cw)
-            lifted = LaurentPoly(algebra_b.names,
-                                 {k: v for k, v in coeff.terms.items()})
-            out = out + HeckeElement(algebra_b, {w: lifted * cw})
+            out = out + HeckeElement(algebra_b, {w: coeff * cw})
         return out
 
     words = [GroupWord(system, ())]

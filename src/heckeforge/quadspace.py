@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .ffield import FieldError, SignValue, sgn
+from .ffield import SignValue, sgn
 from . import linalg
 
 

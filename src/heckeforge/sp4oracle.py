@@ -11,6 +11,7 @@ rescaling can identify the twisted and untwisted algebras.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from .ffield import FqContext, FqElement, SignValue, sgn
 
@@ -33,8 +34,10 @@ class TruncContext:
 
     @classmethod
     def for_q(cls, q, trunc=3):
-        p, m = _prime_power(q)
-        return cls(FqContext(p, m), trunc)
+        """The shared context of F_q[t]/(t^N).  A context is not changed
+        after construction (its field builds its tables once, on first
+        use), so one per (q, N) serves every caller."""
+        return _context_for(cls, q, trunc)
 
     def series(self, coeffs):
         return TruncSeries(self, coeffs)
@@ -61,6 +64,12 @@ class TruncContext:
 
     def __hash__(self):
         return hash((self.fq, self.trunc))
+
+
+@lru_cache(maxsize=32)
+def _context_for(cls, q, trunc):
+    p, m = _prime_power(q)
+    return cls(FqContext(p, m), trunc)
 
 
 def _prime_power(q):

@@ -9,8 +9,6 @@ import json
 import random
 import time
 
-import pytest
-
 from heckeforge import (
     # ffield / quadspace / gradedorth
     FqContext, QuadraticSpace, OrthogonalMap, SquareClass, QuadSpaceError,
@@ -22,7 +20,7 @@ from heckeforge import (
     # heckealg
     CoxeterSystem, ParameterFunction, HeckeAlgebra, LaurentPoly,
     TwistedGroupAlgebraContext, SemidirectAlgebra,
-    support_preserving_map_check, QuadraticConvolutionAlgebra,
+    support_preserving_map_check,
     # sp4oracle
     TruncContext, weyl_s, upper_u, convolve_s, convolve_e, quadratic_relation,
     iwahori_member,
@@ -326,8 +324,12 @@ def test_criterion_10_twist_necessity():
     # the two quadratic relations at q = 3
     ok = ok and quadratic_relation("trivial", 3) == (3, 2)
     ok = ok and quadratic_relation("sign", 3) == (-3, 0)
-    trivial = QuadraticConvolutionAlgebra(3, 2, ("lam",))
-    sign = QuadraticConvolutionAlgebra(-3, 0, ("lam",))
+    # T_s^2 = c_e T_e + c_s T_s with (c_e, c_s) = (3, 2) and (-3, 0), as
+    # relations (a_s, b_s) = (c_s, c_e) over Z[lam, 1/lam]
+    a1 = CoxeterSystem.from_type("A1")
+    ring = ParameterFunction.constant(a1, "lam")
+    trivial = HeckeAlgebra(a1, ring, relation={"s": (2, 3)})
+    sign = HeckeAlgebra(a1, ring, relation={"s": (0, -3)})
     # sanity: the identity map is support-preserving on each algebra
     ok = ok and support_preserving_map_check(trivial, trivial, lambda w: 1)
     ok = ok and support_preserving_map_check(sign, sign, lambda w: 1)

@@ -6,12 +6,11 @@ import random
 
 import pytest
 
-from heckeforge import (HeckeError, CoxeterSystem, GroupWord,
-                        ParameterFunction, LaurentPoly, HeckeAlgebra,
-                        hecke_mul, TwistedGroupAlgebraContext, twisted_mul,
+from heckeforge import (HeckeError, CoxeterSystem, ParameterFunction,
+                        LaurentPoly, HeckeAlgebra, hecke_mul,
+                        TwistedGroupAlgebraContext, twisted_mul,
                         SemidirectAlgebra, semidirect_product,
-                        length_zero_subgroup, support_preserving_map_check,
-                        QuadraticConvolutionAlgebra)
+                        length_zero_subgroup, support_preserving_map_check)
 from heckeforge import checks
 
 
@@ -274,27 +273,167 @@ def test_length_zero_subgroup():
 
 
 # ---------------------------------------------------------------------------
+# quadratic relations T_s^2 = a_s T_s + b_s
+
+
+def _unequal(tag):
+    system = CoxeterSystem.from_type(tag)
+    return system, ParameterFunction(
+        system, {s: f"q{s}" for s in system.generators})
+
+
+def _twisted(tag):
+    """The relation of the sign twist: a_s = 0, b_s = -q_s."""
+    system, params = _unequal(tag)
+    algebra = HeckeAlgebra(system, params)
+    return HeckeAlgebra(system, params, relation={
+        s: (0, -algebra.q(s)) for s in system.generators})
+
+
+def _elements(system, max_len):
+    return sorted({system.normal_form(word) for k in range(max_len + 1)
+                   for word in itertools.product(system.generators,
+                                                 repeat=k)})
+
+
+def _rank1(c_e, c_s):
+    """T_s^2 = c_e T_e + c_s T_s over Z[lam, 1/lam]."""
+    a1 = CoxeterSystem.from_type("A1")
+    return HeckeAlgebra(a1, ParameterFunction.constant(a1, "lam"),
+                        relation={"s": (c_s, c_e)})
+
+
+@pytest.mark.parametrize("tag", ["B2", "A1~"])
+def test_default_relation_is_q_minus_one_and_q(tag):
+    # written from q(s), not from algebra.relation, which the registry reads
+    algebra = HeckeAlgebra(*_unequal(tag))
+    for s in algebra.system.generators:
+        ts, q = algebra.basis((s,)), algebra.q(s)
+        assert algebra.mul(ts, ts) == ts.scale(q - 1) + algebra.one().scale(q)
+
+
+@pytest.mark.parametrize("tag", ["B2", "G2"])
+def test_twisted_relation_braid_and_quadratic(tag):
+    algebra = _twisted(tag)
+    for s in algebra.system.generators:
+        ts = algebra.basis((s,))
+        assert algebra.mul(ts, ts) == algebra.one().scale(-algebra.q(s))
+    assert checks.hecke_quadratic(algebra) == (True, None)
+    assert checks.hecke_braid(algebra) == (True, None)
+
+
+def test_twisted_relation_associative_on_all_of_b2():
+    algebra = _twisted("B2")
+    elements = _elements(algebra.system, 4)
+    assert len(elements) == 8
+    triples = list(itertools.product(elements, repeat=3))
+    assert checks.hecke_assoc(algebra, triples) == (True, None)
+
+
+def test_twisted_relation_associative_certificate_g2():
+    # (T_a T_b) T_s = T_a (T_b T_s) for all a, b in W and s in S gives
+    # associativity on every triple, by induction on l(c)
+    algebra = _twisted("G2")
+    elements = _elements(algebra.system, 6)
+    assert len(elements) == 12
+    triples = [(a, b, (s,)) for a in elements for b in elements
+               for s in algebra.system.generators]
+    assert checks.hecke_assoc(algebra, triples) == (True, None)
+
+
+def test_relation_must_agree_on_conjugate_generators():
+    a2 = CoxeterSystem.from_type("A2")
+    q = HeckeAlgebra(a2).q("s")
+    with pytest.raises(HeckeError):
+        HeckeAlgebra(a2, relation={"s": (0, -q), "t": (q - 1, q)})
+    twisted = HeckeAlgebra(a2, relation={"s": (0, -q), "t": (0, -q)})
+    assert twisted.relation["t"] == (0, -q)
+    with pytest.raises(HeckeError):
+        HeckeAlgebra(a2, relation={"s": (0, -q)})  # does not cover S
+    lam = LaurentPoly.variable(("lam",), "lam")
+    with pytest.raises(HeckeError):
+        HeckeAlgebra(a2, relation={"s": (0, lam), "t": (0, lam)})
+
+
+def test_relation_is_part_of_the_algebra():
+    trivial, sign = _rank1(3, 2), _rank1(-3, 0)
+    assert trivial == _rank1(3, 2) and hash(trivial) == hash(_rank1(3, 2))
+    assert trivial != sign
+    assert trivial.basis(("s",)) != sign.basis(("s",))
+
+
+def test_semidirect_action_must_preserve_the_relation():
+    system = CoxeterSystem.from_type("A1~", length_cap=16)
+    q = HeckeAlgebra(system).q("s0")
+    algebra = HeckeAlgebra(system, relation={"s0": (0, -q),
+                                             "s1": (q - 1, q)})
+    ctx = TwistedGroupAlgebraContext.trivial(
+        ("e", "f"), lambda a, b: "e" if a == b else "f")
+    with pytest.raises(HeckeError):
+        SemidirectAlgebra(algebra, ctx, {"e": {"s0": "s0", "s1": "s1"},
+                                         "f": {"s0": "s1", "s1": "s0"}})
+
+
+# ---------------------------------------------------------------------------
 # rank-1 convolution algebras and support-preserving maps
 
 
 def test_quadratic_convolution_algebra_relation():
-    alg = QuadraticConvolutionAlgebra(3, 2)
+    alg = _rank1(3, 2)
     ts = alg.basis(("s",))
     assert alg.mul(ts, ts) == alg.one().scale(3) + ts.scale(2)
 
 
 def test_support_preserving_identity_map():
-    alg = QuadraticConvolutionAlgebra(3, 2)
+    alg = _rank1(3, 2)
     assert support_preserving_map_check(alg, alg, lambda w: 1)
 
 
 def test_support_preserving_rescaling_fails_across_twist():
     # (c_e, c_s) = (3, 2) vs (-3, 0): no scalar on T_s reconciles them
-    trivial = QuadraticConvolutionAlgebra(3, 2, ("lam",))
-    sign = QuadraticConvolutionAlgebra(-3, 0, ("lam",))
+    trivial = _rank1(3, 2)
+    sign = _rank1(-3, 0)
     lam = LaurentPoly.variable(("lam",), "lam")
 
     def scalars(w):
         return lam if len(w) == 1 else 1
 
     assert not support_preserving_map_check(trivial, sign, scalars)
+
+
+def test_no_rescaling_identifies_the_relations_in_rank_2():
+    # T_w -> c_w T_w with c_w the product of c_s over the letters of w:
+    # (-1)^l(w) is an automorphism of the twisted B2 algebra (a_s = 0) but
+    # not of the default one, and no c_s in {+-1, +-2, +-q_s, +-1/q_s}
+    # maps the default relation onto the twisted one
+    system, params = _unequal("B2")
+    default, twisted = HeckeAlgebra(system, params), _twisted("B2")
+
+    def rescaling(c):
+        def scalars(w):
+            out = 1
+            for s in w.letters:
+                out = c[s] * out
+            return out
+        return scalars
+
+    sign = rescaling({"s": -1, "t": -1})
+    assert support_preserving_map_check(twisted, twisted, sign)
+    assert not support_preserving_map_check(default, default, sign)
+
+    def candidates(s):
+        powers = [LaurentPoly.variable(default.names, f"q{s}", e)
+                  for e in (1, -1)]
+        return [k * c for c in [1, 2] + powers for k in (1, -1)]
+
+    for cs in candidates("s"):
+        for ct in candidates("t"):
+            assert not support_preserving_map_check(
+                default, twisted, rescaling({"s": cs, "t": ct}))
+
+
+def test_support_preserving_map_needs_one_coefficient_ring():
+    a1 = CoxeterSystem.from_type("A1")
+    over_q = HeckeAlgebra(a1, relation={"s": (2, 3)})
+    with pytest.raises(HeckeError, match="coefficient ring"):
+        support_preserving_map_check(over_q, _rank1(3, 2), lambda w: 1)

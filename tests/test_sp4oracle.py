@@ -8,10 +8,11 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckeforge import (OracleError, TruncContext, TruncSeries, Mat2, weyl_s,
-                        upper_u, coroot, iwahori_member, bruhat_decompose,
-                        epsilon_char, convolve_s, convolve_e,
-                        welldefinedness_check, quadratic_relation, SignValue)
+from heckeforge import (FqContext, OracleError, TruncContext, TruncSeries,
+                        Mat2, weyl_s, upper_u, coroot, iwahori_member,
+                        bruhat_decompose, epsilon_char, convolve_s,
+                        convolve_e, welldefinedness_check,
+                        quadratic_relation, SignValue)
 from heckeforge.sp4oracle import phi, random_iwahori
 
 
@@ -24,6 +25,12 @@ def test_trunc_context_validation():
         TruncContext.for_q(3, trunc=1)
     ctx = TruncContext.for_q(9)
     assert ctx.fq.q == 9
+
+
+def test_for_q_is_shared():
+    assert TruncContext.for_q(9, 2) is TruncContext.for_q(9, 2)
+    assert TruncContext.for_q(9) is TruncContext.for_q(9, trunc=3)
+    assert TruncContext.for_q(9, 2) is not TruncContext.for_q(9, 3)
 
 
 def test_series_ring():
@@ -137,6 +144,26 @@ def test_quadratic_relation_pairs():
     assert quadratic_relation("sign", 3) == (-3, 0)
     assert quadratic_relation("trivial", 5) == (5, 4)
     assert quadratic_relation("sign", 5) == (5, 0)
+
+
+@pytest.mark.parametrize("ell,matched", [(3, True), (5, False)])
+def test_twist_separation_needs_ell_prime_to_q_minus_one(ell, matched):
+    # T_s -> lam T_s maps T_s^2 = c_e + c_s T_s onto T_s^2 = d_e + d_s T_s
+    # iff c_e = lam^2 d_e and c_s lam = lam^2 d_s.  At q = 7 over F_ell^2
+    # that has a solution iff ell | q - 1 (then c_s = d_s = 0), and the
+    # solution is a square root of -1, outside F_ell for ell = 3
+    (c_e, c_s), (d_e, d_s) = (quadratic_relation(twist, 7)
+                              for twist in ("trivial", "sign"))
+    assert (c_e, c_s, d_e, d_s) == (7, 6, -7, 0)
+    field = FqContext(ell, 2)
+    c_e, c_s, d_e, d_s = map(field.elem, (c_e, c_s, d_e, d_s))
+    lams = [lam for lam in field.units()
+            if c_e == lam * lam * d_e and c_s * lam == lam * lam * d_s]
+    if matched:
+        assert len(lams) == 2
+        assert all(lam * lam == -1 and lam.coeffs[1] != 0 for lam in lams)
+    else:
+        assert lams == []
 
 
 @pytest.mark.parametrize("q", [3, 9])
