@@ -102,6 +102,9 @@ class CycloContext:
             cur = nxt[:self.degree]
             table.append(tuple(cur))
         self.power_table = table
+        # the nonzero (d, coefficient) pairs of each power, for sparse fills
+        self._power_terms = [tuple((d, c) for d, c in enumerate(row) if c)
+                             for row in table]
         # row s is x^s mod Phi_N: the products of planes i and j with
         # i + j = s add row[d] times their sum to plane d
         self._fold = np.array(table[:2 * self.degree - 1], dtype=np.int64)
@@ -362,10 +365,18 @@ class CycloMatrix:
 
     @classmethod
     def identity(cls, ctx, n):
-        m = cls.zeros(ctx, n)
-        for i in range(n):
-            m.planes[0, i, i] = 1
-        return m
+        return cls.from_zeta_powers(ctx, n, ((i, i, 0) for i in range(n)))
+
+    @classmethod
+    def from_zeta_powers(cls, ctx, n, entries):
+        """sum zeta^e E_{r,c} over the triples (r, c, e) of entries: entries
+        at a repeated position add up, and e is read mod N."""
+        planes = np.zeros((ctx.degree, n, n), dtype=object)
+        terms = ctx._power_terms
+        for r, c, e in entries:
+            for d, x in terms[e % ctx.n]:
+                planes[d, r, c] += x
+        return cls(ctx, n, planes, 1, normalize=False)
 
     @classmethod
     def from_entries(cls, ctx, entries):

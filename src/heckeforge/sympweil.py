@@ -8,6 +8,7 @@ All representation matrices are exact, over Q(zeta_{4p}).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .cyclo import CycloContext, CycloMatrix, CyclotomicNumber
-from .ffield import SignValue, _is_prime
+from .ffield import SignValue, _code, _digits, _is_prime
 
 
 class SympError(ValueError):
@@ -109,20 +110,13 @@ class SymplecticSpace:
         used = []
         while len(es) < self.n:
             e = next(v for v in pool if not _in_span(used, v, p))
-            f = None
-            for v in pool:
+            # a partner from the pool, else from all of V (the form is
+            # nondegenerate, so one exists)
+            for v in itertools.chain(pool, self.vectors()):
                 c = self.pairing(e, v)
                 if c and not _in_span(used + [e], v, p):
-                    f = linalg.vec_scale(pow(c, p - 2, p), v, p)
                     break
-            if f is None:
-                # complete the pool with sums (rare for degenerate-looking
-                # starts; the form is nondegenerate so a partner exists)
-                for v in self.vectors():
-                    c = self.pairing(e, v)
-                    if c and not _in_span(used + [e], v, p):
-                        f = linalg.vec_scale(pow(c, p - 2, p), v, p)
-                        break
+            f = linalg.vec_scale(pow(c, p - 2, p), v, p)
             # reduce the pool modulo the found hyperbolic pair
             new_pool = []
             for v in pool:
@@ -146,12 +140,7 @@ class SymplecticSpace:
     def vectors(self):
         p = self.p
         for idx in range(p ** self.dim):
-            v = []
-            k = idx
-            for _ in range(self.dim):
-                v.append(k % p)
-                k //= p
-            yield tuple(v)
+            yield _digits(idx, p, self.dim)
 
     def is_symplectic_matrix(self, g):
         p = self.p
@@ -173,6 +162,8 @@ class HeisenbergElement:
     __slots__ = ("space", "v", "a")
 
     def __init__(self, space, v, a):
+        if len(v) != space.dim:
+            raise SympError("vector outside the space")
         self.space = space
         self.v = _vec_mod(v, space.p)
         self.a = a % space.p
@@ -239,12 +230,6 @@ class HeisenbergRep:
     def psi(self, a):
         return self.cyclo.zeta_pow(4 * self._psi_exp(a))
 
-    def _index(self, t):
-        idx = 0
-        for c in reversed(t):
-            idx = idx * self.space.p + (c % self.space.p)
-        return idx
-
     def _coords(self, elem):
         """Split (v, a) into e-part x, f-part y in the symplectic basis."""
         c = self.space.coordinates(elem.v)
@@ -260,27 +245,17 @@ class HeisenbergRep:
         base = elem.a - self._half * sum(xi * yi for xi, yi in zip(x, y))
         rows, exps = [], []
         for sidx in range(self.dim):
-            s = []
-            k = sidx
-            for _ in range(n):
-                s.append(k % p)
-                k //= p
-            t = tuple((si + yi) % p for si, yi in zip(s, y))
-            rows.append(self._index(t))
+            t = [si + yi for si, yi in zip(_digits(sidx, p, n), y)]
+            rows.append(_code(t, p))
             exps.append(4 * self._psi_exp(
                 base + sum(xi * ti for xi, ti in zip(x, t))))
         return rows, exps
 
     def operator(self, elem):
         """Exact matrix of rho(v, a)."""
-        m = CycloMatrix.zeros(self.cyclo, self.dim)
-        table = self.cyclo.power_table
         rows, exps = self._monomial(elem)
-        for sidx, (ridx, e) in enumerate(zip(rows, exps)):
-            for d, c in enumerate(table[e]):
-                if c:
-                    m.planes[d, ridx, sidx] = c
-        return m
+        return CycloMatrix.from_zeta_powers(
+            self.cyclo, self.dim, zip(rows, range(self.dim), exps))
 
     def character(self, elem):
         """Trace of rho(v, a): p^n psi(a) on the center, 0 elsewhere."""
@@ -333,25 +308,19 @@ class WeilSL2:
     def _upper(self, b):
         """omega(u(b)) = multiplication by psi(b t^2 / 2)."""
         p = self.p
-        m = CycloMatrix.zeros(self.cyclo, p)
         half = (p + 1) // 2
-        for t in range(p):
-            e = self.rep._psi_exp(b * half * t * t)
-            vec = self.cyclo.power_table[(4 * e) % self.cyclo.n]
-            for d in range(self.cyclo.degree):
-                if vec[d]:
-                    m.planes[d, t, t] = vec[d]
-        return m
+        return CycloMatrix.from_zeta_powers(
+            self.cyclo, p, ((t, t, 4 * self.rep._psi_exp(b * half * t * t))
+                            for t in range(p)))
 
     def _diag(self, alpha):
-        """omega(diag(alpha, 1/alpha)) = sgn(alpha) . (phi -> phi(alpha t))."""
+        """omega(diag(alpha, 1/alpha)) = sgn(alpha) . (phi -> phi(alpha t));
+        the sign -1 is zeta_{4p}^{2p}."""
         p = self.p
-        sign = _sgn_mod_p(alpha, p)
+        e = 0 if _sgn_mod_p(alpha, p) == 1 else 2 * p
         ainv = pow(alpha, p - 2, p)
-        m = CycloMatrix.zeros(self.cyclo, p)
-        for s in range(p):
-            m.planes[0, s * ainv % p, s] = sign
-        return m
+        return CycloMatrix.from_zeta_powers(
+            self.cyclo, p, ((s * ainv % p, s, e) for s in range(p)))
 
     def _weyl(self):
         """omega(w), w = [[0,-1],[1,0]]: normalized Fourier transform,
@@ -362,14 +331,9 @@ class WeilSL2:
 
     def _build_weyl(self):
         p = self.p
-        m = CycloMatrix.zeros(self.cyclo, p)
-        for t in range(p):
-            for s in range(p):
-                e = self.rep._psi_exp(-s * t)
-                vec = self.cyclo.power_table[(4 * e) % self.cyclo.n]
-                for d in range(self.cyclo.degree):
-                    if vec[d]:
-                        m.planes[d, t, s] = vec[d]
+        m = CycloMatrix.from_zeta_powers(
+            self.cyclo, p, ((t, s, 4 * self.rep._psi_exp(-s * t))
+                            for t in range(p) for s in range(p)))
         # the constant sgn(2)/G is forced by W U(b) W = U(-1/b) W D(b) U(-1/b)
         # (complete the square; the quadratic sum contributes sgn(b/2) G);
         # 1/G = conj(G)/p since G conj(G) = p
@@ -377,6 +341,8 @@ class WeilSL2:
                 .scale(Fraction(_sgn_mod_p(2, p), p)))
 
     def __call__(self, g):
+        if len(g) != 2 or any(len(row) != 2 for row in g):
+            raise SympError("g must be a 2x2 matrix")
         p = self.p
         a, b = g[0][0] % p, g[0][1] % p
         c, d = g[1][0] % p, g[1][1] % p
@@ -420,17 +386,18 @@ def projective_weil(rep, g):
         raise SympError("matrix is not symplectic")
     p = space.p
     dim = rep.dim
+    # rho(gv) and rho(-v) = rho(v)^-1 as monomials, once per v
+    terms = [(rep._monomial(HeisenbergElement(space, linalg.mat_vec(g, v, p),
+                                              0)),
+              rep._monomial(HeisenbergElement(space, [-x for x in v], 0)))
+             for v in space.vectors()]
     for seed in range(dim * dim):
-        c = CycloMatrix.zeros(rep.cyclo, dim)
-        c.planes[0, seed // dim, seed % dim] = 1
-        t = CycloMatrix.zeros(rep.cyclo, dim)
-        for v in space.vectors():
-            rv = rep.operator(HeisenbergElement(space, v, 0))
-            gv = rep.operator(
-                HeisenbergElement(space, linalg.mat_vec(g, v, p), 0))
-            rv_inv = rep.operator(HeisenbergElement(
-                space, tuple((-x) % p for x in v), 0))
-            t = t + gv @ c @ rv_inv
+        i, j = divmod(seed, dim)
+        # rho(gv) E_ij rho(-v) is column i of rho(gv) times row j of rho(-v)
+        t = CycloMatrix.from_zeta_powers(rep.cyclo, dim, (
+            (g_rows[i], s, g_exps[i] + v_exps[s])
+            for (g_rows, g_exps), (v_rows, v_exps) in terms
+            for s in range(dim) if v_rows[s] == j))
         if not t.is_zero():
             _, _, e = t.first_nonzero()
             return t.scale(e.inv())
@@ -440,6 +407,11 @@ def projective_weil(rep, g):
 def det_sign_character(space, g, u_basis):
     """sgn of det of g restricted to the stabilized totally isotropic
     subspace spanned by u_basis.  The empty subspace gives +1."""
+    return _det_sign(space, g, _span_basis(u_basis, space.p))
+
+
+def _det_sign(space, g, u_basis):
+    """det_sign_character for linearly independent u_basis."""
     p = space.p
     _require_totally_isotropic(space, u_basis)
     if not u_basis:
@@ -481,27 +453,8 @@ def isotropic_reduction(space, u_basis):
                 for j in range(space.dim)]
     # complement of U inside U-perp
     lifts = _span_basis(u_basis + perp, p)[len(u_basis):]
-    qdim = len(lifts)
     form = [[space.pairing(a, b) for b in lifts] for a in lifts]
-    quotient = SymplecticSpace(p, form) if qdim else _ZeroSymplectic(p)
-    return perp, quotient, lifts
-
-
-class _ZeroSymplectic(SymplecticSpace):
-    """The zero symplectic space (Heisenberg group = center only)."""
-
-    def __init__(self, p):
-        self.p = p
-        self.form = ()
-        self.dim = 0
-        self.n = 0
-        self.basis = ()
-
-    def coordinates(self, v):
-        return ()
-
-    def vectors(self):
-        yield ()
+    return perp, SymplecticSpace(p, form), lifts
 
 
 def graded_symplectic_split(space, weights):
@@ -530,7 +483,7 @@ def _stabilizer_sl2(space, u_basis):
     out = []
     for g in sl2_elements(p):
         try:
-            det_sign_character(space, g, u_basis)
+            _det_sign(space, g, u_basis)
             out.append(g)
         except SympError:
             continue
@@ -626,7 +579,7 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
             weil_g = weil(_basis_coords(space, g))
             chi = 1
             if include_chi and u_basis:
-                chi = int(det_sign_character(space, g, u_basis))
+                chi = int(_det_sign(space, g, u_basis))
             # compare lhs / weil_g.den with rhs / sigma_den crosswise
             if qrep is None:
                 sigma_den, sigma_g = 1, None

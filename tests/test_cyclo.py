@@ -113,6 +113,30 @@ def test_matrix_identity_and_proportionality():
     assert CycloMatrix.zeros(ctx, 2).is_zero()
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([3, 4, 5, 8, 12, 20]),
+       st.integers(1, 4), st.data())
+def test_from_zeta_powers_matches_sums_of_zeta_pow(conductor, n, data):
+    # repeated positions add up and exponents are read mod N, whatever
+    # integer type they come in
+    ctx = CycloContext(conductor)
+    index = st.integers(0, n - 1)
+    exponent = st.integers(-3 * conductor, 3 * conductor)
+    entries = data.draw(st.lists(st.tuples(index, index, exponent),
+                                 max_size=3 * n * n))
+    entries += data.draw(st.lists(st.sampled_from(entries), max_size=4)
+                         if entries else st.just([]))
+    if data.draw(st.booleans()):
+        entries = [tuple(np.int64(x) for x in e) for e in entries]
+    want = [[ctx.zero() for _ in range(n)] for _ in range(n)]
+    for r, c, e in entries:
+        want[r][c] = want[r][c] + ctx.zeta_pow(int(e))
+    got = CycloMatrix.from_zeta_powers(ctx, n, entries)
+    assert got == CycloMatrix.from_entries(ctx, want)
+    assert got.planes.dtype == object
+    assert all(type(x) is int for x in got.planes.flat)
+
+
 # ---------------------------------------------------------------------------
 # oracle: the per-plane loops that the stacked plane kernel replaced
 

@@ -87,6 +87,18 @@ def test_heisenberg_group_axioms():
     assert heisenberg_mul(x, y) == x * y
 
 
+def test_heisenberg_element_requires_a_vector_of_the_space():
+    V = SymplecticSpace.standard(3, 1)
+    for bad in ((1, 2, 0), (1,), ()):
+        with pytest.raises(SympError):
+            HeisenbergElement(V, bad, 0)
+    # a zero-dimensional space takes the empty vector only
+    Z = SymplecticSpace(3, [])
+    assert HeisenbergElement(Z, (), 2).a == 2
+    with pytest.raises(SympError):
+        HeisenbergElement(Z, (0,), 0)
+
+
 def test_heisenberg_rep_multiplicative():
     V = SymplecticSpace.standard(3, 1)
     rep = heisenberg_rep(V)
@@ -157,6 +169,48 @@ def test_weil_sl2_requires_rank_one():
         WeilSL2(HeisenbergRep(V))
 
 
+def test_weil_sl2_requires_a_two_by_two_matrix():
+    w = WeilSL2(HeisenbergRep(SymplecticSpace.standard(3, 1)))
+    for bad in (((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (0, 0)), ((1,),),
+                ((1, 0), (0,))):
+        with pytest.raises(SympError):
+            w(bad)
+
+
+def _planes_are_ints(m):
+    return m.planes.dtype == object and all(type(x) is int
+                                            for x in m.planes.flat)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_upper_and_diag_match_their_formulas(p):
+    # omega(u(b))[t, t] = psi(b t^2 / 2); omega(diag(a, 1/a))[r, s] = sgn(a)
+    # where s = a r
+    rep = HeisenbergRep(SymplecticSpace.standard(p, 1))
+    w = WeilSL2(rep)
+    half = (p + 1) // 2
+    for b in range(p):
+        want = CycloMatrix.from_entries(
+            rep.cyclo, [[rep.psi(b * half * t * t) if s == t else 0
+                         for s in range(p)] for t in range(p)])
+        assert w._upper(b) == want and _planes_are_ints(w._upper(b))
+    for a in range(1, p):
+        sgn = 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+        want = CycloMatrix.from_entries(
+            rep.cyclo, [[sgn if s == a * r % p else 0 for s in range(p)]
+                        for r in range(p)])
+        assert w._diag(a) == want and _planes_are_ints(w._diag(a))
+
+
+def test_operators_hold_python_ints():
+    rep = HeisenbergRep(SymplecticSpace.standard(5, 1))
+    w = WeilSL2(rep)
+    assert _planes_are_ints(w._weyl())
+    for h in (HeisenbergElement(rep.space, (1, 3), 2),
+              HeisenbergElement(rep.space, (0, 0), 0)):
+        assert _planes_are_ints(rep.operator(h))
+
+
 def test_projective_weil_matches_weil_sl2_up_to_scalar():
     p = 3
     V = SymplecticSpace.standard(p, 1)
@@ -168,6 +222,65 @@ def test_projective_weil_matches_weil_sl2_up_to_scalar():
         t = projective_weil(rep, g)
         assert t.proportional_to(w(g)) is not None
     assert weil_sl2(rep, ((1, 1), (0, 1))) == w(((1, 1), (0, 1)))
+
+
+def _oracle_projective_weil(rep, g):
+    """projective_weil as the dense sum sum_v rho(gv) C rho(v)^-1 over the
+    seeds C = E_ij in row-major order, normalised by the first nonzero
+    entry."""
+    space = rep.space
+    p = space.p
+    dim = rep.dim
+    for seed in range(dim * dim):
+        c = CycloMatrix.from_entries(
+            rep.cyclo, [[int(divmod(seed, dim) == (r, s)) for s in range(dim)]
+                        for r in range(dim)])
+        t = CycloMatrix.zeros(rep.cyclo, dim)
+        for v in space.vectors():
+            gv = rep.operator(
+                HeisenbergElement(space, linalg.mat_vec(g, v, p), 0))
+            rv_inv = rep.operator(HeisenbergElement(
+                space, tuple((-x) % p for x in v), 0))
+            t = t + gv @ c @ rv_inv
+        if not t.is_zero():
+            _, _, e = t.first_nonzero()
+            return t.scale(e.inv())
+    raise AssertionError("no nonzero intertwiner")
+
+
+def _sp4_elements(p):
+    """J, transvections, a Levi element m(A) = diag(A, A^-T) and products,
+    in the coordinates (e_1, e_2, f_1, f_2) of the standard form."""
+    J = ((0, 0, 1, 0), (0, 0, 0, 1), (p - 1, 0, 0, 0), (0, p - 1, 0, 0))
+    t_e1 = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1))
+    n_s = ((1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    m_a = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, p - 1, 1))
+    prod = linalg.mat_mul
+    return [J, t_e1, n_s, m_a, prod(J, t_e1, p),
+            prod(prod(m_a, J, p), n_s, p)]
+
+
+def test_projective_weil_matches_dense_oracle_sl2_f3_exhaustive():
+    rep = HeisenbergRep(SymplecticSpace.standard(3, 1))
+    for g in sl2_elements(3):
+        t = projective_weil(rep, g)
+        assert t == _oracle_projective_weil(rep, g)
+        assert _planes_are_ints(t)
+
+
+def test_projective_weil_matches_dense_oracle_sl2_f5_sample():
+    rep = HeisenbergRep(SymplecticSpace.standard(5, 1))
+    els = random.Random(5).sample(list(sl2_elements(5)), 20)
+    for g in els:
+        assert projective_weil(rep, g) == _oracle_projective_weil(rep, g)
+
+
+def test_projective_weil_matches_dense_oracle_sp4_f3():
+    V = SymplecticSpace.standard(3, 2)
+    rep = HeisenbergRep(V)
+    for g in _sp4_elements(3):
+        assert V.is_symplectic_matrix(g)
+        assert projective_weil(rep, g) == _oracle_projective_weil(rep, g)
 
 
 def test_projective_weil_intertwines_rank_two():
@@ -197,6 +310,19 @@ def test_det_sign_character_example():
     assert det_sign_character(V, g, []) == SignValue(1)
     with pytest.raises(SympError):
         det_sign_character(V, g, [(1, 0, 0, 0), (0, 0, 1, 0)])  # not isotropic
+
+
+def test_det_sign_character_reduces_a_dependent_spanning_set():
+    # (1, 0) and (2, 0) span one line; the identity acts on it with det 1
+    V = SymplecticSpace.standard(3, 1)
+    ident = ((1, 0), (0, 1))
+    assert det_sign_character(V, ident, [(1, 0), (2, 0)]) == SignValue(1)
+    # diag(2, 2) acts on the line by 2, a nonsquare mod 3, however it is
+    # spanned
+    g = ((2, 0), (0, 2))
+    assert (det_sign_character(V, g, [(1, 0), (2, 0)])
+            == det_sign_character(V, g, [(1, 0)]) == SignValue(-1))
+    assert det_sign_character(V, ident, [(0, 0)]) == SignValue(1)
 
 
 def test_det_sign_requires_stabilized_subspace():
@@ -308,7 +434,8 @@ def _oracle_trace_with(rep, mat, elem):
         phase = elem.a
         phase += sum(xi * ti for xi, ti in zip(x, t))
         phase -= rep._half * sum(xi * yi for xi, yi in zip(x, y))
-        acc = acc + mat.entry(sidx, rep._index(t)) * rep.psi(phase)
+        tidx = sum(ti * p ** i for i, ti in enumerate(t))
+        acc = acc + mat.entry(sidx, tidx) * rep.psi(phase)
     return acc
 
 
