@@ -11,20 +11,7 @@ elements.  Run with python3.
 
 import sys
 
-from heckeforge import SymplecticSpace, induction_identity_check
-
-
-def lines(space):
-    p = space.p
-    seen = []
-    for v in space.vectors():
-        if not any(v):
-            continue
-        if any(l == tuple((c * s) % p for c in v)
-               for l in seen for s in range(1, p)):
-            continue
-        seen.append(v)
-    return seen
+from heckeforge import SymplecticSpace, checks, induction_identity_check
 
 
 def main():
@@ -34,7 +21,7 @@ def main():
     for p in (3, 5):
         V = SymplecticSpace.standard(p, 1)
         print(f"p = {p}: the {p + 1} isotropic lines of the symplectic plane")
-        for line in lines(V):
+        for line in checks.isotropic_lines(V):
             with_chi, _ = induction_identity_check(
                 V, [line], "with_sl2_levi", include_chi=True)
             without, details = induction_identity_check(

@@ -138,18 +138,17 @@ class CoxeterSystem:
         for s in letters:
             if s not in self._index:
                 raise HeckeError(f"unknown generator {s!r}")
-        mat = self.word_matrix(letters)
+        # w = 1 exactly when w^{-1} = 1, so w^{-1} alone drives the loop
         inv = self.word_matrix(tuple(reversed(letters)))
         ident = self._identity()
         out = []
-        while mat != ident:
+        while inv != ident:
             if len(out) > self.length_cap:
                 raise LengthCapError(
                     f"word exceeds the length cap {self.length_cap}")
             s = next(g for g in self.generators
                      if self._is_left_descent(g, inv))
             out.append(s)
-            mat = self._mat_mul(self._gen_matrices[s], mat)
             inv = self._mat_mul(inv, self._gen_matrices[s])
         return tuple(out)
 

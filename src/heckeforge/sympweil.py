@@ -38,6 +38,11 @@ def _vec_mod(v, p):
     return tuple(x % p for x in v)
 
 
+def _identity_matrix(d):
+    """The d x d identity; its rows are the unit vectors of F_p^d."""
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+
+
 def _in_span(vectors, v, p):
     m = [[vec[i] for vec in vectors] for i in range(len(v))]
     return linalg.solve(m, v, p) is not None
@@ -100,13 +105,8 @@ class SymplecticSpace:
     def _symplectic_basis(self):
         """Greedy symplectic Gram-Schmidt."""
         p = self.p
-        remaining = []
-        for idx in range(self.dim):
-            v = [0] * self.dim
-            v[idx] = 1
-            remaining.append(tuple(v))
         es, fs = [], []
-        pool = list(remaining)
+        pool = list(_identity_matrix(self.dim))
         used = []
         while len(es) < self.n:
             e = next(v for v in pool if not _in_span(used, v, p))
@@ -378,9 +378,9 @@ def sl2_elements(p):
 
 def projective_weil(rep, g):
     """A nonzero intertwiner T with T rho(v,a) T^{-1} = rho(gv,a),
-    normalized so the first nonzero entry (row-major) is 1.  Unique up to
-    scalar; the scalar normalization for n >= 2 is deliberately not chosen
-    to be anything more canonical."""
+    normalized so its (0, 0) entry is 1.  Unique up to scalar; the scalar
+    normalization for n >= 2 is deliberately not chosen to be anything more
+    canonical."""
     space = rep.space
     if not space.is_symplectic_matrix(g):
         raise SympError("matrix is not symplectic")
@@ -391,17 +391,15 @@ def projective_weil(rep, g):
                                               0)),
               rep._monomial(HeisenbergElement(space, [-x for x in v], 0)))
              for v in space.vectors()]
-    for seed in range(dim * dim):
-        i, j = divmod(seed, dim)
-        # rho(gv) E_ij rho(-v) is column i of rho(gv) times row j of rho(-v)
-        t = CycloMatrix.from_zeta_powers(rep.cyclo, dim, (
-            (g_rows[i], s, g_exps[i] + v_exps[s])
-            for (g_rows, g_exps), (v_rows, v_exps) in terms
-            for s in range(dim) if v_rows[s] == j))
-        if not t.is_zero():
-            _, _, e = t.first_nonzero()
-            return t.scale(e.inv())
-    raise SympError("no nonzero intertwiner found")
+    # T = sum_v rho(gv) E_00 rho(-v), where rho(gv) E_00 rho(-v) is column
+    # 0 of rho(gv) times row 0 of rho(-v).  T[0, 0] != 0: rho(u)[0, 0] is 1
+    # when u lies in the model's Lagrangian L (y(u) = 0) and 0 otherwise, so
+    # T[0, 0] = |L cap g^-1 L| >= 1
+    t = CycloMatrix.from_zeta_powers(rep.cyclo, dim, (
+        (g_rows[0], s, g_exps[0] + v_exps[s])
+        for (g_rows, g_exps), (v_rows, v_exps) in terms
+        for s in range(dim) if v_rows[s] == 0))
+    return t.scale(t.entry(0, 0).inv())
 
 
 def det_sign_character(space, g, u_basis):
@@ -442,15 +440,13 @@ def isotropic_reduction(space, u_basis):
     p = space.p
     u_basis = _span_basis(u_basis, p)
     _require_totally_isotropic(space, u_basis)
+    units = _identity_matrix(space.dim)
     if u_basis:
-        rows = [[space.pairing(u, tuple(1 if i == j else 0
-                                        for i in range(space.dim)))
-                 for j in range(space.dim)] for u in u_basis]
         # null space of the pairing rows
-        perp = linalg.null_space(rows, p)
+        perp = linalg.null_space(
+            [[space.pairing(u, e) for e in units] for u in u_basis], p)
     else:
-        perp = [tuple(1 if i == j else 0 for i in range(space.dim))
-                for j in range(space.dim)]
+        perp = list(units)
     # complement of U inside U-perp
     lifts = _span_basis(u_basis + perp, p)[len(u_basis):]
     form = [[space.pairing(a, b) for b in lifts] for a in lifts]
@@ -466,11 +462,10 @@ def graded_symplectic_split(space, weights):
         for j in range(space.dim):
             if space.form[i][j] % space.p and weights[i] + weights[j] != 0:
                 raise SympError("pairing violates the weight constraint")
-    def unit(i):
-        return tuple(1 if k == i else 0 for k in range(space.dim))
-    v1 = [unit(i) for i, w in enumerate(weights) if w < 0]
-    v2 = [unit(i) for i, w in enumerate(weights) if w == 0]
-    v3 = [unit(i) for i, w in enumerate(weights) if w > 0]
+    units = _identity_matrix(space.dim)
+    v1 = [units[i] for i, w in enumerate(weights) if w < 0]
+    v2 = [units[i] for i, w in enumerate(weights) if w == 0]
+    v3 = [units[i] for i, w in enumerate(weights) if w > 0]
     return v1, v2, v3
 
 
@@ -495,8 +490,16 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
     """Exact character comparison for the restriction-vs-induction identity
     of the Heisenberg(-Weil) representation along a totally isotropic U.
 
-    Returns (equal, details): equal is the exact character equality; details
-    carries the dimension bookkeeping and the two character tables.
+    One loop compares, for each triple (g, omega(g), sigma(g)), the trace
+    of omega(g) rho(v) with the induced trace of chi^U(g) sigma(g) on
+    (U-perp)#, at every v.  The mode chooses the group: heisenberg_only is
+    the trivial group (g = 1, omega and sigma the identities; any
+    dimension), with_sl2_levi the stabilizer of U in SL_2(F_p) with omega =
+    sigma the Weil representation (dim V = 2).
+
+    Returns (equal, details): equal is the exact character equality;
+    details carries the dimension bookkeeping and the first witness
+    (g, (v, 0)) of a difference, or None.
     """
     p = space.p
     u_basis = _span_basis(u_basis, p)
@@ -507,58 +510,30 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
     rep = HeisenbergRep(space, iota)
     qrep = HeisenbergRep(quotient, iota) if quotient.dim else None
     ctx = rep.cyclo
-    psi = rep.psi
 
     induced_dim = p ** u * p ** ((space.dim - 2 * u) // 2)
     dims_ok = induced_dim == p ** n
 
-    perp_cols = linalg.transpose(lifts + u_basis)
-
-    def quotient_coords(v):
-        """Coordinates of v-bar in the lifted basis of U-perp/U, or None
-        when v is not in U-perp."""
-        sol = linalg.solve(perp_cols, v, p)
-        return None if sol is None else sol[:len(lifts)]
-
     if mode == "heisenberg_only":
-        # compare chi of rho|_{V#} with the character induced from the
-        # pullback of the quotient Heisenberg representation on (U-perp)#
-        transversal = _complement_transversal(space, perp)
-        table_lhs, table_rhs = [], []
-        equal = True
-        for v in space.vectors():
-            for a in range(p):
-                h = HeisenbergElement(space, v, a)
-                lhs = rep.character(h)
-                rhs = ctx.zero()
-                for w in transversal:
-                    r = HeisenbergElement(space, w, 0)
-                    conj = r.inv() * h * r
-                    qv = quotient_coords(conj.v)
-                    if qv is None:
-                        continue
-                    if qrep is None:
-                        rhs = rhs + psi(conj.a)
-                    else:
-                        rhs = rhs + qrep.character(
-                            HeisenbergElement(quotient, qv, conj.a))
-                table_lhs.append(lhs)
-                table_rhs.append(rhs)
-                if lhs != rhs:
-                    equal = False
-        return equal and dims_ok, {
-            "induced_dim": induced_dim, "rep_dim": p ** n,
-            "lhs": table_lhs, "rhs": table_rhs}
-
-    if mode != "with_sl2_levi":
+        triples = [(_identity_matrix(space.dim),
+                    CycloMatrix.identity(ctx, rep.dim),
+                    None if qrep is None
+                    else CycloMatrix.identity(ctx, qrep.dim))]
+    elif mode == "with_sl2_levi":
+        if quotient.dim not in (0, 2):
+            raise SympError("with_sl2_levi requires dim(U-perp/U) in {0, 2}")
+        if space.dim != 2:
+            raise SympError("with_sl2_levi is implemented for dim V = 2")
+        weil = WeilSL2(rep)
+        # qrep exists only for U = 0, where the quotient is V itself and its
+        # Weil operator is omega(g); built lazily, as a failure stops early
+        triples = ((g, omega, None if qrep is None else omega)
+                   for g in _stabilizer_sl2(space, u_basis)
+                   for omega in [weil(_basis_coords(space, g))])
+    else:
         raise SympError(f"unknown mode {mode!r}")
-    if quotient.dim not in (0, 2):
-        raise SympError("with_sl2_levi requires dim(U-perp/U) in {0, 2}")
-    if space.dim != 2:
-        raise SympError("with_sl2_levi is implemented for dim V = 2")
 
-    stab = _stabilizer_sl2(space, u_basis)
-    weil = WeilSL2(rep)
+    perp_cols = linalg.transpose(lifts + u_basis)
     big_n = ctx.n
     half = (p + 1) // 2
     vectors = list(space.vectors())
@@ -567,28 +542,27 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
     # monomial columns of the quotient representation, or None for psi
     sigma_columns = {}
     for v in vectors:
-        qv = quotient_coords(v)
-        if qv is not None:
+        # coordinates of v-bar in the lifted basis of U-perp/U, or None
+        # when v is not in U-perp
+        sol = linalg.solve(perp_cols, v, p)
+        if sol is not None:
             sigma_columns[v] = None if qrep is None else qrep._monomial(
-                HeisenbergElement(quotient, qv, 0))
+                HeisenbergElement(quotient, sol[:len(lifts)], 0))
     coset_reps = _complement_transversal(space, perp)
 
     def first_failure():
-        for g in stab:
+        for g, omega, sigma in triples:
             ginv = linalg.mat_inv(g, p)
-            weil_g = weil(_basis_coords(space, g))
             chi = 1
             if include_chi and u_basis:
                 chi = int(_det_sign(space, g, u_basis))
-            # compare lhs / weil_g.den with rhs / sigma_den crosswise
-            if qrep is None:
+            # compare lhs / omega.den with rhs / sigma_den crosswise
+            if sigma is None:
                 sigma_den, sigma_g = 1, None
             else:
-                # qrep exists only for U = 0 (dim V = 2), where the quotient
-                # is V itself and its Weil operator is weil_g
-                sigma_den = weil_g.den
-                sigma_g = _sparse_entries(weil_g, chi * weil_g.den)
-            lhs_g = _sparse_entries(weil_g, sigma_den)
+                sigma_den = sigma.den
+                sigma_g = _sparse_entries(sigma, chi * omega.den)
+            lhs_g = _sparse_entries(omega, sigma_den)
             # r = (1, (w, 0)):  r^{-1} (g, (v, a)) r = (g, (v + l + w, a + c))
             # with l = -g^{-1} w and c = half (<l - w, v> + <l, w>)
             shifts = []
@@ -610,7 +584,7 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
                     k = 4 * rep._psi_exp(
                         half * (sum(r * x for r, x in zip(row, v)) + const))
                     if sigma_g is None:
-                        rhs[k] += chi * weil_g.den
+                        rhs[k] += chi * omega.den
                     else:
                         _add_trace(rhs, sigma_g, *sigma_columns[conj_v], k)
                 # psi(a) multiplies both sides by a unit of Z[zeta_4p], so
@@ -643,19 +617,6 @@ def _add_trace(acc, entries, rows, exps, shift=0):
     for s, (t, e) in enumerate(zip(rows, exps)):
         for d, c in entries.get((s, t), ()):
             acc[(d + e + shift) % n] += c
-
-
-def _quotient_action(space, quotient, lifts, u_basis, g):
-    """Matrix of the action induced by g on U-perp/U in the lifted basis."""
-    p = space.p
-    m = linalg.transpose(lifts + u_basis)
-    out = []
-    for lv in lifts:
-        sol = linalg.solve(m, linalg.mat_vec(g, lv, p), p)
-        if sol is None:
-            raise SympError("g does not stabilize U-perp")
-        out.append(sol[:len(lifts)])
-    return tuple(zip(*out))
 
 
 def _complement_transversal(space, perp):

@@ -12,6 +12,7 @@ from heckeforge import (HeckeError, CoxeterSystem, ParameterFunction,
                         SemidirectAlgebra, semidirect_product,
                         length_zero_subgroup, support_preserving_map_check)
 from heckeforge import checks
+from heckeforge.heckealg import LengthCapError
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +53,46 @@ def test_affine_length_cap():
         "s0", "s1", "s0", "s1")
     with pytest.raises(HeckeError):
         system.normal_form(tuple(["s0", "s1"] * 10))
+
+
+def _oracle_normal_form(system, letters):
+    """normal_form driven by the word matrix w and its inverse together:
+    peel the least left descent of w^{-1} until w is the identity."""
+    mat = system.word_matrix(letters)
+    inv = system.word_matrix(tuple(reversed(letters)))
+    ident = system._identity()
+    out = []
+    while mat != ident:
+        if len(out) > system.length_cap:
+            raise LengthCapError(
+                f"word exceeds the length cap {system.length_cap}")
+        s = next(g for g in system.generators
+                 if system._is_left_descent(g, inv))
+        out.append(s)
+        mat = system._mat_mul(system._gen_matrices[s], mat)
+        inv = system._mat_mul(inv, system._gen_matrices[s])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("tag,cap", [("A2", 64), ("B2", 64), ("G2", 64),
+                                     ("A1~", 64), ("A1~", 6)])
+def test_normal_form_matches_the_two_matrix_oracle(tag, cap):
+    system = CoxeterSystem.from_type(tag, length_cap=cap)
+    rng = random.Random(tag + str(cap))
+    capped = 0
+    for _ in range(150):
+        word = tuple(rng.choice(system.generators)
+                     for _ in range(rng.randrange(25)))
+        try:
+            want = _oracle_normal_form(system, word)
+        except LengthCapError:
+            capped += 1
+            with pytest.raises(LengthCapError):
+                system.normal_form(word)
+            continue
+        assert system.normal_form(word) == want
+    # with the small cap both raise on some words and agree on the rest
+    assert (capped > 0) == (cap == 6)
 
 
 def test_coxeter_validation():

@@ -1,6 +1,7 @@
 """Every module of the package, the tests and the demos references each
-name it imports.  A stdlib ast scan; __future__ imports and the
-re-exports of __init__.py are exempt."""
+name it imports, and every private function of the package is referenced
+inside the package.  Stdlib ast scans; __future__ imports and the
+re-exports of __init__.py are exempt from the first."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,45 @@ def test_scan_flags_an_unused_import():
                          ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_functions(sources):
+    """The private (non-dunder) functions and methods defined in sources
+    that no source references by name, attribute, import or string
+    constant (the CLI names its handlers by string), sorted."""
+    defined, used = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not (
+                        node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                used.add(node.value)
+    return sorted(defined - used)
+
+
+def test_scan_flags_an_unreferenced_private_function():
+    module = ("def _used():\n    return 1\n"
+              "def _unused():\n    return _used()\n"
+              "class A:\n    def __init__(self):\n        self._m()\n"
+              "    def _m(self):\n        pass\n"
+              "    def _dead(self):\n        pass\n")
+    other = ("from m import _imported\ndef _imported():\n    pass\n"
+             "def _by_string():\n    pass\nHANDLER = '_by_string'\n")
+    assert unreferenced_private_functions([module, other]) == [
+        "_dead", "_unused"]
+
+
+def test_every_private_function_is_referenced_in_the_package():
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src/heckeforge").glob("*.py"))]
+    assert unreferenced_private_functions(sources) == []

@@ -13,10 +13,10 @@ from heckeforge import (SympError, SymplecticSpace, HeisenbergElement,
                         det_sign_character, isotropic_reduction,
                         graded_symplectic_split, induction_identity_check,
                         sl2_elements, SignValue, CycloMatrix)
-from heckeforge import checks, linalg
+from heckeforge import checks, linalg, sympweil
 from heckeforge.sympweil import (
     _span_basis,
-    _stabilizer_sl2, _complement_transversal, _quotient_action,
+    _stabilizer_sl2, _complement_transversal,
     _basis_coords, _gauss_sum)
 
 
@@ -224,28 +224,42 @@ def test_projective_weil_matches_weil_sl2_up_to_scalar():
     assert weil_sl2(rep, ((1, 1), (0, 1))) == w(((1, 1), (0, 1)))
 
 
-def _oracle_projective_weil(rep, g):
-    """projective_weil as the dense sum sum_v rho(gv) C rho(v)^-1 over the
-    seeds C = E_ij in row-major order, normalised by the first nonzero
-    entry."""
+def _oracle_seed_sum(rep, g, seed):
+    """The dense sum sum_v rho(gv) E_ij rho(v)^-1, (i, j) = divmod(seed,
+    dim)."""
     space = rep.space
     p = space.p
     dim = rep.dim
-    for seed in range(dim * dim):
-        c = CycloMatrix.from_entries(
-            rep.cyclo, [[int(divmod(seed, dim) == (r, s)) for s in range(dim)]
-                        for r in range(dim)])
-        t = CycloMatrix.zeros(rep.cyclo, dim)
-        for v in space.vectors():
-            gv = rep.operator(
-                HeisenbergElement(space, linalg.mat_vec(g, v, p), 0))
-            rv_inv = rep.operator(HeisenbergElement(
-                space, tuple((-x) % p for x in v), 0))
-            t = t + gv @ c @ rv_inv
+    c = CycloMatrix.from_entries(
+        rep.cyclo, [[int(divmod(seed, dim) == (r, s)) for s in range(dim)]
+                    for r in range(dim)])
+    t = CycloMatrix.zeros(rep.cyclo, dim)
+    for v in space.vectors():
+        gv = rep.operator(
+            HeisenbergElement(space, linalg.mat_vec(g, v, p), 0))
+        rv_inv = rep.operator(HeisenbergElement(
+            space, tuple((-x) % p for x in v), 0))
+        t = t + gv @ c @ rv_inv
+    return t
+
+
+def _oracle_projective_weil(rep, g):
+    """projective_weil as the dense seed sums over the seeds E_ij in
+    row-major order, normalised by the first nonzero entry."""
+    for seed in range(rep.dim * rep.dim):
+        t = _oracle_seed_sum(rep, g, seed)
         if not t.is_zero():
             _, _, e = t.first_nonzero()
             return t.scale(e.inv())
     raise AssertionError("no nonzero intertwiner")
+
+
+def _lagrangian_meet(space, g):
+    """|L cap g^-1 L| for the model's Lagrangian L = {u : y(u) = 0}."""
+    p, n = space.p, space.n
+    return sum(1 for v in space.vectors()
+               if not any(space.coordinates(v)[n:])
+               and not any(space.coordinates(linalg.mat_vec(g, v, p))[n:]))
 
 
 def _sp4_elements(p):
@@ -281,6 +295,46 @@ def test_projective_weil_matches_dense_oracle_sp4_f3():
     for g in _sp4_elements(3):
         assert V.is_symplectic_matrix(g)
         assert projective_weil(rep, g) == _oracle_projective_weil(rep, g)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_e00_seed_sum_counts_the_lagrangian_meet_sl2(p):
+    # projective_weil seeds only E_00: the (0, 0) entry of the dense sum
+    # sum_v rho(gv) E_00 rho(-v), i.e. sum_v rho(gv)[0, 0] rho(-v)[0, 0], is
+    # |L cap g^-1 L| >= 1 on all of SL_2(F_p)
+    V = SymplecticSpace.standard(p, 1)
+    rep = HeisenbergRep(V)
+    corner = {v: rep.operator(HeisenbergElement(V, v, 0)).entry(0, 0)
+              for v in V.vectors()}
+    for g in sl2_elements(p):
+        entry = rep.cyclo.zero()
+        for v in V.vectors():
+            entry = entry + (corner[linalg.mat_vec(g, v, p)]
+                             * corner[tuple((-x) % p for x in v)])
+        assert entry == _lagrangian_meet(V, g) >= 1
+    # the full dense sum agrees with its corner on a few elements
+    for g in list(sl2_elements(p))[::max(1, p * p)]:
+        assert (_oracle_seed_sum(rep, g, 0).entry(0, 0)
+                == _lagrangian_meet(V, g))
+
+
+def test_e00_seed_sum_counts_the_lagrangian_meet_sp4_f3():
+    p = 3
+    V = SymplecticSpace.standard(p, 2)
+    rep = HeisenbergRep(V)
+    gens = _sp4_elements(p)[:4]
+    rng = random.Random(4)
+    meets = set()
+    for _ in range(30):
+        g = gens[0]
+        for _ in range(rng.randrange(1, 6)):
+            g = linalg.mat_mul(g, rng.choice(gens), p)
+        assert V.is_symplectic_matrix(g)
+        meet = _lagrangian_meet(V, g)
+        assert _oracle_seed_sum(rep, g, 0).entry(0, 0) == meet >= 1
+        meets.add(meet)
+    # g^-1 L meets L in every dimension 0..2 among the samples
+    assert meets == {1, 3, 9}
 
 
 def test_projective_weil_intertwines_rank_two():
@@ -439,6 +493,50 @@ def _oracle_trace_with(rep, mat, elem):
     return acc
 
 
+def _quotient_action(space, quotient, lifts, u_basis, g):
+    """Matrix of the action induced by g on U-perp/U in the lifted basis."""
+    p = space.p
+    m = linalg.transpose(lifts + u_basis)
+    out = []
+    for lv in lifts:
+        sol = linalg.solve(m, linalg.mat_vec(g, lv, p), p)
+        if sol is None:
+            raise SympError("g does not stabilize U-perp")
+        out.append(sol[:len(lifts)])
+    return tuple(zip(*out))
+
+
+def _oracle_heisenberg_only(space, u_basis, transversal=None):
+    """(equal, first differing (v, a)) of the heisenberg_only check: the
+    character of rho against the character induced from the pullback of the
+    quotient Heisenberg representation on (U-perp)#, as character values
+    for every (v, a), over the given coset transversal of U-perp."""
+    p = space.p
+    u_basis = _span_basis(u_basis, p)
+    perp, quotient, lifts = isotropic_reduction(space, u_basis)
+    rep = HeisenbergRep(space)
+    qrep = HeisenbergRep(quotient) if quotient.dim else None
+    perp_cols = linalg.transpose(lifts + u_basis)
+    if transversal is None:
+        transversal = _complement_transversal(space, perp)
+    for h in _all_heisenberg(space):
+        rhs = rep.cyclo.zero()
+        for w in transversal:
+            r = HeisenbergElement(space, w, 0)
+            conj = r.inv() * h * r
+            sol = linalg.solve(perp_cols, conj.v, p)
+            if sol is None:
+                continue
+            if qrep is None:
+                rhs = rhs + rep.psi(conj.a)
+            else:
+                rhs = rhs + qrep.character(HeisenbergElement(
+                    quotient, sol[:len(lifts)], conj.a))
+        if rep.character(h) != rhs:
+            return False, (h.v, h.a)
+    return True, None
+
+
 def _oracle_induction_check(space, u_basis, include_chi=True, iota=None):
     """(equal, witness) of the with_sl2_levi check, comparing every
     (g, v, a) as cyclotomic numbers built entry by entry."""
@@ -570,3 +668,57 @@ def test_gauss_sum_square_and_norm(p):
     sign = 1 if p % 4 == 1 else -1  # sgn(-1)
     assert g * g == sign * p
     assert g * g.conj() == p
+
+
+def _heisenberg_only_cases():
+    """(p, n, U): U = 0 and every line of the plane at p = 3, 5; in rank 2
+    at p = 3, U = 0, two lines and a Lagrangian."""
+    cases = [(p, 1, u) for p in (3, 5) for u in [[]] + [[l] for l in _lines(p)]]
+    return cases + [(3, 2, []), (3, 2, [(1, 0, 0, 0)]), (3, 2, [(0, 1, 1, 0)]),
+                    (3, 2, [(1, 0, 0, 0), (0, 1, 0, 0)])]
+
+
+@pytest.mark.parametrize("p,n,u_basis", _heisenberg_only_cases())
+def test_heisenberg_only_matches_the_character_table_oracle(p, n, u_basis):
+    V = SymplecticSpace.standard(p, n)
+    assert _oracle_heisenberg_only(V, u_basis) == (True, None)
+    for include_chi in (True, False):
+        equal, details = induction_identity_check(
+            V, u_basis, "heisenberg_only", include_chi)
+        assert equal
+        assert details == {"induced_dim": p ** n, "rep_dim": p ** n,
+                           "witness": None}
+
+
+@pytest.mark.parametrize("n,u_basis", [
+    (1, []), (1, [(1, 0)]), (2, []), (2, [(0, 1, 1, 0)]),
+    (2, [(1, 0, 0, 0), (0, 1, 0, 0)])])
+def test_heisenberg_only_fails_on_a_short_transversal(monkeypatch, n,
+                                                      u_basis):
+    # dropping a coset representative loses part of the induced character
+    # at v = 0; the witness is the one element g = 1 of the trivial group
+    V = SymplecticSpace.standard(3, n)
+    perp = isotropic_reduction(V, u_basis)[0]
+    short = _complement_transversal(V, perp)[:-1]
+    monkeypatch.setattr(sympweil, "_complement_transversal",
+                        lambda space, perp: short)
+    equal, details = induction_identity_check(V, u_basis, "heisenberg_only")
+    zero = (0,) * V.dim
+    ident = tuple(tuple(int(i == j) for j in range(V.dim))
+                  for i in range(V.dim))
+    assert not equal and details["witness"] == (ident, (zero, 0))
+    assert _oracle_heisenberg_only(V, u_basis, transversal=short) == (
+        False, (zero, 0))
+
+
+def test_induction_check_keeps_its_errors():
+    V = SymplecticSpace.standard(3, 2)
+    with pytest.raises(SympError, match="not totally isotropic"):
+        induction_identity_check(V, [(1, 0, 0, 0), (0, 0, 1, 0)],
+                                 "heisenberg_only")
+    with pytest.raises(SympError, match="unknown mode"):
+        induction_identity_check(V, [], "heisenberg")
+    with pytest.raises(SympError, match="implemented for dim V = 2"):
+        induction_identity_check(V, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    with pytest.raises(SympError, match="requires dim"):
+        induction_identity_check(V, [], "with_sl2_levi")
