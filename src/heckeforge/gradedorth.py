@@ -244,13 +244,11 @@ def otilde_membership(space, g):
     Returns (h as an OrthogonalMap on the f-space, exponent dict) or None.
     """
     g = space.ext_matrix(g)
-    ok, perm = glplus_membership(space, g)
-    if not ok:
+    if not glplus_membership(space, g)[0]:
         return None
-    pulled = linalg.mat_mul(linalg.mat_mul(linalg.transpose(g),
-                                           space.ext_gram), g)
-    exps = {}
     ext_gram = space.ext_gram
+    pulled = linalg.mat_mul(linalg.mat_mul(linalg.transpose(g), ext_gram), g)
+    exps = {}
     for b in space.blocks:
         sub = tuple(tuple(pulled[i][j] for j in b.cols) for i in b.cols)
         ref = tuple(tuple(ext_gram[i][j] for j in b.cols) for i in b.cols)
@@ -265,7 +263,8 @@ def otilde_membership(space, g):
             exps[b.label] = e
         elif e != 0:
             return None
-    # divide out the zeta-scalings (scale columns of each twisted block)
+    # divide out the zeta-scalings (scale columns of each twisted block);
+    # h keeps g's zero pattern and invertibility, so it is in GL+ as g is
     zinv = space.zeta.inv()
     h = [list(row) for row in g]
     for b in space.blocks:
@@ -285,9 +284,6 @@ def otilde_membership(space, g):
     try:
         h_map = OrthogonalMap(space.space, tuple(rational))
     except QuadSpaceError:
-        return None
-    ok, _ = glplus_membership(space, space.embed_matrix(rational))
-    if not ok:
         return None
     return h_map, exps
 

@@ -47,7 +47,13 @@ class CoxeterSystem:
                         raise HeckeError("m(s,s) must be 1")
                     m[s, t] = 1
                     continue
-                v = coxeter_matrix.get((s, t), coxeter_matrix.get((t, s)))
+                if (s, t) in coxeter_matrix:
+                    v = coxeter_matrix[s, t]
+                elif (t, s) in coxeter_matrix:
+                    v = coxeter_matrix[t, s]
+                else:
+                    raise HeckeError(f"m({s},{t}) is missing; an infinite "
+                                     "order must be written out")
                 if v is INFINITY:
                     pass
                 elif v not in (2, 3, 4, 6):

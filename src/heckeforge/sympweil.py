@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -204,6 +203,8 @@ class CentralCharacterChoice:
     """An isomorphism iota: mu_p -> F_p, pinned by iota(zeta_p) = unit."""
 
     def __init__(self, p, unit=1):
+        if not _is_prime(p) or p == 2:
+            raise SympError("p must be an odd prime")
         if unit % p == 0:
             raise SympError("iota must be a bijection")
         self.p = p
@@ -219,6 +220,9 @@ class HeisenbergRep:
         self.space = space
         p = space.p
         self.iota = iota or CentralCharacterChoice(p)
+        if self.iota.p != p:
+            raise SympError("iota must be a character of F_p for the "
+                            "space's p")
         self.cyclo = CycloContext(4 * p)
         self.dim = p ** space.n
         self._half = (p + 1) // 2
@@ -281,19 +285,19 @@ class HeisenbergRep:
 # Weil representation of SL_2(F_p)
 
 
-@lru_cache(maxsize=None)
-def _gauss_sum(p, unit_inv, conductor):
-    ctx = CycloContext(conductor)
-    g = ctx.zero()
-    for t in range(p):
-        g = g + ctx.zeta_pow(4 * ((t * t * unit_inv) % p))
-    return g
-
-
 class WeilSL2:
     """The genuine Weil representation of SL_2(F_p) on the Schroedinger
-    model; multiplicativity is verified empirically by the test suite, not
-    assumed."""
+    model, one closed formula per Bruhat cell of g = ((a, b), (c, d))
+    (Gerardin, J. Algebra 46 (1977)):
+
+        c != 0:  omega(g)[t, s] = kappa sgn(c) psi((a t^2 - 2ts + d s^2) / 2c)
+        c == 0:  (omega(g) phi)(t) = sgn(a) psi(ab t^2 / 2) phi(at)
+
+    with kappa = sgn(2) conj(G) / p and G the quadratic Gauss sum of psi.
+    They are the products u(a/c) w diag(c, 1/c) u(d/c) and diag(a, 1/a)
+    u(b/a) of the generator operators multiplied out; the tests keep that
+    product as their oracle (_oracle_weil).  Multiplicativity is verified
+    empirically by the test suite, not assumed."""
 
     def __init__(self, rep):
         if rep.space.n != 1:
@@ -301,44 +305,15 @@ class WeilSL2:
         self.rep = rep
         self.p = rep.space.p
         self.cyclo = rep.cyclo
-        self._gauss = _gauss_sum(self.p, rep.iota.unit_inv, 4 * self.p)
+        # the quadratic Gauss sum G = sum_t psi(t^2)
+        self._gauss = sum((rep.psi(t * t) for t in range(self.p)),
+                          self.cyclo.zero())
+        # the constant of omega(w) is forced by W U(b) W = U(-1/b) W D(b)
+        # U(-1/b) (complete the square; the quadratic sum contributes
+        # sgn(b/2) G); 1/G = conj(G)/p since G conj(G) = p
+        self._kappa = self._gauss.conj() * Fraction(_sgn_mod_p(2, self.p),
+                                                    self.p)
         self._cache = {}
-        self._weyl_matrix = None
-
-    def _upper(self, b):
-        """omega(u(b)) = multiplication by psi(b t^2 / 2)."""
-        p = self.p
-        half = (p + 1) // 2
-        return CycloMatrix.from_zeta_powers(
-            self.cyclo, p, ((t, t, 4 * self.rep._psi_exp(b * half * t * t))
-                            for t in range(p)))
-
-    def _diag(self, alpha):
-        """omega(diag(alpha, 1/alpha)) = sgn(alpha) . (phi -> phi(alpha t));
-        the sign -1 is zeta_{4p}^{2p}."""
-        p = self.p
-        e = 0 if _sgn_mod_p(alpha, p) == 1 else 2 * p
-        ainv = pow(alpha, p - 2, p)
-        return CycloMatrix.from_zeta_powers(
-            self.cyclo, p, ((s * ainv % p, s, e) for s in range(p)))
-
-    def _weyl(self):
-        """omega(w), w = [[0,-1],[1,0]]: normalized Fourier transform,
-        built once per instance."""
-        if self._weyl_matrix is None:
-            self._weyl_matrix = self._build_weyl()
-        return self._weyl_matrix
-
-    def _build_weyl(self):
-        p = self.p
-        m = CycloMatrix.from_zeta_powers(
-            self.cyclo, p, ((t, s, 4 * self.rep._psi_exp(-s * t))
-                            for t in range(p) for s in range(p)))
-        # the constant sgn(2)/G is forced by W U(b) W = U(-1/b) W D(b) U(-1/b)
-        # (complete the square; the quadratic sum contributes sgn(b/2) G);
-        # 1/G = conj(G)/p since G conj(G) = p
-        return (m.scale(self._gauss.conj())
-                .scale(Fraction(_sgn_mod_p(2, p), p)))
 
     def __call__(self, g):
         if len(g) != 2 or any(len(row) != 2 for row in g):
@@ -351,14 +326,20 @@ class WeilSL2:
         key = (a, b, c, d)
         if key in self._cache:
             return self._cache[key]
+        psi_exp = self.rep._psi_exp
+        half = (p + 1) // 2
+        # sgn(c), or sgn(a) when c = 0; the sign -1 is zeta_{4p}^{2p}
+        sign = 0 if _sgn_mod_p(c or a, p) == 1 else 2 * p
         if c == 0:
-            # g = diag(a, 1/a) . u(b/a)
-            m = self._diag(a) @ self._upper(b * pow(a, p - 2, p))
+            m = CycloMatrix.from_zeta_powers(self.cyclo, p, (
+                (t, a * t % p, sign + 4 * psi_exp(a * b * half * t * t))
+                for t in range(p)))
         else:
-            # g = u(a/c) . w . diag(c, 1/c) . u(d/c)
-            cinv = pow(c, p - 2, p)
-            m = (self._upper(a * cinv) @ self._weyl()
-                 @ self._diag(c) @ self._upper(d * cinv))
+            k = half * pow(c, p - 2, p)
+            m = CycloMatrix.from_zeta_powers(self.cyclo, p, (
+                (t, s, sign + 4 * psi_exp(k * (a * t * t - 2 * t * s
+                                               + d * s * s)))
+                for t in range(p) for s in range(p))).scale(self._kappa)
         self._cache[key] = m
         return m
 
@@ -474,15 +455,12 @@ def graded_symplectic_split(space, weights):
 
 
 def _stabilizer_sl2(space, u_basis):
+    """The elements of SL_2(F_p), in sl2_elements order, that map the span
+    of the independent u_basis into itself."""
     p = space.p
-    out = []
-    for g in sl2_elements(p):
-        try:
-            _det_sign(space, g, u_basis)
-            out.append(g)
-        except SympError:
-            continue
-    return out
+    return [g for g in sl2_elements(p)
+            if all(_in_span(u_basis, linalg.mat_vec(g, u, p), p)
+                   for u in u_basis)]
 
 
 def induction_identity_check(space, u_basis, mode="with_sl2_levi",

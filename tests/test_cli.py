@@ -147,6 +147,19 @@ def test_hecke_from_matrix_file(tmp_path, capsys):
     assert code == 0 and payload["pass"] is True
 
 
+@pytest.mark.parametrize("matrix,code", [
+    ([["s", "t", 3], ["t", "u", 3]], 2),
+    ([["s", "t", 3], ["t", "u", 3], ["s", "u", "inf"]], 0)])
+def test_hecke_matrix_file_must_give_every_pair(tmp_path, capsys, matrix,
+                                                code):
+    data = {"generators": ["s", "t", "u"], "matrix": matrix}
+    path = tmp_path / "cox.json"
+    path.write_text(json.dumps(data))
+    assert main(["hecke", "--type", str(path), "--check", "braid"]) == code
+    if code == 2:
+        assert "m(s,u) is missing" in capsys.readouterr().err
+
+
 def test_sp4_subcommand(capsys):
     code, payload = _run(capsys, ["sp4", "--q", "3", "--twist", "trivial"])
     assert code == 0 and payload["value"] == 2

@@ -12,7 +12,7 @@ from heckeforge import (HeckeError, CoxeterSystem, ParameterFunction,
                         SemidirectAlgebra, semidirect_product,
                         length_zero_subgroup, support_preserving_map_check)
 from heckeforge import checks
-from heckeforge.heckealg import LengthCapError
+from heckeforge.heckealg import INFINITY, LengthCapError
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +102,16 @@ def test_coxeter_validation():
         CoxeterSystem(("s", "t"), {("s", "t"): 5})  # non-crystallographic
     with pytest.raises(HeckeError):
         CoxeterSystem.from_type("E8")
+
+
+def test_coxeter_matrix_must_give_every_pair():
+    # an omitted pair once read as m = infinity
+    with pytest.raises(HeckeError, match=r"m\(s,u\) is missing"):
+        CoxeterSystem(("s", "t", "u"), {("s", "t"): 3, ("t", "u"): 3})
+    # infinity written out, in either order of the pair, is accepted
+    for pair in (("s0", "s1"), ("s1", "s0")):
+        system = CoxeterSystem(("s0", "s1"), {pair: INFINITY})
+        assert system.m["s0", "s1"] is INFINITY
 
 
 # ---------------------------------------------------------------------------

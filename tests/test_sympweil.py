@@ -3,6 +3,7 @@ representation, the det-sign character, and the induction identity."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +16,9 @@ from heckeforge import (SympError, SymplecticSpace, HeisenbergElement,
                         sl2_elements, SignValue, CycloMatrix)
 from heckeforge import checks, linalg, sympweil
 from heckeforge.sympweil import (
-    _span_basis,
+    _span_basis, _det_sign,
     _stabilizer_sl2, _complement_transversal,
-    _basis_coords, _gauss_sum)
+    _basis_coords)
 
 
 def _all_heisenberg(space):
@@ -109,6 +110,22 @@ def test_heisenberg_rep_multiplicative():
             assert ops[x] @ ops[y] == ops[x * y]
 
 
+def test_central_character_needs_an_odd_prime():
+    for p in (4, 2, 9, 1):
+        with pytest.raises(SympError, match="odd prime"):
+            CentralCharacterChoice(p, 2)
+
+
+def test_heisenberg_rep_rejects_iota_for_another_prime():
+    # iota for p = 5 on a space over F_3 made psi identically 1
+    V = SymplecticSpace.standard(3, 1)
+    with pytest.raises(SympError, match="iota"):
+        HeisenbergRep(V, CentralCharacterChoice(5, 2))
+    with pytest.raises(SympError, match="iota"):
+        heisenberg_rep(SymplecticSpace.standard(5, 1),
+                       CentralCharacterChoice(3, 1))
+
+
 def test_heisenberg_central_character_and_nondefault_iota():
     for unit in (1, 2):
         V = SymplecticSpace.standard(3, 1)
@@ -182,33 +199,100 @@ def _planes_are_ints(m):
                                             for x in m.planes.flat)
 
 
+def _sgn(a, p):
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+@lru_cache(maxsize=32)
+def _oracle_upper(rep, b):
+    """omega(u(b)) = multiplication by psi(b t^2 / 2)."""
+    p = rep.space.p
+    half = (p + 1) // 2
+    return CycloMatrix.from_entries(
+        rep.cyclo, [[rep.psi(b * half * t * t) if s == t else 0
+                     for s in range(p)] for t in range(p)])
+
+
+@lru_cache(maxsize=32)
+def _oracle_diag(rep, a):
+    """omega(diag(a, 1/a)) = sgn(a) . (phi -> phi(a t)): sgn(a) at (r, ar)."""
+    p = rep.space.p
+    return CycloMatrix.from_entries(
+        rep.cyclo, [[_sgn(a, p) if s == a * r % p else 0 for s in range(p)]
+                    for r in range(p)])
+
+
+@lru_cache(maxsize=32)
+def _oracle_fourier(rep):
+    """omega(((0, -1), (1, 0))) = the Fourier matrix psi(-st) times
+    sgn(2) conj(G) / p, with G = sum_t psi(t^2)."""
+    p = rep.space.p
+    gauss = sum((rep.psi(t * t) for t in range(p)), rep.cyclo.zero())
+    const = gauss.conj() * Fraction(_sgn(2, p), p)
+    return CycloMatrix.from_entries(
+        rep.cyclo, [[rep.psi(-s * t) * const for s in range(p)]
+                    for t in range(p)])
+
+
+def _oracle_weil(rep, g):
+    """omega(g) as the product of the generator operators along the Bruhat
+    decomposition: g = diag(a, 1/a) u(b/a) when c = 0, else
+    g = u(a/c) w diag(c, 1/c) u(d/c)."""
+    p = rep.space.p
+    (a, b), (c, d) = [[x % p for x in row] for row in g]
+    if c == 0:
+        return _oracle_diag(rep, a) @ _oracle_upper(rep, b * pow(a, -1, p) % p)
+    cinv = pow(c, -1, p)
+    return (_oracle_upper(rep, a * cinv % p) @ _oracle_fourier(rep)
+            @ _oracle_diag(rep, c) @ _oracle_upper(rep, d * cinv % p))
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_upper_and_diag_match_their_formulas(p):
     # omega(u(b))[t, t] = psi(b t^2 / 2); omega(diag(a, 1/a))[r, s] = sgn(a)
     # where s = a r
     rep = HeisenbergRep(SymplecticSpace.standard(p, 1))
     w = WeilSL2(rep)
-    half = (p + 1) // 2
     for b in range(p):
-        want = CycloMatrix.from_entries(
-            rep.cyclo, [[rep.psi(b * half * t * t) if s == t else 0
-                         for s in range(p)] for t in range(p)])
-        assert w._upper(b) == want and _planes_are_ints(w._upper(b))
+        got = w(((1, b), (0, 1)))
+        assert got == _oracle_upper(rep, b) and _planes_are_ints(got)
     for a in range(1, p):
-        sgn = 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-        want = CycloMatrix.from_entries(
-            rep.cyclo, [[sgn if s == a * r % p else 0 for s in range(p)]
-                        for r in range(p)])
-        assert w._diag(a) == want and _planes_are_ints(w._diag(a))
+        got = w(((a, 0), (0, pow(a, -1, p))))
+        assert got == _oracle_diag(rep, a) and _planes_are_ints(got)
 
 
 def test_operators_hold_python_ints():
     rep = HeisenbergRep(SymplecticSpace.standard(5, 1))
     w = WeilSL2(rep)
-    assert _planes_are_ints(w._weyl())
+    assert _planes_are_ints(w(((0, 4), (1, 0))))
     for h in (HeisenbergElement(rep.space, (1, 3), 2),
               HeisenbergElement(rep.space, (0, 0), 0)):
         assert _planes_are_ints(rep.operator(h))
+
+
+@pytest.mark.parametrize("p,unit", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1),
+                                    (7, 2)])
+def test_weil_matches_the_bruhat_product_oracle_exhaustive(p, unit):
+    rep = HeisenbergRep(SymplecticSpace.standard(p, 1),
+                        CentralCharacterChoice(p, unit))
+    w = WeilSL2(rep)
+    for g in sl2_elements(p):
+        assert w(g) == _oracle_weil(rep, g), g
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_weil_matches_the_bruhat_product_oracle_sampled(p):
+    rng = random.Random(p)
+    els = list(sl2_elements(p))
+    for unit in (1, 2):
+        rep = HeisenbergRep(SymplecticSpace.standard(p, 1),
+                            CentralCharacterChoice(p, unit))
+        w = WeilSL2(rep)
+        # both Bruhat cells, plus a uniform sample
+        sample = [((1, 3), (0, 1)), ((2, 0), (0, pow(2, -1, p))),
+                  ((0, p - 1), (1, 0))] + rng.sample(els, 30)
+        for g in sample:
+            assert w(g) == _oracle_weil(rep, g), g
 
 
 def test_projective_weil_matches_weil_sl2_up_to_scalar():
@@ -433,22 +517,25 @@ def test_induction_identity_trivial_subspace():
 def test_induction_trivial_subspace_builds_each_weil_operator_once(
         p, monkeypatch):
     # for U = 0 the quotient Weil operator is omega(g) itself; building it
-    # a second time doubled the count of products below
+    # a second time doubled the count of builds below.  Each build of an
+    # omega(g) (a cache miss) is one from_zeta_powers call, and the check
+    # makes no other
     calls = []
-    matmul = CycloMatrix.__matmul__
+    build = CycloMatrix.from_zeta_powers.__func__
 
-    def counted(a, b):
+    def counted(cls, ctx, n, entries):
         calls.append(1)
-        return matmul(a, b)
-    monkeypatch.setattr(CycloMatrix, "__matmul__", counted)
+        return build(cls, ctx, n, entries)
+    monkeypatch.setattr(CycloMatrix, "from_zeta_powers", classmethod(counted))
     V = SymplecticSpace.standard(p, 1)
     w = WeilSL2(HeisenbergRep(V))
-    for g in sl2_elements(p):
+    group = list(sl2_elements(p))
+    for g in group + group:
         w(g)
-    one_build = len(calls)
+    assert len(calls) == len(group)
     del calls[:]
     ok, _ = induction_identity_check(V, [], "with_sl2_levi")
-    assert ok and len(calls) == one_build
+    assert ok and len(calls) == len(group)
 
 
 @pytest.mark.parametrize("p,unit", [(3, 1), (5, 1), (5, 2), (7, 3)])
@@ -457,15 +544,33 @@ def test_weyl_operator_is_the_normalized_fourier_matrix(p, unit):
     V = SymplecticSpace.standard(p, 1)
     rep = HeisenbergRep(V, CentralCharacterChoice(p, unit))
     w = WeilSL2(rep)
-    sgn2 = 1 if pow(2, (p - 1) // 2, p) == 1 else -1
-    const = w._gauss.conj() * Fraction(sgn2, p)
-    want = CycloMatrix.from_entries(
-        rep.cyclo, [[rep.psi(-s * t) * const for s in range(p)]
-                    for t in range(p)])
-    built = w._weyl()
-    assert built == want
-    w(((0, p - 1), (1, 0)))
-    assert w._weyl() is built
+    weyl = ((0, p - 1), (1, 0))
+    built = w(weyl)
+    assert built == _oracle_fourier(rep)
+    assert w(weyl) is built
+
+
+def _oracle_stabilizer(space, u_basis):
+    """The elements of SL_2(F_p) on which the det-sign character of U is
+    defined, by trying each one."""
+    out = []
+    for g in sl2_elements(space.p):
+        try:
+            _det_sign(space, g, u_basis)
+            out.append(g)
+        except SympError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_stabilizer_matches_the_try_each_oracle(p):
+    V = SymplecticSpace.standard(p, 1)
+    for u_basis in [[]] + [[line] for line in _lines(p)]:
+        got = _stabilizer_sl2(V, u_basis)
+        assert got == _oracle_stabilizer(V, u_basis)
+        # a line is stabilized by a Borel subgroup: p (p - 1) elements
+        assert len(got) == (p ** 3 - p if not u_basis else p * (p - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -562,23 +667,25 @@ def _oracle_induction_check(space, u_basis, include_chi=True, iota=None):
         m = [[vec[i] for vec in cols] for i in range(space.dim)]
         return linalg.solve(m, list(v), p)[:len(lifts)]
 
-    def sigma_char(g, h, chi):
+    def sigma_char(qweil_g, h, chi):
         if not in_perp(h.v):
             return None
         if qrep is None:
             val = rep.psi(h.a)
         else:
-            qg = _quotient_action(space, quotient, lifts, u_basis, g)
             qh = HeisenbergElement(
                 quotient, quotient_coords(h.v), h.a)
-            val = _oracle_trace_with(
-                qrep, qweil(_basis_coords(quotient, qg)), qh)
+            val = _oracle_trace_with(qrep, qweil_g, qh)
         return val if chi == 1 else -val
 
     coset_reps = _complement_transversal(space, perp)
-    for g in _stabilizer_sl2(space, u_basis):
+    for g in _oracle_stabilizer(space, u_basis):
         ginv = linalg.mat_inv(g, p)
         weil_g = weil(_basis_coords(space, g))
+        qweil_g = None
+        if qrep is not None:
+            qg = _quotient_action(space, quotient, lifts, u_basis, g)
+            qweil_g = qweil(_basis_coords(quotient, qg))
         chi = 1
         if include_chi and u_basis:
             chi = int(det_sign_character(space, g, u_basis))
@@ -592,7 +699,7 @@ def _oracle_induction_check(space, u_basis, include_chi=True, iota=None):
                 lhs = _oracle_trace_with(rep, weil_g, h)
                 rhs = rep.cyclo.zero()
                 for left, right in shifts:
-                    val = sigma_char(g, left * h * right, chi)
+                    val = sigma_char(qweil_g, left * h * right, chi)
                     if val is not None:
                         rhs = rhs + val
                 if lhs != rhs:
@@ -664,7 +771,7 @@ def test_induction_check_matches_oracle_nondefault_iota():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_gauss_sum_square_and_norm(p):
-    g = _gauss_sum(p, 1, 4 * p)
+    g = WeilSL2(HeisenbergRep(SymplecticSpace.standard(p, 1)))._gauss
     sign = 1 if p % 4 == 1 else -1  # sgn(-1)
     assert g * g == sign * p
     assert g * g.conj() == p
