@@ -336,7 +336,8 @@ def suite():
         ("sympweil", "central character (0,a) -> zeta_p^a",
          lambda: weil_central(HeisenbergRep(weil_space))),
         ("sympweil", "induction identity needs chi^U",
-         lambda: induction_needs_chi(weil_space, [(1, 0)])),
+         lambda: induction_needs_chi(weil_space,
+                                     isotropic_lines(weil_space))),
         ("heckealg", "braid relations in A2, B2, G2", _braid_rank2),
         ("heckealg", "quadratic relations (unequal parameters)",
          lambda: hecke_quadratic(_algebra("B2", unequal=True))),

@@ -102,12 +102,10 @@ class CycloContext:
             cur = nxt[:self.degree]
             table.append(tuple(cur))
         self.power_table = table
-        # the nonzero (d, coefficient) pairs of each power, for sparse fills
-        self._power_terms = [tuple((d, c) for d, c in enumerate(row) if c)
-                             for row in table]
-        # row s is x^s mod Phi_N: the products of planes i and j with
-        # i + j = s add row[d] times their sum to plane d
-        self._fold = np.array(table[:2 * self.degree - 1], dtype=np.int64)
+        # row s is x^s mod Phi_N for s < 2N: the products of planes i and j
+        # with i + j = s add row[d] times their sum to plane d
+        self._powers = np.array(table[:self.n] * 2, dtype=np.int64)
+        self._powers_extent = _extent(self._powers)
 
     def __eq__(self, other):
         return isinstance(other, CycloContext) and self.n == other.n
@@ -278,6 +276,14 @@ def _nonzero_planes(planes):
     return np.flatnonzero((planes != 0).reshape(len(planes), -1).any(axis=1))
 
 
+def _int64_if_fits(planes):
+    """planes as int64 when every entry fits, else as they are."""
+    try:
+        return planes.astype(np.int64)
+    except OverflowError:
+        return planes
+
+
 def _extent(planes):
     """max |entry| as a Python int, read from min and max so that an int64
     minimum is negated only after leaving int64."""
@@ -297,10 +303,7 @@ def _plane_product(ctx, a, b):
     """
     deg, r, k = a.shape
     c = b.shape[2]
-    try:
-        a, b = a.astype(np.int64), b.astype(np.int64)
-    except OverflowError:
-        pass
+    a, b = _int64_if_fits(a), _int64_if_fits(b)
     left, right = _nonzero_planes(a), _nonzero_planes(b)
     if not len(left) or not len(right):
         return np.zeros((deg, r, c), dtype=object)
@@ -308,7 +311,7 @@ def _plane_product(ctx, a, b):
     counts = np.bincount(sums)
     powers = np.flatnonzero(counts)
     counts = counts[powers]
-    fold = ctx._fold[powers]
+    fold = ctx._powers[powers]
     # max|a| max|b| k max_d sum_{i in L, j in R} |x^(i+j)|_d bounds every
     # partial sum of the fold, and of the block sums by i + j too, since
     # every x^s has a coefficient of size at least 1
@@ -365,18 +368,26 @@ class CycloMatrix:
 
     @classmethod
     def identity(cls, ctx, n):
-        return cls.from_zeta_powers(ctx, n, ((i, i, 0) for i in range(n)))
+        return cls.from_zeta_powers(ctx, n, np.arange(n), np.arange(n),
+                                    np.zeros(n, dtype=np.int64))
 
     @classmethod
-    def from_zeta_powers(cls, ctx, n, entries):
-        """sum zeta^e E_{r,c} over the triples (r, c, e) of entries: entries
-        at a repeated position add up, and e is read mod N."""
-        planes = np.zeros((ctx.degree, n, n), dtype=object)
-        terms = ctx._power_terms
-        for r, c, e in entries:
-            for d, x in terms[e % ctx.n]:
-                planes[d, r, c] += x
-        return cls(ctx, n, planes, 1, normalize=False)
+    def from_zeta_powers(cls, ctx, n, rows, cols, exps, table=None, den=1):
+        """sum zeta^e E_{r,c} / den over the integer arrays rows, cols and
+        exps, all of one shape: entries at a repeated position add up, and e
+        is read mod N.  table, when given, replaces zeta^e by the number
+        whose coefficients are table[e mod N], an (N, degree) integer
+        array."""
+        rows, cols, exps = (np.asarray(x, dtype=np.int64).ravel()
+                            for x in (rows, cols, exps))
+        extent = ctx._powers_extent if table is None else _extent(table)
+        terms = (ctx._powers if table is None else table)[exps % ctx.n]
+        # at most len(terms) terms add up at one position
+        dtype = np.int64 if extent * len(terms) < 2 ** 63 else object
+        planes = np.zeros((n * n, ctx.degree), dtype=dtype)
+        np.add.at(planes, rows * n + cols, terms.astype(dtype, copy=False))
+        planes = planes.T.reshape(-1, n, n).astype(object, order="C")
+        return cls(ctx, n, planes, den)
 
     @classmethod
     def from_entries(cls, ctx, entries):

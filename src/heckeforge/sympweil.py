@@ -9,13 +9,13 @@ All representation matrices are exact, over Q(zeta_{4p}).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
-from .cyclo import CycloContext, CycloMatrix, CyclotomicNumber
-from .ffield import SignValue, _code, _digits, _is_prime
+from .cyclo import (CycloContext, CycloMatrix, CyclotomicNumber, _extent,
+                    _int64_if_fits)
+from .ffield import SignValue, _digits, _is_prime
 
 
 class SympError(ValueError):
@@ -35,6 +35,12 @@ def _sgn_mod_p(a, p):
 
 def _vec_mod(v, p):
     return tuple(x % p for x in v)
+
+
+def _digit_array(p, m):
+    """The digit tuples of the codes 0 .. p^m - 1, low digit first, as the
+    rows of a (p^m, m) int64 array."""
+    return np.arange(p ** m)[:, None] // p ** np.arange(m) % p
 
 
 def _identity_matrix(d):
@@ -226,6 +232,12 @@ class HeisenbergRep:
         self.cyclo = CycloContext(4 * p)
         self.dim = p ** space.n
         self._half = (p + 1) // 2
+        # row vectors times this are their coordinates; the points s of
+        # F_p^n, and the place values of their digits
+        self._coordinates_t = np.array(space._to_coordinates, dtype=np.int64
+                                       ).reshape(space.dim, space.dim).T
+        self._points = _digit_array(p, space.n)
+        self._place = p ** np.arange(space.n)
 
     def _psi_exp(self, a):
         """Exponent e with psi(a) = zeta_{4p}^{4e}."""
@@ -234,32 +246,26 @@ class HeisenbergRep:
     def psi(self, a):
         return self.cyclo.zeta_pow(4 * self._psi_exp(a))
 
-    def _coords(self, elem):
-        """Split (v, a) into e-part x, f-part y in the symplectic basis."""
-        c = self.space.coordinates(elem.v)
-        n = self.space.n
-        return c[:n], c[n:]
-
-    def _monomial(self, elem):
+    def _monomials(self, vs, a=0):
         """rho(v, a) is monomial: column s holds the single entry
-        zeta_{4p}^{exps[s]} in row rows[s].  Returns (rows, exps)."""
-        p = self.space.p
-        n = self.space.n
-        x, y = self._coords(elem)
-        base = elem.a - self._half * sum(xi * yi for xi, yi in zip(x, y))
-        rows, exps = [], []
-        for sidx in range(self.dim):
-            t = [si + yi for si, yi in zip(_digits(sidx, p, n), y)]
-            rows.append(_code(t, p))
-            exps.append(4 * self._psi_exp(
-                base + sum(xi * ti for xi, ti in zip(x, t))))
-        return rows, exps
+        zeta_{4p}^{exps[s]} in row rows[s].  Returns the int64 arrays (rows,
+        exps), one row each per vector of vs (ambient coordinates)."""
+        p, n = self.space.p, self.space.n
+        c = np.asarray(vs, dtype=np.int64) @ self._coordinates_t % p
+        # x, y: the e- and f-parts in the symplectic basis; column s of
+        # rho(v, a) is the point t = s + y with phase a + x t - x y / 2, that
+        # is a + x s + x y / 2 mod p
+        x, y = c[:, :n], c[:, n:]
+        rows = (self._points + y[:, None]) % p @ self._place
+        xy = (x * y).sum(axis=1, keepdims=True)
+        return rows, 4 * self._psi_exp(a + x @ self._points.T
+                                       + self._half * xy)
 
     def operator(self, elem):
         """Exact matrix of rho(v, a)."""
-        rows, exps = self._monomial(elem)
+        rows, exps = self._monomials([elem.v], elem.a)
         return CycloMatrix.from_zeta_powers(
-            self.cyclo, self.dim, zip(rows, range(self.dim), exps))
+            self.cyclo, self.dim, rows[0], np.arange(self.dim), exps[0])
 
     def character(self, elem):
         """Trace of rho(v, a): p^n psi(a) on the center, 0 elsewhere."""
@@ -268,17 +274,12 @@ class HeisenbergRep:
         return self.psi(elem.a) * self.dim
 
     def trace_with(self, mat, elem):
-        """Trace of mat . rho(v, a) = sum_s mat[s, rows[s]] zeta^{exps[s]},
-        accumulated in the group ring Z[Z/4p] and reduced mod Phi_{4p}
-        once."""
-        ctx = self.cyclo
-        rows, exps = self._monomial(elem)
-        entries = {(s, t): [(d, int(c))
-                            for d, c in enumerate(mat.planes[:, s, t]) if c]
-                   for s, t in enumerate(rows)}
-        acc = [0] * ctx.n
-        _add_trace(acc, entries, rows, exps)
-        return CyclotomicNumber(ctx, ctx.reduce(acc), mat.den)
+        """Trace of mat . rho(v, a) = sum_s mat[s, rows[s]] zeta^{exps[s]}:
+        one gather of mat's planes (_trace_sums)."""
+        rows, exps = self._monomials([elem.v], elem.a)
+        (num,) = _trace_sums(self.cyclo, 1, [(mat.planes, rows, exps, [0], 1)])
+        return CyclotomicNumber(self.cyclo, tuple(int(x) for x in num),
+                                mat.den)
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +306,21 @@ class WeilSL2:
         self.rep = rep
         self.p = rep.space.p
         self.cyclo = rep.cyclo
-        # the quadratic Gauss sum G = sum_t psi(t^2)
-        self._gauss = sum((rep.psi(t * t) for t in range(self.p)),
-                          self.cyclo.zero())
+        ctx = self.cyclo
+        self._t = np.arange(self.p)
+        self._grid = np.indices((self.p, self.p))
+        # the quadratic Gauss sum G = sum_t psi(t^2) = sum_t zeta^squares[t];
+        # its coefficients are sums of p rows of the power table, exact in
+        # int64
+        squares = 4 * rep._psi_exp(self._t * self._t)
+        self._gauss = CyclotomicNumber(
+            ctx, tuple(ctx._powers[squares].sum(axis=0).tolist()), 1)
         # the constant of omega(w) is forced by W U(b) W = U(-1/b) W D(b)
         # U(-1/b) (complete the square; the quadratic sum contributes
-        # sgn(b/2) G); 1/G = conj(G)/p since G conj(G) = p
-        self._kappa = self._gauss.conj() * Fraction(_sgn_mod_p(2, self.p),
-                                                    self.p)
+        # sgn(b/2) G); 1/G = conj(G)/p since G conj(G) = p.  Row e of the
+        # table is p kappa zeta^e = sgn(2) sum_t zeta^(e - squares[t])
+        self._kappa_powers = _sgn_mod_p(2, self.p) * ctx._powers[
+            (np.arange(ctx.n)[:, None] - squares) % ctx.n].sum(axis=1)
         self._cache = {}
 
     def __call__(self, g):
@@ -330,16 +338,18 @@ class WeilSL2:
         half = (p + 1) // 2
         # sgn(c), or sgn(a) when c = 0; the sign -1 is zeta_{4p}^{2p}
         sign = 0 if _sgn_mod_p(c or a, p) == 1 else 2 * p
+        t = self._t
         if c == 0:
-            m = CycloMatrix.from_zeta_powers(self.cyclo, p, (
-                (t, a * t % p, sign + 4 * psi_exp(a * b * half * t * t))
-                for t in range(p)))
+            m = CycloMatrix.from_zeta_powers(
+                self.cyclo, p, t, a * t % p,
+                sign + 4 * psi_exp(a * b * half * t * t))
         else:
             k = half * pow(c, p - 2, p)
-            m = CycloMatrix.from_zeta_powers(self.cyclo, p, (
-                (t, s, sign + 4 * psi_exp(k * (a * t * t - 2 * t * s
-                                               + d * s * s)))
-                for t in range(p) for s in range(p))).scale(self._kappa)
+            t, s = self._grid
+            m = CycloMatrix.from_zeta_powers(
+                self.cyclo, p, t, s,
+                sign + 4 * psi_exp(k * (a * t * t - 2 * t * s + d * s * s)),
+                self._kappa_powers, p)
         self._cache[key] = m
         return m
 
@@ -366,20 +376,17 @@ def projective_weil(rep, g):
     if not space.is_symplectic_matrix(g):
         raise SympError("matrix is not symplectic")
     p = space.p
-    dim = rep.dim
-    # rho(gv) and rho(-v) = rho(v)^-1 as monomials, once per v
-    terms = [(rep._monomial(HeisenbergElement(space, linalg.mat_vec(g, v, p),
-                                              0)),
-              rep._monomial(HeisenbergElement(space, [-x for x in v], 0)))
-             for v in space.vectors()]
+    vs = _digit_array(p, space.dim)
+    # rho(gv) and rho(-v) = rho(v)^-1 as monomials, one row per v
+    g_rows, g_exps = rep._monomials(vs @ np.array(g, dtype=np.int64).T % p)
+    v_rows, v_exps = rep._monomials(-vs % p)
     # T = sum_v rho(gv) E_00 rho(-v), where rho(gv) E_00 rho(-v) is column
     # 0 of rho(gv) times row 0 of rho(-v).  T[0, 0] != 0: rho(u)[0, 0] is 1
     # when u lies in the model's Lagrangian L (y(u) = 0) and 0 otherwise, so
     # T[0, 0] = |L cap g^-1 L| >= 1
-    t = CycloMatrix.from_zeta_powers(rep.cyclo, dim, (
-        (g_rows[0], s, g_exps[0] + v_exps[s])
-        for (g_rows, g_exps), (v_rows, v_exps) in terms
-        for s in range(dim) if v_rows[s] == 0))
+    v, s = np.nonzero(v_rows == 0)
+    t = CycloMatrix.from_zeta_powers(rep.cyclo, rep.dim, g_rows[v, 0], s,
+                                     g_exps[v, 0] + v_exps[v, s])
     return t.scale(t.entry(0, 0).inv())
 
 
@@ -456,11 +463,15 @@ def graded_symplectic_split(space, weights):
 
 def _stabilizer_sl2(space, u_basis):
     """The elements of SL_2(F_p), in sl2_elements order, that map the span
-    of the independent u_basis into itself."""
+    of the independent u_basis (no vector or one) into itself: g u lies on
+    the line of u exactly when det(u, g u) = 0."""
     p = space.p
-    return [g for g in sl2_elements(p)
-            if all(_in_span(u_basis, linalg.mat_vec(g, u, p), p)
-                   for u in u_basis)]
+    a, b, c, d = np.indices((p,) * 4).reshape(4, -1)
+    keep = (a * d - b * c) % p == 1
+    for x, y in u_basis:
+        keep &= (x * (c * x + d * y) - y * (a * x + b * y)) % p == 0
+    return [((g[0], g[1]), (g[2], g[3]))
+            for g in np.stack((a, b, c, d), 1)[keep].tolist()]
 
 
 def induction_identity_check(space, u_basis, mode="with_sl2_levi",
@@ -468,133 +479,132 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
     """Exact character comparison for the restriction-vs-induction identity
     of the Heisenberg(-Weil) representation along a totally isotropic U.
 
-    One loop compares, for each triple (g, omega(g), sigma(g)), the trace
-    of omega(g) rho(v) with the induced trace of chi^U(g) sigma(g) on
-    (U-perp)#, at every v.  The mode chooses the group: heisenberg_only is
-    the trivial group (g = 1, omega and sigma the identities; any
-    dimension), with_sl2_levi the stabilizer of U in SL_2(F_p) with omega =
-    sigma the Weil representation (dim V = 2).
+    For each triple (g, omega(g), sigma(g)) the check compares, at every v
+    at once, the trace of omega(g) rho(v) with the induced trace of
+    chi^U(g) sigma(g) on (U-perp)#.  Both sides are gathers of the
+    operators' planes into one integer array with a row over the group ring
+    Z[Z/4p] per v (_trace_sums); the first v whose row is nonzero mod
+    Phi_4p is the witness.  sigma acts on U-perp/U, which is zero when U is
+    Lagrangian: its Heisenberg representation is then the central
+    character, on one dimension.  The mode chooses the group:
+    heisenberg_only is the trivial group (g = 1, omega and sigma the
+    identities; any dimension), with_sl2_levi the stabilizer of U in
+    SL_2(F_p) with omega = sigma the Weil representation (dim V = 2).  The
+    tests keep the entry-by-entry group-ring loop that the gathers replaced
+    (_oracle_group_ring_check) and the character-table comparisons
+    (_oracle_induction_check, _oracle_heisenberg_only) as oracles.
 
     Returns (equal, details): equal is the exact character equality;
-    details carries the dimension bookkeeping and the first witness
+    details carries the dimension bookkeeping (the induced dimension is the
+    number of coset representatives times dim sigma) and the first witness
     (g, (v, 0)) of a difference, or None.
     """
     p = space.p
     u_basis = _span_basis(u_basis, p)
     _require_totally_isotropic(space, u_basis)
     perp, quotient, lifts = isotropic_reduction(space, u_basis)
-    u = len(u_basis)
-    n = space.n
     rep = HeisenbergRep(space, iota)
-    qrep = HeisenbergRep(quotient, iota) if quotient.dim else None
+    qrep = HeisenbergRep(quotient, iota)
     ctx = rep.cyclo
-
-    induced_dim = p ** u * p ** ((space.dim - 2 * u) // 2)
-    dims_ok = induced_dim == p ** n
+    coset_reps = _complement_transversal(space, perp)
+    induced_dim = len(coset_reps) * qrep.dim
 
     if mode == "heisenberg_only":
         triples = [(_identity_matrix(space.dim),
                     CycloMatrix.identity(ctx, rep.dim),
-                    None if qrep is None
-                    else CycloMatrix.identity(ctx, qrep.dim))]
+                    CycloMatrix.identity(ctx, qrep.dim))]
     elif mode == "with_sl2_levi":
         if quotient.dim not in (0, 2):
             raise SympError("with_sl2_levi requires dim(U-perp/U) in {0, 2}")
         if space.dim != 2:
             raise SympError("with_sl2_levi is implemented for dim V = 2")
         weil = WeilSL2(rep)
-        # qrep exists only for U = 0, where the quotient is V itself and its
-        # Weil operator is omega(g); built lazily, as a failure stops early
-        triples = ((g, omega, None if qrep is None else omega)
+        # sigma(g) is omega(g) for U = 0, where the quotient is V itself,
+        # and the identity of the one-dimensional quotient representation
+        # for a line; omega is built lazily, as a failure stops early
+        trivial = None if quotient.dim else CycloMatrix.identity(ctx, 1)
+        triples = ((g, omega, omega if trivial is None else trivial)
                    for g in _stabilizer_sl2(space, u_basis)
                    for omega in [weil(_basis_coords(space, g))])
     else:
         raise SympError(f"unknown mode {mode!r}")
 
-    perp_cols = linalg.transpose(lifts + u_basis)
-    big_n = ctx.n
+    vecs = _digit_array(p, space.dim)
+    rows, exps = rep._monomials(vecs)
+    # coordinates in the basis lifts + u_basis + a complement of U-perp: v
+    # lies in U-perp when its complement coordinates vanish, and its lift
+    # coordinates name its image in U-perp/U
+    basis = _span_basis(lifts + u_basis + list(_identity_matrix(space.dim)),
+                        p)
+    coords = vecs @ np.array(linalg.mat_inv(linalg.transpose(basis), p),
+                             dtype=np.int64).T % p
+    in_perp = ~coords[:, len(perp):].any(axis=1)
+    q_rows, q_exps = qrep._monomials(coords[:, :len(lifts)])
+    reps = np.array(coset_reps, dtype=np.int64).reshape(-1, space.dim)
+    form = np.array(space.form, dtype=np.int64)
+    place = p ** np.arange(space.dim)
+    every = np.arange(len(vecs))
+    at = np.broadcast_to(every, (len(reps), len(vecs)))
     half = (p + 1) // 2
-    vectors = list(space.vectors())
-    columns = [rep._monomial(HeisenbergElement(space, v, 0)) for v in vectors]
-    # the sigma-term of each vector of U-perp at central part 0: the
-    # monomial columns of the quotient representation, or None for psi
-    sigma_columns = {}
-    for v in vectors:
-        # coordinates of v-bar in the lifted basis of U-perp/U, or None
-        # when v is not in U-perp
-        sol = linalg.solve(perp_cols, v, p)
-        if sol is not None:
-            sigma_columns[v] = None if qrep is None else qrep._monomial(
-                HeisenbergElement(quotient, sol[:len(lifts)], 0))
-    coset_reps = _complement_transversal(space, perp)
 
     def first_failure():
         for g, omega, sigma in triples:
-            ginv = linalg.mat_inv(g, p)
             chi = 1
             if include_chi and u_basis:
                 chi = int(_det_sign(space, g, u_basis))
-            # compare lhs / omega.den with rhs / sigma_den crosswise
-            if sigma is None:
-                sigma_den, sigma_g = 1, None
-            else:
-                sigma_den = sigma.den
-                sigma_g = _sparse_entries(sigma, chi * omega.den)
-            lhs_g = _sparse_entries(omega, sigma_den)
             # r = (1, (w, 0)):  r^{-1} (g, (v, a)) r = (g, (v + l + w, a + c))
-            # with l = -g^{-1} w and c = half (<l - w, v> + <l, w>)
-            shifts = []
-            for w in coset_reps:
-                l = tuple((-x) % p for x in linalg.mat_vec(ginv, w, p))
-                lw = linalg.vec_sub(l, w, p)
-                row = [sum(lw[i] * space.form[i][j] for i in range(space.dim))
-                       for j in range(space.dim)]
-                shifts.append((linalg.vec_add(l, w, p), row,
-                               space.pairing(l, w)))
-            for v, (rows, exps) in zip(vectors, columns):
-                lhs = [0] * big_n
-                _add_trace(lhs, lhs_g, rows, exps)
-                rhs = [0] * big_n
-                for shift, row, const in shifts:
-                    conj_v = linalg.vec_add(v, shift, p)
-                    if conj_v not in sigma_columns:
-                        continue
-                    k = 4 * rep._psi_exp(
-                        half * (sum(r * x for r, x in zip(row, v)) + const))
-                    if sigma_g is None:
-                        rhs[k] += chi * omega.den
-                    else:
-                        _add_trace(rhs, sigma_g, *sigma_columns[conj_v], k)
-                # psi(a) multiplies both sides by a unit of Z[zeta_4p], so
-                # the sides agree at every a exactly when they agree at a = 0
-                if any(ctx.reduce([x - y for x, y in zip(lhs, rhs)])):
-                    return g, (v, 0)
+            # with l = -g^{-1} w and c = half (<l - w, v> + <l, w>): the code
+            # of each conjugate, and its phase exponent, per (w, v)
+            ls = -reps @ np.array(linalg.mat_inv(g, p), dtype=np.int64).T % p
+            conj = (vecs + (ls + reps)[:, None]) % p @ place
+            const = ((ls @ form) * reps).sum(axis=1, keepdims=True)
+            k = 4 * rep._psi_exp(half * ((ls - reps) @ form @ vecs.T + const))
+            inside = in_perp[conj]
+            sums = _trace_sums(ctx, len(vecs), [
+                (omega.planes, rows, exps, every, sigma.den),
+                (sigma.planes, q_rows[conj[inside]],
+                 q_exps[conj[inside]] + k[inside][:, None], at[inside],
+                 -chi * omega.den)])
+            # psi(a) multiplies both sides by a unit of Z[zeta_4p], so the
+            # sides agree at every a exactly when they agree at a = 0
+            bad = np.flatnonzero((sums != 0).any(axis=1))
+            if len(bad):
+                return g, (_digits(int(bad[0]), p, space.dim), 0)
         return None
 
     witness = first_failure()
-    return witness is None and dims_ok, {
-        "induced_dim": induced_dim, "rep_dim": p ** n, "witness": witness}
+    return witness is None and induced_dim == rep.dim, {
+        "induced_dim": induced_dim, "rep_dim": rep.dim, "witness": witness}
 
 
-def _sparse_entries(mat, scale=1):
-    """The nonzero entries of scale * mat's planes: {(s, t): [(d, c), ...]}
-    with int c, meaning mat[s, t] = sum c zeta^d / mat.den."""
-    out = {}
-    planes = mat.planes
-    for d, s, t in zip(*np.nonzero(planes)):
-        out.setdefault((int(s), int(t)), []).append(
-            (int(d), scale * int(planes[d, s, t])))
-    return out
+def _trace_sums(ctx, size, terms):
+    """Sums of traces as (size x degree) power-basis rows: each term
+    (planes, rows, exps, at, scale) adds scale trace(mat . m_b) to row
+    at[b], for the matrix mat with the integer planes and the monomials
+    m_b whose column s holds zeta^exps[b, s] in row rows[b, s].
 
-
-def _add_trace(acc, entries, rows, exps, shift=0):
-    """acc += zeta^shift trace(mat . m) in the group ring Z[Z/len(acc)],
-    for mat given by its sparse entries and m monomial with column s
-    holding zeta^exps[s] in row rows[s]."""
-    n = len(acc)
-    for s, (t, e) in enumerate(zip(rows, exps)):
-        for d, c in entries.get((s, t), ()):
-            acc[(d + e + shift) % n] += c
+    The entry planes[d, s, rows[b, s]] is gathered to d + exps[b, s] in a
+    (size x 2N) array over the group ring Z[Z/N] (exps read mod N), and one
+    product with the table of x^k mod Phi_N, k < 2N, reduces its rows.
+    This runs in int64 when an exact bound shows that no partial sum can
+    overflow, and on Python ints otherwise.
+    """
+    width = 2 * ctx.n
+    planes_of = [_int64_if_fits(planes) for planes, *_ in terms]
+    # 2N max|x^k| times the sum of all |terms| bounds every partial sum
+    bound = width * ctx._powers_extent * sum(
+        _extent(planes) * abs(scale) * len(planes) * rows.size
+        for planes, (_, rows, _, _, scale) in zip(planes_of, terms))
+    dtype = np.int64 if bound < 2 ** 63 else object
+    acc = np.zeros(size * width, dtype=dtype)
+    for planes, (_, rows, exps, at, scale) in zip(planes_of, terms):
+        deg, dim, _ = planes.shape
+        d = np.arange(deg)[:, None, None]
+        cells = d * dim * dim + np.arange(dim) * dim + rows
+        spots = d + (np.asarray(at)[:, None] * width + exps % ctx.n)
+        np.add.at(acc, spots.ravel(), planes.astype(dtype, copy=False)
+                  .ravel()[cells.ravel()] * scale)
+    return acc.reshape(size, width) @ ctx._powers.astype(dtype)
 
 
 def _complement_transversal(space, perp):
@@ -615,7 +625,7 @@ def _basis_coords(space, g):
         return ()
     p = space.p
     c = linalg.transpose(space.basis)
-    return linalg.mat_mul(linalg.mat_mul(linalg.mat_inv(c, p), g, p), c, p)
+    return linalg.mat_mul(linalg.mat_mul(space._to_coordinates, g, p), c, p)
 
 
 def heisenberg_rep(space, iota=None):

@@ -117,8 +117,9 @@ def test_matrix_identity_and_proportionality():
 @given(st.sampled_from([3, 4, 5, 8, 12, 20]),
        st.integers(1, 4), st.data())
 def test_from_zeta_powers_matches_sums_of_zeta_pow(conductor, n, data):
-    # repeated positions add up and exponents are read mod N, whatever
-    # integer type they come in
+    # repeated positions add up and exponents are read mod N, whether the
+    # indices come as lists or as int64 arrays; a table whose row e is
+    # c zeta^e, over den, puts c zeta^e / den at each position instead
     ctx = CycloContext(conductor)
     index = st.integers(0, n - 1)
     exponent = st.integers(-3 * conductor, 3 * conductor)
@@ -126,15 +127,25 @@ def test_from_zeta_powers_matches_sums_of_zeta_pow(conductor, n, data):
                                  max_size=3 * n * n))
     entries += data.draw(st.lists(st.sampled_from(entries), max_size=4)
                          if entries else st.just([]))
+    rows, cols, exps = ([e[i] for e in entries] for i in range(3))
     if data.draw(st.booleans()):
-        entries = [tuple(np.int64(x) for x in e) for e in entries]
+        rows, cols, exps = (np.array(x, dtype=np.int64)
+                            for x in (rows, cols, exps))
+    c = CyclotomicNumber(ctx, data.draw(st.lists(
+        st.integers(-9, 9), min_size=ctx.degree, max_size=ctx.degree)), 1)
+    den = data.draw(st.integers(1, 6))
+    table = np.array([(c * ctx.zeta_pow(e)).num for e in range(conductor)])
     want = [[ctx.zero() for _ in range(n)] for _ in range(n)]
-    for r, c, e in entries:
-        want[r][c] = want[r][c] + ctx.zeta_pow(int(e))
-    got = CycloMatrix.from_zeta_powers(ctx, n, entries)
-    assert got == CycloMatrix.from_entries(ctx, want)
-    assert got.planes.dtype == object
-    assert all(type(x) is int for x in got.planes.flat)
+    for r, col, e in entries:
+        want[r][col] = want[r][col] + ctx.zeta_pow(int(e))
+    scaled = [[x * c / den for x in row] for row in want]
+    for got, expected in (
+            (CycloMatrix.from_zeta_powers(ctx, n, rows, cols, exps), want),
+            (CycloMatrix.from_zeta_powers(ctx, n, rows, cols, exps, table,
+                                          den), scaled)):
+        assert got == CycloMatrix.from_entries(ctx, expected)
+        assert got.planes.dtype == object
+        assert all(type(x) is int for x in got.planes.flat)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -523,9 +524,9 @@ def test_induction_trivial_subspace_builds_each_weil_operator_once(
     calls = []
     build = CycloMatrix.from_zeta_powers.__func__
 
-    def counted(cls, ctx, n, entries):
+    def counted(cls, *args):
         calls.append(1)
-        return build(cls, ctx, n, entries)
+        return build(cls, *args)
     monkeypatch.setattr(CycloMatrix, "from_zeta_powers", classmethod(counted))
     V = SymplecticSpace.standard(p, 1)
     w = WeilSL2(HeisenbergRep(V))
@@ -581,7 +582,8 @@ def _oracle_trace_with(rep, mat, elem):
     """Trace of mat . rho(v, a) summed entry by entry in Q(zeta_{4p})."""
     p = rep.space.p
     n = rep.space.n
-    x, y = rep._coords(elem)
+    c = rep.space.coordinates(elem.v)
+    x, y = c[:n], c[n:]
     acc = rep.cyclo.zero()
     for sidx in range(rep.dim):
         s = []
@@ -814,8 +816,231 @@ def test_heisenberg_only_fails_on_a_short_transversal(monkeypatch, n,
     ident = tuple(tuple(int(i == j) for j in range(V.dim))
                   for i in range(V.dim))
     assert not equal and details["witness"] == (ident, (zero, 0))
+    # the induced dimension counts the representatives the check used
+    assert details["induced_dim"] == 3 ** n - 3 ** (n - len(u_basis))
     assert _oracle_heisenberg_only(V, u_basis, transversal=short) == (
         False, (zero, 0))
+    assert _oracle_group_ring_check(V, u_basis, "heisenberg_only",
+                                    transversal=short) == (
+        False, (ident, (zero, 0)))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the loops over points and entries that the array gathers replaced
+
+
+def _oracle_monomial(rep, elem):
+    """rho(v, a)'s monomial columns (rows, exps), point by point: column s
+    holds zeta^{exps[s]} in row rows[s]."""
+    p, n = rep.space.p, rep.space.n
+    c = rep.space.coordinates(elem.v)
+    x, y = c[:n], c[n:]
+    base = elem.a - rep._half * sum(xi * yi for xi, yi in zip(x, y))
+    rows, exps = [], []
+    for sidx in range(rep.dim):
+        t = [(sidx // p ** i + yi) % p for i, yi in enumerate(y)]
+        rows.append(sum(ti * p ** i for i, ti in enumerate(t)))
+        exps.append(4 * rep._psi_exp(
+            base + sum(xi * ti for xi, ti in zip(x, t))))
+    return rows, exps
+
+
+@pytest.mark.parametrize("p,n,unit", [(3, 1, 2), (5, 1, 3), (3, 2, 1),
+                                      (5, 2, 2)])
+def test_monomials_match_the_pointwise_oracle(p, n, unit):
+    change = {1: ((2, 1), (1, 1)),
+              2: ((1, 1, 0, 2), (0, 1, 1, 0), (1, 0, 1, 1), (0, 0, 0, 1))}[n]
+    J = SymplecticSpace.standard(p, n).form
+    at = tuple(zip(*change))
+    for V in (SymplecticSpace.standard(p, n),
+              SymplecticSpace(p, linalg.mat_mul(linalg.mat_mul(at, J, p),
+                                                change, p))):
+        rep = HeisenbergRep(V, CentralCharacterChoice(p, unit))
+        vs = list(V.vectors())
+        for a in (0, p - 1):
+            rows, exps = rep._monomials(vs, a)
+            for v, r, e in zip(vs, rows, exps):
+                assert (r.tolist(), e.tolist()) == _oracle_monomial(
+                    rep, HeisenbergElement(V, v, a))
+
+
+def _sparse_entries(mat, scale=1):
+    """The nonzero entries of scale * mat's planes: {(s, t): [(d, c), ...]}
+    with int c, meaning mat[s, t] = sum c zeta^d / mat.den."""
+    out = {}
+    planes = mat.planes
+    for d, s, t in zip(*np.nonzero(planes)):
+        out.setdefault((int(s), int(t)), []).append(
+            (int(d), scale * int(planes[d, s, t])))
+    return out
+
+
+def _add_trace(acc, entries, rows, exps, shift=0):
+    """acc += zeta^shift trace(mat . m) in the group ring Z[Z/len(acc)],
+    for mat given by its sparse entries and m monomial with column s
+    holding zeta^exps[s] in row rows[s]."""
+    n = len(acc)
+    for s, (t, e) in enumerate(zip(rows, exps)):
+        for d, c in entries.get((s, t), ()):
+            acc[(d + e + shift) % n] += c
+
+
+def _oracle_group_ring_check(space, u_basis, mode="with_sl2_levi",
+                             include_chi=True, iota=None, transversal=None):
+    """(equal, witness) of induction_identity_check by one loop over the
+    triples (g, omega(g), sigma(g)), the vectors v and the coset
+    representatives, with each trace summed entry by entry in the group
+    ring Z[Z/4p] and reduced mod Phi_4p."""
+    p = space.p
+    u_basis = _span_basis(u_basis, p)
+    perp, quotient, lifts = isotropic_reduction(space, u_basis)
+    rep = HeisenbergRep(space, iota)
+    qrep = HeisenbergRep(quotient, iota) if quotient.dim else None
+    ctx = rep.cyclo
+    if mode == "heisenberg_only":
+        ident = tuple(tuple(int(i == j) for j in range(space.dim))
+                      for i in range(space.dim))
+        triples = [(ident, CycloMatrix.identity(ctx, rep.dim),
+                    None if qrep is None
+                    else CycloMatrix.identity(ctx, qrep.dim))]
+    else:
+        weil = WeilSL2(rep)
+        triples = ((g, omega, None if qrep is None else omega)
+                   for g in _oracle_stabilizer(space, u_basis)
+                   for omega in [weil(_basis_coords(space, g))])
+    perp_cols = linalg.transpose(lifts + u_basis)
+    big_n = ctx.n
+    half = (p + 1) // 2
+    vectors = list(space.vectors())
+    columns = [_oracle_monomial(rep, HeisenbergElement(space, v, 0))
+               for v in vectors]
+    sigma_columns = {}
+    for v in vectors:
+        sol = linalg.solve(perp_cols, v, p)
+        if sol is not None:
+            sigma_columns[v] = None if qrep is None else _oracle_monomial(
+                qrep, HeisenbergElement(quotient, sol[:len(lifts)], 0))
+    if transversal is None:
+        transversal = _complement_transversal(space, perp)
+    for g, omega, sigma in triples:
+        ginv = linalg.mat_inv(g, p)
+        chi = 1
+        if include_chi and u_basis:
+            chi = int(_det_sign(space, g, u_basis))
+        if sigma is None:
+            sigma_den, sigma_g = 1, None
+        else:
+            sigma_den = sigma.den
+            sigma_g = _sparse_entries(sigma, chi * omega.den)
+        lhs_g = _sparse_entries(omega, sigma_den)
+        shifts = []
+        for w in transversal:
+            l = tuple((-x) % p for x in linalg.mat_vec(ginv, w, p))
+            lw = linalg.vec_sub(l, w, p)
+            row = [sum(lw[i] * space.form[i][j] for i in range(space.dim))
+                   for j in range(space.dim)]
+            shifts.append((linalg.vec_add(l, w, p), row,
+                           space.pairing(l, w)))
+        for v, (rows, exps) in zip(vectors, columns):
+            lhs = [0] * big_n
+            _add_trace(lhs, lhs_g, rows, exps)
+            rhs = [0] * big_n
+            for shift, row, const in shifts:
+                conj_v = linalg.vec_add(v, shift, p)
+                if conj_v not in sigma_columns:
+                    continue
+                k = 4 * rep._psi_exp(
+                    half * (sum(r * x for r, x in zip(row, v)) + const))
+                if sigma_g is None:
+                    rhs[k] += chi * omega.den
+                else:
+                    _add_trace(rhs, sigma_g, *sigma_columns[conj_v], k)
+            if any(ctx.reduce([x - y for x, y in zip(lhs, rhs)])):
+                return False, (g, (v, 0))
+    return True, None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("include_chi", [True, False])
+def test_induction_check_matches_the_group_ring_oracle_on_every_line(
+        p, include_chi):
+    V = SymplecticSpace.standard(p, 1)
+    for line in _lines(p):
+        equal, details = induction_identity_check(
+            V, [line], "with_sl2_levi", include_chi)
+        assert (equal, details["witness"]) == _oracle_group_ring_check(
+            V, [line], include_chi=include_chi)
+        assert equal is include_chi
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_induction_check_matches_the_group_ring_oracle_trivial_subspace(p):
+    V = SymplecticSpace.standard(p, 1)
+    equal, details = induction_identity_check(V, [], "with_sl2_levi")
+    assert (equal, details["witness"]) == _oracle_group_ring_check(V, [])
+    assert details == {"induced_dim": p, "rep_dim": p, "witness": None}
+
+
+@pytest.mark.parametrize("p,unit", [(5, 2), (7, 3)])
+def test_induction_check_matches_the_group_ring_oracle_nondefault_iota(
+        p, unit):
+    V = SymplecticSpace.standard(p, 1)
+    iota = CentralCharacterChoice(p, unit)
+    for u_basis in [[]] + [[line] for line in _lines(p)]:
+        for include_chi in (True, False):
+            equal, details = induction_identity_check(
+                V, u_basis, "with_sl2_levi", include_chi, iota)
+            assert (equal, details["witness"]) == _oracle_group_ring_check(
+                V, u_basis, include_chi=include_chi, iota=iota)
+
+
+@pytest.mark.parametrize("p,n,u_basis", _heisenberg_only_cases())
+def test_heisenberg_only_matches_the_group_ring_oracle(p, n, u_basis):
+    V = SymplecticSpace.standard(p, n)
+    for include_chi in (True, False):
+        equal, details = induction_identity_check(
+            V, u_basis, "heisenberg_only", include_chi)
+        assert (equal, details["witness"]) == _oracle_group_ring_check(
+            V, u_basis, "heisenberg_only", include_chi) == (True, None)
+
+
+# int64's edges and entries beyond it, which force Python ints; sums of a
+# few 2^62 already leave int64
+EDGE_ENTRIES = [2 ** 62, -2 ** 62, 2 ** 63 - 1, -2 ** 63, 2 ** 63,
+                -2 ** 64 - 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (3, 2)]), st.data())
+def test_trace_with_matches_dense_trace_on_random_matrices(case, data):
+    p, n = case
+    V = SymplecticSpace.standard(p, n)
+    rep = HeisenbergRep(V, CentralCharacterChoice(
+        p, data.draw(st.integers(1, p - 1))))
+    size = rep.cyclo.degree * rep.dim * rep.dim
+    entry = st.one_of(st.integers(-9, 9), st.sampled_from(EDGE_ENTRIES))
+    planes = np.array(data.draw(st.lists(entry, min_size=size,
+                                         max_size=size)), dtype=object)
+    mat = CycloMatrix(rep.cyclo, rep.dim,
+                      planes.reshape(-1, rep.dim, rep.dim),
+                      data.draw(st.integers(1, 5)))
+    coordinate = st.integers(0, p - 1)
+    h = HeisenbergElement(V, data.draw(st.tuples(*[coordinate] * V.dim)),
+                          data.draw(coordinate))
+    assert rep.trace_with(mat, h) == (mat @ rep.operator(h)).trace()
+
+
+@pytest.mark.parametrize("entry", [2 ** 62, -2 ** 63, 2 ** 70])
+def test_trace_with_leaves_int64_when_the_sums_do(entry):
+    # every gathered entry is the same, so the trace at v = 0 is p entries
+    # times a sum of zeta powers: a sum of p copies of 2^62 leaves int64
+    V = SymplecticSpace.standard(5, 1)
+    rep = HeisenbergRep(V)
+    planes = np.full((rep.cyclo.degree, 5, 5), entry, dtype=object)
+    mat = CycloMatrix(rep.cyclo, 5, planes, normalize=False)
+    for v in ((0, 0), (1, 2)):
+        h = HeisenbergElement(V, v, 3)
+        assert rep.trace_with(mat, h) == (mat @ rep.operator(h)).trace()
 
 
 def test_induction_check_keeps_its_errors():
