@@ -3,12 +3,13 @@
 Numbers are integer coefficient vectors in the power basis of the N-th
 cyclotomic polynomial together with a positive common denominator, so all
 representation-theoretic identities are checked with zero tolerance.
-Matrices keep one integer numpy plane per basis power.  A product of two
-matrices, or of a matrix by a scalar, is one stacked integer matrix product
-of all nonzero planes; its blocks are summed by i + j and folded into the
-output planes by x^(i+j) mod Phi_N.
-It runs in int64 when an exact bound rules out overflow and on Python ints
-otherwise; the stored planes are Python ints either way.
+Matrices keep one integer numpy plane per basis power, stored as int64
+when every entry fits and as an object array of Python ints otherwise; the
+dtype is the only flag.  A product of two matrices, or of a matrix by a
+scalar, is one stacked integer matrix product of all nonzero planes; its
+blocks are summed by i + j and folded into the output planes by x^(i+j) mod
+Phi_N.  Every operation runs in int64 only when an exact bound rules out
+overflow, and on Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -277,11 +278,19 @@ def _nonzero_planes(planes):
 
 
 def _int64_if_fits(planes):
-    """planes as int64 when every entry fits, else as they are."""
+    """planes as int64 when every entry fits, else as they are; int64 planes
+    are not copied."""
     try:
-        return planes.astype(np.int64)
+        return planes.astype(np.int64, copy=False)
     except OverflowError:
         return planes
+
+
+def _negated(planes):
+    """-planes, on Python ints when an int64 entry is INT64_MIN."""
+    if planes.dtype != object and planes.min() == -2 ** 63:
+        planes = planes.astype(object)
+    return -planes
 
 
 def _extent(planes):
@@ -298,15 +307,14 @@ def _plane_product(ctx, a, b):
     stacked (L r) x k by k x (R c) matrix product.  The blocks are summed by
     i + j, and one product with the rows x^(i+j) mod Phi_N sends those sums
     to the deg output planes.  This runs in int64 when an exact bound shows
-    that no partial sum can overflow, and on Python ints otherwise; the
-    result is an object array either way.
+    that no partial sum can overflow (an object operand has an entry beyond
+    int64, which breaks the bound), and on Python ints otherwise.
     """
     deg, r, k = a.shape
     c = b.shape[2]
-    a, b = _int64_if_fits(a), _int64_if_fits(b)
     left, right = _nonzero_planes(a), _nonzero_planes(b)
     if not len(left) or not len(right):
-        return np.zeros((deg, r, c), dtype=object)
+        return np.zeros((deg, r, c), dtype=np.int64)
     sums = (left[:, None] + right).ravel()
     counts = np.bincount(sums)
     powers = np.flatnonzero(counts)
@@ -330,8 +338,7 @@ def _plane_product(ctx, a, b):
         order = np.argsort(sums, kind="stable")
         blocks = np.add.reduceat(blocks[order], np.cumsum(counts) - counts,
                                  axis=0)
-    planes = fold.T @ blocks
-    return planes.reshape(deg, r, c).astype(object, copy=False)
+    return (fold.T @ blocks).reshape(deg, r, c)
 
 
 class CycloMatrix:
@@ -343,50 +350,57 @@ class CycloMatrix:
     def __init__(self, ctx, n, planes, den=1, normalize=True):
         self.ctx = ctx
         self.n = n
-        self.planes = planes  # numpy object array (degree, n, n)
+        # (degree, n, n): int64 when every entry fits, else Python ints
+        self.planes = _int64_if_fits(planes)
         self.den = den
         if normalize:
             self._normalize()
 
     def _normalize(self):
         if self.den < 0:
-            self.planes = -self.planes
+            self.planes = _int64_if_fits(_negated(self.planes))
             self.den = -self.den
-        g = self.den
-        for v in self.planes.flat:
-            g = gcd(g, int(v))
-            if g == 1:
-                return
+        if self.den == 1:
+            return
+        # np.gcd returns 2^63 as INT64_MIN, which math.gcd reads as 2^63
+        g = gcd(self.den, int(np.gcd.reduce(self.planes, axis=None)))
         if g > 1:
-            self.planes = self.planes // g
+            planes = self.planes if g < 2 ** 63 else self.planes.astype(object)
+            self.planes = _int64_if_fits(planes // g)
             self.den //= g
 
     @classmethod
     def zeros(cls, ctx, n):
-        planes = np.zeros((ctx.degree, n, n), dtype=object)
+        planes = np.zeros((ctx.degree, n, n), dtype=np.int64)
         return cls(ctx, n, planes, 1, normalize=False)
 
     @classmethod
     def identity(cls, ctx, n):
         return cls.from_zeta_powers(ctx, n, np.arange(n), np.arange(n),
-                                    np.zeros(n, dtype=np.int64))
+                                    np.zeros(n, dtype=np.int64),
+                                    distinct=True)
 
     @classmethod
-    def from_zeta_powers(cls, ctx, n, rows, cols, exps, table=None, den=1):
+    def from_zeta_powers(cls, ctx, n, rows, cols, exps, table=None, den=1,
+                         distinct=False):
         """sum zeta^e E_{r,c} / den over the integer arrays rows, cols and
         exps, all of one shape: entries at a repeated position add up, and e
         is read mod N.  table, when given, replaces zeta^e by the number
         whose coefficients are table[e mod N], an (N, degree) integer
-        array."""
+        array.  distinct=True promises that no position repeats, so that
+        one assignment writes every term."""
         rows, cols, exps = (np.asarray(x, dtype=np.int64).ravel()
                             for x in (rows, cols, exps))
         extent = ctx._powers_extent if table is None else _extent(table)
-        terms = (ctx._powers if table is None else table)[exps % ctx.n]
-        # at most len(terms) terms add up at one position
-        dtype = np.int64 if extent * len(terms) < 2 ** 63 else object
-        planes = np.zeros((n * n, ctx.degree), dtype=dtype)
-        np.add.at(planes, rows * n + cols, terms.astype(dtype, copy=False))
-        planes = planes.T.reshape(-1, n, n).astype(object, order="C")
+        terms = (ctx._powers if table is None else table)[exps % ctx.n].T
+        # at most len(exps) terms add up at one position
+        dtype = np.int64 if extent * len(exps) < 2 ** 63 else object
+        planes = np.zeros((ctx.degree, n, n), dtype=dtype)
+        if distinct:
+            planes[:, rows, cols] = terms
+        else:
+            np.add.at(planes, (slice(None), rows, cols),
+                      terms.astype(dtype, copy=False))
         return cls(ctx, n, planes, den)
 
     @classmethod
@@ -412,9 +426,7 @@ class CycloMatrix:
         return cls(ctx, n, planes, den)
 
     def entry(self, i, j):
-        return CyclotomicNumber(self.ctx,
-                                tuple(int(self.planes[d, i, j])
-                                      for d in range(self.ctx.degree)),
+        return CyclotomicNumber(self.ctx, self.planes[:, i, j].tolist(),
                                 self.den)
 
     def __matmul__(self, other):
@@ -426,15 +438,21 @@ class CycloMatrix:
     def __add__(self, other):
         if self.ctx != other.ctx or self.n != other.n:
             raise CycloError("matrix context mismatch")
-        d = self.den * other.den
-        planes = self.planes * other.den + other.planes * self.den
-        return CycloMatrix(self.ctx, self.n, planes, d)
+        a, b = self.planes, other.planes
+        # (max|a| + 1) other.den + (max|b| + 1) self.den bounds every entry
+        # of the sum, and both denominators
+        if a.dtype != b.dtype or (
+                a.dtype != object and (_extent(a) + 1) * other.den
+                + (_extent(b) + 1) * self.den >= 2 ** 63):
+            a, b = a.astype(object), b.astype(object)
+        return CycloMatrix(self.ctx, self.n, a * other.den + b * self.den,
+                           self.den * other.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return CycloMatrix(self.ctx, self.n, -self.planes, self.den,
+        return CycloMatrix(self.ctx, self.n, _negated(self.planes), self.den,
                            normalize=False)
 
     def scale(self, c):
@@ -443,25 +461,22 @@ class CycloMatrix:
             c = self.ctx.from_rational(c)
         deg, n = self.ctx.degree, self.n
         # c's coefficients are 1x1 planes acting on the planes viewed as rows
-        coeffs = np.array(c.num, dtype=object).reshape(deg, 1, 1)
+        coeffs = _int64_if_fits(np.array(c.num, dtype=object)
+                                ).reshape(deg, 1, 1)
         planes = _plane_product(self.ctx, coeffs,
                                 self.planes.reshape(deg, 1, n * n))
         return CycloMatrix(self.ctx, n, planes.reshape(deg, n, n),
                            self.den * c.den)
 
     def trace(self):
-        deg = self.ctx.degree
-        return CyclotomicNumber(
-            self.ctx,
-            tuple(int(sum(self.planes[d, i, i] for i in range(self.n)))
-                  for d in range(deg)),
-            self.den)
+        diagonal = self.planes.diagonal(axis1=1, axis2=2).astype(object)
+        return CyclotomicNumber(self.ctx, diagonal.sum(axis=1).tolist(),
+                                self.den)
 
     def conj_transpose(self):
         deg = self.ctx.degree
         planes = np.zeros((deg, self.n, self.n), dtype=object)
-        for d in range(deg):
-            m = self.planes[d]
+        for d, m in enumerate(self.planes.astype(object)):
             if not m.any():
                 continue
             row = self.ctx.power_table[(self.ctx.n - d) % self.ctx.n]

@@ -13,8 +13,7 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .cyclo import (CycloContext, CycloMatrix, CyclotomicNumber, _extent,
-                    _int64_if_fits)
+from .cyclo import CycloContext, CycloMatrix, CyclotomicNumber, _extent
 from .ffield import SignValue, _digits, _is_prime
 
 
@@ -265,7 +264,8 @@ class HeisenbergRep:
         """Exact matrix of rho(v, a)."""
         rows, exps = self._monomials([elem.v], elem.a)
         return CycloMatrix.from_zeta_powers(
-            self.cyclo, self.dim, rows[0], np.arange(self.dim), exps[0])
+            self.cyclo, self.dim, rows[0], np.arange(self.dim), exps[0],
+            distinct=True)
 
     def character(self, elem):
         """Trace of rho(v, a): p^n psi(a) on the center, 0 elsewhere."""
@@ -590,14 +590,14 @@ def _trace_sums(ctx, size, terms):
     overflow, and on Python ints otherwise.
     """
     width = 2 * ctx.n
-    planes_of = [_int64_if_fits(planes) for planes, *_ in terms]
-    # 2N max|x^k| times the sum of all |terms| bounds every partial sum
+    # 2N max|x^k| times the sum of all |terms| bounds every partial sum;
+    # object planes hold an entry beyond int64, so they break it
     bound = width * ctx._powers_extent * sum(
         _extent(planes) * abs(scale) * len(planes) * rows.size
-        for planes, (_, rows, _, _, scale) in zip(planes_of, terms))
+        for planes, rows, _, _, scale in terms)
     dtype = np.int64 if bound < 2 ** 63 else object
     acc = np.zeros(size * width, dtype=dtype)
-    for planes, (_, rows, exps, at, scale) in zip(planes_of, terms):
+    for planes, rows, exps, at, scale in terms:
         deg, dim, _ = planes.shape
         d = np.arange(deg)[:, None, None]
         cells = d * dim * dim + np.arange(dim) * dim + rows

@@ -9,6 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from heckeforge import (CycloError, CycloContext, CyclotomicNumber,
                         CycloMatrix, cyclotomic_polynomial)
+from heckeforge.cyclo import _extent, _nonzero_planes
+
+
+def _stored_canonically(m):
+    """The storage contract: int64 planes when every entry fits, else an
+    object array of Python ints with an entry beyond int64."""
+    if m.planes.dtype == np.int64:
+        return True
+    values = list(m.planes.flat)
+    return (m.planes.dtype == object
+            and all(type(x) is int for x in values)
+            and not all(-2 ** 63 <= x < 2 ** 63 for x in values))
 
 
 def test_cyclotomic_polynomials():
@@ -144,8 +156,7 @@ def test_from_zeta_powers_matches_sums_of_zeta_pow(conductor, n, data):
             (CycloMatrix.from_zeta_powers(ctx, n, rows, cols, exps, table,
                                           den), scaled)):
         assert got == CycloMatrix.from_entries(ctx, expected)
-        assert got.planes.dtype == object
-        assert all(type(x) is int for x in got.planes.flat)
+        assert _stored_canonically(got)
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +186,16 @@ def _oracle_fold(ctx, conv, n):
 
 
 def _oracle_matmul(a, b):
-    """a @ b, one plane product a_i @ b_j at a time."""
+    """a @ b, one plane product a_i @ b_j at a time, on Python ints."""
     deg = a.ctx.degree
+    pa, pb = a.planes.astype(object), b.planes.astype(object)
     conv = [None] * (2 * deg - 1)
     for i in range(deg):
-        if not a.planes[i].any():
+        if not pa[i].any():
             continue
         for j in range(deg):
-            if b.planes[j].any():
-                prod = a.planes[i] @ b.planes[j]
+            if pb[j].any():
+                prod = pa[i] @ pb[j]
                 conv[i + j] = (prod if conv[i + j] is None
                                else conv[i + j] + prod)
     return CycloMatrix(a.ctx, a.n, _oracle_fold(a.ctx, conv, a.n),
@@ -191,16 +203,18 @@ def _oracle_matmul(a, b):
 
 
 def _oracle_scale(m, c):
-    """m.scale(c), one coefficient of c times one plane of m at a time."""
+    """m.scale(c), one coefficient of c times one plane of m at a time, on
+    Python ints."""
     if not isinstance(c, CyclotomicNumber):
         c = m.ctx.from_rational(c)
     deg = m.ctx.degree
+    planes = m.planes.astype(object)
     conv = [None] * (2 * deg - 1)
     for d, coef in enumerate(c.num):
         if coef:
             for k in range(deg):
-                if m.planes[k].any():
-                    t = coef * m.planes[k]
+                if planes[k].any():
+                    t = coef * planes[k]
                     conv[d + k] = (t if conv[d + k] is None
                                    else conv[d + k] + t)
     return CycloMatrix(m.ctx, m.n, _oracle_fold(m.ctx, conv, m.n),
@@ -208,10 +222,9 @@ def _oracle_scale(m, c):
 
 
 def _assert_same(got, want):
-    # planes and den agree, and the planes hold Python ints only
+    # planes and den agree, and the planes are stored canonically
     assert got == want
-    assert got.planes.dtype == object
-    assert all(type(x) is int for x in got.planes.flat)
+    assert _stored_canonically(got)
 
 
 _small = st.integers(-3, 3)
@@ -364,3 +377,246 @@ def test_galois_norm_inverse_matches_elimination(conductor, data):
     got, want = x.inv(), _oracle_inv(x)
     assert (got.num, got.den) == (want.num, want.den)
     assert x * got == ctx.one()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4, 5, 8, 12, 20]), st.integers(1, 4), st.data())
+def test_from_zeta_powers_distinct_matches_the_summing_build(conductor, n,
+                                                             data):
+    # with no repeated position the one-assignment build and the summing
+    # build agree, with the power table and with a table over den
+    ctx = CycloContext(conductor)
+    index = st.integers(0, n - 1)
+    cells = data.draw(st.lists(st.tuples(index, index), unique=True,
+                               max_size=n * n))
+    rows, cols = [r for r, _ in cells], [c for _, c in cells]
+    exps = data.draw(st.lists(st.integers(-3 * conductor, 3 * conductor),
+                              min_size=len(cells), max_size=len(cells)))
+    c = CyclotomicNumber(ctx, data.draw(st.lists(
+        st.integers(-9, 9), min_size=ctx.degree, max_size=ctx.degree)), 1)
+    table = np.array([(c * ctx.zeta_pow(e)).num for e in range(conductor)])
+    den = data.draw(st.integers(1, 6))
+    for args in ((), (table, den)):
+        got = CycloMatrix.from_zeta_powers(ctx, n, rows, cols, exps, *args,
+                                           distinct=True)
+        assert got == CycloMatrix.from_zeta_powers(ctx, n, rows, cols, exps,
+                                                   *args)
+        assert got.planes.dtype == np.int64
+
+
+# ---------------------------------------------------------------------------
+# oracle: the object-only storage that int64 planes replaced
+
+
+def _oracle_plane_product(ctx, a, b):
+    """_plane_product on object planes: both operands go to int64 when they
+    fit, the product runs in int64 under the same bound, and the result
+    comes back as Python ints."""
+    def int64_if_fits(planes):
+        try:
+            return planes.astype(np.int64)
+        except OverflowError:
+            return planes
+
+    deg, r, k = a.shape
+    c = b.shape[2]
+    a, b = int64_if_fits(a), int64_if_fits(b)
+    left, right = _nonzero_planes(a), _nonzero_planes(b)
+    if not len(left) or not len(right):
+        return np.zeros((deg, r, c), dtype=object)
+    sums = (left[:, None] + right).ravel()
+    counts = np.bincount(sums)
+    powers = np.flatnonzero(counts)
+    counts = counts[powers]
+    fold = ctx._powers[powers]
+    if a.dtype == object or (_extent(a) * _extent(b) * k
+                             * int((counts[:, None] * np.abs(fold))
+                                   .sum(axis=0).max())
+                             >= 2 ** 63):
+        a, b, fold = a.astype(object), b.astype(object), fold.astype(object)
+    lhs = a[left].reshape(-1, k)
+    rhs = b[right].transpose(1, 0, 2).reshape(k, -1)
+    blocks = (lhs @ rhs).reshape(len(left), r, len(right), c)
+    blocks = blocks.transpose(0, 2, 1, 3).reshape(-1, r * c)
+    if len(left) > 1 and len(right) > 1:
+        order = np.argsort(sums, kind="stable")
+        blocks = np.add.reduceat(blocks[order], np.cumsum(counts) - counts,
+                                 axis=0)
+    planes = fold.T @ blocks
+    return planes.reshape(deg, r, c).astype(object, copy=False)
+
+
+class _ObjectMatrix:
+    """CycloMatrix as it was before int64 storage: object planes of Python
+    ints, normalised by math.gcd one entry at a time."""
+
+    def __init__(self, ctx, n, planes, den=1, normalize=True):
+        self.ctx, self.n, self.den = ctx, n, den
+        self.planes = planes.astype(object)
+        if normalize:
+            self._normalize()
+
+    def _normalize(self):
+        if self.den < 0:
+            self.planes = -self.planes
+            self.den = -self.den
+        g = self.den
+        for v in self.planes.flat:
+            g = gcd(g, int(v))
+            if g == 1:
+                return
+        if g > 1:
+            self.planes = self.planes // g
+            self.den //= g
+
+    def __matmul__(self, other):
+        return _ObjectMatrix(self.ctx, self.n, _oracle_plane_product(
+            self.ctx, self.planes, other.planes), self.den * other.den)
+
+    def __add__(self, other):
+        return _ObjectMatrix(self.ctx, self.n,
+                             self.planes * other.den + other.planes * self.den,
+                             self.den * other.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return _ObjectMatrix(self.ctx, self.n, -self.planes, self.den,
+                             normalize=False)
+
+    def scale(self, c):
+        if not isinstance(c, CyclotomicNumber):
+            c = self.ctx.from_rational(c)
+        deg, n = self.ctx.degree, self.n
+        coeffs = np.array(c.num, dtype=object).reshape(deg, 1, 1)
+        planes = _oracle_plane_product(self.ctx, coeffs,
+                                       self.planes.reshape(deg, 1, n * n))
+        return _ObjectMatrix(self.ctx, n, planes.reshape(deg, n, n),
+                             self.den * c.den)
+
+    def entry(self, i, j):
+        return CyclotomicNumber(self.ctx, tuple(
+            int(self.planes[d, i, j]) for d in range(self.ctx.degree)),
+            self.den)
+
+    def trace(self):
+        return CyclotomicNumber(self.ctx, tuple(
+            int(sum(self.planes[d, i, i] for i in range(self.n)))
+            for d in range(self.ctx.degree)), self.den)
+
+    def __eq__(self, other):
+        return self.den == other.den and bool(
+            (self.planes == other.planes).all())
+
+
+def _agrees(got, want):
+    """got, a CycloMatrix, holds want's planes and den, stored
+    canonically."""
+    return (got.den == want.den and bool((got.planes == want.planes).all())
+            and _stored_canonically(got))
+
+
+# denominators of either sign, some at or beyond 2^63
+_dens = st.one_of(st.integers(1, 6), st.integers(-6, -1),
+                  st.sampled_from([2 ** 63 - 1, 2 ** 63, 3 * 2 ** 63,
+                                   -2 ** 63, 2 ** 64 + 1]))
+# matrices whose entries are all 0 or INT64_MIN have gcd 2^63
+_entry_kinds = [_small, _mixed, st.sampled_from([0, INT64_MIN])]
+
+
+@st.composite
+def _oracle_operands(draw):
+    """Two matrices over one context, each as a CycloMatrix and as an
+    _ObjectMatrix built from the same planes and denominator."""
+    ctx = CycloContext(draw(st.sampled_from(CONDUCTORS)))
+    n = draw(st.integers(1, 4))
+    pairs = []
+    for _ in range(2):
+        entries = draw(st.sampled_from(_entry_kinds))
+        planes = np.zeros((ctx.degree, n, n), dtype=object)
+        for d in draw(st.sets(st.integers(0, ctx.degree - 1),
+                              max_size=ctx.degree)):
+            planes[d] = np.array(draw(st.lists(
+                entries, min_size=n * n, max_size=n * n)),
+                dtype=object).reshape(n, n)
+        den = draw(_dens)
+        pairs.append((CycloMatrix(ctx, n, planes, den),
+                      _ObjectMatrix(ctx, n, planes, den)))
+    return ctx, pairs[0], pairs[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_oracle_operands(), st.data())
+def test_arithmetic_matches_the_object_oracle(ops, data):
+    ctx, (a, a0), (b, b0) = ops
+    # the constructors' _normalize
+    assert _agrees(a, a0) and _agrees(b, b0)
+    for got, want in ((a @ b, a0 @ b0), (a + b, a0 + b0), (a - b, a0 - b0),
+                      (-a, -a0), (-(-a), -(-a0))):
+        assert _agrees(got, want)
+    num = data.draw(st.one_of(_small, st.sampled_from(EDGE_ENTRIES)))
+    den = data.draw(st.integers(1, 6))
+    for c in (Fraction(num, den), CyclotomicNumber(ctx, tuple(data.draw(
+            st.lists(_mixed, min_size=ctx.degree, max_size=ctx.degree))),
+            den)):
+        assert _agrees(a.scale(c), a0.scale(c))
+    assert (a == b) == (a0 == b0)
+    i, j = data.draw(st.tuples(*[st.integers(0, a.n - 1)] * 2))
+    assert a.entry(i, j) == a0.entry(i, j)
+    assert a.trace() == a0.trace()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_oracle_operands())
+def test_int64_and_object_storage_compare_by_value(ops):
+    _, (a, _), (b, _) = ops
+    for m in (a, b):
+        held_as_objects = CycloMatrix(m.ctx, m.n, m.planes, m.den,
+                                      normalize=False)
+        held_as_objects.planes = m.planes.astype(object)
+        assert held_as_objects == m and m == held_as_objects
+        assert (held_as_objects == -m) == (m == -m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.integers(1, 4), st.data())
+def test_add_across_the_int64_limit(conductor, n, data):
+    """Constant matrices x / da and y / db whose sum's numerator
+    x db + y da lands within a few units of 2^63, on either side, and of
+    either sign."""
+    ctx = CycloContext(conductor)
+    da, db = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    target = 2 ** 63 + data.draw(st.integers(-3, 3))
+    x = target // (2 * db)
+    y = (target - x * db) // da
+    sign = data.draw(st.sampled_from([1, -1]))
+    d = data.draw(st.integers(0, ctx.degree - 1))
+    pairs = []
+    for value, den in ((sign * x, da), (sign * y, db)):
+        planes = np.zeros((ctx.degree, n, n), dtype=object)
+        planes[d] = value
+        pairs.append((CycloMatrix(ctx, n, planes, den, normalize=False),
+                      _ObjectMatrix(ctx, n, planes, den, normalize=False)))
+    (a, a0), (b, b0) = pairs
+    assert a.planes.dtype == b.planes.dtype == np.int64
+    assert _agrees(a + b, a0 + b0) and _agrees(b + a, b0 + a0)
+    assert _agrees(a - b, a0 - b0) and _agrees(b - a, b0 - a0)
+
+
+@pytest.mark.parametrize("den", [1, 3, -1])
+def test_negating_int64_min_leaves_int64(den):
+    # -INT64_MIN = 2^63: __neg__, and the constructor's sign fix of a
+    # negative denominator, move to Python ints
+    ctx = CycloContext(12)
+    planes = np.zeros((ctx.degree, 2, 2), dtype=np.int64)
+    planes[1, 0, 1] = INT64_MIN
+    planes[2, 1, 0] = 5
+    m = CycloMatrix(ctx, 2, planes, den)
+    low = m if den > 0 else -m
+    assert low.planes.dtype == np.int64
+    assert low.entry(0, 1).num[1] == INT64_MIN
+    high = -low
+    assert high.planes.dtype == object
+    assert high.entry(0, 1).num[1] == 2 ** 63
+    assert -high == low and (-high).planes.dtype == np.int64

@@ -195,9 +195,14 @@ def test_weil_sl2_requires_a_two_by_two_matrix():
             w(bad)
 
 
-def _planes_are_ints(m):
-    return m.planes.dtype == object and all(type(x) is int
-                                            for x in m.planes.flat)
+def _stored_canonically(m):
+    """int64 planes when every entry fits, else an object array of Python
+    ints with an entry beyond int64."""
+    if m.planes.dtype == np.int64:
+        return True
+    values = list(m.planes.flat)
+    return (m.planes.dtype == object and all(type(x) is int for x in values)
+            and not all(-2 ** 63 <= x < 2 ** 63 for x in values))
 
 
 def _sgn(a, p):
@@ -256,19 +261,23 @@ def test_upper_and_diag_match_their_formulas(p):
     w = WeilSL2(rep)
     for b in range(p):
         got = w(((1, b), (0, 1)))
-        assert got == _oracle_upper(rep, b) and _planes_are_ints(got)
+        assert got == _oracle_upper(rep, b) and _stored_canonically(got)
     for a in range(1, p):
         got = w(((a, 0), (0, pow(a, -1, p))))
-        assert got == _oracle_diag(rep, a) and _planes_are_ints(got)
+        assert got == _oracle_diag(rep, a) and _stored_canonically(got)
 
 
-def test_operators_hold_python_ints():
+def test_operators_are_stored_as_int64():
     rep = HeisenbergRep(SymplecticSpace.standard(5, 1))
     w = WeilSL2(rep)
-    assert _planes_are_ints(w(((0, 4), (1, 0))))
-    for h in (HeisenbergElement(rep.space, (1, 3), 2),
-              HeisenbergElement(rep.space, (0, 0), 0)):
-        assert _planes_are_ints(rep.operator(h))
+    ops = [w(((0, 4), (1, 0))), w(((1, 2), (0, 1)))] + [
+        rep.operator(h) for h in (HeisenbergElement(rep.space, (1, 3), 2),
+                                  HeisenbergElement(rep.space, (0, 0), 0))]
+    for m in ops:
+        assert _stored_canonically(m) and m.planes.dtype == np.int64
+    # the int64 kernel hands its products back as int64
+    for a, b in zip(ops, ops[1:]):
+        assert (a @ b).planes.dtype == np.int64
 
 
 @pytest.mark.parametrize("p,unit", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1),
@@ -364,7 +373,7 @@ def test_projective_weil_matches_dense_oracle_sl2_f3_exhaustive():
     for g in sl2_elements(3):
         t = projective_weil(rep, g)
         assert t == _oracle_projective_weil(rep, g)
-        assert _planes_are_ints(t)
+        assert _stored_canonically(t)
 
 
 def test_projective_weil_matches_dense_oracle_sl2_f5_sample():
