@@ -108,6 +108,13 @@ class CycloContext:
         self._powers = np.array(table[:self.n] * 2, dtype=np.int64)
         self._powers_extent = _extent(self._powers)
 
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def shared(conductor):
+        """The context of a conductor, built once: contexts do not change
+        after construction."""
+        return CycloContext(conductor)
+
     def __eq__(self, other):
         return isinstance(other, CycloContext) and self.n == other.n
 

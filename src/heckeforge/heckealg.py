@@ -149,7 +149,8 @@ class CoxeterSystem:
         ident = self._identity()
         out = []
         while inv != ident:
-            if len(out) > self.length_cap:
+            # w is still not 1 after length_cap letters: l(w) > length_cap
+            if len(out) == self.length_cap:
                 raise LengthCapError(
                     f"word exceeds the length cap {self.length_cap}")
             s = next(g for g in self.generators

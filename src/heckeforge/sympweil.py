@@ -9,6 +9,7 @@ All representation matrices are exact, over Q(zeta_{4p}).
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,10 @@ def _sgn_mod_p(a, p):
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+# the exponent of an entry that is 0: every sum with exponents stays negative
+_ABSENT = -2 ** 40
+
+
 # ---------------------------------------------------------------------------
 # F_p linear algebra on int tuples
 
@@ -36,10 +41,13 @@ def _vec_mod(v, p):
     return tuple(x % p for x in v)
 
 
+@lru_cache(maxsize=None)
 def _digit_array(p, m):
     """The digit tuples of the codes 0 .. p^m - 1, low digit first, as the
-    rows of a (p^m, m) int64 array."""
-    return np.arange(p ** m)[:, None] // p ** np.arange(m) % p
+    rows of a read-only (p^m, m) int64 array."""
+    digits = np.arange(p ** m)[:, None] // p ** np.arange(m) % p
+    digits.setflags(write=False)
+    return digits
 
 
 def _identity_matrix(d):
@@ -228,7 +236,7 @@ class HeisenbergRep:
         if self.iota.p != p:
             raise SympError("iota must be a character of F_p for the "
                             "space's p")
-        self.cyclo = CycloContext(4 * p)
+        self.cyclo = CycloContext.shared(4 * p)
         self.dim = p ** space.n
         self._half = (p + 1) // 2
         # row vectors times this are their coordinates; the points s of
@@ -275,15 +283,50 @@ class HeisenbergRep:
 
     def trace_with(self, mat, elem):
         """Trace of mat . rho(v, a) = sum_s mat[s, rows[s]] zeta^{exps[s]}:
-        one gather of mat's planes (_trace_sums)."""
+        the entries planes[d, s, rows[s]] are added at d + exps[s] in the
+        group ring Z[Z/N] and reduced by one product with the table of x^k
+        mod Phi_N, in int64 under an exact bound, else on Python ints."""
         rows, exps = self._monomials([elem.v], elem.a)
-        (num,) = _trace_sums(self.cyclo, 1, [(mat.planes, rows, exps, [0], 1)])
-        return CyclotomicNumber(self.cyclo, tuple(int(x) for x in num),
-                                mat.den)
+        ctx, planes = self.cyclo, mat.planes
+        deg, dim, _ = planes.shape
+        # 2N max|x^k| times the sum of all gathered |entries| bounds every
+        # partial sum; object planes hold an entry beyond int64
+        bound = 2 * ctx.n * ctx._powers_extent * _extent(planes) * deg * dim
+        dtype = np.int64 if bound < 2 ** 63 else object
+        acc = np.zeros(2 * ctx.n, dtype=dtype)
+        np.add.at(acc, (np.arange(deg)[:, None] + exps % ctx.n).ravel(),
+                  planes[:, np.arange(dim), rows[0]].astype(dtype).ravel())
+        return CyclotomicNumber(ctx, (acc @ ctx._powers.astype(dtype)
+                                      ).tolist(), mat.den)
 
 
 # ---------------------------------------------------------------------------
 # Weil representation of SL_2(F_p)
+
+
+@lru_cache(maxsize=None)
+def _weil_tables(p, unit):
+    """WeilSL2's read-only tables for psi = iota^-1, iota(zeta_p) = unit: the
+    points t; the grid (t, s, t^2, 2ts, s^2) of their pairs; the rows
+    p kappa zeta^e; True at the squares of F_p (0, which _cell never reads,
+    too); psi_exp(1 / 2c) (0 at c = 0); and psi_exp(1 / 2)."""
+    ctx, t, u = CycloContext.shared(4 * p), np.arange(p), pow(unit, p - 2, p)
+    # squares[t] = 4 psi_exp(t^2), so that G = sum_t zeta^squares[t] is the
+    # quadratic Gauss sum.  The constant of omega(w) is forced by W U(b) W =
+    # U(-1/b) W D(b) U(-1/b) (complete the square; the quadratic sum
+    # contributes sgn(b/2) G); 1/G = conj(G)/p since G conj(G) = p.  Row e
+    # of the table is p kappa zeta^e = sgn(2) sum_t zeta^(e - squares[t])
+    squares, (r, s) = 4 * (t * t * u % p), np.indices((p, p))
+    square = np.zeros(p, dtype=bool)
+    square[t * t % p] = True
+    half_inv = [(p + 1) // 2 * pow(c, p - 2, p) * u % p for c in range(1, p)]
+    tables = (t, np.stack((r, s, r * r, 2 * r * s, s * s)),
+              _sgn_mod_p(2, p) * ctx._powers[
+                  (np.arange(ctx.n)[:, None] - squares) % ctx.n].sum(axis=1),
+              square, np.array([0] + half_inv))
+    for table in tables:
+        table.setflags(write=False)
+    return tables + ((p + 1) // 2 * u % p,)
 
 
 class WeilSL2:
@@ -303,25 +346,25 @@ class WeilSL2:
     def __init__(self, rep):
         if rep.space.n != 1:
             raise SympError("weil_sl2 needs a 2-dimensional space")
-        self.rep = rep
-        self.p = rep.space.p
-        self.cyclo = rep.cyclo
-        ctx = self.cyclo
-        self._t = np.arange(self.p)
-        self._grid = np.indices((self.p, self.p))
-        # the quadratic Gauss sum G = sum_t psi(t^2) = sum_t zeta^squares[t];
-        # its coefficients are sums of p rows of the power table, exact in
-        # int64
-        squares = 4 * rep._psi_exp(self._t * self._t)
-        self._gauss = CyclotomicNumber(
-            ctx, tuple(ctx._powers[squares].sum(axis=0).tolist()), 1)
-        # the constant of omega(w) is forced by W U(b) W = U(-1/b) W D(b)
-        # U(-1/b) (complete the square; the quadratic sum contributes
-        # sgn(b/2) G); 1/G = conj(G)/p since G conj(G) = p.  Row e of the
-        # table is p kappa zeta^e = sgn(2) sum_t zeta^(e - squares[t])
-        self._kappa_powers = _sgn_mod_p(2, self.p) * ctx._powers[
-            (np.arange(ctx.n)[:, None] - squares) % ctx.n].sum(axis=1)
+        self.rep, self.p, self.cyclo = rep, rep.space.p, rep.cyclo
+        (self._t, self._grid, self._kappa_powers, self._square,
+         self._half_inv, self._half) = _weil_tables(self.p, rep.iota.unit)
         self._cache = {}
+
+    def _cell(self, g):
+        """omega(g)'s exponents on the (t, s) grid, for int arrays
+        g = (a, b, c, d) that broadcast against it: the entry [t, s] is
+        kappa zeta^e where c != 0, zeta^e where c = 0 and s = a t, and 0
+        where e is _ABSENT."""
+        p, (a, b, c, d) = self.p, g
+        t, s, tt, ts2, ss = self._grid
+        # sgn(c), or sgn(a) when c = 0; the sign -1 is zeta_{4p}^{2p}
+        sign = np.where(self._square[np.where(c, c, a)], 0, 2 * p)
+        # psi_exp of (a t^2 - 2ts + d s^2) / 2c, or of ab t^2 / 2 when c = 0
+        phase = np.where(c, self._half_inv[c] * (a * tt - ts2 + d * ss),
+                         a * b * self._half % p * tt)
+        return np.where((c != 0) | (s == a * t % p), sign + 4 * (phase % p),
+                        _ABSENT)
 
     def __call__(self, g):
         if len(g) != 2 or any(len(row) != 2 for row in g):
@@ -332,26 +375,13 @@ class WeilSL2:
         if (a * d - b * c) % p != 1:
             raise SympError("determinant must be 1")
         key = (a, b, c, d)
-        if key in self._cache:
-            return self._cache[key]
-        psi_exp = self.rep._psi_exp
-        half = (p + 1) // 2
-        # sgn(c), or sgn(a) when c = 0; the sign -1 is zeta_{4p}^{2p}
-        sign = 0 if _sgn_mod_p(c or a, p) == 1 else 2 * p
-        t = self._t
-        if c == 0:
-            m = CycloMatrix.from_zeta_powers(
-                self.cyclo, p, t, a * t % p,
-                sign + 4 * psi_exp(a * b * half * t * t))
-        else:
-            k = half * pow(c, p - 2, p)
-            t, s = self._grid
-            m = CycloMatrix.from_zeta_powers(
-                self.cyclo, p, t, s,
-                sign + 4 * psi_exp(k * (a * t * t - 2 * t * s + d * s * s)),
-                self._kappa_powers, p)
-        self._cache[key] = m
-        return m
+        if key not in self._cache:
+            t, s = self._grid[:2] if c else (self._t, a * self._t % p)
+            table, den = (self._kappa_powers, p) if c else (None, 1)
+            self._cache[key] = CycloMatrix.from_zeta_powers(
+                self.cyclo, p, t, s, self._cell(key)[t, s], table, den,
+                distinct=True)
+        return self._cache[key]
 
 
 def weil_sl2(rep, g):
@@ -359,12 +389,8 @@ def weil_sl2(rep, g):
 
 
 def sl2_elements(p):
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p == 1:
-                        yield ((a, b), (c, d))
+    for (a, b), (c, d) in _sl2_array(p).tolist():
+        yield ((a, b), (c, d))
 
 
 def projective_weil(rep, g):
@@ -461,171 +487,192 @@ def graded_symplectic_split(space, weights):
 # the induction identity
 
 
-def _stabilizer_sl2(space, u_basis):
-    """The elements of SL_2(F_p), in sl2_elements order, that map the span
-    of the independent u_basis (no vector or one) into itself: g u lies on
-    the line of u exactly when det(u, g u) = 0."""
-    p = space.p
+@lru_cache(maxsize=None)
+def _sl2_array(p):
+    """SL_2(F_p) in sl2_elements order: a read-only (p^3 - p, 2, 2) array."""
     a, b, c, d = np.indices((p,) * 4).reshape(4, -1)
-    keep = (a * d - b * c) % p == 1
+    group = np.stack((a, b, c, d), 1)[(a * d - b * c) % p == 1]
+    group.setflags(write=False)
+    return group.reshape(-1, 2, 2)
+
+
+def _stabilizer_sl2(space, u_basis):
+    """The (G, 2, 2) array of the g in SL_2(F_p), in sl2_elements order, that
+    map the span of the independent u_basis (no vector or one) into itself:
+    g u lies on the line of u exactly when det(u, g u) = 0."""
+    group = _sl2_array(space.p)
     for x, y in u_basis:
-        keep &= (x * (c * x + d * y) - y * (a * x + b * y)) % p == 0
-    return [((g[0], g[1]), (g[2], g[3]))
-            for g in np.stack((a, b, c, d), 1)[keep].tolist()]
+        gu = group @ np.array((x, y))
+        group = group[(x * gu[:, 1] - y * gu[:, 0]) % space.p == 0]
+    return group
+
+
+def _line_signs(group, u, square):
+    """chi^U on a (G, 2, 2) stack that stabilizes the line of u: the sgn,
+    read off the table square of F_p, of the eigenvalue in g u = lambda u at
+    u's first nonzero coordinate.  _det_sign is its oracle."""
+    p, i = len(square), next(j for j, x in enumerate(u) if x)
+    return np.where(square[group[:, i] @ np.array(u)
+                           * pow(u[i], p - 2, p) % p], 1, -1)
+
+
+def _identity_entries(dim):
+    """The identity's exponents for every g, as WeilSL2._cell gives omega's."""
+    grid = np.where(np.eye(dim, dtype=bool), 0, _ABSENT)[None]
+    return lambda at: grid
+
+
+# gathered terms per block of the group: they bound the pass's arrays
+_BLOCK_TERMS = 1 << 13
 
 
 def induction_identity_check(space, u_basis, mode="with_sl2_levi",
                              include_chi=True, iota=None):
     """Exact character comparison for the restriction-vs-induction identity
-    of the Heisenberg(-Weil) representation along a totally isotropic U.
+    of the Heisenberg(-Weil) representation along a totally isotropic U:
+    for every g and v, the trace of omega(g) rho(v) against the induced
+    trace of chi^U(g) sigma(g) on (U-perp)#.  heisenberg_only is the trivial
+    group (g = 1, omega and sigma the identities; any dimension),
+    with_sl2_levi the stabilizer of U in SL_2(F_p) with omega = sigma the
+    Weil representation (dim V = 2).  sigma acts on U-perp/U; for a
+    Lagrangian U that is the central character on one dimension.
 
-    For each triple (g, omega(g), sigma(g)) the check compares, at every v
-    at once, the trace of omega(g) rho(v) with the induced trace of
-    chi^U(g) sigma(g) on (U-perp)#.  Both sides are gathers of the
-    operators' planes into one integer array with a row over the group ring
-    Z[Z/4p] per v (_trace_sums); the first v whose row is nonzero mod
-    Phi_4p is the witness.  sigma acts on U-perp/U, which is zero when U is
-    Lagrangian: its Heisenberg representation is then the central
-    character, on one dimension.  The mode chooses the group:
-    heisenberg_only is the trivial group (g = 1, omega and sigma the
-    identities; any dimension), with_sl2_levi the stabilizer of U in
-    SL_2(F_p) with omega = sigma the Weil representation (dim V = 2).  The
-    tests keep the entry-by-entry group-ring loop that the gathers replaced
-    (_oracle_group_ring_check) and the character-table comparisons
+    One batched pass runs over blocks of g.  Every entry of omega(g),
+    sigma(g) and rho(v) is a zeta_{4p}-power, times kappa where c != 0
+    (WeilSL2._cell), so each (g, v) gets one integer histogram over Z/4p,
+    the induced side counted at -chi^U(g).  kappa cancels where both sides
+    carry it (U = 0); where only the left side does (a line), its terms
+    get a row of their own, reduced by the table of p kappa zeta^k.  A row
+    vanishes mod Phi_4p exactly when the sides agree at (v, 0), and so at
+    every (v, a), psi(a) being a unit.  The tests keep the per-g loop this
+    replaced (_oracle_group_ring_check) and the character tables
     (_oracle_induction_check, _oracle_heisenberg_only) as oracles.
 
-    Returns (equal, details): equal is the exact character equality;
-    details carries the dimension bookkeeping (the induced dimension is the
-    number of coset representatives times dim sigma) and the first witness
-    (g, (v, 0)) of a difference, or None.
+    Returns (equal, details): details carries the induced dimension (coset
+    representatives times dim sigma), rep_dim, and the first witness
+    (g, (v, 0)) of a difference in group order, or None.
     """
     p = space.p
     u_basis = _span_basis(u_basis, p)
-    _require_totally_isotropic(space, u_basis)
     perp, quotient, lifts = isotropic_reduction(space, u_basis)
-    rep = HeisenbergRep(space, iota)
-    qrep = HeisenbergRep(quotient, iota)
-    ctx = rep.cyclo
-    coset_reps = _complement_transversal(space, perp)
-    induced_dim = len(coset_reps) * qrep.dim
-
+    rep, qrep = HeisenbergRep(space, iota), HeisenbergRep(quotient, iota)
+    reps = np.array(_complement_transversal(space, u_basis),
+                    dtype=np.int64).reshape(-1, space.dim)
+    details = {"induced_dim": len(reps) * qrep.dim, "rep_dim": rep.dim,
+               "witness": None}
     if mode == "heisenberg_only":
-        triples = [(_identity_matrix(space.dim),
-                    CycloMatrix.identity(ctx, rep.dim),
-                    CycloMatrix.identity(ctx, qrep.dim))]
+        group = inverses_t = np.eye(space.dim, dtype=np.int64)[None]
+        chi, kappa = np.ones(1, dtype=int), np.zeros(1, dtype=bool)
+        omega, sigma = _identity_entries(rep.dim), _identity_entries(qrep.dim)
     elif mode == "with_sl2_levi":
         if quotient.dim not in (0, 2):
             raise SympError("with_sl2_levi requires dim(U-perp/U) in {0, 2}")
         if space.dim != 2:
             raise SympError("with_sl2_levi is implemented for dim V = 2")
+        group = _stabilizer_sl2(space, u_basis)
+        # the transposed inverse of ((a, b), (c, d)) is ((d, -c), (-b, a))
+        inverses_t = group[:, ::-1, ::-1] * np.array([[1, -1], [-1, 1]])
         weil = WeilSL2(rep)
-        # sigma(g) is omega(g) for U = 0, where the quotient is V itself,
-        # and the identity of the one-dimensional quotient representation
-        # for a line; omega is built lazily, as a failure stops early
-        trivial = None if quotient.dim else CycloMatrix.identity(ctx, 1)
-        triples = ((g, omega, omega if trivial is None else trivial)
-                   for g in _stabilizer_sl2(space, u_basis)
-                   for omega in [weil(_basis_coords(space, g))])
+        chi = (_line_signs(group, u_basis[0], weil._square)
+               if include_chi and u_basis else np.ones(len(group), dtype=int))
+        # omega(g)'s exponents on its grid, from g in the symplectic basis;
+        # sigma(g) is omega(g) for U = 0, where the quotient is V itself, and
+        # the identity on one dimension for a line
+        cells = (np.array(space._to_coordinates) @ group
+                 @ np.array(space.basis).T % p).reshape(-1, 4).T
+        omega = lambda at: weil._cell(cells[:, at, None, None])
+        sigma = omega if quotient.dim else _identity_entries(1)
+        kappa = (cells[2] != 0) & (quotient.dim == 0)
     else:
         raise SympError(f"unknown mode {mode!r}")
 
-    vecs = _digit_array(p, space.dim)
+    vecs, ctx = _digit_array(p, space.dim), rep.cyclo
     rows, exps = rep._monomials(vecs)
-    # coordinates in the basis lifts + u_basis + a complement of U-perp: v
-    # lies in U-perp when its complement coordinates vanish, and its lift
-    # coordinates name its image in U-perp/U
+    # coordinates in the basis lifts + u_basis + a complement of U-perp: the
+    # lift coordinates name v's image in U-perp/U, and a v with a nonzero
+    # complement coordinate lies outside U-perp and adds no induced term
     basis = _span_basis(lifts + u_basis + list(_identity_matrix(space.dim)),
                         p)
     coords = vecs @ np.array(linalg.mat_inv(linalg.transpose(basis), p),
                              dtype=np.int64).T % p
-    in_perp = ~coords[:, len(perp):].any(axis=1)
     q_rows, q_exps = qrep._monomials(coords[:, :len(lifts)])
-    reps = np.array(coset_reps, dtype=np.int64).reshape(-1, space.dim)
+    q_exps[coords[:, len(perp):].any(axis=1)] = _ABSENT
+    # the offsets of the entries [s, rows[s]] in an operator's grid, and per
+    # coordinate i and x in F_p the codes (x + v_i) p^i and products x v_i
+    offsets = np.arange(rep.dim) * rep.dim + rows
+    q_offsets = np.arange(qrep.dim) * qrep.dim + q_rows
+    digit = [(np.arange(p)[:, None], vecs[:, i]) for i in range(space.dim)]
+    digit_sums = [(x + y) % p * p ** i for i, (x, y) in enumerate(digit)]
+    digit_products = [x * y for x, y in digit]
     form = np.array(space.form, dtype=np.int64)
-    place = p ** np.arange(space.dim)
-    every = np.arange(len(vecs))
-    at = np.broadcast_to(every, (len(reps), len(vecs)))
-    half = (p + 1) // 2
-
-    def first_failure():
-        for g, omega, sigma in triples:
-            chi = 1
-            if include_chi and u_basis:
-                chi = int(_det_sign(space, g, u_basis))
-            # r = (1, (w, 0)):  r^{-1} (g, (v, a)) r = (g, (v + l + w, a + c))
-            # with l = -g^{-1} w and c = half (<l - w, v> + <l, w>): the code
-            # of each conjugate, and its phase exponent, per (w, v)
-            ls = -reps @ np.array(linalg.mat_inv(g, p), dtype=np.int64).T % p
-            conj = (vecs + (ls + reps)[:, None]) % p @ place
-            const = ((ls @ form) * reps).sum(axis=1, keepdims=True)
-            k = 4 * rep._psi_exp(half * ((ls - reps) @ form @ vecs.T + const))
-            inside = in_perp[conj]
-            sums = _trace_sums(ctx, len(vecs), [
-                (omega.planes, rows, exps, every, sigma.den),
-                (sigma.planes, q_rows[conj[inside]],
-                 q_exps[conj[inside]] + k[inside][:, None], at[inside],
-                 -chi * omega.den)])
-            # psi(a) multiplies both sides by a unit of Z[zeta_4p], so the
-            # sides agree at every a exactly when they agree at a = 0
-            bad = np.flatnonzero((sums != 0).any(axis=1))
-            if len(bad):
-                return g, (_digits(int(bad[0]), p, space.dim), 0)
-        return None
-
-    witness = first_failure()
-    return witness is None and induced_dim == rep.dim, {
-        "induced_dim": induced_dim, "rep_dim": rep.dim, "witness": witness}
-
-
-def _trace_sums(ctx, size, terms):
-    """Sums of traces as (size x degree) power-basis rows: each term
-    (planes, rows, exps, at, scale) adds scale trace(mat . m_b) to row
-    at[b], for the matrix mat with the integer planes and the monomials
-    m_b whose column s holds zeta^exps[b, s] in row rows[b, s].
-
-    The entry planes[d, s, rows[b, s]] is gathered to d + exps[b, s] in a
-    (size x 2N) array over the group ring Z[Z/N] (exps read mod N), and one
-    product with the table of x^k mod Phi_N, k < 2N, reduces its rows.
-    This runs in int64 when an exact bound shows that no partial sum can
-    overflow, and on Python ints otherwise.
-    """
-    width = 2 * ctx.n
-    # 2N max|x^k| times the sum of all |terms| bounds every partial sum;
-    # object planes hold an entry beyond int64, so they break it
-    bound = width * ctx._powers_extent * sum(
-        _extent(planes) * abs(scale) * len(planes) * rows.size
-        for planes, rows, _, _, scale in terms)
-    dtype = np.int64 if bound < 2 ** 63 else object
-    acc = np.zeros(size * width, dtype=dtype)
-    for planes, rows, exps, at, scale in terms:
-        deg, dim, _ = planes.shape
-        d = np.arange(deg)[:, None, None]
-        cells = d * dim * dim + np.arange(dim) * dim + rows
-        spots = d + (np.asarray(at)[:, None] * width + exps % ctx.n)
-        np.add.at(acc, spots.ravel(), planes.astype(dtype, copy=False)
-                  .ravel()[cells.ravel()] * scale)
-    return acc.reshape(size, width) @ ctx._powers.astype(dtype)
+    reps_f = reps @ form
+    size, n, deg = len(vecs), ctx.n, ctx.degree
+    # a (g, v) has one histogram row over Z/N per table: zeta^k and, where
+    # only the left side carries kappa, p kappa zeta^k.  A row counts at most
+    # `terms` terms of size 1, so terms (p max|x^k| + max|p kappa x^k|)
+    # bounds every partial sum of its reduction
+    tables = 1 + int(kappa.any())
+    kappa_table = weil._kappa_powers[:n // 2] if tables == 2 else 0
+    terms = rep.dim + len(reps) * qrep.dim
+    dtype = np.int64 if terms * (p * ctx._powers_extent + _extent(
+        np.asarray(kappa_table))) < 2 ** 63 else object
+    block = max(1, _BLOCK_TERMS // (size * terms))
+    # per block: the offsets of its rows, and of its g's operator grids
+    rows_n = np.arange(block * size).reshape(block, size, 1) * tables * n
+    g_at = np.arange(block)[:, None, None] * rep.dim ** 2
+    q_at = np.arange(block)[:, None, None, None] * qrep.dim ** 2
+    kappa_n, chi_n = kappa * n, (chi == 1) * (n // 2)  # -1 = zeta^{N/2}
+    for start in range(0, len(group), block):
+        at = slice(start, start + block)
+        count = len(group[at])
+        row, dump = rows_n[:count], count * size * tables * n
+        # omega(g)[s, rows[s]] zeta^exps[s]; a zero entry goes to the dump bin
+        grid = omega(at)
+        e = grid.ravel()[g_at[:len(grid)] + offsets] + exps
+        left = np.where(e < 0, dump, row + kappa_n[at, None, None] + e % n)
+        # r = (1, (w, 0)):  r^{-1} (g, (v, a)) r = (g, (v + l + w, a + c))
+        # with l = -g^{-1} w and c = half (<l - w, v> + <l, w>): the code
+        # of each conjugate, and its phase exponent, per (g, w, v)
+        ls = -reps @ inverses_t[at] % p
+        lf = ls @ form
+        shift, pair = (ls + reps) % p, (lf - reps_f) % p
+        conj = sum(t[shift[..., i]] for i, t in enumerate(digit_sums))
+        k = sum(t[pair[..., i]] for i, t in enumerate(digit_products))
+        k = 4 * rep._psi_exp((p + 1) // 2 * (
+            k + (lf * reps).sum(axis=2, keepdims=True)))
+        k += chi_n[at, None, None]
+        grid = sigma(at)
+        e = grid.ravel()[q_at[:len(grid)] + q_offsets[conj]]
+        e += q_exps[conj] + k[..., None]
+        right = np.where(e < 0, dump, row[:, None] + e % n)
+        hist = np.bincount(np.concatenate((left.ravel(), right.ravel())),
+                           minlength=dump + 1)[:dump].astype(dtype, copy=False)
+        # zeta^{N/2} = -1 folds a row to N/2 = 2p coefficients, and x^k is
+        # the k-th unit vector below the degree
+        hist = hist.reshape(count * size, tables, 2, n // 2)
+        hist = hist[:, :, 0] - hist[:, :, 1]
+        sums = hist[:, 0, :deg] + hist[:, 0, deg:] @ ctx._powers[deg:n // 2]
+        if tables == 2:
+            sums = p * sums + hist[:, 1] @ kappa_table
+        bad = np.flatnonzero(sums)
+        if len(bad):
+            g, v = divmod(int(bad[0]) // deg, size)
+            details["witness"] = (tuple(map(tuple, group[start + g].tolist())),
+                                  (_digits(v, p, space.dim), 0))
+            return False, details
+    return details["induced_dim"] == rep.dim, details
 
 
-def _complement_transversal(space, perp):
+def _complement_transversal(space, u_basis):
     """Coset representatives of U-perp in V: the first vector of each coset,
-    told apart by the linear forms that vanish on U-perp."""
-    p = space.p
-    forms = linalg.null_space(perp, p)
-    reps = {}
-    for v in space.vectors():
-        reps.setdefault(linalg.mat_vec(forms, v, p), v)
-    return list(reps.values())
-
-
-def _basis_coords(space, g):
-    """Rewrite an ambient-coordinate matrix in the distinguished symplectic
-    basis (in which WeilSL2's Bruhat formulas are stated)."""
-    if space.dim == 0:
-        return ()
-    p = space.p
-    c = linalg.transpose(space.basis)
-    return linalg.mat_mul(linalg.mat_mul(space._to_coordinates, g, p), c, p)
+    told apart by its pairings with U, the linear forms that vanish on
+    U-perp."""
+    p, vecs = space.p, _digit_array(space.p, space.dim)
+    forms = np.array(u_basis, dtype=np.int64).reshape(-1, space.dim)
+    keys = vecs @ np.array(space.form).T @ forms.T % p @ p ** np.arange(
+        len(forms))
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    return [tuple(v) for v in vecs[first].tolist()]
 
 
 def heisenberg_rep(space, iota=None):

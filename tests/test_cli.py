@@ -214,6 +214,15 @@ def test_hecke_failure_names_the_first_generator(monkeypatch, capsys):
                        "witness": {"generator": "s"}}
 
 
+@pytest.mark.parametrize("cap,code", [(4, 0), (3, 2)])
+def test_len_cap_boundary(cap, code, capsys):
+    # the B2 braid relation multiplies words of length 4 = m(s, t)
+    assert main(["hecke", "--type", "B2", "--check", "braid",
+                 "--len-cap", str(cap)]) == code
+    err = capsys.readouterr().err
+    assert ("exceeds the length cap 3" in err) is (code == 2)
+
+
 def test_weil_central_failure_names_a(monkeypatch, capsys):
     from heckeforge.sympweil import HeisenbergRep
     operator = HeisenbergRep.operator

@@ -55,6 +55,23 @@ def test_affine_length_cap():
         system.normal_form(tuple(["s0", "s1"] * 10))
 
 
+@pytest.mark.parametrize("cap", [1, 4, 7])
+def test_length_cap_is_exact(cap):
+    # alternating words are reduced in affine A1: length cap passes with
+    # cap letters and raises with cap + 1, in the library and the oracle
+    system = CoxeterSystem.from_type("A1~", length_cap=cap)
+    at_cap = tuple(("s0", "s1")[i % 2] for i in range(cap))
+    assert system.normal_form(at_cap) == at_cap
+    assert _oracle_normal_form(system, at_cap) == at_cap
+    over = at_cap + (("s0", "s1")[cap % 2],)
+    with pytest.raises(LengthCapError):
+        system.normal_form(over)
+    with pytest.raises(LengthCapError):
+        _oracle_normal_form(system, over)
+    # a longer word that reduces to the cap still passes
+    assert system.normal_form(("s1", "s1") + at_cap) == at_cap
+
+
 def _oracle_normal_form(system, letters):
     """normal_form driven by the word matrix w and its inverse together:
     peel the least left descent of w^{-1} until w is the identity."""
@@ -63,7 +80,7 @@ def _oracle_normal_form(system, letters):
     ident = system._identity()
     out = []
     while mat != ident:
-        if len(out) > system.length_cap:
+        if len(out) == system.length_cap:
             raise LengthCapError(
                 f"word exceeds the length cap {system.length_cap}")
         s = next(g for g in system.generators

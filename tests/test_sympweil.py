@@ -18,8 +18,7 @@ from heckeforge import (SympError, SymplecticSpace, HeisenbergElement,
 from heckeforge import checks, linalg, sympweil
 from heckeforge.sympweil import (
     _span_basis, _det_sign,
-    _stabilizer_sl2, _complement_transversal,
-    _basis_coords)
+    _stabilizer_sl2, _complement_transversal)
 
 
 def _all_heisenberg(space):
@@ -526,26 +525,27 @@ def test_induction_identity_trivial_subspace():
 @pytest.mark.parametrize("p", [3, 5])
 def test_induction_trivial_subspace_builds_each_weil_operator_once(
         p, monkeypatch):
-    # for U = 0 the quotient Weil operator is omega(g) itself; building it
-    # a second time doubled the count of builds below.  Each build of an
-    # omega(g) (a cache miss) is one from_zeta_powers call, and the check
-    # makes no other
+    # WeilSL2 builds each omega(g) once, a cache miss being one
+    # from_zeta_powers call on distinct positions; the batched check reads
+    # omega(g)'s exponents off WeilSL2._cell and builds no operator at all
     calls = []
     build = CycloMatrix.from_zeta_powers.__func__
 
-    def counted(cls, *args):
-        calls.append(1)
-        return build(cls, *args)
+    def counted(cls, *args, **kwargs):
+        calls.append(kwargs.get("distinct", False))
+        return build(cls, *args, **kwargs)
     monkeypatch.setattr(CycloMatrix, "from_zeta_powers", classmethod(counted))
     V = SymplecticSpace.standard(p, 1)
     w = WeilSL2(HeisenbergRep(V))
     group = list(sl2_elements(p))
     for g in group + group:
         w(g)
-    assert len(calls) == len(group)
+    assert calls == [True] * len(group)
     del calls[:]
-    ok, _ = induction_identity_check(V, [], "with_sl2_levi")
-    assert ok and len(calls) == len(group)
+    for u_basis in [[]] + [[line] for line in _lines(p)]:
+        ok, _ = induction_identity_check(V, u_basis, "with_sl2_levi")
+        assert ok
+    assert calls == []
 
 
 @pytest.mark.parametrize("p,unit", [(3, 1), (5, 1), (5, 2), (7, 3)])
@@ -577,7 +577,8 @@ def _oracle_stabilizer(space, u_basis):
 def test_stabilizer_matches_the_try_each_oracle(p):
     V = SymplecticSpace.standard(p, 1)
     for u_basis in [[]] + [[line] for line in _lines(p)]:
-        got = _stabilizer_sl2(V, u_basis)
+        got = [tuple(map(tuple, g)) for g in _stabilizer_sl2(V, u_basis)
+               .tolist()]
         assert got == _oracle_stabilizer(V, u_basis)
         # a line is stabilized by a Borel subgroup: p (p - 1) elements
         assert len(got) == (p ** 3 - p if not u_basis else p * (p - 1))
@@ -585,6 +586,28 @@ def test_stabilizer_matches_the_try_each_oracle(p):
 
 # ---------------------------------------------------------------------------
 # oracles: the entrywise evaluation the group-ring kernel replaced
+
+
+def _basis_coords(space, g):
+    """Rewrite an ambient-coordinate matrix in the distinguished symplectic
+    basis (in which WeilSL2's Bruhat formulas are stated)."""
+    if space.dim == 0:
+        return ()
+    p = space.p
+    c = linalg.transpose(space.basis)
+    return linalg.mat_mul(linalg.mat_mul(space._to_coordinates, g, p), c, p)
+
+
+def _oracle_transversal(space, perp):
+    """Coset representatives of U-perp in V, the first vector of each coset
+    in space.vectors() order, told apart by a basis of the linear forms
+    that vanish on U-perp."""
+    p = space.p
+    forms = linalg.null_space(perp, p)
+    reps = {}
+    for v in space.vectors():
+        reps.setdefault(linalg.mat_vec(forms, v, p), v)
+    return list(reps.values())
 
 
 def _oracle_trace_with(rep, mat, elem):
@@ -634,7 +657,7 @@ def _oracle_heisenberg_only(space, u_basis, transversal=None):
     qrep = HeisenbergRep(quotient) if quotient.dim else None
     perp_cols = linalg.transpose(lifts + u_basis)
     if transversal is None:
-        transversal = _complement_transversal(space, perp)
+        transversal = _oracle_transversal(space, perp)
     for h in _all_heisenberg(space):
         rhs = rep.cyclo.zero()
         for w in transversal:
@@ -665,6 +688,7 @@ def _oracle_induction_check(space, u_basis, include_chi=True, iota=None):
     qweil = WeilSL2(qrep) if qrep is not None else None
     perp_ech, perp_piv = linalg.rref(perp, p)
 
+    @lru_cache(maxsize=None)
     def in_perp(v):
         v = list(v)
         for row, c in zip(perp_ech, perp_piv):
@@ -673,12 +697,23 @@ def _oracle_induction_check(space, u_basis, include_chi=True, iota=None):
                 v = [(x - f * y) % p for x, y in zip(v, row)]
         return not any(x % p for x in v)
 
+    @lru_cache(maxsize=None)
     def quotient_coords(v):
         cols = lifts + u_basis
         m = [[vec[i] for vec in cols] for i in range(space.dim)]
         return linalg.solve(m, list(v), p)[:len(lifts)]
 
-    def sigma_char(qweil_g, h, chi):
+    traces = {}
+
+    def trace(r, w, gb, h):
+        # the dense trace of w(gb) rho(h) on r's space, once per (space, gb,
+        # h): for U = 0 the quotient is V and both sides ask for it
+        key = (r.space, gb, h.v, h.a)
+        if key not in traces:
+            traces[key] = _oracle_trace_with(r, w(gb), h)
+        return traces[key]
+
+    def sigma_char(qg, h, chi):
         if not in_perp(h.v):
             return None
         if qrep is None:
@@ -686,17 +721,18 @@ def _oracle_induction_check(space, u_basis, include_chi=True, iota=None):
         else:
             qh = HeisenbergElement(
                 quotient, quotient_coords(h.v), h.a)
-            val = _oracle_trace_with(qrep, qweil_g, qh)
+            val = trace(qrep, qweil, qg, qh)
         return val if chi == 1 else -val
 
-    coset_reps = _complement_transversal(space, perp)
+    coset_reps = _oracle_transversal(space, perp)
     for g in _oracle_stabilizer(space, u_basis):
+        traces.clear()
         ginv = linalg.mat_inv(g, p)
-        weil_g = weil(_basis_coords(space, g))
-        qweil_g = None
+        gb = _basis_coords(space, g)
+        qg = None
         if qrep is not None:
-            qg = _quotient_action(space, quotient, lifts, u_basis, g)
-            qweil_g = qweil(_basis_coords(quotient, qg))
+            qg = _basis_coords(quotient, _quotient_action(
+                space, quotient, lifts, u_basis, g))
         chi = 1
         if include_chi and u_basis:
             chi = int(det_sign_character(space, g, u_basis))
@@ -707,10 +743,10 @@ def _oracle_induction_check(space, u_basis, include_chi=True, iota=None):
         for v in space.vectors():
             for a in range(p):
                 h = HeisenbergElement(space, v, a)
-                lhs = _oracle_trace_with(rep, weil_g, h)
+                lhs = trace(rep, weil, gb, h)
                 rhs = rep.cyclo.zero()
                 for left, right in shifts:
-                    val = sigma_char(qweil_g, left * h * right, chi)
+                    val = sigma_char(qg, left * h * right, chi)
                     if val is not None:
                         rhs = rhs + val
                 if lhs != rhs:
@@ -782,10 +818,15 @@ def test_induction_check_matches_oracle_nondefault_iota():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_gauss_sum_square_and_norm(p):
-    g = WeilSL2(HeisenbergRep(SymplecticSpace.standard(p, 1)))._gauss
+    # G = sum_t psi(t^2); WeilSL2's kappa table starts with p kappa =
+    # sgn(2) conj(G)
+    rep = HeisenbergRep(SymplecticSpace.standard(p, 1))
+    g = sum((rep.psi(t * t) for t in range(p)), rep.cyclo.zero())
     sign = 1 if p % 4 == 1 else -1  # sgn(-1)
     assert g * g == sign * p
     assert g * g.conj() == p
+    assert WeilSL2(rep)._kappa_powers[0].tolist() == list(
+        (_sgn(2, p) * g.conj()).num)
 
 
 def _heisenberg_only_cases():
@@ -816,10 +857,9 @@ def test_heisenberg_only_fails_on_a_short_transversal(monkeypatch, n,
     # dropping a coset representative loses part of the induced character
     # at v = 0; the witness is the one element g = 1 of the trivial group
     V = SymplecticSpace.standard(3, n)
-    perp = isotropic_reduction(V, u_basis)[0]
-    short = _complement_transversal(V, perp)[:-1]
+    short = _complement_transversal(V, u_basis)[:-1]
     monkeypatch.setattr(sympweil, "_complement_transversal",
-                        lambda space, perp: short)
+                        lambda space, u_basis: short)
     equal, details = induction_identity_check(V, u_basis, "heisenberg_only")
     zero = (0,) * V.dim
     ident = tuple(tuple(int(i == j) for j in range(V.dim))
@@ -930,7 +970,7 @@ def _oracle_group_ring_check(space, u_basis, mode="with_sl2_levi",
             sigma_columns[v] = None if qrep is None else _oracle_monomial(
                 qrep, HeisenbergElement(quotient, sol[:len(lifts)], 0))
     if transversal is None:
-        transversal = _complement_transversal(space, perp)
+        transversal = _oracle_transversal(space, perp)
     for g, omega, sigma in triples:
         ginv = linalg.mat_inv(g, p)
         chi = 1
@@ -984,13 +1024,17 @@ def test_induction_check_matches_the_group_ring_oracle_on_every_line(
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_induction_check_matches_the_group_ring_oracle_trivial_subspace(p):
+    # chi^U of U = 0 is trivial, so dropping it changes nothing
     V = SymplecticSpace.standard(p, 1)
-    equal, details = induction_identity_check(V, [], "with_sl2_levi")
-    assert (equal, details["witness"]) == _oracle_group_ring_check(V, [])
-    assert details == {"induced_dim": p, "rep_dim": p, "witness": None}
+    for include_chi in (True, False):
+        equal, details = induction_identity_check(
+            V, [], "with_sl2_levi", include_chi)
+        assert (equal, details["witness"]) == _oracle_group_ring_check(
+            V, [], include_chi=include_chi)
+        assert details == {"induced_dim": p, "rep_dim": p, "witness": None}
 
 
-@pytest.mark.parametrize("p,unit", [(5, 2), (7, 3)])
+@pytest.mark.parametrize("p,unit", [(5, 2), (7, 3), (3, 2), (5, 3), (7, 2)])
 def test_induction_check_matches_the_group_ring_oracle_nondefault_iota(
         p, unit):
     V = SymplecticSpace.standard(p, 1)
@@ -1011,6 +1055,89 @@ def test_heisenberg_only_matches_the_group_ring_oracle(p, n, u_basis):
             V, u_basis, "heisenberg_only", include_chi)
         assert (equal, details["witness"]) == _oracle_group_ring_check(
             V, u_basis, "heisenberg_only", include_chi) == (True, None)
+
+
+# ---------------------------------------------------------------------------
+# the batched pass against both oracles
+
+
+@pytest.mark.parametrize("p,unit", [(3, 2), (5, 3)])
+def test_induction_check_matches_the_character_oracle_for_iota_2_and_3(
+        p, unit):
+    # the character tables cost up to seconds per passing line: they check
+    # every early failure and the passing line of (1, 1)
+    V = SymplecticSpace.standard(p, 1)
+    iota = CentralCharacterChoice(p, unit)
+    cases = [([line], False) for line in _lines(p)] + [([(1, 1)], True)]
+    for u_basis, include_chi in cases:
+        equal, details = induction_identity_check(
+            V, u_basis, "with_sl2_levi", include_chi, iota)
+        assert (equal, details["witness"]) == _oracle_induction_check(
+            V, u_basis, include_chi, iota)
+
+
+@pytest.mark.parametrize("p,scale", [(5, 2), (7, 3)])
+def test_induction_check_matches_the_group_ring_oracle_on_a_scaled_form(
+        p, scale):
+    # the form scale J has the symplectic basis (e, f / scale), so the
+    # Bruhat cells read every g in coordinates other than the ambient ones
+    V = SymplecticSpace(p, [[0, scale], [p - scale, 0]])
+    assert V.basis != ((1, 0), (0, 1))
+    for u_basis in [[]] + [[line] for line in _lines(p)]:
+        for include_chi in (True, False):
+            equal, details = induction_identity_check(
+                V, u_basis, "with_sl2_levi", include_chi)
+            assert (equal, details["witness"]) == _oracle_group_ring_check(
+                V, u_basis, include_chi=include_chi)
+
+
+def test_induction_check_matches_the_character_oracle_at_p7():
+    # every line without chi^U (an early failure), and with it on the line
+    # of (1, 1), whose stabilizer meets both Bruhat cells
+    V = SymplecticSpace.standard(7, 1)
+    cases = [([line], False) for line in _lines(7)] + [([(1, 1)], True)]
+    for u_basis, include_chi in cases:
+        equal, details = induction_identity_check(
+            V, u_basis, "with_sl2_levi", include_chi)
+        assert (equal, details["witness"]) == _oracle_induction_check(
+            V, u_basis, include_chi)
+        assert equal is include_chi
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_line_signs_match_det_sign(p):
+    V = SymplecticSpace.standard(p, 1)
+    square = WeilSL2(HeisenbergRep(V))._square
+    for line in _lines(p):
+        group = _stabilizer_sl2(V, [line])
+        assert sympweil._line_signs(group, line, square).tolist() == [
+            int(_det_sign(V, tuple(map(tuple, g)), [line]))
+            for g in group.tolist()]
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (3, 2)])
+def test_complement_transversal_matches_the_null_space_oracle(p, n):
+    V = SymplecticSpace.standard(p, n)
+    lagrangian = [[tuple(int(i == j) for j in range(2 * n))
+                   for i in range(n)]]
+    for u_basis in [[]] + [[v] for v in checks.isotropic_lines(V)] + \
+            lagrangian:
+        perp = isotropic_reduction(V, u_basis)[0]
+        assert _complement_transversal(V, u_basis) == _oracle_transversal(
+            V, perp)
+
+
+def test_induction_check_on_python_ints(monkeypatch):
+    # a bound at or past 2^63 sends the histograms to Python ints; the
+    # verdicts and witnesses stay those of the int64 pass
+    V = SymplecticSpace.standard(5, 1)
+    cases = [([], True), ([(1, 1)], True), ([(1, 1)], False),
+             ([(1, 0)], False)]
+    want = [induction_identity_check(V, u, "with_sl2_levi", chi)
+            for u, chi in cases]
+    monkeypatch.setattr(sympweil, "_extent", lambda planes: 2 ** 62)
+    assert [induction_identity_check(V, u, "with_sl2_levi", chi)
+            for u, chi in cases] == want
 
 
 # int64's edges and entries beyond it, which force Python ints; sums of a
