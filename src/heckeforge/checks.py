@@ -129,14 +129,11 @@ def weil_central(rep):
 
 def isotropic_lines(space):
     """One spanning vector of each line of V, the first of the line in
-    space.vectors(); every line is isotropic, the form being alternating."""
-    p = space.p
-    lines = {}  # the multiple with leading coordinate 1 -> first vector
-    for v in space.vectors():
-        lead = next((c for c in v if c), 0)
-        if lead:
-            lines.setdefault(linalg.vec_scale(pow(lead, p - 2, p), v, p), v)
-    return list(lines.values())
+    space.vectors(): the vector whose last nonzero coordinate, the most
+    significant digit of its code, is 1.  Every line is isotropic, the
+    form being alternating."""
+    return [v for v in space.vectors()
+            if next((c for c in reversed(v) if c), 0) == 1]
 
 
 def induction_needs_chi(space, lines):

@@ -252,9 +252,6 @@ class CyclotomicNumber:
         """Complex conjugation zeta -> zeta^{-1}."""
         return self.ctx.galois(self, self.ctx.n - 1)
 
-    def abs_squared(self):
-        return self * self.conj()
-
     def is_zero(self):
         return all(c == 0 for c in self.num)
 
@@ -480,28 +477,6 @@ class CycloMatrix:
         return CyclotomicNumber(self.ctx, diagonal.sum(axis=1).tolist(),
                                 self.den)
 
-    def conj_transpose(self):
-        deg = self.ctx.degree
-        planes = np.zeros((deg, self.n, self.n), dtype=object)
-        for d, m in enumerate(self.planes.astype(object)):
-            if not m.any():
-                continue
-            row = self.ctx.power_table[(self.ctx.n - d) % self.ctx.n]
-            mt = m.T
-            for k in range(deg):
-                if row[k]:
-                    planes[k] = planes[k] + row[k] * mt
-        return CycloMatrix(self.ctx, self.n, planes, self.den)
-
-    def first_nonzero(self):
-        """Row-major first nonzero entry, or None."""
-        for i in range(self.n):
-            for j in range(self.n):
-                e = self.entry(i, j)
-                if not e.is_zero():
-                    return i, j, e
-        return None
-
     def is_zero(self):
         return not self.planes.any()
 
@@ -515,12 +490,3 @@ class CycloMatrix:
 
     def __hash__(self):
         raise TypeError("CycloMatrix is unhashable")
-
-    def proportional_to(self, other):
-        """Return the scalar c with self == other.scale(c), or None."""
-        fnz = other.first_nonzero()
-        if fnz is None:
-            return None if not self.is_zero() else self.ctx.one()
-        i, j, e = fnz
-        c = self.entry(i, j) / e
-        return c if self == other.scale(c) else None

@@ -316,17 +316,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    def specialize(self, values):
-        """Evaluate at named values in any commutative ring (int powers)."""
-        acc = None
-        for k, v in self.terms.items():
-            term = v
-            for name, e in zip(self.params, k):
-                if e:
-                    term = term * values[name] ** e
-            acc = term if acc is None else acc + term
-        return 0 if acc is None else acc
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.constant(self.params, other)
@@ -420,14 +409,6 @@ class HeckeAlgebra:
                 acc = self._mul_gen_left(s, acc)
             out = out + acc.scale(coeff)
         return out
-
-    def mul_via_word(self, letters, b):
-        """Oracle: multiply T_{s_1}...T_{s_k} . b letter by letter for ANY
-        word (reduced or not); used to check reduced-word independence."""
-        acc = b
-        for s in reversed(tuple(letters)):
-            acc = self._mul_gen_left(s, acc)
-        return acc
 
     def __eq__(self, other):
         return self is other or (isinstance(other, HeckeAlgebra)
@@ -560,6 +541,32 @@ def twisted_mul(ctx, a, b):
 # semidirect product
 
 
+def _check_action(system, twisted, act, relation=None):
+    """Raise HeckeError unless act is a homomorphism from the twisted
+    group to the permutations of S that preserve the Coxeter matrix and,
+    when given, the quadratic relations."""
+    gens = set(system.generators)
+    for w in twisted.elements:
+        perm = act[w]
+        if set(perm) != gens or set(perm.values()) != gens:
+            raise HeckeError(f"act({w}) is not a permutation of S")
+        for s in gens:
+            for t in gens:
+                if system.m[s, t] != system.m[perm[s], perm[t]]:
+                    raise HeckeError(
+                        f"act({w}) does not preserve the Coxeter matrix")
+            if relation is not None and relation[s] != relation[perm[s]]:
+                raise HeckeError(
+                    f"act({w}) does not preserve the quadratic relations")
+    for w1 in twisted.elements:
+        for w2 in twisted.elements:
+            composed = {s: act[w1][act[w2][s]] for s in system.generators}
+            if composed != act[twisted.mul(w1, w2)]:
+                raise HeckeError("act is not a homomorphism")
+    if act[twisted.identity] != {s: s for s in system.generators}:
+        raise HeckeError("act(e) must be the identity")
+
+
 class SemidirectAlgebra:
     """Lambda[Omega, mu] |x H(W_aff, q): basis e_w T_x with
     (e_w T_x)(e_w' T_y) = mu(w,w') e_{ww'} (T_{act(w'^{-1})(x)} T_y)."""
@@ -568,32 +575,7 @@ class SemidirectAlgebra:
         self.hecke = hecke
         self.twisted = twisted
         self.act = dict(act)
-        self._validate_action()
-
-    def _validate_action(self):
-        system = self.hecke.system
-        tw = self.twisted
-        gens = set(system.generators)
-        for w in tw.elements:
-            perm = self.act[w]
-            if set(perm) != gens or set(perm.values()) != gens:
-                raise HeckeError(f"act({w}) is not a permutation of S")
-            for s in gens:
-                for t in gens:
-                    if system.m[s, t] != system.m[perm[s], perm[t]]:
-                        raise HeckeError(
-                            f"act({w}) does not preserve the Coxeter matrix")
-                if self.hecke.relation[s] != self.hecke.relation[perm[s]]:
-                    raise HeckeError(
-                        f"act({w}) does not preserve the quadratic relations")
-        for w1 in tw.elements:
-            for w2 in tw.elements:
-                composed = {s: self.act[w1][self.act[w2][s]]
-                            for s in system.generators}
-                if composed != self.act[tw.mul(w1, w2)]:
-                    raise HeckeError("act is not a homomorphism")
-        if self.act[tw.identity] != {s: s for s in system.generators}:
-            raise HeckeError("act(e) must be the identity")
+        _check_action(hecke.system, twisted, self.act, hecke.relation)
 
     def basis(self, omega, letters):
         word = GroupWord(self.hecke.system, letters)
@@ -630,8 +612,7 @@ def length_zero_subgroup(system, omega_elements, omega_mul, act):
     length — as the structure theorem requires of length-zero elements."""
     cocycle = {(a, b): 1 for a in omega_elements for b in omega_elements}
     ctx = TwistedGroupAlgebraContext(omega_elements, omega_mul, cocycle)
-    hecke = HeckeAlgebra(system)
-    SemidirectAlgebra(hecke, ctx, act)  # runs the validation
+    _check_action(system, ctx, act)
     return ctx
 
 

@@ -11,10 +11,6 @@ from __future__ import annotations
 from .ffield import FieldError
 
 
-def mat_from_ints(ctx, rows):
-    return tuple(tuple(ctx.elem(c) for c in row) for row in rows)
-
-
 def identity(ctx, n):
     return tuple(tuple(ctx.one if i == j else ctx.zero for j in range(n))
                  for i in range(n))
@@ -71,10 +67,6 @@ def vec_scale(c, v, p=None):
     if p is not None:
         return tuple((c * x) % p for x in v)
     return tuple(c * x for x in v)
-
-
-def mat_scale(c, m):
-    return tuple(tuple(c * x for x in row) for row in m)
 
 
 def _eliminate(m, p=None):

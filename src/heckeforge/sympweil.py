@@ -8,7 +8,6 @@ All representation matrices are exact, over Q(zeta_{4p}).
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -55,11 +54,6 @@ def _identity_matrix(d):
     return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
 
 
-def _in_span(vectors, v, p):
-    m = [[vec[i] for vec in vectors] for i in range(len(v))]
-    return linalg.solve(m, v, p) is not None
-
-
 def _span_basis(vectors, p):
     """The first independent vectors, in order: the pivot columns of the
     matrix whose columns are the vectors."""
@@ -91,14 +85,15 @@ class SymplecticSpace:
             for j in range(d):
                 if (form[i][j] + form[j][i]) % p:
                     raise SympError("form must be alternating")
-        if d and linalg.det(form, p) == 0:
-            raise SympError("form must be nondegenerate")
         self.form = form
         self.dim = d
         self.n = d // 2
         self.basis = self._symplectic_basis()
-        # coordinates(v) = B^-1 v, where the columns of B are the basis
-        self._to_coordinates = linalg.mat_inv(linalg.transpose(self.basis), p)
+        # v = sum_i <v, f_i> e_i + <e_i, v> f_i: rows F f_i, then F^T e_i
+        es, fs = self.basis[:self.n], self.basis[self.n:]
+        self._to_coordinates = (
+            linalg.mat_mul(fs, linalg.transpose(form), p)
+            + linalg.mat_mul(es, form, p))
 
     @classmethod
     def standard(cls, p, n):
@@ -115,19 +110,21 @@ class SymplecticSpace:
                    for i in range(self.dim) for j in range(self.dim)) % p
 
     def _symplectic_basis(self):
-        """Greedy symplectic Gram-Schmidt."""
+        """Greedy symplectic Gram-Schmidt.  The pool spans the orthogonal
+        complement of the pairs found so far, which is nondegenerate when
+        the form is; so the pool's first vector e has a partner in the pool,
+        unless e lies in the radical of the form."""
         p = self.p
         es, fs = [], []
         pool = list(_identity_matrix(self.dim))
-        used = []
         while len(es) < self.n:
-            e = next(v for v in pool if not _in_span(used, v, p))
-            # a partner from the pool, else from all of V (the form is
-            # nondegenerate, so one exists)
-            for v in itertools.chain(pool, self.vectors()):
+            e = pool[0]
+            for v in pool:
                 c = self.pairing(e, v)
-                if c and not _in_span(used + [e], v, p):
+                if c:
                     break
+            else:
+                raise SympError("form must be nondegenerate")
             f = linalg.vec_scale(pow(c, p - 2, p), v, p)
             # reduce the pool modulo the found hyperbolic pair
             new_pool = []
@@ -139,7 +136,6 @@ class SymplecticSpace:
                 new_pool.append(w)
             es.append(e)
             fs.append(f)
-            used.extend([e, f])
             pool = [w for w in new_pool if any(w)]
         return tuple(es) + tuple(fs)
 
@@ -442,6 +438,8 @@ def _det_sign(space, g, u_basis):
 
 
 def _require_totally_isotropic(space, u_basis):
+    if any(len(u) != space.dim for u in u_basis):
+        raise SympError("vector outside the space")
     for u in u_basis:
         for w in u_basis:
             if space.pairing(u, w):
@@ -454,13 +452,9 @@ def isotropic_reduction(space, u_basis):
     p = space.p
     u_basis = _span_basis(u_basis, p)
     _require_totally_isotropic(space, u_basis)
-    units = _identity_matrix(space.dim)
-    if u_basis:
-        # null space of the pairing rows
-        perp = linalg.null_space(
-            [[space.pairing(u, e) for e in units] for u in u_basis], p)
-    else:
-        perp = list(units)
+    # the null space of the pairing rows; a zero row when U = 0
+    perp = linalg.null_space(
+        linalg.mat_mul(u_basis, space.form, p) or [(0,) * space.dim], p)
     # complement of U inside U-perp
     lifts = _span_basis(u_basis + perp, p)[len(u_basis):]
     form = [[space.pairing(a, b) for b in lifts] for a in lifts]

@@ -130,6 +130,23 @@ def test_isotropic_lines(p, n):
     assert len(set().union(*spans)) == sum(len(s) for s in spans)
 
 
+def _oracle_isotropic_lines(space):
+    """The first vector of each line in space.vectors(), found by keying
+    every nonzero vector by its multiple with first nonzero coordinate 1."""
+    p, lines = space.p, {}
+    for v in space.vectors():
+        lead = next((c for c in v if c), 0)
+        if lead:
+            lines.setdefault(tuple(x * pow(lead, p - 2, p) % p for x in v), v)
+    return list(lines.values())
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+def test_isotropic_lines_match_the_first_vector_oracle(p, n):
+    space = SymplecticSpace.standard(p, n)
+    assert checks.isotropic_lines(space) == _oracle_isotropic_lines(space)
+
+
 def test_induction_needs_chi_first_witness(monkeypatch):
     space = SymplecticSpace.standard(3, 1)
     lines = checks.isotropic_lines(space)

@@ -277,8 +277,8 @@ def test_spinor_norm_of_minus_identity_and_identity(q):
     for dim in range(1, 7):
         space = QuadraticSpace.diagonal(
             ctx, [units[i % len(units)] for i in range(dim)])
-        neg = OrthogonalMap(space, linalg.mat_scale(
-            -ctx.one, linalg.identity(ctx, dim)))
+        neg = OrthogonalMap(space, tuple(
+            tuple(-x for x in row) for row in linalg.identity(ctx, dim)))
         expected = SquareClass.of(ctx.elem(2 ** dim) * linalg.det(space.gram))
         assert spinor_norm(neg) == expected
         assert _oracle_spinor_norm(neg) == expected

@@ -1,6 +1,7 @@
 """Unit tests for symplectic spaces, Heisenberg groups, the Weil
 representation, the det-sign character, and the induction identity."""
 
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -304,6 +305,26 @@ def test_weil_matches_the_bruhat_product_oracle_sampled(p):
             assert w(g) == _oracle_weil(rep, g), g
 
 
+def _first_nonzero(m):
+    """m's row-major first nonzero entry (i, j, e), or None."""
+    for i in range(m.n):
+        for j in range(m.n):
+            e = m.entry(i, j)
+            if not e.is_zero():
+                return i, j, e
+    return None
+
+
+def _proportional_to(m, other):
+    """The scalar c with m == other.scale(c), or None."""
+    first = _first_nonzero(other)
+    if first is None:
+        return m.ctx.one() if m.is_zero() else None
+    i, j, e = first
+    c = m.entry(i, j) / e
+    return c if m == other.scale(c) else None
+
+
 def test_projective_weil_matches_weil_sl2_up_to_scalar():
     p = 3
     V = SymplecticSpace.standard(p, 1)
@@ -313,7 +334,7 @@ def test_projective_weil_matches_weil_sl2_up_to_scalar():
     els = list(sl2_elements(p))
     for g in rng.sample(els, 6):
         t = projective_weil(rep, g)
-        assert t.proportional_to(w(g)) is not None
+        assert _proportional_to(t, w(g)) is not None
     assert weil_sl2(rep, ((1, 1), (0, 1))) == w(((1, 1), (0, 1)))
 
 
@@ -342,7 +363,7 @@ def _oracle_projective_weil(rep, g):
     for seed in range(rep.dim * rep.dim):
         t = _oracle_seed_sum(rep, g, seed)
         if not t.is_zero():
-            _, _, e = t.first_nonzero()
+            _, _, e = _first_nonzero(t)
             return t.scale(e.inv())
     raise AssertionError("no nonzero intertwiner")
 
@@ -489,6 +510,155 @@ def test_isotropic_reduction_dimensions():
     perp, quotient, lifts = isotropic_reduction(
         V, [(1, 0, 0, 0), (0, 1, 0, 0)])
     assert len(perp) == 2 and quotient.dim == 0 and lifts == []
+
+
+def _in_span(vectors, v, p):
+    m = [[vec[i] for vec in vectors] for i in range(len(v))]
+    return linalg.solve(m, v, p) is not None
+
+
+def _oracle_symplectic_space(p, form):
+    """(basis, coordinate matrix) of SymplecticSpace(p, form) for a square
+    alternating form, as the search built them: nondegeneracy from a
+    determinant, each hyperbolic pair from the first pool vector outside
+    the span of the pairs so far and a partner searched through the pool
+    and then all of V (each candidate tested by a span solve), and the
+    coordinates as the inverse of the basis matrix."""
+    form = tuple(tuple(x % p for x in row) for row in form)
+    d, n = len(form), len(form) // 2
+    if d and linalg.det(form, p) == 0:
+        raise SympError("form must be nondegenerate")
+
+    def pairing(u, v):
+        return sum(u[i] * form[i][j] * v[j]
+                   for i in range(d) for j in range(d)) % p
+
+    es, fs, used = [], [], []
+    pool = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    while len(es) < n:
+        e = next(v for v in pool if not _in_span(used, v, p))
+        # all of V in code order, low digit first
+        every = (tuple(reversed(v))
+                 for v in itertools.product(range(p), repeat=d))
+        for v in itertools.chain(pool, every):
+            c = pairing(e, v)
+            if c and not _in_span(used + [e], v, p):
+                break
+        f = linalg.vec_scale(pow(c, p - 2, p), v, p)
+        pool = [w for w in (
+            linalg.vec_sub(linalg.vec_sub(
+                v, linalg.vec_scale(pairing(v, f), e, p), p),
+                linalg.vec_scale(pairing(e, v), f, p), p)
+            for v in pool) if any(w)]
+        es.append(e)
+        fs.append(f)
+        used.extend([e, f])
+    basis = tuple(es) + tuple(fs)
+    return basis, linalg.mat_inv(linalg.transpose(basis), p)
+
+
+def _random_alternating_form(rng, p, n):
+    """An alternating 2n x 2n form whose entries above the diagonal are 0
+    with probability 1/2, so that many are degenerate."""
+    d = 2 * n
+    form = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            x = rng.randrange(p) if rng.random() < 0.5 else 0
+            form[i][j], form[j][i] = x, -x % p
+    return form
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_symplectic_space_matches_the_search_oracle(p):
+    rng = random.Random(p)
+    outcomes = {"nondegenerate": 0, "degenerate": 0}
+    for n in range(4):
+        for _ in range(60):
+            form = _random_alternating_form(rng, p, n)
+            try:
+                expected = _oracle_symplectic_space(p, form)
+            except SympError as err:
+                with pytest.raises(SympError) as raised:
+                    SymplecticSpace(p, form)
+                assert str(raised.value) == str(err)
+                outcomes["degenerate"] += 1
+                continue
+            V = SymplecticSpace(p, form)
+            assert (V.basis, V._to_coordinates) == expected, form
+            outcomes["nondegenerate"] += 1
+    # both branches are exercised: n = 0 alone gives 60 nondegenerate forms
+    assert outcomes["degenerate"] >= 20 and outcomes["nondegenerate"] >= 100
+
+
+def test_symplectic_space_runs_no_elimination_and_no_search(monkeypatch):
+    rng = random.Random(1)
+    forms = []
+    for p in (3, 5, 7, 11):
+        for n in range(4):
+            forms += [(p, _random_alternating_form(rng, p, n))
+                      for _ in range(10)]
+    # which forms are degenerate, decided before the patch
+    degenerate = []
+    for p, form in forms:
+        try:
+            SymplecticSpace(p, form)
+            degenerate.append(False)
+        except SympError:
+            degenerate.append(True)
+    assert 0 < sum(degenerate) < len(forms)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("elimination or search while building a space")
+
+    monkeypatch.setattr(linalg, "_eliminate", forbidden)
+    monkeypatch.setattr(SymplecticSpace, "vectors", forbidden)
+    for (p, form), bad in zip(forms, degenerate):
+        if bad:
+            with pytest.raises(SympError, match="nondegenerate"):
+                SymplecticSpace(p, form)
+        else:
+            SymplecticSpace(p, form)
+    for p, n in ((3, 1), (5, 2), (3, 3)):
+        SymplecticSpace.standard(p, n)
+
+
+def _oracle_perp(space, u_basis):
+    """U-perp as the reduction built it: the unit vectors for U = 0, else
+    the null space of the pairings of U with each unit vector."""
+    units = [tuple(int(i == j) for j in range(space.dim))
+             for i in range(space.dim)]
+    if not u_basis:
+        return units
+    return linalg.null_space(
+        [[space.pairing(u, e) for e in units] for u in u_basis], space.p)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (5, 2)])
+def test_isotropic_reduction_perp_matches_the_pairing_oracle(p, n):
+    V = SymplecticSpace.standard(p, n)
+    cases = [[]] + [[v] for v in checks.isotropic_lines(V)]
+    if n == 2:
+        cases += [[(1, 0, 0, 0), (0, 1, 0, 0)], [(1, 0, 0, 0), (0, 0, 0, 1)],
+                  [(0, 1, 1, 0), (1, 0, 0, 1)],
+                  [(1, 2, 0, 0), (0, 0, 2, p - 1)]]
+    for u_basis in cases:
+        perp, quotient, lifts = isotropic_reduction(V, u_basis)
+        assert perp == _oracle_perp(V, _span_basis(u_basis, p)), u_basis
+        assert quotient.dim == 2 * n - 2 * len(u_basis)
+
+
+@pytest.mark.parametrize("call", [
+    lambda V: isotropic_reduction(V, [(1, 0, 0)]),
+    lambda V: det_sign_character(V, ((1, 0), (0, 1)), [(1, 0, 5)]),
+    lambda V: isotropic_reduction(V, [(1,)]),
+    lambda V: induction_identity_check(V, [(1, 0, 0)]),
+    lambda V: induction_identity_check(V, [(1,)], "heisenberg_only")],
+    ids=["reduce-long", "det-sign-long", "reduce-short", "induction-long",
+         "heisenberg-only-short"])
+def test_vectors_of_the_wrong_length_are_outside_the_space(call):
+    with pytest.raises(SympError, match="vector outside the space"):
+        call(SymplecticSpace.standard(3, 1))
 
 
 def test_graded_symplectic_split():
