@@ -7,12 +7,16 @@ fields compute on the code mod p.  Extension fields with q at most
 SMALL_FIELD_BOUND look everything up in exp, log and Zech-logarithm tables
 built on first use: with g primitive, g^i + g^j = g^(i + Z(j - i)) where
 g^Z(k) = 1 + g^k.  Larger extension fields multiply polynomials.  Elements
-are immutable.
+are immutable.  For arrays of codes every field also builds, on first use
+and from its own arithmetic, read-only log, exp, Zech, negation and square
+tables of size O(q) (FqContext._tables).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+
+import numpy as np
 
 
 class FieldError(ValueError):
@@ -272,6 +276,30 @@ class _PolyArith:
         return _tonelli_shanks(self, a)
 
 
+def _power_tables(arith):
+    """The tables of g, the primitive element of F_q least in code order,
+    computed through the code arithmetic arith: exp[k] = g^k for
+    0 <= k < q - 1, log[g^k] = k (log[0] = 0 is a placeholder) and
+    zech[k] = log(1 + g^k), -1 where 1 + g^k = 0."""
+    q = arith.q
+    n = q - 1
+    cofactors = [n // r for r in _prime_factors(n)]
+    g = next(c for c in range(2, q)
+             if all(arith.pow(c, e) != 1 for e in cofactors))
+    exp = [1] * n
+    for k in range(1, n):
+        exp[k] = arith.mul(exp[k - 1], g)
+    log = [0] * q
+    for k, a in enumerate(exp):
+        log[a] = k
+    zech = [-1] * n
+    for k, a in enumerate(exp):
+        b = arith.add(a, 1)
+        if b:
+            zech[k] = log[b]
+    return exp, log, zech
+
+
 class _ZechArith:
     """F_q on codes through the tables of a primitive element g:
     exp[k] = g^k (doubled, so sums of two logs need no reduction),
@@ -280,27 +308,11 @@ class _ZechArith:
     parity of the log."""
 
     def __init__(self, ctx):
-        poly = _PolyArith(ctx)
-        p, q = ctx.p, ctx.q
-        n = q - 1
-        self.p, self.m, self.n = p, ctx.m, n
-        cofactors = [n // r for r in _prime_factors(n)]
-        g = next(c for c in range(2, q)
-                 if all(poly.pow(c, e) != 1 for e in cofactors))
-        exp = [1] * n
-        for k in range(1, n):
-            exp[k] = poly.mul(exp[k - 1], g)
-        log = [0] * q
-        for k, a in enumerate(exp):
-            log[a] = k
-        zech = [-1] * n
-        for k, a in enumerate(exp):
-            # adding 1 changes only the constant coefficient
-            b = a - a % p + (a + 1) % p
-            if b:
-                zech[k] = log[b]
+        self.p, self.m, self.q = ctx.p, ctx.m, ctx.q
+        exp, log, zech = _power_tables(_PolyArith(ctx))
+        n = self.n = self.q - 1
         half = n // 2  # g^half = -1
-        negs = [0] * q
+        negs = [0] * self.q
         for k, a in enumerate(exp):
             negs[a] = exp[(k + half) % n]
         self.exp, self.log, self.zech, self.negs = exp + exp, log, zech, negs
@@ -345,6 +357,59 @@ class _ZechArith:
         return min(x, self.negs[x], key=self.digits)
 
 
+class _CodeTables:
+    """The arithmetic of F_q on int64 arrays of codes, by lookups into
+    read-only tables of size O(q) built from the field's code arithmetic.
+    With g primitive, n = q - 1 and 2n standing for the log of 0:
+    exp[k] = g^(k mod n) for k < 2n and 0 from 2n to 4n, so the sum of two
+    logs indexes their product, zero included.  zech is indexed by
+    d = log b - log a in [-2n, 2n] (a negative d wraps): log(1 + g^d) for
+    |d| < n (2n where 1 + g^d = 0), d where a = 0 and 0 where b = 0, so
+    a + b = g^(log a + zech[d]) in every case."""
+
+    def __init__(self, arith):
+        exp, log, zech = _power_tables(arith)
+        n = self.n = len(exp)
+        self.exp = np.zeros(4 * n + 1, dtype=np.int64)
+        self.exp[:2 * n] = exp + exp
+        self.log = np.array(log, dtype=np.int64)
+        self.log[0] = 2 * n
+        d = np.arange(4 * n + 1)
+        d[2 * n + 1:] -= 4 * n + 1
+        units = np.array(zech, dtype=np.int64)
+        units[units < 0] = 2 * n
+        self.zech = np.where(d < -n, d, np.where(d > n, 0, units[d % n]))
+        # -g^k = g^(k + n/2)
+        self.negs = np.zeros(n + 1, dtype=np.int64)
+        self.negs[exp] = self.exp[n // 2:n // 2 + n]
+        self.squares = self.log % 2 == 0
+        self.squares[0] = False
+        for table in (self.exp, self.log, self.zech, self.negs,
+                      self.squares):
+            table.flags.writeable = False
+
+    def add(self, a, b):
+        la = self.log[a]
+        return self.exp[la + self.zech[self.log[b] - la]]
+
+    def sub(self, a, b):
+        return self.add(a, self.negs[b])
+
+    def neg(self, a):
+        return self.negs[a]
+
+    def mul(self, a, b):
+        return self.exp[self.log[a] + self.log[b]]
+
+    def inv(self, a):
+        """The inverses of nonzero codes (0 where a is 0)."""
+        return self.exp[self.n - self.log[a]]
+
+    def is_square(self, a):
+        """True on the nonzero squares."""
+        return self.squares[a]
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -385,6 +450,12 @@ class FqContext:
         if self.q <= SMALL_FIELD_BOUND:
             return _ZechArith(self)
         return _PolyArith(self)
+
+    @cached_property
+    def _tables(self):
+        """The array arithmetic on codes (_CodeTables), built on first use
+        from _arith, whichever arithmetic that is."""
+        return _CodeTables(self._arith)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, FqContext)

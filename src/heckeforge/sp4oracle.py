@@ -6,12 +6,21 @@ at e for the trivial and sign-twisted bi-equivariant functions.
 The two resulting quadratic relations differ in the linear coefficient
 ((q-1) vs 0), which is the computational witness that no support-preserving
 rescaling can identify the twisted and untwisted algebras.
+
+Mat2, bruhat_decompose, epsilon_char and phi work on one matrix.  The
+convolutions run as one batched pass over the q representatives h = u(x)s:
+h, h^-1 and h^-1 s are int64 arrays of F_q codes, and phi on all of them
+builds k1, k2, checks their determinants and Iwahori membership and reads
+epsilon off the field's O(q) lookup tables (FqContext._tables).  The tests
+keep the per-x sums over Mat2 and phi as the oracle.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
+
+import numpy as np
 
 from .ffield import FqContext, FqElement, SignValue, sgn
 
@@ -327,31 +336,121 @@ def phi(g, twist):
     return int(epsilon_char(k1, twist)) * int(epsilon_char(k2, twist))
 
 
+# ---------------------------------------------------------------------------
+# the convolution as one pass over the q coset representatives h = u(x)s.
+# A series is a row of N codes along the last axis of an int64 array, and a
+# stack of R matrices is an array of shape (R, 2, 2, N); arrays broadcast,
+# so a stack of shape (1, 2, 2, N) serves every row.  The arithmetic is the
+# field's lookup tables (FqContext._tables).
+
+
+def _series_mul(tab, x, y):
+    """The truncated products of the series x and y."""
+    n = x.shape[-1]
+    out = tab.mul(x[..., :1], y)
+    for i in range(1, n):
+        out[..., i:] = tab.add(out[..., i:],
+                               tab.mul(x[..., i:i + 1], y[..., :n - i]))
+    return out
+
+
+def _series_inv(tab, x):
+    """The inverses of the series x, whose constant terms are nonzero."""
+    out = [tab.inv(x[..., 0])]
+    minus_inv0 = tab.neg(out[0])
+    for k in range(1, x.shape[-1]):
+        acc = tab.mul(x[..., 1], out[k - 1])
+        for i in range(2, k + 1):
+            acc = tab.add(acc, tab.mul(x[..., i], out[k - i]))
+        out.append(tab.mul(minus_inv0, acc))
+    return np.stack(out, axis=-1)
+
+
+def _stack_mul(tab, g, h):
+    """The products g[r] h[r]: all eight entry products at once, then the
+    sums over the inner index."""
+    terms = _series_mul(tab, g[:, :, :, None], h[:, None])
+    return tab.add(terms[:, :, 0], terms[:, :, 1])
+
+
+def _phi_rows(tab, g, twist):
+    """phi on each matrix of the stack g, as bruhat_decompose, epsilon_char
+    and phi compute it on one matrix: 0 on InI; on IsI the product of the
+    characters of k1 = [[-1, -a/c], [0, -1]] and k2 = [[c, d], [0, 1/c]],
+    each checked to have determinant 1 and to lie in I."""
+    isi = g[:, 1, 0, 0] != 0
+    if not (g[~isi, 0, 0, 0].all() and g[~isi, 1, 1, 0].all()):
+        raise OracleError("matrix escapes both cells")
+    cells = g[isi]
+    (a, _), (c, d) = cells.transpose(1, 2, 0, 3)
+    cinv = _series_inv(tab, c)
+    one = np.zeros(c.shape[-1], dtype=np.int64)
+    one[0] = 1
+    k = np.zeros((2,) + cells.shape, dtype=np.int64)
+    k[0, :, 0, 0] = k[0, :, 1, 1] = tab.neg(one)
+    k[0, :, 0, 1] = tab.neg(_series_mul(tab, a, cinv))
+    k[1, :, 0, 0], k[1, :, 0, 1], k[1, :, 1, 1] = c, d, cinv
+    # ad and bc, side by side
+    terms = _series_mul(tab, k[..., 0, :, :], k[..., 1, ::-1, :])
+    if not (tab.sub(terms[..., 0, :], terms[..., 1, :]) == one).all():
+        raise OracleError("determinant must be 1")
+    if not (k[..., 0, 0, 0].all() and k[..., 1, 1, 0].all()
+            and not k[..., 1, 0, 0].any()):
+        raise OracleError("epsilon is only defined on the Iwahori subgroup")
+    out = np.zeros(len(g), dtype=np.int64)
+    if twist == "sign":
+        out[isi] = np.where(tab.is_square(k[..., 0, 0, 0]), 1, -1).prod(0)
+    else:
+        out[isi] = 1
+    return out
+
+
+def _coset_phis(ctx, twist):
+    """The rows phi(h), phi(h^-1) and phi(h^-1 s) over the representatives
+    h = u(x)s, x in F_q in code order, computed in one pass."""
+    if twist not in TWISTS:
+        raise OracleError(f"unknown twist {twist!r}")
+    tab = ctx.fq._tables
+    q = ctx.fq.q
+    s = weyl_s(ctx)
+    s = np.array([[[s.a.codes, s.b.codes], [s.c.codes, s.d.codes]]],
+                 dtype=np.int64)
+    u = np.zeros((q, 2, 2, ctx.trunc), dtype=np.int64)
+    u[:, 0, 0, 0] = u[:, 1, 1, 0] = 1
+    u[:, 0, 1, 0] = np.arange(q)
+    h = _stack_mul(tab, u, s)
+    # [[d, -b], [-c, a]] for each [[a, b], [c, d]]
+    swapped = h[:, ::-1, ::-1].swapaxes(1, 2)
+    h_inv = np.where(np.eye(2, dtype=bool)[:, :, None], swapped,
+                     tab.neg(swapped))
+    stacked = np.concatenate([h, h_inv, _stack_mul(tab, h_inv, s)])
+    return _phi_rows(tab, stacked, twist).reshape(3, q)
+
+
+def _convolution_context(q, trunc, ctx):
+    if ctx is None:
+        return TruncContext.for_q(q, trunc)
+    if ctx.fq.q != q or ctx.trunc != trunc:
+        raise OracleError(f"context is F_{ctx.fq.q}[t]/(t^{ctx.trunc}), "
+                          f"not F_{q}[t]/(t^{trunc})")
+    return ctx
+
+
 def convolve_s(twist, q, trunc=3, ctx=None):
     """(phi * phi)(s) = sum over coset representatives u(x)s of
-    phi(u(x)s) . phi(s^{-1}u(-x)s); exact integer.  ctx, when given, is
-    TruncContext.for_q(q, trunc) built by the caller."""
-    if ctx is None:
-        ctx = TruncContext.for_q(q, trunc)
-    s = weyl_s(ctx)
-    total = 0
-    for x in ctx.fq.elements():
-        h = upper_u(ctx, ctx.scalar(x)) * s
-        total += phi(h, twist) * phi(h.inv() * s, twist)
-    return total
+    phi(u(x)s) . phi(s^{-1}u(-x)s); exact integer.  ctx, when given, must
+    be F_q[t]/(t^trunc), such as TruncContext.for_q(q, trunc)."""
+    phi_h, _, phi_h_inv_s = _coset_phis(_convolution_context(q, trunc, ctx),
+                                        twist)
+    return int(phi_h @ phi_h_inv_s)
 
 
 def convolve_e(twist, q, trunc=3, ctx=None):
     """(phi * phi)(e) over the same coset representatives; exact integer.
     ctx is as for convolve_s."""
-    if ctx is None:
-        ctx = TruncContext.for_q(q, trunc)
-    s = weyl_s(ctx)
-    total = 0
-    for x in ctx.fq.elements():
-        h = upper_u(ctx, ctx.scalar(x)) * s
-        total += phi(h, twist) * phi(h.inv(), twist)
-    return total
+    phi_h, phi_h_inv, _ = _coset_phis(_convolution_context(q, trunc, ctx),
+                                      twist)
+    return int(phi_h @ phi_h_inv)
 
 
 def random_iwahori(ctx, rng):
@@ -388,6 +487,6 @@ def quadratic_relation(twist, q, trunc=3):
     """The pair (c_e, c_s) with phi * phi = c_e . delta_e + c_s . phi
     (support of phi * phi is {e} + IsI); the twisted and untwisted
     relations differ in the linear coefficient."""
-    ctx = TruncContext.for_q(q, trunc)
-    return (convolve_e(twist, q, trunc, ctx=ctx),
-            convolve_s(twist, q, trunc, ctx=ctx))
+    phi_h, phi_h_inv, phi_h_inv_s = _coset_phis(TruncContext.for_q(q, trunc),
+                                                twist)
+    return int(phi_h @ phi_h_inv), int(phi_h @ phi_h_inv_s)

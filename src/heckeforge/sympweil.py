@@ -449,8 +449,12 @@ def _require_totally_isotropic(space, u_basis):
 def isotropic_reduction(space, u_basis):
     """Given totally isotropic U, return (basis of U-perp, the quotient
     U-perp/U as a SymplecticSpace, lifts of its basis to U-perp)."""
+    return _isotropic_reduction(space, _span_basis(u_basis, space.p))
+
+
+def _isotropic_reduction(space, u_basis):
+    """isotropic_reduction for linearly independent u_basis."""
     p = space.p
-    u_basis = _span_basis(u_basis, p)
     _require_totally_isotropic(space, u_basis)
     # the null space of the pairing rows; a zero row when U = 0
     perp = linalg.null_space(
@@ -548,7 +552,7 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
     """
     p = space.p
     u_basis = _span_basis(u_basis, p)
-    perp, quotient, lifts = isotropic_reduction(space, u_basis)
+    perp, quotient, lifts = _isotropic_reduction(space, u_basis)
     rep, qrep = HeisenbergRep(space, iota), HeisenbergRep(quotient, iota)
     reps = np.array(_complement_transversal(space, u_basis),
                     dtype=np.int64).reshape(-1, space.dim)

@@ -5,6 +5,7 @@ import itertools
 import random
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +14,10 @@ from heckeforge import (FqContext, OracleError, TruncContext, TruncSeries,
                         bruhat_decompose, epsilon_char, convolve_s,
                         convolve_e, welldefinedness_check,
                         quadratic_relation, SignValue)
-from heckeforge.sp4oracle import phi, random_iwahori
+from heckeforge import sp4oracle
+from heckeforge.ffield import SMALL_FIELD_BOUND
+from heckeforge.sp4oracle import (TWISTS, _coset_phis, _phi_rows, phi,
+                                  random_iwahori)
 
 
 def test_trunc_context_validation():
@@ -79,6 +83,33 @@ def test_iwahori_membership_pattern():
     assert not iwahori_member(Mat2(ctx, 1, 0, 1, 1))  # c a unit
 
 
+def test_bruhat_decompose_on_all_of_sl2_over_f3_mod_t_squared():
+    """Every g lies in InI, or g = k1 s k2 with both factors in I."""
+    ctx = TruncContext.for_q(3, 2)
+    s = weyl_s(ctx)
+    series = [ctx.series(list(cs)) for cs
+              in itertools.product(ctx.fq.elements(), repeat=2)]
+    group = []
+    for a, b, c, d in itertools.product(series, repeat=4):
+        if a * d - b * c == ctx.one:
+            group.append(Mat2(ctx, a, b, c, d))
+    # |SL_2(F_3)| = 24 times the 3^3 elements of the kernel of reduction
+    assert len(group) == 648
+    cells = []
+    for g in group:
+        cell, data = bruhat_decompose(g)
+        cells.append(cell)
+        if cell == "InI":
+            assert iwahori_member(g) and data == g
+        else:
+            k1, k2 = data
+            assert iwahori_member(k1) and iwahori_member(k2)
+            assert k1 * s * k2 == g
+    # I has 6 * 9 * 3 = 162 elements (a a unit, b any, c in tO, d fixed by
+    # the determinant) and IsI has q |I|
+    assert (cells.count("InI"), cells.count("IsI")) == (162, 486)
+
+
 def test_bruhat_decompose_reconstructs():
     ctx = TruncContext.for_q(5)
     s = weyl_s(ctx)
@@ -117,7 +148,7 @@ def test_phi_supported_on_isi():
     assert phi(weyl_s(ctx), "sign") == 1
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49, 81, 121, 125, 243])
 def test_convolution_values(q):
     assert convolve_s("trivial", q) == q - 1
     assert convolve_s("sign", q) == 0
@@ -174,6 +205,159 @@ def test_convolution_on_given_context(q):
                 == convolve_s(twist, q, 2))
         assert (convolve_e(twist, q, 2, ctx=ctx)
                 == convolve_e(twist, q, 2))
+
+
+@pytest.mark.parametrize("convolve", [convolve_s, convolve_e])
+@pytest.mark.parametrize("q,trunc", [(5, 3), (3, 2), (9, 3)])
+def test_convolution_rejects_a_context_of_other_q_or_n(convolve, q, trunc):
+    # TruncContext.for_q(3) is F_3[t]/(t^3)
+    with pytest.raises(OracleError):
+        convolve("trivial", q, trunc, ctx=TruncContext.for_q(3))
+
+
+# ---------------------------------------------------------------------------
+# the batched pass against the per-x sums it replaced
+
+
+def _oracle_convolve_s(twist, q, trunc):
+    """(phi * phi)(s) as the sum over x in F_q of
+    phi(u(x)s) . phi((u(x)s)^-1 s), one Mat2 at a time."""
+    ctx = TruncContext.for_q(q, trunc)
+    s = weyl_s(ctx)
+    total = 0
+    for x in ctx.fq.elements():
+        h = upper_u(ctx, ctx.scalar(x)) * s
+        total += phi(h, twist) * phi(h.inv() * s, twist)
+    return total
+
+
+def _oracle_convolve_e(twist, q, trunc):
+    """(phi * phi)(e) over the same representatives."""
+    ctx = TruncContext.for_q(q, trunc)
+    s = weyl_s(ctx)
+    total = 0
+    for x in ctx.fq.elements():
+        h = upper_u(ctx, ctx.scalar(x)) * s
+        total += phi(h, twist) * phi(h.inv(), twist)
+    return total
+
+
+@pytest.mark.parametrize("trunc", [2, 3, 4])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49])
+def test_batched_pass_matches_the_per_x_oracle(q, trunc):
+    ctx = TruncContext.for_q(q, trunc)
+    s = weyl_s(ctx)
+    reps = [upper_u(ctx, ctx.scalar(x)) * s for x in ctx.fq.elements()]
+    for twist in TWISTS:
+        # the pass's phi values, representative by representative
+        rows = _coset_phis(ctx, twist)
+        assert rows.tolist() == [
+            [phi(h, twist) for h in reps],
+            [phi(h.inv(), twist) for h in reps],
+            [phi(h.inv() * s, twist) for h in reps]]
+        expected = (_oracle_convolve_e(twist, q, trunc),
+                    _oracle_convolve_s(twist, q, trunc))
+        got_s, got_e = (convolve_s(twist, q, trunc),
+                        convolve_e(twist, q, trunc))
+        assert (got_e, got_s) == expected
+        assert quadratic_relation(twist, q, trunc) == expected
+        assert type(got_s) is int and type(got_e) is int
+
+
+def test_a_wrong_series_inverse_fails_the_determinant_check(monkeypatch):
+    """k2 = [[c, d], [0, 1/c]] has determinant c . (1/c), so the pass's
+    check catches an inverse that is off."""
+    true_inv = sp4oracle._series_inv
+
+    def off_by_t(tab, x):
+        out = true_inv(tab, x)
+        out[..., 1] = tab.add(out[..., 1], np.ones_like(out[..., 1]))
+        return out
+    monkeypatch.setattr(sp4oracle, "_series_inv", off_by_t)
+    with pytest.raises(OracleError, match="determinant must be 1"):
+        convolve_s("sign", 5, 2)
+
+
+def test_phi_rows_rejects_a_matrix_outside_both_cells():
+    # s = [[0, 1], [-1, 0]] lies in IsI; [[0, 1], [0, 0]] has c in tO but
+    # a and d are not units, so it lies in no cell
+    ctx = TruncContext.for_q(5, 2)
+    s = [[(0, 0), (1, 0)], [(4, 0), (0, 0)]]
+    stray = [[(0, 0), (1, 0)], [(0, 0), (0, 0)]]
+    assert _phi_rows(ctx.fq._tables, np.array([s]), "sign").tolist() == [
+        phi(weyl_s(ctx), "sign")]
+    with pytest.raises(OracleError, match="escapes both cells"):
+        _phi_rows(ctx.fq._tables, np.array([s, stray]), "sign")
+
+
+# ---------------------------------------------------------------------------
+# the lookup tables against the field's own code arithmetic
+
+# a prime field, a Zech-table field and a polynomial field past the bound
+TABLE_FIELDS = ((10007, 1), (3, 5), (101, 2))
+
+
+@lru_cache(maxsize=None)
+def _field(p, m):
+    return FqContext(p, m)
+
+
+def test_table_fields_cover_every_arithmetic():
+    kinds = {type(_field(p, m)._arith).__name__ for p, m in TABLE_FIELDS}
+    assert kinds == {"_PrimeArith", "_ZechArith", "_PolyArith"}
+    assert _field(101, 2).q > SMALL_FIELD_BOUND
+
+
+@st.composite
+def _code_arrays(draw):
+    p, m = draw(st.sampled_from(TABLE_FIELDS))
+    fq = _field(p, m)
+    # zero-heavy, so that sums and products with 0 occur
+    code = st.one_of(st.just(0), st.just(1), st.just(fq.q - 1),
+                     st.integers(0, fq.q - 1))
+    size = draw(st.integers(1, 12))
+    return (fq, draw(st.lists(code, min_size=size, max_size=size)),
+            draw(st.lists(code, min_size=size, max_size=size)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_code_arrays())
+def test_tables_match_the_field_arithmetic(case):
+    fq, xs, ys = case
+    tab, ar = fq._tables, fq._arith
+    a, b = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+    assert tab.add(a, b).tolist() == list(map(ar.add, xs, ys))
+    assert tab.sub(a, b).tolist() == list(map(ar.sub, xs, ys))
+    assert tab.mul(a, b).tolist() == list(map(ar.mul, xs, ys))
+    assert tab.neg(a).tolist() == list(map(ar.neg, xs))
+    units = [x for x in xs if x]
+    u = np.array(units, dtype=np.int64)
+    assert tab.inv(u).tolist() == list(map(ar.inv, units))
+    assert tab.is_square(u).tolist() == list(map(ar.is_square, units))
+
+
+@pytest.mark.parametrize("q", [3, 7, 9, 27, 49])
+def test_tables_match_the_field_arithmetic_on_every_pair(q):
+    """Exhaustive where random codes of a large field would rarely meet a
+    given Zech entry."""
+    fq = TruncContext.for_q(q, 2).fq
+    tab, ar = fq._tables, fq._arith
+    xs, ys = (c.ravel() for c in np.meshgrid(np.arange(q), np.arange(q)))
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    assert tab.add(xs, ys).tolist() == [ar.add(x, y) for x, y in pairs]
+    assert tab.sub(xs, ys).tolist() == [ar.sub(x, y) for x, y in pairs]
+    assert tab.mul(xs, ys).tolist() == [ar.mul(x, y) for x, y in pairs]
+    units = list(range(1, q))
+    assert tab.inv(np.arange(1, q)).tolist() == list(map(ar.inv, units))
+    assert tab.is_square(np.arange(1, q)).tolist() == list(
+        map(ar.is_square, units))
+    assert tab.neg(np.arange(q)).tolist() == list(map(ar.neg, range(q)))
+
+
+def test_tables_are_read_only():
+    tab = _field(3, 5)._tables
+    with pytest.raises(ValueError):
+        tab.exp[0] = 2
 
 
 # ---------------------------------------------------------------------------

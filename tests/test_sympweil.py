@@ -648,6 +648,23 @@ def test_isotropic_reduction_perp_matches_the_pairing_oracle(p, n):
         assert quotient.dim == 2 * n - 2 * len(u_basis)
 
 
+def test_induction_check_reduces_u_to_a_basis_once(monkeypatch):
+    """The check reduces U once and hands the basis to
+    _isotropic_reduction; every other reduction mixes in vectors outside U
+    (U-perp is 3-dimensional in dimension 4)."""
+    def spy(vectors, p):
+        calls.append([tuple(v) for v in vectors])
+        return span_basis(vectors, p)
+    calls, span_basis = [], _span_basis
+    monkeypatch.setattr(sympweil, "_span_basis", spy)
+    V = SymplecticSpace.standard(3, 2)
+    line = {(k, 0, 0, 0) for k in range(3)}
+    ok, _ = induction_identity_check(V, [(1, 0, 0, 0), (2, 0, 0, 0)],
+                                     "heisenberg_only")
+    assert ok
+    assert sum(all(v in line for v in c) for c in calls) == 1
+
+
 @pytest.mark.parametrize("call", [
     lambda V: isotropic_reduction(V, [(1, 0, 0)]),
     lambda V: det_sign_character(V, ((1, 0), (0, 1)), [(1, 0, 5)]),
