@@ -3,8 +3,10 @@ with parameter functions and a quadratic relation per generator, twisted
 group algebras, and their semidirect product.
 
 Normal forms use the integer geometric representation on the root lattice
-(crystallographic Cartan pairs per edge label), so length and descent tests
-are exact; affine groups are handled through a configurable length cap.
+(crystallographic Cartan pairs per edge label): w^{-1} is kept as its root
+columns and updated by one rank-one reflection per letter, so length and
+descent tests are exact; affine groups are handled through a configurable
+length cap.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ class CoxeterSystem:
         if len(set(self.generators)) != len(self.generators):
             raise HeckeError("duplicate generators")
         self.type_tag = type_tag
+        if not isinstance(length_cap, int) or length_cap < 0:
+            raise HeckeError(f"length cap must be an int >= 0, "
+                             f"not {length_cap!r}")
         self.length_cap = length_cap
         m = {}
         for s in self.generators:
@@ -67,8 +72,9 @@ class CoxeterSystem:
         self._index = {s: i for i, s in enumerate(self.generators)}
         self.rank = len(self.generators)
         self._cartan = self._build_cartan()
-        self._gen_matrices = {s: self._reflection_matrix(s)
-                              for s in self.generators}
+        # the simple roots as coordinate columns: w^{-1} at w = 1
+        self._units = tuple(tuple(int(k == j) for k in range(self.rank))
+                            for j in range(self.rank))
 
     # -- presentation data ------------------------------------------------
 
@@ -106,57 +112,36 @@ class CoxeterSystem:
                 a[i][j], a[j][i] = pair
         return a
 
-    def _reflection_matrix(self, s):
-        """s_i(alpha_j) = alpha_j - a_ij alpha_i, columns = images."""
-        i = self._index[s]
-        n = self.rank
-        cols = []
-        for j in range(n):
-            col = [1 if k == j else 0 for k in range(n)]
-            col[i] -= self._cartan[i][j]
-            cols.append(col)
-        return tuple(tuple(cols[j][k] for j in range(n)) for k in range(n))
-
-    def _mat_mul(self, a, b):
-        n = self.rank
-        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                           for j in range(n)) for i in range(n))
-
-    def _identity(self):
-        return tuple(tuple(1 if i == j else 0 for j in range(self.rank))
-                     for i in range(self.rank))
-
-    def word_matrix(self, letters):
-        m = self._identity()
-        for s in letters:
-            m = self._mat_mul(m, self._gen_matrices[s])
-        return m
-
-    def _is_left_descent(self, s, w_inv):
-        """l(sw) < l(w)  iff  w^{-1}(alpha_s) is a negative root."""
-        i = self._index[s]
-        col = tuple(w_inv[k][i] for k in range(self.rank))
-        return all(c <= 0 for c in col) and any(c < 0 for c in col)
+    def _reflect(self, cols, i):
+        """The columns of w^{-1} s_i from those of w^{-1}: s_i(alpha_j) =
+        alpha_j - a_ij alpha_i, so column j loses a_ij times column i
+        (column i is negated, and columns with a_ij = 0 are kept)."""
+        col_i = cols[i]
+        return tuple(col if not a else tuple(x - a * y
+                                             for x, y in zip(col, col_i))
+                     for col, a in zip(cols, self._cartan[i]))
 
     def normal_form(self, letters):
         """ShortLex-least reduced word: greedily peel the least left
-        descent."""
+        descent.  w^{-1} is kept as its columns w^{-1}(alpha_j) in root
+        coordinates, and s_i is a left descent of w exactly when the root
+        w^{-1}(alpha_i) is negative, i.e. column i has no positive entry."""
         for s in letters:
             if s not in self._index:
                 raise HeckeError(f"unknown generator {s!r}")
+        inv = self._units
+        for s in reversed(letters):
+            inv = self._reflect(inv, self._index[s])
         # w = 1 exactly when w^{-1} = 1, so w^{-1} alone drives the loop
-        inv = self.word_matrix(tuple(reversed(letters)))
-        ident = self._identity()
         out = []
-        while inv != ident:
+        while inv != self._units:
             # w is still not 1 after length_cap letters: l(w) > length_cap
             if len(out) == self.length_cap:
                 raise LengthCapError(
                     f"word exceeds the length cap {self.length_cap}")
-            s = next(g for g in self.generators
-                     if self._is_left_descent(g, inv))
-            out.append(s)
-            inv = self._mat_mul(inv, self._gen_matrices[s])
+            i = next(i for i, col in enumerate(inv) if max(col) <= 0)
+            out.append(self.generators[i])
+            inv = self._reflect(inv, i)
         return tuple(out)
 
     def word(self, letters):
@@ -400,8 +385,9 @@ class HeckeAlgebra:
         return HeckeElement(self, out)
 
     def mul(self, a, b):
-        if a.algebra is not self and a.algebra != self:
-            raise HeckeError("algebra mismatch")
+        for x in (a, b):
+            if x.algebra is not self and x.algebra != self:
+                raise HeckeError("algebra mismatch")
         out = self.zero()
         for w, coeff in a.coeffs.items():
             acc = b

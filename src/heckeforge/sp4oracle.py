@@ -77,8 +77,14 @@ class TruncContext:
 
 @lru_cache(maxsize=32)
 def _context_for(cls, q, trunc):
-    p, m = _prime_power(q)
-    return cls(FqContext(p, m), trunc)
+    return cls(_field_for(q), trunc)
+
+
+@lru_cache(maxsize=32)
+def _field_for(q):
+    """F_q, built once per q: its modulus search and tables are shared by
+    every truncation N."""
+    return FqContext(*_prime_power(q))
 
 
 def _prime_power(q):

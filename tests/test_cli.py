@@ -252,6 +252,7 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     ["weil", "--p", "4", "--check", "mult"],
     ["sgn", "--p", "4", "--element", "1"],
     ["hecke", "--type", "A1~", "--check", "assoc", "--len-cap", "2"],
+    ["hecke", "--type", "A1~", "--check", "quadratic", "--len-cap", "-1"],
 ])
 def test_bad_input_is_usage_error(argv, capsys):
     assert main(argv) == 2

@@ -55,7 +55,7 @@ def test_affine_length_cap():
         system.normal_form(tuple(["s0", "s1"] * 10))
 
 
-@pytest.mark.parametrize("cap", [1, 4, 7])
+@pytest.mark.parametrize("cap", [0, 1, 4, 7])
 def test_length_cap_is_exact(cap):
     # alternating words are reduced in affine A1: length cap passes with
     # cap letters and raises with cap + 1, in the library and the oracle
@@ -72,34 +72,84 @@ def test_length_cap_is_exact(cap):
     assert system.normal_form(("s1", "s1") + at_cap) == at_cap
 
 
+# Cartan pairs (a_st, a_ts) of the dual root system, i.e. the transpose of
+# the library's pairs: the coroots realize W with the same descents, so the
+# oracle shares neither the library's matrices nor its arithmetic
+_ORACLE_PAIRS = {2: (0, 0), 3: (-1, -1), 4: (-2, -1), 6: (-3, -1),
+                 INFINITY: (-2, -2)}
+
+
+def _oracle_reflections(system):
+    """Row matrices of the simple reflections on the coroot lattice:
+    s_i(x_j) = x_j - a_ij x_i, written as columns."""
+    gens = system.generators
+    n = len(gens)
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            cartan[i][j], cartan[j][i] = _ORACLE_PAIRS[system.m[gens[i],
+                                                                gens[j]]]
+    return {s: tuple(tuple(int(k == j) - int(k == i) * cartan[i][j]
+                           for j in range(n)) for k in range(n))
+            for i, s in enumerate(gens)}
+
+
+def _oracle_mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col))
+                       for col in zip(*b)) for row in a)
+
+
 def _oracle_normal_form(system, letters):
     """normal_form driven by the word matrix w and its inverse together:
-    peel the least left descent of w^{-1} until w is the identity."""
-    mat = system.word_matrix(letters)
-    inv = system.word_matrix(tuple(reversed(letters)))
-    ident = system._identity()
+    peel the least s with w^{-1}(x_s) negative until w is the identity."""
+    gens = _oracle_reflections(system)
+    n = len(system.generators)
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    mat, inv = ident, ident
+    for s in letters:
+        mat = _oracle_mat_mul(mat, gens[s])
+        inv = _oracle_mat_mul(gens[s], inv)
     out = []
     while mat != ident:
         if len(out) == system.length_cap:
             raise LengthCapError(
                 f"word exceeds the length cap {system.length_cap}")
-        s = next(g for g in system.generators
-                 if system._is_left_descent(g, inv))
+        i = next(i for i in range(n)
+                 if all(row[i] <= 0 for row in inv)
+                 and any(row[i] < 0 for row in inv))
+        s = system.generators[i]
         out.append(s)
-        mat = system._mat_mul(system._gen_matrices[s], mat)
-        inv = system._mat_mul(inv, system._gen_matrices[s])
+        mat = _oracle_mat_mul(gens[s], mat)
+        inv = _oracle_mat_mul(inv, gens[s])
     return tuple(out)
 
 
+# rank-3 systems written out as Coxeter matrices
+_MATRICES = {
+    "A3": (("s", "t", "u"), {("s", "t"): 3, ("t", "u"): 3, ("s", "u"): 2}),
+    "B3": (("s", "t", "u"), {("s", "t"): 3, ("t", "u"): 4, ("s", "u"): 2}),
+    "A2~": (("s0", "s1", "s2"),
+            {("s0", "s1"): 3, ("s1", "s2"): 3, ("s0", "s2"): 3}),
+}
+
+
 @pytest.mark.parametrize("tag,cap", [("A2", 64), ("B2", 64), ("G2", 64),
-                                     ("A1~", 64), ("A1~", 6)])
+                                     ("A1~", 64), ("A1~", 6),
+                                     ("A3", 64), ("A3", 4), ("B3", 64),
+                                     ("B3", 6), ("A2~", 64), ("A2~", 6)])
 def test_normal_form_matches_the_two_matrix_oracle(tag, cap):
-    system = CoxeterSystem.from_type(tag, length_cap=cap)
+    if tag in _MATRICES:
+        system = CoxeterSystem(*_MATRICES[tag], length_cap=cap)
+    else:
+        system = CoxeterSystem.from_type(tag, length_cap=cap)
     rng = random.Random(tag + str(cap))
+    words = [tuple(rng.choice(system.generators)
+                   for _ in range(rng.randrange(25))) for _ in range(150)]
+    if tag in ("B2", "G2", "A1~"):
+        words += [word for k in range(9)
+                  for word in itertools.product(system.generators, repeat=k)]
     capped = 0
-    for _ in range(150):
-        word = tuple(rng.choice(system.generators)
-                     for _ in range(rng.randrange(25)))
+    for word in words:
         try:
             want = _oracle_normal_form(system, word)
         except LengthCapError:
@@ -108,8 +158,8 @@ def test_normal_form_matches_the_two_matrix_oracle(tag, cap):
                 system.normal_form(word)
             continue
         assert system.normal_form(word) == want
-    # with the small cap both raise on some words and agree on the rest
-    assert (capped > 0) == (cap == 6)
+    # with a small cap both raise on some words and agree on the rest
+    assert (capped > 0) == (cap < 64)
 
 
 def test_coxeter_validation():
@@ -119,6 +169,10 @@ def test_coxeter_validation():
         CoxeterSystem(("s", "t"), {("s", "t"): 5})  # non-crystallographic
     with pytest.raises(HeckeError):
         CoxeterSystem.from_type("E8")
+    # a cap of -1 once switched the cap off: len(out) never equals it
+    for cap in (-1, 2.5, None, "8"):
+        with pytest.raises(HeckeError, match="length cap must be an int"):
+            CoxeterSystem.from_type("A1~", length_cap=cap)
 
 
 def test_coxeter_matrix_must_give_every_pair():
@@ -212,6 +266,18 @@ def test_associativity_random():
     assert checks.hecke_assoc(algebra, triples) == (True, None)
     assert hecke_mul(algebra.one(), algebra.basis(("s",))) \
         == algebra.basis(("s",))
+
+
+def test_mul_checks_both_algebras():
+    # b was once multiplied under a's relation without a check
+    system = CoxeterSystem.from_type("B2")
+    default = HeckeAlgebra(system)
+    twisted = HeckeAlgebra(system, relation={
+        s: (0, default.q(s)) for s in system.generators})
+    ts, tw = default.basis(("s",)), twisted.basis(("s",))
+    for a, b in ((ts, tw), (tw, ts), (tw, tw)):
+        with pytest.raises(HeckeError, match="algebra mismatch"):
+            default.mul(a, b)
 
 
 def test_element_arithmetic():

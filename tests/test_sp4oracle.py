@@ -35,6 +35,8 @@ def test_for_q_is_shared():
     assert TruncContext.for_q(9, 2) is TruncContext.for_q(9, 2)
     assert TruncContext.for_q(9) is TruncContext.for_q(9, trunc=3)
     assert TruncContext.for_q(9, 2) is not TruncContext.for_q(9, 3)
+    # one field per q: a second N does not search for a modulus again
+    assert TruncContext.for_q(9, 2).fq is TruncContext.for_q(9, 3).fq
 
 
 def test_series_ring():
