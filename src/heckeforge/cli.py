@@ -166,6 +166,8 @@ def _cmd_hecke(args):
 
 
 def _hecke_check(args):
+    if args.len_cap < 0:
+        raise UsageError(f"--len-cap must be >= 0, not {args.len_cap}")
     try:
         system = (CoxeterSystem.from_type(args.type, length_cap=args.len_cap)
                   if not args.type.endswith(".json")
@@ -214,11 +216,11 @@ def _cmd_sp4(args):
     if args.twist not in ("trivial", "sign"):
         raise UsageError("--twist must be trivial or sign")
     try:
-        ctx = TruncContext.for_q(args.q, args.N)
+        TruncContext.for_q(args.q, args.N)
     except (FieldError, OracleError) as e:
         raise UsageError(f"bad input: {e}")
     fn = convolve_s if args.point == "s" else convolve_e
-    value = fn(args.twist, args.q, args.N, ctx=ctx)
+    value = fn(args.twist, args.q, args.N)
     _emit({"q": args.q, "twist": args.twist, "point": args.point,
            "value": value})
     return 0

@@ -433,29 +433,16 @@ def _coset_phis(ctx, twist):
     return _phi_rows(tab, stacked, twist).reshape(3, q)
 
 
-def _convolution_context(q, trunc, ctx):
-    if ctx is None:
-        return TruncContext.for_q(q, trunc)
-    if ctx.fq.q != q or ctx.trunc != trunc:
-        raise OracleError(f"context is F_{ctx.fq.q}[t]/(t^{ctx.trunc}), "
-                          f"not F_{q}[t]/(t^{trunc})")
-    return ctx
-
-
-def convolve_s(twist, q, trunc=3, ctx=None):
+def convolve_s(twist, q, trunc=3):
     """(phi * phi)(s) = sum over coset representatives u(x)s of
-    phi(u(x)s) . phi(s^{-1}u(-x)s); exact integer.  ctx, when given, must
-    be F_q[t]/(t^trunc), such as TruncContext.for_q(q, trunc)."""
-    phi_h, _, phi_h_inv_s = _coset_phis(_convolution_context(q, trunc, ctx),
-                                        twist)
+    phi(u(x)s) . phi(s^{-1}u(-x)s); exact integer."""
+    phi_h, _, phi_h_inv_s = _coset_phis(TruncContext.for_q(q, trunc), twist)
     return int(phi_h @ phi_h_inv_s)
 
 
-def convolve_e(twist, q, trunc=3, ctx=None):
-    """(phi * phi)(e) over the same coset representatives; exact integer.
-    ctx is as for convolve_s."""
-    phi_h, phi_h_inv, _ = _coset_phis(_convolution_context(q, trunc, ctx),
-                                      twist)
+def convolve_e(twist, q, trunc=3):
+    """(phi * phi)(e) over the same coset representatives; exact integer."""
+    phi_h, phi_h_inv, _ = _coset_phis(TruncContext.for_q(q, trunc), twist)
     return int(phi_h @ phi_h_inv)
 
 

@@ -54,16 +54,6 @@ def _identity_matrix(d):
     return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
 
 
-def _span_basis(vectors, p):
-    """The first independent vectors, in order: the pivot columns of the
-    matrix whose columns are the vectors."""
-    vectors = [_vec_mod(v, p) for v in vectors]
-    if not vectors:
-        return []
-    _, pivots = linalg.rref(linalg.transpose(vectors), p)
-    return [vectors[c] for c in pivots]
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -88,12 +78,8 @@ class SymplecticSpace:
         self.form = form
         self.dim = d
         self.n = d // 2
-        self.basis = self._symplectic_basis()
-        # v = sum_i <v, f_i> e_i + <e_i, v> f_i: rows F f_i, then F^T e_i
-        es, fs = self.basis[:self.n], self.basis[self.n:]
-        self._to_coordinates = (
-            linalg.mat_mul(fs, linalg.transpose(form), p)
-            + linalg.mat_mul(es, form, p))
+        self.basis, _ = self._symplectic_basis()
+        self._to_coordinates = self._coordinate_matrix(self.basis)
 
     @classmethod
     def standard(cls, p, n):
@@ -109,14 +95,21 @@ class SymplecticSpace:
         return sum(u[i] * self.form[i][j] * v[j]
                    for i in range(self.dim) for j in range(self.dim)) % p
 
-    def _symplectic_basis(self):
-        """Greedy symplectic Gram-Schmidt.  The pool spans the orthogonal
-        complement of the pairs found so far, which is nondegenerate when
-        the form is; so the pool's first vector e has a partner in the pool,
-        unless e lies in the radical of the form."""
+    def _symplectic_basis(self, first=()):
+        """Greedy symplectic Gram-Schmidt on a pool of the vectors of the
+        totally isotropic `first`, then the unit vectors.  The pool spans
+        the orthogonal complement of the pairs found so far, which is
+        nondegenerate when the form is; so the pool's first vector e has a
+        partner in the pool, unless e lies in the radical of the form.
+        Projection keeps the vectors of U = span(first) inside U, and those
+        that depend on the e's found so far drop out as zeros.  Returns
+        (basis, k): the first k e's are a basis of U."""
         p = self.p
+        _require_totally_isotropic(self, first)
         es, fs = [], []
-        pool = list(_identity_matrix(self.dim))
+        pool = [v for v in (_vec_mod(u, p) for u in first) if any(v)]
+        k, in_u = 0, len(pool)  # in_u: the pool's leading vectors of U
+        pool += _identity_matrix(self.dim)
         while len(es) < self.n:
             e = pool[0]
             for v in pool:
@@ -126,6 +119,11 @@ class SymplecticSpace:
             else:
                 raise SympError("form must be nondegenerate")
             f = linalg.vec_scale(pow(c, p - 2, p), v, p)
+            es.append(e)
+            fs.append(f)
+            k += in_u > 0
+            if len(es) == self.n:
+                break
             # reduce the pool modulo the found hyperbolic pair
             new_pool = []
             for v in pool:
@@ -134,10 +132,17 @@ class SymplecticSpace:
                 w = linalg.vec_sub(v, linalg.vec_scale(a, e, p), p)
                 w = linalg.vec_sub(w, linalg.vec_scale(b, f, p), p)
                 new_pool.append(w)
-            es.append(e)
-            fs.append(f)
+            in_u = sum(map(any, new_pool[:in_u]))
             pool = [w for w in new_pool if any(w)]
-        return tuple(es) + tuple(fs)
+        return tuple(es) + tuple(fs), k
+
+    def _coordinate_matrix(self, basis):
+        """The matrix of v -> v's coordinates in the symplectic basis
+        (e_1..e_n, f_1..f_n): v = sum_i <v, f_i> e_i + <e_i, v> f_i, so
+        its rows are F f_i, then F^T e_i."""
+        es, fs = basis[:self.n], basis[self.n:]
+        return (linalg.mat_mul(fs, linalg.transpose(self.form), self.p)
+                + linalg.mat_mul(es, self.form, self.p))
 
     def coordinates(self, v):
         """Coordinates of v in the distinguished symplectic basis."""
@@ -405,33 +410,33 @@ def projective_weil(rep, g):
     # T = sum_v rho(gv) E_00 rho(-v), where rho(gv) E_00 rho(-v) is column
     # 0 of rho(gv) times row 0 of rho(-v).  T[0, 0] != 0: rho(u)[0, 0] is 1
     # when u lies in the model's Lagrangian L (y(u) = 0) and 0 otherwise, so
-    # T[0, 0] = |L cap g^-1 L| >= 1
+    # T[0, 0] = |L cap g^-1 L| >= 1, which is T's denominator
     v, s = np.nonzero(v_rows == 0)
-    t = CycloMatrix.from_zeta_powers(rep.cyclo, rep.dim, g_rows[v, 0], s,
-                                     g_exps[v, 0] + v_exps[v, s])
-    return t.scale(t.entry(0, 0).inv())
+    meet = int(np.count_nonzero((v_rows[:, 0] == 0) & (g_rows[:, 0] == 0)))
+    return CycloMatrix.from_zeta_powers(rep.cyclo, rep.dim, g_rows[v, 0], s,
+                                        g_exps[v, 0] + v_exps[v, s],
+                                        den=meet)
 
 
 def det_sign_character(space, g, u_basis):
     """sgn of det of g restricted to the stabilized totally isotropic
-    subspace spanned by u_basis.  The empty subspace gives +1."""
-    return _det_sign(space, g, _span_basis(u_basis, space.p))
-
-
-def _det_sign(space, g, u_basis):
-    """det_sign_character for linearly independent u_basis."""
+    subspace U spanned by u_basis.  The empty subspace gives +1.  In a
+    symplectic basis whose first k e's are a basis of U, the matrix of g on
+    U is (<g e_i, f_j>), and g stabilizes U exactly when every g e_i is
+    sum_j <g e_i, f_j> e_j."""
     p = space.p
-    _require_totally_isotropic(space, u_basis)
-    if not u_basis:
+    basis, k = space._symplectic_basis(u_basis)
+    if not k:
         return SignValue(1)
+    es, fs = basis[:k], basis[space.n:space.n + k]
     action = []
-    m = linalg.transpose(u_basis)
-    for u in u_basis:
-        sol = linalg.solve(m, linalg.mat_vec(g, u, p), p)
-        if sol is None:
+    for e in es:
+        ge = linalg.mat_vec(g, e, p)
+        column = [space.pairing(ge, f) for f in fs]
+        if linalg.mat_vec(linalg.transpose(es), column, p) != ge:
             raise SympError("g does not stabilize the subspace")
-        action.append(sol)
-    det = linalg.det(linalg.transpose(action), p)
+        action.append(column)
+    det = linalg.det(action, p)
     if det == 0:
         raise SympError("g is singular on the subspace")
     return SignValue(_sgn_mod_p(det, p))
@@ -448,21 +453,15 @@ def _require_totally_isotropic(space, u_basis):
 
 def isotropic_reduction(space, u_basis):
     """Given totally isotropic U, return (basis of U-perp, the quotient
-    U-perp/U as a SymplecticSpace, lifts of its basis to U-perp)."""
-    return _isotropic_reduction(space, _span_basis(u_basis, space.p))
-
-
-def _isotropic_reduction(space, u_basis):
-    """isotropic_reduction for linearly independent u_basis."""
-    p = space.p
-    _require_totally_isotropic(space, u_basis)
-    # the null space of the pairing rows; a zero row when U = 0
-    perp = linalg.null_space(
-        linalg.mat_mul(u_basis, space.form, p) or [(0,) * space.dim], p)
-    # complement of U inside U-perp
-    lifts = _span_basis(u_basis + perp, p)[len(u_basis):]
-    form = [[space.pairing(a, b) for b in lifts] for a in lifts]
-    return perp, SymplecticSpace(p, form), lifts
+    U-perp/U as a SymplecticSpace, lifts of its basis to U-perp), read off a
+    symplectic basis (e_1..e_n, f_1..f_n) whose first k e's are a basis of
+    U: U-perp is spanned by the e's and f_{k+1..n}, and the lifts are the
+    pairs past k, whose Gram matrix is the standard form."""
+    basis, k = space._symplectic_basis(u_basis)
+    n = space.n
+    lifts = list(basis[k:n] + basis[n + k:])
+    return (list(basis[:k]) + lifts, SymplecticSpace.standard(space.p, n - k),
+            lifts)
 
 
 def graded_symplectic_split(space, weights):
@@ -505,13 +504,13 @@ def _stabilizer_sl2(space, u_basis):
     return group
 
 
-def _line_signs(group, u, square):
-    """chi^U on a (G, 2, 2) stack that stabilizes the line of u: the sgn,
-    read off the table square of F_p, of the eigenvalue in g u = lambda u at
-    u's first nonzero coordinate.  _det_sign is its oracle."""
-    p, i = len(square), next(j for j, x in enumerate(u) if x)
-    return np.where(square[group[:, i] @ np.array(u)
-                           * pow(u[i], p - 2, p) % p], 1, -1)
+def _line_signs(space, group, e, f, square):
+    """chi^U on a (G, 2, 2) stack that stabilizes the line of e, for a
+    partner f with <e, f> = 1: the sgn, read off the table square of F_p,
+    of the eigenvalue <g e, f> in g e = lambda e.  det_sign_character is
+    its oracle."""
+    return np.where(square[group @ np.array(e) @ np.array(space.form)
+                           @ np.array(f) % space.p], 1, -1)
 
 
 def _identity_entries(dim):
@@ -550,12 +549,13 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
     representatives times dim sigma), rep_dim, and the first witness
     (g, (v, 0)) of a difference in group order, or None.
     """
-    p = space.p
-    u_basis = _span_basis(u_basis, p)
-    perp, quotient, lifts = _isotropic_reduction(space, u_basis)
+    p, n = space.p, space.n
+    # a symplectic basis (e_1..e_n, f_1..f_n) whose first k e's are a basis
+    # of U: the lifts of U-perp/U are the pairs past k
+    basis, k = space._symplectic_basis(u_basis)
+    quotient = SymplecticSpace.standard(p, n - k)
     rep, qrep = HeisenbergRep(space, iota), HeisenbergRep(quotient, iota)
-    reps = np.array(_complement_transversal(space, u_basis),
-                    dtype=np.int64).reshape(-1, space.dim)
+    reps = _coset_representatives(space, basis[n:n + k])
     details = {"induced_dim": len(reps) * qrep.dim, "rep_dim": rep.dim,
                "witness": None}
     if mode == "heisenberg_only":
@@ -567,12 +567,12 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
             raise SympError("with_sl2_levi requires dim(U-perp/U) in {0, 2}")
         if space.dim != 2:
             raise SympError("with_sl2_levi is implemented for dim V = 2")
-        group = _stabilizer_sl2(space, u_basis)
+        group = _stabilizer_sl2(space, basis[:k])
         # the transposed inverse of ((a, b), (c, d)) is ((d, -c), (-b, a))
         inverses_t = group[:, ::-1, ::-1] * np.array([[1, -1], [-1, 1]])
         weil = WeilSL2(rep)
-        chi = (_line_signs(group, u_basis[0], weil._square)
-               if include_chi and u_basis else np.ones(len(group), dtype=int))
+        chi = (_line_signs(space, group, basis[0], basis[1], weil._square)
+               if include_chi and k else np.ones(len(group), dtype=int))
         # omega(g)'s exponents on its grid, from g in the symplectic basis;
         # sigma(g) is omega(g) for U = 0, where the quotient is V itself, and
         # the identity on one dimension for a line
@@ -586,15 +586,14 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
 
     vecs, ctx = _digit_array(p, space.dim), rep.cyclo
     rows, exps = rep._monomials(vecs)
-    # coordinates in the basis lifts + u_basis + a complement of U-perp: the
-    # lift coordinates name v's image in U-perp/U, and a v with a nonzero
-    # complement coordinate lies outside U-perp and adds no induced term
-    basis = _span_basis(lifts + u_basis + list(_identity_matrix(space.dim)),
-                        p)
-    coords = vecs @ np.array(linalg.mat_inv(linalg.transpose(basis), p),
+    # coordinates in the adapted basis: those on the lifts name v's image in
+    # U-perp/U, and a v with a nonzero coordinate <e_i, v> on f_1..f_k lies
+    # outside U-perp and adds no induced term
+    coords = vecs @ np.array(space._coordinate_matrix(basis),
                              dtype=np.int64).T % p
-    q_rows, q_exps = qrep._monomials(coords[:, :len(lifts)])
-    q_exps[coords[:, len(perp):].any(axis=1)] = _ABSENT
+    q_rows, q_exps = qrep._monomials(
+        coords[:, [*range(k, n), *range(n + k, 2 * n)]])
+    q_exps[coords[:, n:n + k].any(axis=1)] = _ABSENT
     # the offsets of the entries [s, rows[s]] in an operator's grid, and per
     # coordinate i and x in F_p the codes (x + v_i) p^i and products x v_i
     offsets = np.arange(rep.dim) * rep.dim + rows
@@ -661,16 +660,12 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
     return details["induced_dim"] == rep.dim, details
 
 
-def _complement_transversal(space, u_basis):
-    """Coset representatives of U-perp in V: the first vector of each coset,
-    told apart by its pairings with U, the linear forms that vanish on
-    U-perp."""
-    p, vecs = space.p, _digit_array(space.p, space.dim)
-    forms = np.array(u_basis, dtype=np.int64).reshape(-1, space.dim)
-    keys = vecs @ np.array(space.form).T @ forms.T % p @ p ** np.arange(
-        len(forms))
-    first = np.sort(np.unique(keys, return_index=True)[1])
-    return [tuple(v) for v in vecs[first].tolist()]
+def _coset_representatives(space, fs):
+    """The combinations of f_1..f_k, in code order of their coefficients:
+    one representative per coset of U-perp in V, U-perp being where every
+    <e_i, .> with i <= k vanishes."""
+    return _digit_array(space.p, len(fs)) @ np.array(
+        fs, dtype=np.int64).reshape(-1, space.dim) % space.p
 
 
 def heisenberg_rep(space, iota=None):

@@ -160,6 +160,19 @@ def test_hecke_matrix_file_must_give_every_pair(tmp_path, capsys, matrix,
         assert "m(s,u) is missing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cox_type", ["file", "A1~"])
+def test_negative_len_cap_names_the_flag(cox_type, tmp_path, capsys):
+    # the cap is a flag, not part of the matrix file
+    if cox_type == "file":
+        cox_type = str(tmp_path / "a2.json")
+        (tmp_path / "a2.json").write_text(json.dumps(
+            {"generators": ["s", "t"], "matrix": [["s", "t", 3]]}))
+    assert main(["hecke", "--type", cox_type, "--check", "braid",
+                 "--len-cap", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "--len-cap" in err and "Coxeter matrix file" not in err
+
+
 def test_sp4_subcommand(capsys):
     code, payload = _run(capsys, ["sp4", "--q", "3", "--twist", "trivial"])
     assert code == 0 and payload["value"] == 2

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from heckeforge import FieldError, FqContext
 from heckeforge import linalg
-from heckeforge.sympweil import _span_basis
 
 
 def _mat_from_ints(ctx, rows):
@@ -18,6 +17,17 @@ def _in_span(vectors, v, p):
     """Whether v lies in the span of vectors: one solve."""
     m = [[vec[i] for vec in vectors] for i in range(len(v))]
     return linalg.solve(m, v, p) is not None
+
+
+def _span_basis(vectors, p):
+    """The first independent vectors, in order: the pivot columns of the
+    matrix whose columns are the vectors.  The tests' oracle for the basis
+    of U that a U-adapted symplectic basis starts with."""
+    vectors = [tuple(x % p for x in v) for v in vectors]
+    if not vectors:
+        return []
+    _, pivots = linalg.rref(linalg.transpose(vectors), p)
+    return [vectors[c] for c in pivots]
 
 
 def test_rref_example_f5():

@@ -200,21 +200,19 @@ def test_twist_separation_needs_ell_prime_to_q_minus_one(ell, matched):
 
 
 @pytest.mark.parametrize("q", [3, 9])
-def test_convolution_on_given_context(q):
-    ctx = TruncContext.for_q(q, 2)
+def test_convolution_on_given_context(q, monkeypatch):
+    # both convolutions run on the context TruncContext.for_q gives
+    used, coset_phis = [], sp4oracle._coset_phis
+
+    def spy(ctx, twist):
+        used.append(ctx)
+        return coset_phis(ctx, twist)
+    monkeypatch.setattr(sp4oracle, "_coset_phis", spy)
     for twist in ("trivial", "sign"):
-        assert (convolve_s(twist, q, 2, ctx=ctx)
-                == convolve_s(twist, q, 2))
-        assert (convolve_e(twist, q, 2, ctx=ctx)
-                == convolve_e(twist, q, 2))
-
-
-@pytest.mark.parametrize("convolve", [convolve_s, convolve_e])
-@pytest.mark.parametrize("q,trunc", [(5, 3), (3, 2), (9, 3)])
-def test_convolution_rejects_a_context_of_other_q_or_n(convolve, q, trunc):
-    # TruncContext.for_q(3) is F_3[t]/(t^3)
-    with pytest.raises(OracleError):
-        convolve("trivial", q, trunc, ctx=TruncContext.for_q(3))
+        convolve_s(twist, q, 2)
+        convolve_e(twist, q, 2)
+    assert used == [TruncContext.for_q(q, 2)] * 4
+    assert all(ctx is used[0] for ctx in used)
 
 
 # ---------------------------------------------------------------------------

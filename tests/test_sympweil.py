@@ -17,9 +17,8 @@ from heckeforge import (SympError, SymplecticSpace, HeisenbergElement,
                         graded_symplectic_split, induction_identity_check,
                         sl2_elements, SignValue, CycloMatrix)
 from heckeforge import checks, linalg, sympweil
-from heckeforge.sympweil import (
-    _span_basis, _det_sign,
-    _stabilizer_sl2, _complement_transversal)
+from heckeforge.sympweil import _stabilizer_sl2, _coset_representatives
+from test_linalg import _span_basis
 
 
 def _all_heisenberg(space):
@@ -451,6 +450,30 @@ def test_e00_seed_sum_counts_the_lagrangian_meet_sp4_f3():
     assert meets == {1, 3, 9}
 
 
+def _oracle_scaled_intertwiner(rep, g):
+    """projective_weil's monomial sum, normalised as it was: scaled by the
+    inverse of its (0, 0) entry in Q(zeta_4p)."""
+    p = rep.space.p
+    vs = np.array(list(rep.space.vectors()), dtype=np.int64)
+    g_rows, g_exps = rep._monomials(vs @ np.array(g, dtype=np.int64).T % p)
+    v_rows, v_exps = rep._monomials(-vs % p)
+    v, s = np.nonzero(v_rows == 0)
+    t = CycloMatrix.from_zeta_powers(rep.cyclo, rep.dim, g_rows[v, 0], s,
+                                     g_exps[v, 0] + v_exps[v, s])
+    return t.scale(t.entry(0, 0).inv())
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2)])
+def test_projective_weil_matches_the_scaled_oracle(p, n):
+    rep = HeisenbergRep(SymplecticSpace.standard(p, n))
+    gs = (random.Random(p).sample(list(sl2_elements(p)), 12) if n == 1
+          else _sp4_elements(p))
+    for g in gs:
+        t = projective_weil(rep, g)
+        assert t == _oracle_scaled_intertwiner(rep, g)
+        assert type(t.den) is int
+
+
 def test_projective_weil_intertwines_rank_two():
     p = 3
     V = SymplecticSpace.standard(p, 2)
@@ -644,25 +667,182 @@ def test_isotropic_reduction_perp_matches_the_pairing_oracle(p, n):
                   [(1, 2, 0, 0), (0, 0, 2, p - 1)]]
     for u_basis in cases:
         perp, quotient, lifts = isotropic_reduction(V, u_basis)
-        assert perp == _oracle_perp(V, _span_basis(u_basis, p)), u_basis
-        assert quotient.dim == 2 * n - 2 * len(u_basis)
+        u = _span_basis(u_basis, p)
+        expected = _oracle_perp(V, u)
+        # perp has the oracle's row space and dim - k vectors
+        assert len(perp) == len(expected) == 2 * n - len(u), u_basis
+        assert _rank(perp, p) == _rank(perp + expected, p) == len(perp)
+        # U and the lifts are a basis of perp
+        assert _rank(u + lifts, p) == _rank(u + lifts + perp, p) == len(perp)
+        assert quotient.form == tuple(tuple(V.pairing(a, b) for b in lifts)
+                                      for a in lifts)
+        assert quotient.dim == 2 * n - 2 * len(u)
+
+
+def _rank(vectors, p):
+    return len(linalg.rref(vectors, p)[1])
+
+
+def _random_isotropic(rng, space, count):
+    """Up to count random vectors pairing to zero with each other, with a
+    zero vector and combinations of the kept ones mixed in."""
+    p, out = space.p, []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.1:
+            out.append((0,) * space.dim)
+        elif roll < 0.3 and out:
+            a, b = rng.choice(out), rng.choice(out)
+            out.append(linalg.vec_add(a, linalg.vec_scale(rng.randrange(p),
+                                                          b, p), p))
+        else:
+            v = tuple(rng.randrange(p) for _ in range(space.dim))
+            if not any(space.pairing(v, w) for w in out):
+                out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)])
+def test_adapted_basis_starts_with_a_basis_of_u(p, n):
+    rng = random.Random(10 * p + n)
+    spaces = [SymplecticSpace.standard(p, n)]
+    while len(spaces) < 3:
+        try:
+            spaces.append(SymplecticSpace(
+                p, _random_alternating_form(rng, p, n)))
+        except SympError:
+            continue
+    for V in spaces:
+        # no vectors first: the space's own basis
+        assert V._symplectic_basis() == (V.basis, 0)
+        for _ in range(15):
+            u_basis = _random_isotropic(rng, V, rng.randrange(2 * n + 2))
+            basis, k = V._symplectic_basis(u_basis)
+            es, fs = basis[:n], basis[n:]
+            assert all(V.pairing(a, b) == 0 for a in es for b in es)
+            assert all(V.pairing(a, b) == 0 for a in fs for b in fs)
+            assert all(V.pairing(a, b) == int(i == j)
+                       for i, a in enumerate(es) for j, b in enumerate(fs))
+            # e_1..e_k is a basis of the span of u_basis
+            u = _span_basis(u_basis, p)
+            assert k == len(u)
+            if k:
+                assert _rank(list(es[:k]) + u, p) == k
+
+
+def _oracle_det_sign(space, g, u_basis):
+    """det_sign_character by solves: the coordinates of each g u in the
+    independent vectors u_basis, then their determinant."""
+    p = space.p
+    u_basis = _span_basis(u_basis, p)
+    if not u_basis:
+        return SignValue(1)
+    m = linalg.transpose(u_basis)
+    action = []
+    for u in u_basis:
+        sol = linalg.solve(m, linalg.mat_vec(g, u, p), p)
+        if sol is None:
+            raise SympError("g does not stabilize the subspace")
+        action.append(sol)
+    det = linalg.det(action, p)
+    if det == 0:
+        raise SympError("g is singular on the subspace")
+    return SignValue(1 if pow(det, (p - 1) // 2, p) == 1 else -1)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_det_sign_character_matches_the_solve_oracle(p):
+    # block matrices diag(A, A^-T) stabilize span(e_1, e_2), diag(2, 1,
+    # 1/2, 1) with det 2 on the line of e_1; J and random products move
+    # some subspaces off themselves
+    V = SymplecticSpace.standard(p, 2)
+    rng = random.Random(p)
+    half = pow(2, p - 2, p)
+    gens = _sp4_elements(p) + [
+        ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, half, 0), (0, 0, 0, 1))]
+    outcomes = set()
+    for _ in range(60):
+        g = gens[rng.randrange(len(gens))]
+        for _ in range(rng.randrange(3)):
+            g = linalg.mat_mul(g, rng.choice(gens), p)
+        for u_basis in ([(1, 0, 0, 0)], [(1, 0, 0, 0), (0, 1, 0, 0)],
+                        [(0, 0, 1, 0), (0, 0, 0, 1)],
+                        _random_isotropic(rng, V, 3)):
+            try:
+                want = _oracle_det_sign(V, g, u_basis)
+            except SympError as err:
+                with pytest.raises(SympError, match=str(err)):
+                    det_sign_character(V, g, u_basis)
+                outcomes.add("unstable")
+                continue
+            assert det_sign_character(V, g, u_basis) == want
+            outcomes.add(int(want))
+    assert outcomes == {1, -1, "unstable"}
 
 
 def test_induction_check_reduces_u_to_a_basis_once(monkeypatch):
-    """The check reduces U once and hands the basis to
-    _isotropic_reduction; every other reduction mixes in vectors outside U
-    (U-perp is 3-dimensional in dimension 4)."""
-    def spy(vectors, p):
-        calls.append([tuple(v) for v in vectors])
-        return span_basis(vectors, p)
-    calls, span_basis = [], _span_basis
-    monkeypatch.setattr(sympweil, "_span_basis", spy)
+    """The check builds one symplectic basis adapted to U and reads U-perp,
+    the quotient, the coset representatives and the coordinates off it;
+    every other basis it builds (the quotient's) starts from no vectors."""
+    def spy(self, first=()):
+        calls.append([tuple(v) for v in first])
+        return build(self, first)
+    calls, build = [], SymplecticSpace._symplectic_basis
+    monkeypatch.setattr(SymplecticSpace, "_symplectic_basis", spy)
     V = SymplecticSpace.standard(3, 2)
-    line = {(k, 0, 0, 0) for k in range(3)}
-    ok, _ = induction_identity_check(V, [(1, 0, 0, 0), (2, 0, 0, 0)],
-                                     "heisenberg_only")
+    u_basis = [(1, 0, 0, 0), (2, 0, 0, 0)]
+    ok, _ = induction_identity_check(V, u_basis, "heisenberg_only")
     assert ok
-    assert sum(all(v in line for v in c) for c in calls) == 1
+    assert [c for c in calls if c] == [u_basis]
+
+
+def _induction_cases():
+    """(p, n, U, mode, include_chi): both modes on U = 0 and every line at
+    p = 3 and 5, with and without chi^U, and a Lagrangian of the dim-4 space
+    under heisenberg_only."""
+    cases = [(p, 1, u, mode, chi) for p in (3, 5)
+             for u in [[]] + [[line] for line in _lines(p)]
+             for mode in ("heisenberg_only", "with_sl2_levi")
+             for chi in (True, False)]
+    return cases + [(3, 2, [(1, 0, 0, 0), (0, 1, 0, 0)], "heisenberg_only",
+                     True)]
+
+
+def _forbid_elimination(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Gauss-Jordan elimination")
+    monkeypatch.setattr(linalg, "_eliminate", forbidden)
+
+
+def test_induction_check_runs_no_elimination(monkeypatch):
+    cases = _induction_cases()
+    want = [induction_identity_check(SymplecticSpace.standard(p, n), u, mode,
+                                     chi) for p, n, u, mode, chi in cases]
+    assert any(ok for ok, _ in want) and not all(ok for ok, _ in want)
+    _forbid_elimination(monkeypatch)
+    assert [induction_identity_check(SymplecticSpace.standard(p, n), u, mode,
+                                     chi)
+            for p, n, u, mode, chi in cases] == want
+
+
+def test_reduction_runs_no_elimination_and_det_sign_one(monkeypatch):
+    V = SymplecticSpace.standard(5, 2)
+    g = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 3, 0), (0, 0, 0, 1))
+    cases = [[], [(1, 0, 0, 0)], [(1, 0, 0, 0), (0, 1, 0, 0)],
+             [(1, 2, 0, 0), (0, 0, 2, 4)], [(1, 0, 0, 0), (3, 0, 0, 0)]]
+    calls, eliminate = [], linalg._eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return eliminate(*args, **kwargs)
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    for u_basis in cases:
+        isotropic_reduction(V, u_basis)
+    assert calls == []
+    # the one elimination is the k x k determinant of g on U
+    assert det_sign_character(V, g, []) == SignValue(1) and calls == []
+    assert det_sign_character(V, g, cases[2]) == SignValue(-1)
+    assert [len(m) for m in calls] == [2]
 
 
 @pytest.mark.parametrize("call", [
@@ -753,7 +933,7 @@ def _oracle_stabilizer(space, u_basis):
     out = []
     for g in sl2_elements(space.p):
         try:
-            _det_sign(space, g, u_basis)
+            _oracle_det_sign(space, g, u_basis)
             out.append(g)
         except SympError:
             continue
@@ -1044,9 +1224,10 @@ def test_heisenberg_only_fails_on_a_short_transversal(monkeypatch, n,
     # dropping a coset representative loses part of the induced character
     # at v = 0; the witness is the one element g = 1 of the trivial group
     V = SymplecticSpace.standard(3, n)
-    short = _complement_transversal(V, u_basis)[:-1]
-    monkeypatch.setattr(sympweil, "_complement_transversal",
-                        lambda space, u_basis: short)
+    basis, k = V._symplectic_basis(u_basis)
+    short = _coset_representatives(V, basis[n:n + k])[:-1]
+    monkeypatch.setattr(sympweil, "_coset_representatives",
+                        lambda space, fs: short)
     equal, details = induction_identity_check(V, u_basis, "heisenberg_only")
     zero = (0,) * V.dim
     ident = tuple(tuple(int(i == j) for j in range(V.dim))
@@ -1054,6 +1235,7 @@ def test_heisenberg_only_fails_on_a_short_transversal(monkeypatch, n,
     assert not equal and details["witness"] == (ident, (zero, 0))
     # the induced dimension counts the representatives the check used
     assert details["induced_dim"] == 3 ** n - 3 ** (n - len(u_basis))
+    short = [tuple(w) for w in short.tolist()]
     assert _oracle_heisenberg_only(V, u_basis, transversal=short) == (
         False, (zero, 0))
     assert _oracle_group_ring_check(V, u_basis, "heisenberg_only",
@@ -1162,7 +1344,7 @@ def _oracle_group_ring_check(space, u_basis, mode="with_sl2_levi",
         ginv = linalg.mat_inv(g, p)
         chi = 1
         if include_chi and u_basis:
-            chi = int(_det_sign(space, g, u_basis))
+            chi = int(_oracle_det_sign(space, g, u_basis))
         if sigma is None:
             sigma_den, sigma_g = 1, None
         else:
@@ -1293,25 +1475,35 @@ def test_induction_check_matches_the_character_oracle_at_p7():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_line_signs_match_det_sign(p):
-    V = SymplecticSpace.standard(p, 1)
-    square = WeilSL2(HeisenbergRep(V))._square
-    for line in _lines(p):
-        group = _stabilizer_sl2(V, [line])
-        assert sympweil._line_signs(group, line, square).tolist() == [
-            int(_det_sign(V, tuple(map(tuple, g)), [line]))
-            for g in group.tolist()]
+    for V in (SymplecticSpace.standard(p, 1),
+              SymplecticSpace(p, [[0, 2], [p - 2, 0]])):
+        square = WeilSL2(HeisenbergRep(V))._square
+        for line in _lines(p):
+            (e, f), _ = V._symplectic_basis([line])
+            group = _stabilizer_sl2(V, [line])
+            assert sympweil._line_signs(V, group, e, f, square).tolist() == [
+                int(det_sign_character(V, tuple(map(tuple, g)), [line]))
+                for g in group.tolist()]
 
 
 @pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (3, 2)])
 def test_complement_transversal_matches_the_null_space_oracle(p, n):
+    # the combinations of f_1..f_k meet each coset of U-perp once: they
+    # carry the labels of the oracle's representatives, each once
     V = SymplecticSpace.standard(p, n)
     lagrangian = [[tuple(int(i == j) for j in range(2 * n))
                    for i in range(n)]]
     for u_basis in [[]] + [[v] for v in checks.isotropic_lines(V)] + \
             lagrangian:
-        perp = isotropic_reduction(V, u_basis)[0]
-        assert _complement_transversal(V, u_basis) == _oracle_transversal(
-            V, perp)
+        perp = _oracle_perp(V, u_basis)
+        forms = linalg.null_space(perp, p)
+        basis, k = V._symplectic_basis(u_basis)
+        reps = _coset_representatives(V, basis[n:n + k]).tolist()
+        labels = [linalg.mat_vec(forms, w, p) for w in reps]
+        assert sorted(labels) == sorted(
+            linalg.mat_vec(forms, w, p)
+            for w in _oracle_transversal(V, perp))
+        assert len(set(labels)) == len(labels) == p ** k
 
 
 def test_induction_check_on_python_ints(monkeypatch):
