@@ -4,12 +4,12 @@ adjunction of a square root of -1.
 F_q is F_p[x]/(modulus) for a monic irreducible modulus, and an element is
 stored as one integer code, sum c_i p^i over its coefficients c_i.  Prime
 fields compute on the code mod p.  Extension fields with q at most
-SMALL_FIELD_BOUND look everything up in exp, log and Zech-logarithm tables
-built on first use: with g primitive, g^i + g^j = g^(i + Z(j - i)) where
-g^Z(k) = 1 + g^k.  Larger extension fields multiply polynomials.  Elements
-are immutable.  For arrays of codes every field also builds, on first use
-and from its own arithmetic, read-only log, exp, Zech, negation and square
-tables of size O(q) (FqContext._tables).
+SMALL_FIELD_BOUND look everything up in exp, log and Zech-logarithm tables:
+with g primitive, g^i + g^j = g^(i + Z(j - i)) where g^Z(k) = 1 + g^k.
+Larger extension fields multiply polynomials.  Elements are immutable.
+One table layout (_CodeTables, FqContext._tables), built once per field on
+first use from its defining arithmetic, serves arrays of codes in every
+field and, as lists, the scalar codes of the small extension fields.
 """
 
 from __future__ import annotations
@@ -204,6 +204,8 @@ def _tonelli_shanks(arith, a):
 class _PrimeArith:
     """F_p on the ints 0..p-1."""
 
+    m = 1
+
     def __init__(self, p):
         self.p = self.q = p
 
@@ -276,117 +278,56 @@ class _PolyArith:
         return _tonelli_shanks(self, a)
 
 
-def _power_tables(arith):
-    """The tables of g, the primitive element of F_q least in code order,
-    computed through the code arithmetic arith: exp[k] = g^k for
-    0 <= k < q - 1, log[g^k] = k (log[0] = 0 is a placeholder) and
-    zech[k] = log(1 + g^k), -1 where 1 + g^k = 0."""
-    q = arith.q
-    n = q - 1
-    cofactors = [n // r for r in _prime_factors(n)]
-    g = next(c for c in range(2, q)
-             if all(arith.pow(c, e) != 1 for e in cofactors))
-    exp = [1] * n
-    for k in range(1, n):
-        exp[k] = arith.mul(exp[k - 1], g)
-    log = [0] * q
-    for k, a in enumerate(exp):
-        log[a] = k
-    zech = [-1] * n
-    for k, a in enumerate(exp):
-        b = arith.add(a, 1)
-        if b:
-            zech[k] = log[b]
-    return exp, log, zech
-
-
-class _ZechArith:
-    """F_q on codes through the tables of a primitive element g:
-    exp[k] = g^k (doubled, so sums of two logs need no reduction),
-    log[g^k] = k, zech[k] = log(1 + g^k) (-1 where 1 + g^k = 0) and
-    negs[a] = -a.  The squares are the even powers of g, so sgn is the
-    parity of the log."""
-
-    def __init__(self, ctx):
-        self.p, self.m, self.q = ctx.p, ctx.m, ctx.q
-        exp, log, zech = _power_tables(_PolyArith(ctx))
-        n = self.n = self.q - 1
-        half = n // 2  # g^half = -1
-        negs = [0] * self.q
-        for k, a in enumerate(exp):
-            negs[a] = exp[(k + half) % n]
-        self.exp, self.log, self.zech, self.negs = exp + exp, log, zech, negs
-
-    def digits(self, a):
-        return _digits(a, self.p, self.m)
-
-    def add(self, a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        la = self.log[a]
-        # a negative index reads zech at (log b - log a) mod n
-        z = self.zech[self.log[b] - la]
-        return self.exp[la + z] if z >= 0 else 0
-
-    def sub(self, a, b):
-        return self.add(a, self.negs[b])
-
-    def neg(self, a):
-        return self.negs[a]
-
-    def mul(self, a, b):
-        if a and b:
-            return self.exp[self.log[a] + self.log[b]]
-        return 0
-
-    def inv(self, a):
-        return self.exp[self.n - self.log[a]]
-
-    def pow(self, a, e):
-        if a:
-            return self.exp[self.log[a] * e % self.n]
-        return 0 if e else 1
-
-    def is_square(self, a):
-        return not self.log[a] & 1
-
-    def sqrt(self, a):
-        x = self.exp[self.log[a] >> 1]
-        return min(x, self.negs[x], key=self.digits)
-
-
 class _CodeTables:
-    """The arithmetic of F_q on int64 arrays of codes, by lookups into
-    read-only tables of size O(q) built from the field's code arithmetic.
-    With g primitive, n = q - 1 and 2n standing for the log of 0:
-    exp[k] = g^(k mod n) for k < 2n and 0 from 2n to 4n, so the sum of two
-    logs indexes their product, zero included.  zech is indexed by
-    d = log b - log a in [-2n, 2n] (a negative d wraps): log(1 + g^d) for
-    |d| < n (2n where 1 + g^d = 0), d where a = 0 and 0 where b = 0, so
-    a + b = g^(log a + zech[d]) in every case."""
+    """The arithmetic of F_q on codes by lookups into tables of size O(q),
+    built once per field from its defining arithmetic.  With g the
+    primitive element least in code order, n = q - 1 and 2n standing for
+    the log of 0: exp[k] = g^(k mod n) for k < 2n and 0 from 2n to 4n, so
+    the sum of two logs indexes their product, zero included.  zech is
+    indexed by d = log b - log a in [-2n, 2n] (a negative d wraps):
+    log(1 + g^d) for |d| < n (2n where 1 + g^d = 0), d where a = 0 and 0
+    where b = 0, so a + b = g^(log a + zech[d]) in every case.  The tables
+    are read-only int64 arrays, and the same expressions act on arrays of
+    codes; scalar() gives the same tables as lists, on which they act on
+    int codes and return ints."""
 
     def __init__(self, arith):
-        exp, log, zech = _power_tables(arith)
-        n = self.n = len(exp)
+        self.p, self.m, q = arith.p, arith.m, arith.q
+        n = self.n = q - 1
+        cofactors = [n // r for r in _prime_factors(n)]
+        g = next(c for c in range(2, q)
+                 if all(arith.pow(c, e) != 1 for e in cofactors))
+        powers = [1]
+        for _ in range(n - 1):
+            powers.append(arith.mul(powers[-1], g))
         self.exp = np.zeros(4 * n + 1, dtype=np.int64)
-        self.exp[:2 * n] = exp + exp
-        self.log = np.array(log, dtype=np.int64)
-        self.log[0] = 2 * n
+        self.exp[:2 * n] = powers + powers
+        self.log = np.full(q, 2 * n, dtype=np.int64)
+        self.log[powers] = np.arange(n)
         d = np.arange(4 * n + 1)
         d[2 * n + 1:] -= 4 * n + 1
-        units = np.array(zech, dtype=np.int64)
-        units[units < 0] = 2 * n
+        # log(1 + g^k), which is log 0 = 2n where 1 + g^k = 0
+        units = self.log[[arith.add(a, 1) for a in powers]]
         self.zech = np.where(d < -n, d, np.where(d > n, 0, units[d % n]))
         # -g^k = g^(k + n/2)
-        self.negs = np.zeros(n + 1, dtype=np.int64)
-        self.negs[exp] = self.exp[n // 2:n // 2 + n]
+        self.negs = np.zeros(q, dtype=np.int64)
+        self.negs[powers] = self.exp[n // 2:n // 2 + n]
         self.squares = self.log % 2 == 0
         self.squares[0] = False
         for table in (self.exp, self.log, self.zech, self.negs,
                       self.squares):
             table.flags.writeable = False
+
+    def scalar(self):
+        """The same tables as lists, for int codes."""
+        # set one attribute at a time, in __init__'s order: copy.copy would
+        # give the view a materialised __dict__, whose attribute lookups run
+        # slower on every scalar operation
+        view = object.__new__(_CodeTables)
+        for name, value in vars(self).items():
+            setattr(view, name, value.tolist()
+                    if isinstance(value, np.ndarray) else value)
+        return view
 
     def add(self, a, b):
         la = self.log[a]
@@ -409,6 +350,20 @@ class _CodeTables:
         """True on the nonzero squares."""
         return self.squares[a]
 
+    # scalar only
+
+    def digits(self, a):
+        return _digits(a, self.p, self.m)
+
+    def pow(self, a, e):
+        if a:
+            return self.exp[self.log[a] * e % self.n]
+        return 0 if e else 1
+
+    def sqrt(self, a):
+        x = self.exp[self.log[a] >> 1]
+        return min(x, self.negs[x], key=self.digits)
+
 
 # ---------------------------------------------------------------------------
 
@@ -424,18 +379,16 @@ class FqContext:
             raise FieldError("extension degree must be >= 1")
         self.p = p
         self.m = m
-        if m == 1:
-            self.modulus = (0, 1)
+        if modulus is None:
+            modulus = _least_irreducible(p, m)
         else:
-            if modulus is None:
-                modulus = _least_irreducible(p, m)
-            else:
-                modulus = tuple(c % p for c in modulus)
-                if len(modulus) != m + 1 or modulus[-1] != 1:
-                    raise FieldError("modulus must be monic of degree m")
-                if not _is_irreducible(list(modulus), p):
-                    raise FieldError("modulus is reducible")
-            self.modulus = modulus
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != m + 1 or modulus[-1] != 1:
+                raise FieldError("modulus must be monic of degree m")
+            if not _is_irreducible(list(modulus), p):
+                raise FieldError("modulus is reducible")
+        # a monic linear modulus presents F_p with the codes of (0, 1)
+        self.modulus = (0, 1) if m == 1 else modulus
         self.q = p ** m
         self._key = (p, m, self.modulus)
         self._hash = hash(self._key)
@@ -448,14 +401,15 @@ class FqContext:
         if self.m == 1:
             return _PrimeArith(self.p)
         if self.q <= SMALL_FIELD_BOUND:
-            return _ZechArith(self)
+            return self._tables.scalar()
         return _PolyArith(self)
 
     @cached_property
     def _tables(self):
-        """The array arithmetic on codes (_CodeTables), built on first use
-        from _arith, whichever arithmetic that is."""
-        return _CodeTables(self._arith)
+        """The table arithmetic on codes (_CodeTables), built on first use
+        from the field's defining arithmetic."""
+        return _CodeTables(_PrimeArith(self.p) if self.m == 1
+                           else _PolyArith(self))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, FqContext)

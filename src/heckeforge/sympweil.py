@@ -14,19 +14,11 @@ import numpy as np
 
 from . import linalg
 from .cyclo import CycloContext, CycloMatrix, CyclotomicNumber, _extent
-from .ffield import SignValue, _digits, _is_prime
+from .ffield import FqContext, SignValue, _digits, _is_prime, sgn
 
 
 class SympError(ValueError):
     pass
-
-
-def _sgn_mod_p(a, p):
-    """The quadratic-residue sign of a nonzero residue."""
-    a %= p
-    if a == 0:
-        raise SympError("sgn of zero")
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 # the exponent of an entry that is 0: every sum with exponents stays negative
@@ -309,8 +301,8 @@ class HeisenbergRep:
 def _weil_tables(p, unit):
     """WeilSL2's read-only tables for psi = iota^-1, iota(zeta_p) = unit: the
     points t; the grid (t, s, t^2, 2ts, s^2) of their pairs; the rows
-    p kappa zeta^e; True at the squares of F_p (0, which _cell never reads,
-    too); psi_exp(1 / 2c) (0 at c = 0); and psi_exp(1 / 2)."""
+    p kappa zeta^e; True at the nonzero squares of F_p (FqContext(p)'s
+    table); psi_exp(1 / 2c) (0 at c = 0); and psi_exp(1 / 2)."""
     ctx, t, u = CycloContext.shared(4 * p), np.arange(p), pow(unit, p - 2, p)
     # squares[t] = 4 psi_exp(t^2), so that G = sum_t zeta^squares[t] is the
     # quadratic Gauss sum.  The constant of omega(w) is forced by W U(b) W =
@@ -318,13 +310,11 @@ def _weil_tables(p, unit):
     # contributes sgn(b/2) G); 1/G = conj(G)/p since G conj(G) = p.  Row e
     # of the table is p kappa zeta^e = sgn(2) sum_t zeta^(e - squares[t])
     squares, (r, s) = 4 * (t * t * u % p), np.indices((p, p))
-    square = np.zeros(p, dtype=bool)
-    square[t * t % p] = True
-    half_inv = [(p + 1) // 2 * pow(c, p - 2, p) * u % p for c in range(1, p)]
+    fp = FqContext(p)
     tables = (t, np.stack((r, s, r * r, 2 * r * s, s * s)),
-              _sgn_mod_p(2, p) * ctx._powers[
+              int(sgn(fp.elem(2))) * ctx._powers[
                   (np.arange(ctx.n)[:, None] - squares) % ctx.n].sum(axis=1),
-              square, np.array([0] + half_inv))
+              fp._tables.squares, (p + 1) // 2 * u * fp._tables.inv(t) % p)
     for table in tables:
         table.setflags(write=False)
     return tables + ((p + 1) // 2 * u % p,)
@@ -439,7 +429,7 @@ def det_sign_character(space, g, u_basis):
     det = linalg.det(action, p)
     if det == 0:
         raise SympError("g is singular on the subspace")
-    return SignValue(_sgn_mod_p(det, p))
+    return sgn(FqContext(p).elem(det))
 
 
 def _require_totally_isotropic(space, u_basis):

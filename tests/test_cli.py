@@ -51,6 +51,17 @@ def test_sgn_of_zero_is_usage_error(capsys):
     assert main(["sgn", "--p", "5", "--element", "0"]) == 2
 
 
+@pytest.mark.parametrize("modulus,expected", [
+    ("1,1", 0), ("1,0,1", 2), ("0,0,0,5", 2)])
+def test_sgn_checks_a_prime_field_modulus(capsys, modulus, expected):
+    # only a monic linear modulus presents F_3, with the codes of (0, 1)
+    code, payload = _run(capsys, ["sgn", "--p", "3", "--m", "1", "--modulus",
+                                  modulus, "--element", "2"])
+    assert code == expected
+    assert payload == (None if code else {
+        "element": [2], "m": 1, "modulus": [0, 1], "p": 3, "sgn": "-1"})
+
+
 def test_spinor_norm_subcommand(tmp_path, capsys):
     data = {"field": {"p": 3}, "gram": [[0, 1], [1, 0]],
             "matrix": [[-1, 0], [0, -1]]}

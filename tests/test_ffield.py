@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from heckeforge import (FieldError, FqContext, SignValue, sgn, square_root,
                         adjoin_zeta)
-from heckeforge.ffield import (SMALL_FIELD_BOUND, _PolyArith, _PrimeArith,
-                               _ZechArith)
+from heckeforge.ffield import (SMALL_FIELD_BOUND, _CodeTables, _PolyArith,
+                               _PrimeArith)
 
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
@@ -43,6 +43,16 @@ def test_modulus_validation_and_default():
         assert FqContext(p, m, modulus) == ctx
 
 
+def test_linear_modulus_is_validated_and_presents_the_prime_field():
+    for good in [(0, 1), (1, 1), (2, 4), (-1, 1)]:
+        ctx = FqContext(3, 1, good)
+        assert ctx.modulus == (0, 1) and ctx == FqContext(3)
+    for bad in [(1, 0, 1), (0, 0, 0, 5), (1,), (0, 2), (0, 3)]:
+        # not monic of degree 1 once reduced mod 3
+        with pytest.raises(FieldError, match="monic of degree m"):
+            FqContext(3, 1, bad)
+
+
 def test_field_axioms_small():
     ctx = FqContext(3, 2)
     els = list(ctx.elements())
@@ -58,6 +68,29 @@ def test_field_axioms_small():
             assert a * b == b * a
             for c in els[:3]:
                 assert a * (b + c) == a * b + a * c
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (7, 2), (3, 5)])
+def test_codes_stay_python_ints(p, m):
+    # an np.int64 code would break json.dumps of the CLI's output
+    ctx = FqContext(p, m)
+    els = list(ctx.elements())
+    for a in els:
+        out = [-a, a ** 0, a ** 3, a ** ctx.q]
+        if a.code:
+            out += [a.inv(), a ** -1, a ** -5]
+        root = square_root(a)
+        if root is not None:
+            out.append(root)
+        for b in els:
+            out += [a + b, a - b, a * b]
+        assert all(type(c.code) is int for c in out)
+    a = ctx.elem([1, 1])
+    assert ctx.zero ** 0 == ctx.one and ctx.zero ** 3 == ctx.zero
+    assert a ** -1 == a.inv() and a ** -3 * a ** 3 == ctx.one
+    assert a ** -(ctx.q - 1) == ctx.one
+    with pytest.raises(FieldError):
+        ctx.zero ** -1
 
 
 @pytest.mark.parametrize("p,m", FIELDS)
@@ -165,7 +198,7 @@ def test_codes_and_coefficient_tuples():
 @pytest.mark.parametrize("p,m", TABLE_FIELDS)
 def test_zech_tables_match_polynomial_path(p, m):
     ctx = FqContext(p, m)
-    assert type(ctx._arith) is _ZechArith
+    assert type(ctx._arith) is _CodeTables
     poly = _PolyArith(ctx)
     els = list(ctx.elements())
     roots = _least_root_table(ctx)
@@ -204,7 +237,7 @@ def test_equal_contexts_share_equality_and_hashes():
 
 def test_arithmetic_is_chosen_by_the_field():
     assert type(FqContext(10007)._arith) is _PrimeArith
-    assert type(FqContext(3, 2)._arith) is _ZechArith
+    assert type(FqContext(3, 2)._arith) is _CodeTables
     big = FqContext(101, 2)
     assert big.q > SMALL_FIELD_BOUND
     assert type(big._arith) is _PolyArith
@@ -240,10 +273,10 @@ def test_large_prime_field_matches_polynomial_path(x, y):
 
 @lru_cache(maxsize=None)
 def _past_the_bound():
-    """F_{101^2}, which computes with polynomials, and tables for it built
-    anyway as the reference."""
+    """F_{101^2}, which computes with polynomials, and the scalar view of
+    tables for it built anyway as the reference."""
     ctx = FqContext(101, 2)
-    return ctx, _ZechArith(ctx)
+    return ctx, _CodeTables(_PolyArith(ctx)).scalar()
 
 
 @settings(max_examples=100, deadline=None)
