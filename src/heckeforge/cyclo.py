@@ -8,8 +8,10 @@ when every entry fits and as an object array of Python ints otherwise; the
 dtype is the only flag.  A product of two matrices, or of a matrix by a
 scalar, is one stacked integer matrix product of all nonzero planes; its
 blocks are summed by i + j and folded into the output planes by x^(i+j) mod
-Phi_N.  Every operation runs in int64 only when an exact bound rules out
-overflow, and on Python ints otherwise.
+Phi_N.  A matrix built by CycloMatrix.monomial also keeps its permutation
+and zeta-exponents, so that a product with it is a gather and a
+zeta-rotation instead.  Every operation runs in int64 only when an exact
+bound rules out overflow, and on Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -345,11 +347,29 @@ def _plane_product(ctx, a, b):
     return (fold.T @ blocks).reshape(deg, r, c)
 
 
+def _rotated(ctx, planes, exps, axis):
+    """planes with line j along axis (1: rows, 2: columns) times
+    zeta^exps[j], exps in 0 .. N-1: coefficient d of an entry goes to
+    x^(d + exps[j]) mod Phi_N, a row of ctx._powers.  One batched product of
+    each line's entries with the deg rows of its power; it runs in int64
+    when deg max|planes| max|x^k| bounds every partial sum below 2^63, and
+    on Python ints otherwise."""
+    deg = len(planes)
+    fold = ctx._powers[exps[:, None] + np.arange(deg)]
+    lines = np.moveaxis(planes, (axis, 0), (0, 2))
+    if planes.dtype == object or (planes.size and deg * _extent(planes)
+                                  * ctx._powers_extent >= 2 ** 63):
+        lines, fold = lines.astype(object), fold.astype(object)
+    return np.moveaxis(lines @ fold, (0, 2), (axis, 0))
+
+
 class CycloMatrix:
     """A square matrix over Q(zeta_N): one integer plane per basis power,
-    over a positive common denominator."""
+    over a positive common denominator.  A monomial matrix built by
+    CycloMatrix.monomial also keeps its description (rows, exps): column c
+    holds zeta^exps[c] / den at row rows[c]."""
 
-    __slots__ = ("ctx", "n", "planes", "den")
+    __slots__ = ("ctx", "n", "planes", "den", "_monomial")
 
     def __init__(self, ctx, n, planes, den=1, normalize=True):
         self.ctx = ctx
@@ -357,6 +377,7 @@ class CycloMatrix:
         # (degree, n, n): int64 when every entry fits, else Python ints
         self.planes = _int64_if_fits(planes)
         self.den = den
+        self._monomial = None
         if normalize:
             self._normalize()
 
@@ -380,9 +401,27 @@ class CycloMatrix:
 
     @classmethod
     def identity(cls, ctx, n):
-        return cls.from_zeta_powers(ctx, n, np.arange(n), np.arange(n),
-                                    np.zeros(n, dtype=np.int64),
-                                    distinct=True)
+        return cls.monomial(ctx, np.arange(n), np.zeros(n, dtype=np.int64))
+
+    @classmethod
+    def monomial(cls, ctx, rows, exps, den=1):
+        """The matrix whose column c holds zeta^exps[c] / den at row rows[c],
+        for a permutation rows of 0 .. n-1, integer exps (read mod N) and a
+        positive den.  It keeps (rows, exps mod N), which __matmul__ reads;
+        no other constructor sets them."""
+        rows = np.array(rows, dtype=np.int64)
+        exps = np.asarray(exps, dtype=np.int64) % ctx.n
+        n = rows.size
+        cols = np.arange(n)
+        if (den < 1 or rows.shape != (n,) or exps.shape != (n,)
+                or sorted(rows.tolist()) != list(range(n))):
+            raise CycloError("a monomial needs a permutation, one exponent "
+                             "per column and a positive denominator")
+        planes = np.zeros((ctx.degree, n, n), dtype=np.int64)
+        planes[:, rows, cols] = ctx._powers[exps].T
+        m = cls(ctx, n, planes, den)
+        m._monomial = rows, exps
+        return m
 
     @classmethod
     def from_zeta_powers(cls, ctx, n, rows, cols, exps, table=None, den=1,
@@ -434,10 +473,27 @@ class CycloMatrix:
                                 self.den)
 
     def __matmul__(self, other):
+        """The product; a monomial factor makes it a gather and a
+        zeta-rotation, and two compose into a monomial."""
         if self.ctx != other.ctx or self.n != other.n:
             raise CycloError("matrix context mismatch")
-        planes = _plane_product(self.ctx, self.planes, other.planes)
-        return CycloMatrix(self.ctx, self.n, planes, self.den * other.den)
+        ctx, den = self.ctx, self.den * other.den
+        if self._monomial is not None and other._monomial is not None:
+            (r, e), (s, f) = self._monomial, other._monomial
+            return CycloMatrix.monomial(ctx, r[s], e[s] + f, den)
+        if other._monomial is not None:
+            # column c is self's column rows[c] times zeta^exps[c]
+            rows, exps = other._monomial
+            planes = _rotated(ctx, self.planes[:, :, rows], exps, 2)
+        elif self._monomial is not None:
+            # row rows[r] is other's row r times zeta^exps[r]
+            rows, exps = self._monomial
+            lines = _rotated(ctx, other.planes, exps, 1)
+            planes = np.empty_like(lines)
+            planes[:, rows] = lines
+        else:
+            planes = _plane_product(ctx, self.planes, other.planes)
+        return CycloMatrix(ctx, self.n, planes, den)
 
     def __add__(self, other):
         if self.ctx != other.ctx or self.n != other.n:

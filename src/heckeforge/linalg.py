@@ -3,7 +3,7 @@
 Matrices are tuples of tuples and vectors are tuples.  Entries are
 FqElements, or plain ints mod p wherever a function takes p.  Sizes here
 are tiny (dim <= 12), and one Gauss-Jordan elimination, _eliminate, gives
-every echelon form, determinant, inverse, solution and null space.
+every echelon form, determinant, inverse and solution.
 """
 
 from __future__ import annotations
@@ -157,23 +157,6 @@ def mat_inv(m, p=None):
     if pivots != list(range(n)):
         raise FieldError("singular matrix")
     return tuple(row[n:] for row in rows)
-
-
-def null_space(m, p=None):
-    """Basis of the right null space of m (rows x cols)."""
-    cols = len(m[0])
-    zero, one = _zero_one(m, p)
-    a, pivots = rref(m, p)
-    basis = []
-    for fc in range(cols):
-        if fc in pivots:
-            continue
-        v = [zero] * cols
-        v[fc] = one
-        for pi, pc in enumerate(pivots):
-            v[pc] = -a[pi][fc] if p is None else -a[pi][fc] % p
-        basis.append(tuple(v))
-    return basis
 
 
 def solve(m, b, p=None):

@@ -218,6 +218,22 @@ class CentralCharacterChoice:
         self.unit_inv = pow(self.unit, p - 2, p)
 
 
+@lru_cache(maxsize=None)
+def _monomial_terms(p, n, unit_inv):
+    """HeisenbergRep's read-only table for psi = iota^-1, iota^-1(1) =
+    zeta_p^unit_inv.  Let v have e-part x and f-part y in the symplectic
+    basis: column s of rho(v, a) is the point t = s + y with phase
+    a + x t - x y / 2, that is a + x s + x y / 2 mod p.  Both are sums over
+    the coordinates i, so entry [i, x_i, y_i] holds, for every point s, the
+    digit ((s_i + y_i) mod p) p^i of t and 4 psi_exp(x_i s_i + x_i y_i / 2)."""
+    s = _digit_array(p, n).T[:, None, None]
+    x, y = np.indices((p, p))[..., None]
+    terms = np.stack(((s + y) % p * p ** np.arange(n)[:, None, None, None],
+                      4 * (unit_inv * x * (s + (p + 1) // 2 * y) % p)), 3)
+    terms.setflags(write=False)
+    return terms
+
+
 class HeisenbergRep:
     """The Schroedinger model on functions on F_p^n for the Lagrangian
     spanned by e_1..e_n, with central character (0, a) -> iota^{-1}(a)."""
@@ -232,12 +248,11 @@ class HeisenbergRep:
         self.cyclo = CycloContext.shared(4 * p)
         self.dim = p ** space.n
         self._half = (p + 1) // 2
-        # row vectors times this are their coordinates; the points s of
-        # F_p^n, and the place values of their digits
+        # row vectors times this are their coordinates
         self._coordinates_t = np.array(space._to_coordinates, dtype=np.int64
                                        ).reshape(space.dim, space.dim).T
-        self._points = _digit_array(p, space.n)
-        self._place = p ** np.arange(space.n)
+        self._terms = _monomial_terms(p, space.n, self.iota.unit_inv)
+        self._digits = np.arange(space.n)
 
     def _psi_exp(self, a):
         """Exponent e with psi(a) = zeta_{4p}^{4e}."""
@@ -249,24 +264,17 @@ class HeisenbergRep:
     def _monomials(self, vs, a=0):
         """rho(v, a) is monomial: column s holds the single entry
         zeta_{4p}^{exps[s]} in row rows[s].  Returns the int64 arrays (rows,
-        exps), one row each per vector of vs (ambient coordinates)."""
+        exps), one row each per vector of vs (ambient coordinates), exps in
+        0 .. 4p - 1: sums of the entries of _terms at v's coordinates."""
         p, n = self.space.p, self.space.n
         c = np.asarray(vs, dtype=np.int64) @ self._coordinates_t % p
-        # x, y: the e- and f-parts in the symplectic basis; column s of
-        # rho(v, a) is the point t = s + y with phase a + x t - x y / 2, that
-        # is a + x s + x y / 2 mod p
-        x, y = c[:, :n], c[:, n:]
-        rows = (self._points + y[:, None]) % p @ self._place
-        xy = (x * y).sum(axis=1, keepdims=True)
-        return rows, 4 * self._psi_exp(a + x @ self._points.T
-                                       + self._half * xy)
+        terms = self._terms[self._digits, c[:, :n], c[:, n:]].sum(axis=1)
+        return terms[:, 0], (terms[:, 1] + 4 * self._psi_exp(a)) % (4 * p)
 
     def operator(self, elem):
-        """Exact matrix of rho(v, a)."""
+        """Exact matrix of rho(v, a), built as a monomial."""
         rows, exps = self._monomials([elem.v], elem.a)
-        return CycloMatrix.from_zeta_powers(
-            self.cyclo, self.dim, rows[0], np.arange(self.dim), exps[0],
-            distinct=True)
+        return CycloMatrix.monomial(self.cyclo, rows[0], exps[0])
 
     def character(self, elem):
         """Trace of rho(v, a): p^n psi(a) on the center, 0 elsewhere."""
@@ -331,7 +339,8 @@ class WeilSL2:
     with kappa = sgn(2) conj(G) / p and G the quadratic Gauss sum of psi.
     They are the products u(a/c) w diag(c, 1/c) u(d/c) and diag(a, 1/a)
     u(b/a) of the generator operators multiplied out; the tests keep that
-    product as their oracle (_oracle_weil).  Multiplicativity is verified
+    product as their oracle (_oracle_weil).  The cell c = 0 is built as a
+    monomial (CycloMatrix.monomial).  Multiplicativity is verified
     empirically by the test suite, not assumed."""
 
     def __init__(self, rep):
@@ -367,11 +376,17 @@ class WeilSL2:
             raise SympError("determinant must be 1")
         key = (a, b, c, d)
         if key not in self._cache:
-            t, s = self._grid[:2] if c else (self._t, a * self._t % p)
-            table, den = (self._kappa_powers, p) if c else (None, 1)
-            self._cache[key] = CycloMatrix.from_zeta_powers(
-                self.cyclo, p, t, s, self._cell(key)[t, s], table, den,
-                distinct=True)
+            if c:
+                t, s = self._grid[:2]
+                self._cache[key] = CycloMatrix.from_zeta_powers(
+                    self.cyclo, p, t, s, self._cell(key)[t, s],
+                    self._kappa_powers, p, distinct=True)
+            else:
+                # a monomial: column s holds its entry at row t = s / a
+                s = self._t
+                t = d * s % p
+                self._cache[key] = CycloMatrix.monomial(
+                    self.cyclo, t, self._cell(key)[t, s])
         return self._cache[key]
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from heckeforge import (CycloError, CycloContext, CyclotomicNumber,
                         CycloMatrix, cyclotomic_polynomial)
-from heckeforge.cyclo import _extent, _nonzero_planes
+from heckeforge.cyclo import _extent, _nonzero_planes, _plane_product
 
 
 def _stored_canonically(m):
@@ -615,3 +615,99 @@ def test_negating_int64_min_leaves_int64(den):
     assert high.planes.dtype == object
     assert high.entry(0, 1).num[1] == 2 ** 63
     assert -high == low and (-high).planes.dtype == np.int64
+
+
+# ---------------------------------------------------------------------------
+# monomial factors: products are a gather and a zeta-rotation, checked
+# against the dense kernel and the object oracle
+
+
+@st.composite
+def _monomial(draw, ctx, n):
+    """(rows, exps, den) and the CycloMatrix.monomial they build, with a
+    random permutation, exponents of either sign beyond N, and den >= 1."""
+    rows = draw(st.permutations(range(n)))
+    exps = draw(st.lists(st.integers(-3 * ctx.n, 3 * ctx.n), min_size=n,
+                         max_size=n))
+    den = draw(st.integers(1, 6))
+    return (rows, exps, den), CycloMatrix.monomial(ctx, rows, exps, den)
+
+
+def _dense_product(a, b):
+    return CycloMatrix(a.ctx, a.n, _plane_product(a.ctx, a.planes, b.planes),
+                       a.den * b.den)
+
+
+def _as_object(m):
+    return _ObjectMatrix(m.ctx, m.n, m.planes, m.den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.integers(0, 5),
+       st.sampled_from(_entry_kinds), st.data())
+def test_monomial_products_match_the_dense_kernel(conductor, n, entries,
+                                                  data):
+    # monomial x monomial, dense x monomial and monomial x dense agree with
+    # _plane_product and with the object oracle; dense planes are int64, or
+    # Python ints beyond int64 (EDGE_ENTRIES), so the bound's fallback runs
+    ctx = CycloContext(conductor)
+    (rows, exps, den), m = data.draw(_monomial(ctx, n))
+    _, k = data.draw(_monomial(ctx, n))
+    d = data.draw(_matrix(ctx, n, entries))
+    assert m == CycloMatrix.from_zeta_powers(ctx, n, rows, range(n), exps,
+                                             den=den, distinct=True)
+    for a, b in ((m, k), (d, m), (m, d), (k, d), (d, k)):
+        got = a @ b
+        assert _agrees(got, _dense_product(a, b))
+        assert _agrees(got, _as_object(a) @ _as_object(b))
+    assert (m @ k)._monomial is not None
+    assert (d @ m)._monomial is None and (m @ d)._monomial is None
+    # (m k)'s description is the composite: column c of k picks column
+    # rows_k[c] of m
+    (r, e), (s, f) = m._monomial, k._monomial
+    assert (m @ k) == CycloMatrix.monomial(ctx, r[s], e[s] + f, m.den * k.den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.integers(1, 5), st.data())
+def test_sums_and_scalings_of_monomials_are_dense(conductor, n, data):
+    ctx = CycloContext(conductor)
+    _, m = data.draw(_monomial(ctx, n))
+    _, k = data.draw(_monomial(ctx, n))
+    c = ctx.zeta_pow(data.draw(st.integers(0, conductor - 1)))
+    for x in (m + k, m - k, -m, m.scale(2), m.scale(c)):
+        assert x._monomial is None
+        assert _agrees(x @ k, _dense_product(x, k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.integers(1, 4), st.data())
+def test_rotation_leaves_int64_beyond_the_bound(conductor, n, data):
+    # int64 entries of one sign at or near 2^63 - 1 on every plane: folding
+    # zeta^(d + e) mod Phi_N adds several of them, past int64, unless every
+    # exponent keeps the planes below the degree
+    ctx = CycloContext(conductor)
+    top = 2 ** 63 - 1 - data.draw(st.integers(0, 3))
+    planes = np.full((ctx.degree, n, n), data.draw(st.sampled_from(
+        [1, -1])) * top, dtype=np.int64)
+    d = CycloMatrix(ctx, n, planes, normalize=False)
+    _, m = data.draw(_monomial(ctx, n))
+    for a, b in ((d, m), (m, d)):
+        assert _agrees(a @ b, _as_object(a) @ _as_object(b))
+
+
+@pytest.mark.parametrize("rows,exps,den", [
+    ([0, 0], [0, 0], 1), ([0, 2], [0, 0], 1), ([-1, 0], [0, 0], 1),
+    ([1, 0], [0], 1), ([[0]], [0], 1), (0, [0], 1), ([1, 0], [0, 0], 0),
+    ([1, 0], [0, 0], -1)])
+def test_monomial_rejects_what_is_not_a_monomial(rows, exps, den):
+    with pytest.raises(CycloError):
+        CycloMatrix.monomial(CycloContext(8), rows, exps, den)
+
+
+def test_identity_is_a_monomial():
+    ctx = CycloContext(12)
+    ident = CycloMatrix.identity(ctx, 3)
+    assert ident._monomial is not None
+    assert ident == CycloMatrix.from_entries(
+        ctx, [[int(i == j) for j in range(3)] for i in range(3)])

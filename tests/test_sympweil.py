@@ -18,7 +18,8 @@ from heckeforge import (SympError, SymplecticSpace, HeisenbergElement,
                         sl2_elements, SignValue, CycloMatrix)
 from heckeforge import checks, linalg, sympweil
 from heckeforge.sympweil import _stabilizer_sl2, _coset_representatives
-from test_linalg import _span_basis
+from heckeforge.cyclo import _plane_product
+from test_linalg import _null_space, _span_basis
 
 
 def _all_heisenberg(space):
@@ -653,7 +654,7 @@ def _oracle_perp(space, u_basis):
              for i in range(space.dim)]
     if not u_basis:
         return units
-    return linalg.null_space(
+    return _null_space(
         [[space.pairing(u, e) for e in units] for u in u_basis], space.p)
 
 
@@ -893,21 +894,27 @@ def test_induction_identity_trivial_subspace():
 def test_induction_trivial_subspace_builds_each_weil_operator_once(
         p, monkeypatch):
     # WeilSL2 builds each omega(g) once, a cache miss being one
-    # from_zeta_powers call on distinct positions; the batched check reads
-    # omega(g)'s exponents off WeilSL2._cell and builds no operator at all
+    # from_zeta_powers call on distinct positions (c != 0) or one monomial
+    # (c = 0); the batched check reads omega(g)'s exponents off
+    # WeilSL2._cell and builds no operator at all
     calls = []
-    build = CycloMatrix.from_zeta_powers.__func__
 
-    def counted(cls, *args, **kwargs):
-        calls.append(kwargs.get("distinct", False))
-        return build(cls, *args, **kwargs)
-    monkeypatch.setattr(CycloMatrix, "from_zeta_powers", classmethod(counted))
+    def counted(name):
+        build = getattr(CycloMatrix, name).__func__
+
+        def call(cls, *args, **kwargs):
+            calls.append((name, kwargs.get("distinct")))
+            return build(cls, *args, **kwargs)
+        monkeypatch.setattr(CycloMatrix, name, classmethod(call))
+    counted("from_zeta_powers")
+    counted("monomial")
     V = SymplecticSpace.standard(p, 1)
     w = WeilSL2(HeisenbergRep(V))
     group = list(sl2_elements(p))
     for g in group + group:
         w(g)
-    assert calls == [True] * len(group)
+    assert calls == [("from_zeta_powers", True) if c else ("monomial", None)
+                     for _, (c, _) in group]
     del calls[:]
     for u_basis in [[]] + [[line] for line in _lines(p)]:
         ok, _ = induction_identity_check(V, u_basis, "with_sl2_levi")
@@ -970,11 +977,19 @@ def _oracle_transversal(space, perp):
     in space.vectors() order, told apart by a basis of the linear forms
     that vanish on U-perp."""
     p = space.p
-    forms = linalg.null_space(perp, p)
+    forms = _null_space(perp, p)
     reps = {}
     for v in space.vectors():
         reps.setdefault(linalg.mat_vec(forms, v, p), v)
     return list(reps.values())
+
+
+def _dense_trace(mat, rep, elem):
+    """Trace of mat . rho(v, a) through the dense plane kernel, which
+    products with a monomial factor skip."""
+    op = rep.operator(elem)
+    return CycloMatrix(mat.ctx, mat.n, _plane_product(
+        mat.ctx, mat.planes, op.planes), mat.den * op.den).trace()
 
 
 def _oracle_trace_with(rep, mat, elem):
@@ -1133,7 +1148,7 @@ def test_trace_with_matches_dense_trace_exhaustive_p3():
     for g in sl2_elements(3):
         wg = w(g)
         for h in _all_heisenberg(V):
-            expected = (wg @ rep.operator(h)).trace()
+            expected = _dense_trace(wg, rep, h)
             assert rep.trace_with(wg, h) == expected
             assert _oracle_trace_with(rep, wg, h) == expected
 
@@ -1150,7 +1165,7 @@ def test_trace_with_matches_dense_trace_sampled(p):
            st.integers(0, p - 1), st.integers(0, p - 1))
     def check(g, x, y, a):
         h = HeisenbergElement(V, (x, y), a)
-        assert rep.trace_with(w(g), h) == (w(g) @ rep.operator(h)).trace()
+        assert rep.trace_with(w(g), h) == _dense_trace(w(g), rep, h)
 
     check()
 
@@ -1496,7 +1511,7 @@ def test_complement_transversal_matches_the_null_space_oracle(p, n):
     for u_basis in [[]] + [[v] for v in checks.isotropic_lines(V)] + \
             lagrangian:
         perp = _oracle_perp(V, u_basis)
-        forms = linalg.null_space(perp, p)
+        forms = _null_space(perp, p)
         basis, k = V._symplectic_basis(u_basis)
         reps = _coset_representatives(V, basis[n:n + k]).tolist()
         labels = [linalg.mat_vec(forms, w, p) for w in reps]
@@ -1542,7 +1557,7 @@ def test_trace_with_matches_dense_trace_on_random_matrices(case, data):
     coordinate = st.integers(0, p - 1)
     h = HeisenbergElement(V, data.draw(st.tuples(*[coordinate] * V.dim)),
                           data.draw(coordinate))
-    assert rep.trace_with(mat, h) == (mat @ rep.operator(h)).trace()
+    assert rep.trace_with(mat, h) == _dense_trace(mat, rep, h)
 
 
 @pytest.mark.parametrize("entry", [2 ** 62, -2 ** 63, 2 ** 70])
@@ -1555,7 +1570,7 @@ def test_trace_with_leaves_int64_when_the_sums_do(entry):
     mat = CycloMatrix(rep.cyclo, 5, planes, normalize=False)
     for v in ((0, 0), (1, 2)):
         h = HeisenbergElement(V, v, 3)
-        assert rep.trace_with(mat, h) == (mat @ rep.operator(h)).trace()
+        assert rep.trace_with(mat, h) == _dense_trace(mat, rep, h)
 
 
 def test_induction_check_keeps_its_errors():
