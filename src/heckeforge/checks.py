@@ -118,13 +118,12 @@ def weil_mult(weil, pairs):
 
 def weil_central(rep):
     """rho(0, a) = psi(a) . 1 for every a in F_p; psi(a) . 1 is the
-    zeta-power 4 psi_exp(a) written on the diagonal."""
-    space, zero, diag = rep.space, (0,) * rep.space.dim, range(rep.dim)
+    monomial with the zeta-power 4 psi_exp(a) on the diagonal."""
+    space, zero = rep.space, (0,) * rep.space.dim
     return _first({"a": a} for a in range(space.p)
                   if rep.operator(HeisenbergElement(space, zero, a))
-                  != CycloMatrix.from_zeta_powers(
-                      rep.cyclo, rep.dim, diag, diag,
-                      [4 * rep._psi_exp(a)] * rep.dim, distinct=True))
+                  != CycloMatrix.monomial(rep.cyclo, range(rep.dim),
+                                          [4 * rep._psi_exp(a)] * rep.dim))
 
 
 def isotropic_lines(space):

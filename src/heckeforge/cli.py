@@ -120,7 +120,7 @@ def _graded_element(space, rows):
             else:
                 line.append(space.embed(space.ctx.elem(c)))
         out.append(line)
-    return out
+    return space.ext_matrix(out)
 
 
 def _cmd_weil(args):

@@ -424,26 +424,18 @@ class CycloMatrix:
         return m
 
     @classmethod
-    def from_zeta_powers(cls, ctx, n, rows, cols, exps, table=None, den=1,
-                         distinct=False):
+    def from_zeta_powers(cls, ctx, n, rows, cols, exps, den=1):
         """sum zeta^e E_{r,c} / den over the integer arrays rows, cols and
         exps, all of one shape: entries at a repeated position add up, and e
-        is read mod N.  table, when given, replaces zeta^e by the number
-        whose coefficients are table[e mod N], an (N, degree) integer
-        array.  distinct=True promises that no position repeats, so that
-        one assignment writes every term."""
+        is read mod N."""
         rows, cols, exps = (np.asarray(x, dtype=np.int64).ravel()
                             for x in (rows, cols, exps))
-        extent = ctx._powers_extent if table is None else _extent(table)
-        terms = (ctx._powers if table is None else table)[exps % ctx.n].T
         # at most len(exps) terms add up at one position
-        dtype = np.int64 if extent * len(exps) < 2 ** 63 else object
+        dtype = (np.int64 if ctx._powers_extent * len(exps) < 2 ** 63
+                 else object)
         planes = np.zeros((ctx.degree, n, n), dtype=dtype)
-        if distinct:
-            planes[:, rows, cols] = terms
-        else:
-            np.add.at(planes, (slice(None), rows, cols),
-                      terms.astype(dtype, copy=False))
+        np.add.at(planes, (slice(None), rows, cols),
+                  ctx._powers[exps % ctx.n].T.astype(dtype, copy=False))
         return cls(ctx, n, planes, den)
 
     @classmethod

@@ -116,12 +116,17 @@ class QuadraticSpace:
 
 
 class OrthogonalMap:
-    """An element of O(V, phi)(F_q), stored as a matrix acting on columns."""
+    """An element of O(V, phi)(F_q), stored as a matrix acting on columns.
+    check verifies that the matrix is dim x dim and preserves the form;
+    the library passes check=False only for isometries by construction."""
 
     def __init__(self, space, matrix, check=True):
         self.space = space
         matrix = tuple(tuple(space.ctx.elem(c) for c in row) for row in matrix)
         if check:
+            if len(matrix) != space.dim or any(len(row) != space.dim
+                                               for row in matrix):
+                raise QuadSpaceError("matrix must be dim x dim")
             gt = linalg.mat_mul(linalg.mat_mul(linalg.transpose(matrix),
                                                space.gram), matrix)
             if gt != space.gram:

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .cyclo import CycloContext, CycloMatrix, CyclotomicNumber, _extent
+from .cyclo import CycloContext, CycloMatrix, _extent
 from .ffield import FqContext, SignValue, _digits, _is_prime, sgn
 
 
@@ -283,22 +283,9 @@ class HeisenbergRep:
         return self.psi(elem.a) * self.dim
 
     def trace_with(self, mat, elem):
-        """Trace of mat . rho(v, a) = sum_s mat[s, rows[s]] zeta^{exps[s]}:
-        the entries planes[d, s, rows[s]] are added at d + exps[s] in the
-        group ring Z[Z/N] and reduced by one product with the table of x^k
-        mod Phi_N, in int64 under an exact bound, else on Python ints."""
-        rows, exps = self._monomials([elem.v], elem.a)
-        ctx, planes = self.cyclo, mat.planes
-        deg, dim, _ = planes.shape
-        # 2N max|x^k| times the sum of all gathered |entries| bounds every
-        # partial sum; object planes hold an entry beyond int64
-        bound = 2 * ctx.n * ctx._powers_extent * _extent(planes) * deg * dim
-        dtype = np.int64 if bound < 2 ** 63 else object
-        acc = np.zeros(2 * ctx.n, dtype=dtype)
-        np.add.at(acc, (np.arange(deg)[:, None] + exps % ctx.n).ravel(),
-                  planes[:, np.arange(dim), rows[0]].astype(dtype).ravel())
-        return CyclotomicNumber(ctx, (acc @ ctx._powers.astype(dtype)
-                                      ).tolist(), mat.den)
+        """Trace of mat . rho(v, a): the trace of the product with the
+        monomial operator, a gather and a zeta-rotation of mat's columns."""
+        return (mat @ self.operator(elem)).trace()
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +327,10 @@ class WeilSL2:
     They are the products u(a/c) w diag(c, 1/c) u(d/c) and diag(a, 1/a)
     u(b/a) of the generator operators multiplied out; the tests keep that
     product as their oracle (_oracle_weil).  The cell c = 0 is built as a
-    monomial (CycloMatrix.monomial).  Multiplicativity is verified
-    empirically by the test suite, not assumed."""
+    monomial (CycloMatrix.monomial); in the cell c != 0 every entry is
+    kappa zeta^e, so its planes are one gather of the rows p kappa zeta^e
+    (_kappa_powers), over p.  Multiplicativity is verified empirically by
+    the test suite, not assumed."""
 
     def __init__(self, rep):
         if rep.space.n != 1:
@@ -377,10 +366,10 @@ class WeilSL2:
         key = (a, b, c, d)
         if key not in self._cache:
             if c:
-                t, s = self._grid[:2]
-                self._cache[key] = CycloMatrix.from_zeta_powers(
-                    self.cyclo, p, t, s, self._cell(key)[t, s],
-                    self._kappa_powers, p, distinct=True)
+                # _cell's exponents reach 6p - 4, beyond N = 4p
+                exps = self._cell(key) % self.cyclo.n
+                self._cache[key] = CycloMatrix(
+                    self.cyclo, p, self._kappa_powers.T[:, exps], p)
             else:
                 # a monomial: column s holds its entry at row t = s / a
                 s = self._t

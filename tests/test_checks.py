@@ -8,7 +8,8 @@ import pytest
 
 from heckeforge import (CoxeterSystem, HeckeAlgebra, HeisenbergRep,
                         ParameterFunction, SymplecticSpace, WeilSL2,
-                        graded_symplectic_split, sl2_elements)
+                        graded_symplectic_split, random_orthogonal,
+                        sl2_elements)
 from heckeforge import checks
 
 BATTERY = checks.suite()
@@ -23,6 +24,61 @@ def test_battery_entry_passes(thunk):
 
 def test_battery_names_are_unique():
     assert len({(m, n) for m, n, _ in BATTERY}) == len(BATTERY)
+
+
+# ---------------------------------------------------------------------------
+# the battery's own inputs: a sampled entry that shrinks its sample, or
+# moves its seed, still passes, so the inputs are pinned here
+
+
+def _spy(monkeypatch, name):
+    """Wrap checks.<name> so that every call's arguments and result are
+    recorded; the battery gets the same result."""
+    calls, real = [], getattr(checks, name)
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+    monkeypatch.setattr(checks, name, spy)
+    return calls
+
+
+def test_affine_associativity_checks_its_fifty_seeded_triples(monkeypatch):
+    calls = _spy(monkeypatch, "hecke_assoc")
+    assert checks._assoc_affine_a1() == (True, None)
+    [((algebra, triples), kwargs, _)] = calls
+    assert algebra.system.type_tag == "A1~" and not kwargs
+    assert len(triples) == 50
+    assert triples == checks.random_triples(algebra.system,
+                                            random.Random(0), 50, 4)
+
+
+def test_truncation_independence_convolves_at_n_2_3_4(monkeypatch):
+    calls = _spy(monkeypatch, "convolve_s")
+    assert checks._truncation_independence() == (True, None)
+    assert [args for args, _, _ in calls] == [
+        (twist, 3, n) for n in (2, 3, 4) for twist in ("trivial", "sign")]
+
+
+@pytest.mark.parametrize("entry,count", [("_sgn_sn_multiplicative", 12),
+                                         ("_restriction_agrees", 10)])
+def test_sampled_orthogonal_entries_draw_their_maps_from_seed_0(
+        entry, count, monkeypatch):
+    calls = _spy(monkeypatch, "random_orthogonal")
+    assert getattr(checks, entry)() == (True, None)
+    space = calls[0][0][0]
+    rng = random.Random(0)
+    assert [(args[0], kwargs, g.matrix) for args, kwargs, g in calls] == [
+        (space, {}, random_orthogonal(space, rng).matrix)
+        for _ in range(count)]
+
+
+def test_phi_well_defined_samples_100_decompositions(monkeypatch):
+    calls = _spy(monkeypatch, "welldefinedness_check")
+    assert checks._phi_well_defined() == (True, None)
+    assert [(args, kwargs) for args, kwargs, _ in calls] == [((3, 3, 100),
+                                                              {})]
 
 
 def _doubling(algebra, when):

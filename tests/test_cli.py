@@ -80,6 +80,17 @@ def test_spinor_norm_bad_matrix(tmp_path, capsys):
     assert main(["spinor-norm", "--input", str(path)]) == 2
 
 
+@pytest.mark.parametrize("matrix", [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                    [[1]]])
+def test_spinor_norm_matrix_of_another_size(matrix, tmp_path, capsys):
+    # the Gram matrix is 2 x 2
+    data = {"field": {"p": 3}, "gram": [[0, 1], [1, 0]], "matrix": matrix}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    assert main(["spinor-norm", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad input")
+
+
 def test_extended_sn_subcommand(tmp_path, capsys):
     data = {"field": {"p": 3},
             "blocks": [{"label": "a", "dim": 2, "kind": "asym"}],
@@ -102,6 +113,22 @@ def test_extended_sn_non_member(tmp_path, capsys):
     code, payload = _run(capsys, ["extended-sn", "--input", str(path)])
     assert code == 0
     assert payload == {"member": False, "value": None}
+
+
+@pytest.mark.parametrize("element", [
+    [["zeta", 0], [0, "zeta"]], [[1, 0, 0], [0, 1, 0]],
+    [[1, 0, 0], [0, 1], [0, 0, 1]]])
+def test_extended_sn_element_of_another_size(element, tmp_path, capsys):
+    # the graded space is 3-dimensional: an asym plane and a sym line
+    data = {"field": {"p": 3},
+            "blocks": [{"label": "a", "dim": 2, "kind": "asym"},
+                       {"label": "b", "dim": 1, "kind": "sym"}],
+            "gram": [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+            "element": element}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    assert main(["extended-sn", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad input")
 
 
 def test_weil_mult_check(capsys):

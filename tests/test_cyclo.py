@@ -125,8 +125,8 @@ def test_matrix_identity_and_proportionality():
        st.integers(1, 4), st.data())
 def test_from_zeta_powers_matches_sums_of_zeta_pow(conductor, n, data):
     # repeated positions add up and exponents are read mod N, whether the
-    # indices come as lists or as int64 arrays; a table whose row e is
-    # c zeta^e, over den, puts c zeta^e / den at each position instead
+    # indices come as lists or as int64 arrays; over den each term is
+    # zeta^e / den
     ctx = CycloContext(conductor)
     index = st.integers(0, n - 1)
     exponent = st.integers(-3 * conductor, 3 * conductor)
@@ -138,18 +138,15 @@ def test_from_zeta_powers_matches_sums_of_zeta_pow(conductor, n, data):
     if data.draw(st.booleans()):
         rows, cols, exps = (np.array(x, dtype=np.int64)
                             for x in (rows, cols, exps))
-    c = CyclotomicNumber(ctx, data.draw(st.lists(
-        st.integers(-9, 9), min_size=ctx.degree, max_size=ctx.degree)), 1)
     den = data.draw(st.integers(1, 6))
-    table = np.array([(c * ctx.zeta_pow(e)).num for e in range(conductor)])
     want = [[ctx.zero() for _ in range(n)] for _ in range(n)]
     for r, col, e in entries:
         want[r][col] = want[r][col] + ctx.zeta_pow(int(e))
-    scaled = [[x * c / den for x in row] for row in want]
+    scaled = [[x / den for x in row] for row in want]
     for got, expected in (
             (CycloMatrix.from_zeta_powers(ctx, n, rows, cols, exps), want),
-            (CycloMatrix.from_zeta_powers(ctx, n, rows, cols, exps, table,
-                                          den), scaled)):
+            (CycloMatrix.from_zeta_powers(ctx, n, rows, cols, exps, den),
+             scaled)):
         assert got == CycloMatrix.from_entries(ctx, expected)
         assert _stored_canonically(got)
 
@@ -372,31 +369,6 @@ def test_galois_norm_inverse_matches_elimination(conductor, data):
     got, want = x.inv(), _oracle_inv(x)
     assert (got.num, got.den) == (want.num, want.den)
     assert x * got == ctx.one()
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([3, 4, 5, 8, 12, 20]), st.integers(1, 4), st.data())
-def test_from_zeta_powers_distinct_matches_the_summing_build(conductor, n,
-                                                             data):
-    # with no repeated position the one-assignment build and the summing
-    # build agree, with the power table and with a table over den
-    ctx = CycloContext(conductor)
-    index = st.integers(0, n - 1)
-    cells = data.draw(st.lists(st.tuples(index, index), unique=True,
-                               max_size=n * n))
-    rows, cols = [r for r, _ in cells], [c for _, c in cells]
-    exps = data.draw(st.lists(st.integers(-3 * conductor, 3 * conductor),
-                              min_size=len(cells), max_size=len(cells)))
-    c = CyclotomicNumber(ctx, data.draw(st.lists(
-        st.integers(-9, 9), min_size=ctx.degree, max_size=ctx.degree)), 1)
-    table = np.array([(c * ctx.zeta_pow(e)).num for e in range(conductor)])
-    den = data.draw(st.integers(1, 6))
-    for args in ((), (table, den)):
-        got = CycloMatrix.from_zeta_powers(ctx, n, rows, cols, exps, *args,
-                                           distinct=True)
-        assert got == CycloMatrix.from_zeta_powers(ctx, n, rows, cols, exps,
-                                                   *args)
-        assert got.planes.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +627,7 @@ def test_monomial_products_match_the_dense_kernel(conductor, n, entries,
     _, k = data.draw(_monomial(ctx, n))
     d = data.draw(_matrix(ctx, n, entries))
     assert m == CycloMatrix.from_zeta_powers(ctx, n, rows, range(n), exps,
-                                             den=den, distinct=True)
+                                             den=den)
     for a, b in ((m, k), (d, m), (m, d), (k, d), (d, k)):
         got = a @ b
         assert _agrees(got, _dense_product(a, b))

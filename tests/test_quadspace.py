@@ -141,6 +141,14 @@ def test_orthogonal_map_rejects_nonisometry():
         OrthogonalMap(hyp, [[1, 1], [0, 1]])
 
 
+@pytest.mark.parametrize("matrix", [
+    [[1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0]], [[1, 0]], []])
+def test_orthogonal_map_rejects_a_matrix_of_another_size(matrix):
+    hyp = QuadraticSpace.hyperbolic_plane(FqContext(3))
+    with pytest.raises(QuadSpaceError, match="dim x dim"):
+        OrthogonalMap(hyp, matrix)
+
+
 def test_square_class_group():
     assert TRIVIAL * NONSQUARE == NONSQUARE
     assert NONSQUARE * NONSQUARE == TRIVIAL

@@ -15,7 +15,8 @@ from heckeforge import (SympError, SymplecticSpace, HeisenbergElement,
                         heisenberg_mul, WeilSL2, weil_sl2, projective_weil,
                         det_sign_character, isotropic_reduction,
                         graded_symplectic_split, induction_identity_check,
-                        sl2_elements, SignValue, CycloMatrix)
+                        sl2_elements, SignValue, CycloContext, CycloError,
+                        CycloMatrix)
 from heckeforge import checks, linalg, sympweil
 from heckeforge.sympweil import _stabilizer_sl2, _coset_representatives
 from heckeforge.cyclo import _plane_product
@@ -893,28 +894,23 @@ def test_induction_identity_trivial_subspace():
 @pytest.mark.parametrize("p", [3, 5])
 def test_induction_trivial_subspace_builds_each_weil_operator_once(
         p, monkeypatch):
-    # WeilSL2 builds each omega(g) once, a cache miss being one
-    # from_zeta_powers call on distinct positions (c != 0) or one monomial
-    # (c = 0); the batched check reads omega(g)'s exponents off
-    # WeilSL2._cell and builds no operator at all
+    # WeilSL2 builds each omega(g) once, a cache miss being one CycloMatrix
+    # (a kappa-table gather where c != 0, a monomial where c = 0) and a hit
+    # none; the batched check reads omega(g)'s exponents off WeilSL2._cell
+    # and builds no operator at all
     calls = []
+    build = CycloMatrix.__init__
 
-    def counted(name):
-        build = getattr(CycloMatrix, name).__func__
-
-        def call(cls, *args, **kwargs):
-            calls.append((name, kwargs.get("distinct")))
-            return build(cls, *args, **kwargs)
-        monkeypatch.setattr(CycloMatrix, name, classmethod(call))
-    counted("from_zeta_powers")
-    counted("monomial")
+    def counted(self, ctx, n, *args, **kwargs):
+        calls.append(n)
+        build(self, ctx, n, *args, **kwargs)
+    monkeypatch.setattr(CycloMatrix, "__init__", counted)
     V = SymplecticSpace.standard(p, 1)
     w = WeilSL2(HeisenbergRep(V))
     group = list(sl2_elements(p))
     for g in group + group:
         w(g)
-    assert calls == [("from_zeta_powers", True) if c else ("monomial", None)
-                     for _, (c, _) in group]
+    assert calls == [p] * len(group)
     del calls[:]
     for u_basis in [[]] + [[line] for line in _lines(p)]:
         ok, _ = induction_identity_check(V, u_basis, "with_sl2_levi")
@@ -1558,6 +1554,17 @@ def test_trace_with_matches_dense_trace_on_random_matrices(case, data):
     h = HeisenbergElement(V, data.draw(st.tuples(*[coordinate] * V.dim)),
                           data.draw(coordinate))
     assert rep.trace_with(mat, h) == _dense_trace(mat, rep, h)
+
+
+@pytest.mark.parametrize("conductor,size", [(20, 3), (12, 5)])
+def test_trace_with_rejects_a_matrix_of_another_field_or_size(conductor,
+                                                               size):
+    # rho(v, a) of F_3^2 is 3 x 3 over Q(zeta_12)
+    V = SymplecticSpace.standard(3, 1)
+    rep = HeisenbergRep(V)
+    mat = CycloMatrix.identity(CycloContext(conductor), size)
+    with pytest.raises(CycloError, match="context mismatch"):
+        rep.trace_with(mat, HeisenbergElement(V, (1, 2), 1))
 
 
 @pytest.mark.parametrize("entry", [2 ** 62, -2 ** 63, 2 ** 70])
