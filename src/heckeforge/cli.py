@@ -49,6 +49,15 @@ def _field_from_json(spec):
         raise UsageError(f"bad field description: {e}")
 
 
+def _parse_modulus(text):
+    """--modulus: integer coefficients, low degree first, separated by
+    commas; one coefficient is a constant polynomial."""
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise UsageError(f"bad --modulus {text!r}")
+
+
 def _parse_element(text):
     try:
         if "," in text:
@@ -63,10 +72,14 @@ def _parse_element(text):
 
 
 def _cmd_sgn(args):
-    modulus = tuple(_parse_element(args.modulus)) if args.modulus else None
+    modulus = _parse_modulus(args.modulus) if args.modulus else None
     element = _parse_element(args.element)
     try:
         ctx = FqContext(args.p, args.m, modulus)
+    except FieldError as e:
+        raise UsageError(f"bad --p, --m or --modulus: {e}" if modulus
+                         else f"bad input: {e}")
+    try:
         a = ctx.elem(element)
     except FieldError as e:
         raise UsageError(f"bad input: {e}")

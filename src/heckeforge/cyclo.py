@@ -8,10 +8,13 @@ when every entry fits and as an object array of Python ints otherwise; the
 dtype is the only flag.  A product of two matrices, or of a matrix by a
 scalar, is one stacked integer matrix product of all nonzero planes; its
 blocks are summed by i + j and folded into the output planes by x^(i+j) mod
-Phi_N.  A matrix built by CycloMatrix.monomial also keeps its permutation
-and zeta-exponents, so that a product with it is a gather and a
-zeta-rotation instead.  Every operation runs in int64 only when an exact
-bound rules out overflow, and on Python ints otherwise.
+Phi_N.  A monomial, or a matrix whose every entry is a sum of zeta-powers
+times one scale (a Weil cell), also keeps that description, so that a
+product of two of them is computed on their exponents: a gather and an
+exponent add, or one histogram over (position, exponent mod N).  A product
+of a monomial with a dense matrix is a gather and a zeta-rotation.  Every
+operation runs in int64 only when an exact bound rules out overflow, and on
+Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -25,6 +28,20 @@ import numpy as np
 
 class CycloError(ValueError):
     pass
+
+
+# entries kept by each of a context's caches of scale tables and products
+_SCALE_CACHE = 64
+
+
+def _memo(cache, key, build):
+    """cache[key], built on a miss; a full cache drops its oldest entry."""
+    value = cache.get(key)
+    if value is None:
+        if len(cache) >= _SCALE_CACHE:
+            del cache[next(iter(cache))]
+        value = cache[key] = build()
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +126,8 @@ class CycloContext:
         # with i + j = s add row[d] times their sum to plane d
         self._powers = np.array(table[:self.n] * 2, dtype=np.int64)
         self._powers_extent = _extent(self._powers)
+        self._scale_tables, self._scale_products = {}, {}
+        self._one = self.one()
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -137,6 +156,30 @@ class CycloContext:
         num = [0] * self.degree
         num[0] = r.numerator
         return CyclotomicNumber(self, tuple(num), r.denominator)
+
+    def _scale_table(self, scale):
+        """The read-only (N, deg) table of scale zeta^e over scale.den: row e
+        is the numerator of scale zeta^e, sum_i num_i x^(e + i) mod Phi_N.
+        zeta^e is a unit of Z[zeta], so every row has the content of
+        scale.num, which is prime to scale.den: a gather of rows needs no
+        normalisation."""
+        def build():
+            num = np.array(scale.num, dtype=object)
+            powers = self._powers[np.arange(self.degree)[:, None]
+                                  + np.arange(self.n)]
+            if self.degree * _extent(num) * self._powers_extent < 2 ** 63:
+                num = num.astype(np.int64)
+            else:
+                powers = powers.astype(object)
+            table = _int64_if_fits(np.tensordot(num, powers, axes=1))
+            table.setflags(write=False)
+            return table
+        return _memo(self._scale_tables, (scale.num, scale.den), build)
+
+    def _scale_product(self, a, b):
+        """a * b for CyclotomicNumbers of this context, memoised."""
+        return _memo(self._scale_products, (a.num, a.den, b.num, b.den),
+                     lambda: a * b)
 
     def zeta_pow(self, j):
         return CyclotomicNumber(self, self.power_table[j % self.n], 1)
@@ -363,13 +406,52 @@ def _rotated(ctx, planes, exps, axis):
     return np.moveaxis(lines @ fold, (0, 2), (axis, 0))
 
 
+def _histogram_product(ctx, a, b, scale):
+    """The planes, over scale.den, of the product of the matrices that the
+    descriptions a and b describe, scale being the product of their scales.
+    Term i of a's column s[l, c] meets term l of b's column c at position
+    (r[i, s[l, c]], c) with exponent e[i, s[l, c]] + f[l, c]: one bincount
+    over (position, exponent mod N) counts them.  zeta^(N/2) = -1 folds a
+    count row of even N to N/2 exponents, and x^e is the e-th unit vector
+    below the degree, so the rows x^e mod Phi_N past the degree reduce it
+    to sum_e count_e zeta^e.  That sum times scale's numerator is the
+    entry: a product with its first coefficient where scale is rational
+    (kappa^2 = sgn(-1) / p), else with the rows x^d scale, d < deg, of
+    scale's table.  At most k_a k_b terms land at one position, which
+    bounds the partial sums; beyond int64 the last product runs on Python
+    ints."""
+    (r, e, _), (s, f, _) = a, b
+    n, N, deg = r.shape[1], ctx.n, ctx.degree
+    at = r.take(s, 1) * n + np.arange(n)
+    hist = np.bincount((at * N + (e.take(s, 1) + f) % N).ravel(),
+                       minlength=n * n * N).reshape(n * n, N)
+    if N % 2 == 0:
+        hist = hist[:, :N // 2] - hist[:, N // 2:]
+    sums = hist[:, :deg] + hist[:, deg:] @ ctx._powers[deg:hist.shape[1]]
+    bound = len(r) * len(s) * ctx._powers_extent  # >= max|sums|
+    if scale.is_rational():
+        factor = scale.num[0]
+        if bound * abs(factor) >= 2 ** 63:
+            sums = sums.astype(object)
+        planes = sums * factor
+    else:
+        table = ctx._scale_table(scale)[:deg]
+        if table.dtype == object or bound * deg * _extent(table) >= 2 ** 63:
+            sums, table = sums.astype(object), table.astype(object)
+        planes = sums @ table
+    return planes.T.reshape(deg, n, n)
+
+
 class CycloMatrix:
     """A square matrix over Q(zeta_N): one integer plane per basis power,
-    over a positive common denominator.  A monomial matrix built by
-    CycloMatrix.monomial also keeps its description (rows, exps): column c
-    holds zeta^exps[c] / den at row rows[c]."""
+    over a positive common denominator.  A matrix built by
+    CycloMatrix.monomial, a Weil cell, and a product of such matrices also
+    keep their description (rows, exps, scale): rows and exps are (k, n)
+    int64 arrays and scale a CyclotomicNumber, and column c holds
+    sum_j scale zeta^exps[j, c] at the distinct rows rows[j, c].  A
+    monomial has k = 1, rows a permutation and scale 1 / den."""
 
-    __slots__ = ("ctx", "n", "planes", "den", "_monomial")
+    __slots__ = ("ctx", "n", "planes", "den", "_description")
 
     def __init__(self, ctx, n, planes, den=1, normalize=True):
         self.ctx = ctx
@@ -377,7 +459,7 @@ class CycloMatrix:
         # (degree, n, n): int64 when every entry fits, else Python ints
         self.planes = _int64_if_fits(planes)
         self.den = den
-        self._monomial = None
+        self._description = None
         if normalize:
             self._normalize()
 
@@ -407,21 +489,39 @@ class CycloMatrix:
     def monomial(cls, ctx, rows, exps, den=1):
         """The matrix whose column c holds zeta^exps[c] / den at row rows[c],
         for a permutation rows of 0 .. n-1, integer exps (read mod N) and a
-        positive den.  It keeps (rows, exps mod N), which __matmul__ reads;
-        no other constructor sets them."""
+        positive den.  It keeps the description (rows, exps mod N, 1 / den),
+        which __matmul__ reads."""
         rows = np.array(rows, dtype=np.int64)
         exps = np.asarray(exps, dtype=np.int64) % ctx.n
         n = rows.size
-        cols = np.arange(n)
         if (den < 1 or rows.shape != (n,) or exps.shape != (n,)
                 or sorted(rows.tolist()) != list(range(n))):
             raise CycloError("a monomial needs a permutation, one exponent "
                              "per column and a positive denominator")
-        planes = np.zeros((ctx.degree, n, n), dtype=np.int64)
-        planes[:, rows, cols] = ctx._powers[exps].T
-        m = cls(ctx, n, planes, den)
-        m._monomial = rows, exps
+        return cls._described(ctx, rows[None], exps[None], ctx._one if den == 1
+                              else ctx.from_rational(Fraction(1, den)))
+
+    @classmethod
+    def _described(cls, ctx, rows, exps, scale):
+        """The matrix of the description (rows, exps, scale), exps in
+        0 .. N-1: its planes are one gather of scale's table.  The rows of
+        that table are primitive over scale.den, so the planes are
+        normalised unless the matrix is empty."""
+        n = rows.shape[1]
+        table = ctx._scale_table(scale)
+        planes = np.zeros((ctx.degree, n, n), dtype=table.dtype)
+        planes[:, rows, np.arange(n)] = table.take(exps, 0).transpose(2, 0, 1)
+        m = cls(ctx, n, planes, scale.den, normalize=not n)
+        m._description = rows, exps, scale
         return m
+
+    def _monomial(self):
+        """(rows, exps) when self is described with one term per column and
+        scale 1 / den, else None."""
+        d = self._description
+        if d is None or len(d[0]) != 1 or d[2].num != self.ctx._one.num:
+            return None
+        return d[0][0], d[1][0]
 
     @classmethod
     def from_zeta_powers(cls, ctx, n, rows, cols, exps, den=1):
@@ -465,21 +565,40 @@ class CycloMatrix:
                                 self.den)
 
     def __matmul__(self, other):
-        """The product; a monomial factor makes it a gather and a
-        zeta-rotation, and two compose into a monomial."""
+        """The product.  Two described factors multiply on their exponents:
+        where one has a term per column, the descriptions compose (a gather
+        and an exponent add) and the product stays described; otherwise one
+        histogram counts the terms (_histogram_product).  A monomial next to
+        a dense factor makes a gather and a zeta-rotation, and everything
+        else is the stacked product of planes (_plane_product)."""
         if self.ctx != other.ctx or self.n != other.n:
             raise CycloError("matrix context mismatch")
-        ctx, den = self.ctx, self.den * other.den
-        if self._monomial is not None and other._monomial is not None:
-            (r, e), (s, f) = self._monomial, other._monomial
-            return CycloMatrix.monomial(ctx, r[s], e[s] + f, den)
-        if other._monomial is not None:
+        ctx, a, b = self.ctx, self._description, other._description
+        if a is not None and b is not None:
+            scale = ctx._scale_product(a[2], b[2])
+            if len(b[0]) == 1:
+                # column c is self's column rows[c] times zeta^exps[c]
+                rows, exps = b[0][0], b[1][0]
+                return CycloMatrix._described(
+                    ctx, a[0].take(rows, 1),
+                    (a[1].take(rows, 1) + exps) % ctx.n, scale)
+            if len(a[0]) == 1:
+                # other's row j moves to row rows[j], times zeta^exps[j]
+                rows, exps = a[0][0], a[1][0]
+                return CycloMatrix._described(
+                    ctx, rows.take(b[0]), (b[1] + exps.take(b[0])) % ctx.n,
+                    scale)
+            return CycloMatrix(ctx, self.n,
+                               _histogram_product(ctx, a, b, scale), scale.den)
+        den = self.den * other.den
+        right, left = other._monomial(), self._monomial()
+        if right is not None:
             # column c is self's column rows[c] times zeta^exps[c]
-            rows, exps = other._monomial
+            rows, exps = right
             planes = _rotated(ctx, self.planes[:, :, rows], exps, 2)
-        elif self._monomial is not None:
+        elif left is not None:
             # row rows[r] is other's row r times zeta^exps[r]
-            rows, exps = self._monomial
+            rows, exps = left
             lines = _rotated(ctx, other.planes, exps, 1)
             planes = np.empty_like(lines)
             planes[:, rows] = lines

@@ -36,6 +36,12 @@ class CoxeterSystem:
     def __init__(self, generators, coxeter_matrix, type_tag=None,
                  length_cap=64):
         self.generators = tuple(generators)
+        for key in coxeter_matrix:
+            if not set(key) <= set(self.generators):
+                raise HeckeError(f"m{key!r} names a letter that is not a "
+                                 "generator")
+        if not self.generators:
+            raise HeckeError("the generators [] are empty")
         if len(set(self.generators)) != len(self.generators):
             raise HeckeError("duplicate generators")
         self.type_tag = type_tag

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .cyclo import CycloContext, CycloMatrix, _extent
+from .cyclo import CycloContext, CycloMatrix, CyclotomicNumber, _extent
 from .ffield import FqContext, SignValue, _digits, _is_prime, sgn
 
 
@@ -295,24 +295,24 @@ class HeisenbergRep:
 @lru_cache(maxsize=None)
 def _weil_tables(p, unit):
     """WeilSL2's read-only tables for psi = iota^-1, iota(zeta_p) = unit: the
-    points t; the grid (t, s, t^2, 2ts, s^2) of their pairs; the rows
-    p kappa zeta^e; True at the nonzero squares of F_p (FqContext(p)'s
-    table); psi_exp(1 / 2c) (0 at c = 0); and psi_exp(1 / 2)."""
+    points t; the grid (t, s, t^2, 2ts, s^2) of their pairs; True at the
+    nonzero squares of F_p (FqContext(p)'s table); psi_exp(1 / 2c) (0 at
+    c = 0); psi_exp(1 / 2); and kappa."""
     ctx, t, u = CycloContext.shared(4 * p), np.arange(p), pow(unit, p - 2, p)
     # squares[t] = 4 psi_exp(t^2), so that G = sum_t zeta^squares[t] is the
     # quadratic Gauss sum.  The constant of omega(w) is forced by W U(b) W =
     # U(-1/b) W D(b) U(-1/b) (complete the square; the quadratic sum
-    # contributes sgn(b/2) G); 1/G = conj(G)/p since G conj(G) = p.  Row e
-    # of the table is p kappa zeta^e = sgn(2) sum_t zeta^(e - squares[t])
+    # contributes sgn(b/2) G); 1/G = conj(G)/p since G conj(G) = p, so
+    # p kappa = sgn(2) sum_t zeta^(-squares[t])
     squares, (r, s) = 4 * (t * t * u % p), np.indices((p, p))
     fp = FqContext(p)
+    kappa = CyclotomicNumber(ctx, tuple((int(sgn(fp.elem(2))) * ctx._powers[
+        -squares % ctx.n].sum(axis=0)).tolist()), p)
     tables = (t, np.stack((r, s, r * r, 2 * r * s, s * s)),
-              int(sgn(fp.elem(2))) * ctx._powers[
-                  (np.arange(ctx.n)[:, None] - squares) % ctx.n].sum(axis=1),
               fp._tables.squares, (p + 1) // 2 * u * fp._tables.inv(t) % p)
     for table in tables:
         table.setflags(write=False)
-    return tables + ((p + 1) // 2 * u % p,)
+    return tables + ((p + 1) // 2 * u % p, kappa)
 
 
 class WeilSL2:
@@ -327,33 +327,51 @@ class WeilSL2:
     They are the products u(a/c) w diag(c, 1/c) u(d/c) and diag(a, 1/a)
     u(b/a) of the generator operators multiplied out; the tests keep that
     product as their oracle (_oracle_weil).  The cell c = 0 is built as a
-    monomial (CycloMatrix.monomial); in the cell c != 0 every entry is
-    kappa zeta^e, so its planes are one gather of the rows p kappa zeta^e
-    (_kappa_powers), over p.  Multiplicativity is verified empirically by
-    the test suite, not assumed."""
+    monomial (CycloMatrix.monomial).  In the cell c != 0 every entry is
+    kappa zeta^e, so it is described by the rows t, the exponents e and
+    the scale kappa, and its planes are one gather of kappa's table
+    (_kappa_powers, the rows p kappa zeta^e).  Products of cells are then
+    computed on their exponents (CycloMatrix.__matmul__).
+    Multiplicativity is verified empirically by the test suite, not
+    assumed."""
 
     def __init__(self, rep):
         if rep.space.n != 1:
             raise SympError("weil_sl2 needs a 2-dimensional space")
         self.rep, self.p, self.cyclo = rep, rep.space.p, rep.cyclo
-        (self._t, self._grid, self._kappa_powers, self._square,
-         self._half_inv, self._half) = _weil_tables(self.p, rep.iota.unit)
+        (self._t, self._grid, self._square, self._half_inv, self._half,
+         self._kappa) = _weil_tables(self.p, rep.iota.unit)
+        self._kappa_powers = self.cyclo._scale_table(self._kappa)
         self._cache = {}
 
     def _cell(self, g):
-        """omega(g)'s exponents on the (t, s) grid, for int arrays
-        g = (a, b, c, d) that broadcast against it: the entry [t, s] is
+        """omega(g)'s exponents on the (t, s) grid, for g = (a, b, c, d),
+        ints or int arrays that broadcast against it: the entry [t, s] is
         kappa zeta^e where c != 0, zeta^e where c = 0 and s = a t, and 0
-        where e is _ABSENT."""
+        where e is _ABSENT.  An int c evaluates its own cell only, and an
+        array c picks each g's cell from both."""
         p, (a, b, c, d) = self.p, g
         t, s, tt, ts2, ss = self._grid
-        # sgn(c), or sgn(a) when c = 0; the sign -1 is zeta_{4p}^{2p}
-        sign = np.where(self._square[np.where(c, c, a)], 0, 2 * p)
-        # psi_exp of (a t^2 - 2ts + d s^2) / 2c, or of ab t^2 / 2 when c = 0
-        phase = np.where(c, self._half_inv[c] * (a * tt - ts2 + d * ss),
-                         a * b * self._half % p * tt)
-        return np.where((c != 0) | (s == a * t % p), sign + 4 * (phase % p),
-                        _ABSENT)
+
+        # psi_exp's argument: (a t^2 - 2ts + d s^2) / 2c, or ab t^2 / 2
+        # where c = 0
+        def upper():
+            return self._half_inv[c] * (a * tt - ts2 + d * ss)
+
+        def lower():
+            return a * b * self._half % p * tt
+
+        # the cell's entries lie where c != 0 or s = a t
+        if np.ndim(c):
+            x, phase = np.where(c, c, a), np.where(c, upper(), lower())
+            support = (c != 0) | (s == a * t % p)
+        elif c:
+            x, phase, support = c, upper(), None
+        else:
+            x, phase, support = a, lower(), s == a * t % p
+        # sgn(c), or sgn(a) where c = 0; the sign -1 is zeta_{4p}^{2p}
+        e = np.where(self._square[x], 0, 2 * p) + 4 * (phase % p)
+        return e if support is None else np.where(support, e, _ABSENT)
 
     def __call__(self, g):
         if len(g) != 2 or any(len(row) != 2 for row in g):
@@ -366,10 +384,11 @@ class WeilSL2:
         key = (a, b, c, d)
         if key not in self._cache:
             if c:
-                # _cell's exponents reach 6p - 4, beyond N = 4p
-                exps = self._cell(key) % self.cyclo.n
-                self._cache[key] = CycloMatrix(
-                    self.cyclo, p, self._kappa_powers.T[:, exps], p)
+                # entry [t, s] is kappa zeta^e: row t of column s; _cell's
+                # exponents reach 6p - 4, beyond N = 4p
+                self._cache[key] = CycloMatrix._described(
+                    self.cyclo, self._grid[0], self._cell(key) % self.cyclo.n,
+                    self._kappa)
             else:
                 # a monomial: column s holds its entry at row t = s / a
                 s = self._t

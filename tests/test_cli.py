@@ -62,6 +62,15 @@ def test_sgn_checks_a_prime_field_modulus(capsys, modulus, expected):
         "element": [2], "m": 1, "modulus": [0, 1], "p": 3, "sgn": "-1"})
 
 
+@pytest.mark.parametrize("modulus", ["1", "5", "1,x"])
+def test_sgn_refuses_a_bad_modulus_naming_the_flag(capsys, modulus):
+    # one coefficient once reached tuple() as an int and exited 3
+    assert main(["sgn", "--p", "3", "--m", "1", "--modulus", modulus,
+                 "--element", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--modulus" in err
+
+
 def test_spinor_norm_subcommand(tmp_path, capsys):
     data = {"field": {"p": 3}, "gram": [[0, 1], [1, 0]],
             "matrix": [[-1, 0], [0, -1]]}
@@ -196,6 +205,22 @@ def test_hecke_matrix_file_must_give_every_pair(tmp_path, capsys, matrix,
     assert main(["hecke", "--type", str(path), "--check", "braid"]) == code
     if code == 2:
         assert "m(s,u) is missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data,check,named", [
+    ({"generators": [], "matrix": []}, "assoc", "[]"),
+    ({"generators": [], "matrix": [["s", "t", 1]]}, "braid", "('s', 't')"),
+    ({"generators": ["s", "t"], "matrix": [["s", "t", 3], ["s", "u", 2]]},
+     "braid", "('s', 'u')")])
+def test_hecke_matrix_file_refuses_what_names_no_generator(
+        tmp_path, capsys, data, check, named):
+    # no generators once exited 3 in random_triples, and a pair with an
+    # unknown letter passed unread
+    path = tmp_path / "cox.json"
+    path.write_text(json.dumps(data))
+    assert main(["hecke", "--type", str(path), "--check", check]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad Coxeter matrix file") and named in err
 
 
 @pytest.mark.parametrize("cox_type", ["file", "A1~"])

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckeforge import (CycloError, CycloContext, CyclotomicNumber,
-                        CycloMatrix, cyclotomic_polynomial)
+                        CycloMatrix, HeisenbergElement, HeisenbergRep,
+                        SymplecticSpace, WeilSL2, cyclotomic_polynomial)
 from heckeforge.cyclo import _extent, _nonzero_planes, _plane_product
 
 
@@ -632,11 +633,11 @@ def test_monomial_products_match_the_dense_kernel(conductor, n, entries,
         got = a @ b
         assert _agrees(got, _dense_product(a, b))
         assert _agrees(got, _as_object(a) @ _as_object(b))
-    assert (m @ k)._monomial is not None
-    assert (d @ m)._monomial is None and (m @ d)._monomial is None
+    assert (m @ k)._monomial() is not None
+    assert (d @ m)._description is None and (m @ d)._description is None
     # (m k)'s description is the composite: column c of k picks column
     # rows_k[c] of m
-    (r, e), (s, f) = m._monomial, k._monomial
+    (r, e), (s, f) = m._monomial(), k._monomial()
     assert (m @ k) == CycloMatrix.monomial(ctx, r[s], e[s] + f, m.den * k.den)
 
 
@@ -648,7 +649,7 @@ def test_sums_and_scalings_of_monomials_are_dense(conductor, n, data):
     _, k = data.draw(_monomial(ctx, n))
     c = ctx.zeta_pow(data.draw(st.integers(0, conductor - 1)))
     for x in (m + k, m - k, -m, m.scale(2), m.scale(c)):
-        assert x._monomial is None
+        assert x._description is None
         assert _agrees(x @ k, _dense_product(x, k))
 
 
@@ -680,6 +681,145 @@ def test_monomial_rejects_what_is_not_a_monomial(rows, exps, den):
 def test_identity_is_a_monomial():
     ctx = CycloContext(12)
     ident = CycloMatrix.identity(ctx, 3)
-    assert ident._monomial is not None
+    assert ident._monomial() is not None
     assert ident == CycloMatrix.from_entries(
         ctx, [[int(i == j) for j in range(3)] for i in range(3)])
+
+
+# ---------------------------------------------------------------------------
+# described factors (rows, exps, scale): products computed on their
+# exponents, checked against the dense kernel and the object oracle
+
+
+def _kappa(ctx):
+    """kappa of WeilSL2 when N = 4p for an odd prime p, else None."""
+    p = ctx.n // 4
+    if ctx.n % 4 or p < 3 or any(p % d == 0 for d in range(2, p)):
+        return None
+    return WeilSL2(HeisenbergRep(SymplecticSpace.standard(p, 1)))._kappa
+
+
+@st.composite
+def _scale(draw, ctx):
+    """1 / den, kappa where the conductor is 4p, or a random number whose
+    numerator may reach beyond int64."""
+    kinds = ["unit", "random"] + (["kappa"] if _kappa(ctx) else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "unit":
+        return ctx.from_rational(Fraction(1, draw(st.integers(1, 6))))
+    if kind == "kappa":
+        return _kappa(ctx)
+    return CyclotomicNumber(ctx, tuple(draw(st.lists(
+        _mixed, min_size=ctx.degree, max_size=ctx.degree))),
+        draw(st.integers(1, 6)))
+
+
+@st.composite
+def _described(draw, ctx, n, k=None):
+    """(rows, exps, scale) with k in {1, n} terms per column, the rows of a
+    column distinct (a permutation for k = 1), and the matrix they
+    describe."""
+    k = draw(st.sampled_from([1, n])) if k is None else k
+    if k == 1:
+        rows = np.array([draw(st.permutations(range(n)))])
+    else:
+        rows = np.array([draw(st.permutations(range(n))) for _ in range(n)]).T
+    exps = np.array(draw(st.lists(st.integers(0, ctx.n - 1), min_size=k * n,
+                                  max_size=k * n))).reshape(k, n)
+    scale = draw(_scale(ctx))
+    return ((rows, exps, scale),
+            CycloMatrix._described(ctx, rows, exps, scale))
+
+
+def _oracle_described(ctx, description):
+    """The matrix of a description summed term by term into object planes,
+    then scaled by the object oracle."""
+    rows, exps, scale = description
+    n = rows.shape[1]
+    terms = CycloMatrix.from_zeta_powers(
+        ctx, n, rows, np.broadcast_to(np.arange(n), rows.shape), exps)
+    return _as_object(terms).scale(scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.integers(1, 4),
+       st.sampled_from(_entry_kinds), st.data())
+def test_described_products_match_the_dense_kernel(conductor, n, entries,
+                                                   data):
+    # described x described composes (one side k = 1) or takes the
+    # histogram (both k = n); described x dense is a rotation (a monomial)
+    # or the dense kernel; each agrees with _plane_product and the oracle
+    ctx = CycloContext(conductor)
+    da, a = data.draw(_described(ctx, n))
+    db, b = data.draw(_described(ctx, n))
+    d = data.draw(_matrix(ctx, n, entries))
+    for desc, m in ((da, a), (db, b)):
+        assert _agrees(m, _oracle_described(ctx, desc))
+    for x, y in ((a, b), (b, a), (a, a), (a, d), (d, a), (b, d), (d, b)):
+        got = x @ y
+        assert _agrees(got, _dense_product(x, y))
+        assert _agrees(got, _as_object(x) @ _as_object(y))
+    # a product keeps a description exactly when it composes
+    assert ((a @ b)._description is not None) == (
+        min(len(da[0]), len(db[0])) == 1)
+    assert (a @ d)._description is None and (d @ a)._description is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.integers(2, 4), st.data())
+def test_histogram_fold_leaves_int64_at_the_bound(conductor, n, data):
+    # every term of two full-grid descriptions has exponent 0, so entry
+    # (r, c) of the product is n x y: past int64 for x y > 2^62, on the
+    # rational route (x y rational) and on the table route (x zeta y)
+    ctx = CycloContext(conductor)
+    top = 2 ** 62 + data.draw(st.integers(1, 3))
+    sign = data.draw(st.sampled_from([1, -1]))
+    power = data.draw(st.sampled_from([0, 1]))
+    scales = ctx.zeta_pow(power) * (sign * top), ctx.one()
+    rows = np.array([data.draw(st.permutations(range(n)))
+                     for _ in range(n)]).T
+    a, b = (CycloMatrix._described(ctx, rows, np.zeros((n, n), dtype=int), s)
+            for s in scales)
+    for x, y in ((a, b), (b, a)):
+        got = x @ y
+        assert got._description is None
+        assert _agrees(got, _as_object(x) @ _as_object(y))
+        assert got.planes.dtype == object
+        assert abs(got.entry(0, 0).num[power]) == n * top
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.data())
+def test_scale_tables_are_primitive_over_their_denominator(conductor, data):
+    # the premise of _described's skipped gcd: zeta^e is a unit of Z[zeta],
+    # so every row of a scale's table has the content of its numerator
+    ctx = CycloContext(conductor)
+    scale = data.draw(_scale(ctx))
+    table = ctx._scale_table(scale)
+    assert table.shape == (ctx.n, ctx.degree)
+    for e in range(ctx.n):
+        row = [int(x) for x in table[e]]
+        assert CyclotomicNumber(ctx, row, scale.den) == (
+            scale * ctx.zeta_pow(e))
+        content = 0
+        for x in row:
+            content = gcd(content, x)
+        assert gcd(content, scale.den) == 1
+
+
+def test_kappa_products_skip_the_plane_kernel(monkeypatch):
+    # omega(g) omega(h) for cells with c != 0, and their products with
+    # Heisenberg operators, never reach _plane_product
+    from heckeforge import cyclo
+    rep = HeisenbergRep(SymplecticSpace.standard(5, 1))
+    w = WeilSL2(rep)
+    g, h = ((1, 2), (3, 2)), ((0, 4), (1, 0))
+    rho = rep.operator(HeisenbergElement(rep.space, (1, 3), 2))
+    want = [_dense_product(w(g), w(h)), _dense_product(w(g), rho),
+            _dense_product(rho, w(h))]
+
+    def refuse(*args):
+        raise AssertionError("reached _plane_product")
+    monkeypatch.setattr(cyclo, "_plane_product", refuse)
+    assert [w(g) @ w(h), w(g) @ rho, rho @ w(h)] == want
+    assert w(g) @ w(h) == w(((2, 4), (2, 2)))

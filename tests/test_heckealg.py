@@ -185,6 +185,15 @@ def test_coxeter_matrix_must_give_every_pair():
         assert system.m["s0", "s1"] is INFINITY
 
 
+def test_coxeter_system_needs_generators_and_known_letters():
+    with pytest.raises(HeckeError, match=r"\[\] are empty"):
+        CoxeterSystem((), {})
+    with pytest.raises(HeckeError, match=r"m\('s', 'u'\) names a letter"):
+        CoxeterSystem(("s", "t"), {("s", "t"): 3, ("s", "u"): 2})
+    with pytest.raises(HeckeError, match=r"m\('s', 't'\) names a letter"):
+        CoxeterSystem((), {("s", "t"): 1})
+
+
 # ---------------------------------------------------------------------------
 # parameters and Laurent polynomials
 

@@ -157,6 +157,31 @@ def test_weil_sl2_multiplicative_sample(p):
     assert checks.weil_mult(w, pairs) == (True, None)
 
 
+def _weil_test_pairs(p):
+    """Every pair of SL_2(F_3) at p = 3, else 200 pairs drawn with seed p."""
+    els = list(sl2_elements(p))
+    if p == 3:
+        return list(itertools.product(els, els))
+    rng = random.Random(p)
+    return [(rng.choice(els), rng.choice(els)) for _ in range(200)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_weil_products_match_the_dense_kernel(p):
+    # omega(g) omega(h) is computed on the cells' exponents: a composition
+    # when one factor is a monomial (c = 0), which stays described, and one
+    # histogram when both have c != 0.  It equals the stacked dense product
+    # of the planes and omega(gh)
+    w = WeilSL2(HeisenbergRep(SymplecticSpace.standard(p, 1)))
+    for g, h in _weil_test_pairs(p):
+        wg, wh = w(g), w(h)
+        got = wg @ wh
+        dense = CycloMatrix(w.cyclo, p, _plane_product(
+            w.cyclo, wg.planes, wh.planes), wg.den * wh.den)
+        assert got == dense == w(linalg.mat_mul(g, h, p))
+        assert (got._description is None) == bool(g[1][0] and h[1][0])
+
+
 def test_weil_sl2_genuine_not_projective_only():
     # omega(-I)^2 = omega(I) exactly, with no hidden scalar
     p = 3
