@@ -16,15 +16,15 @@ from .gradedorth import (GradedError, GradedQuadraticSpace, Mu4Value,
 from .cyclo import (CycloError, CycloContext, CyclotomicNumber, CycloMatrix,
                     cyclotomic_polynomial)
 from .sympweil import (SympError, SymplecticSpace, HeisenbergElement,
-                       CentralCharacterChoice, HeisenbergRep, heisenberg_rep,
-                       heisenberg_mul, WeilSL2, weil_sl2, projective_weil,
+                       CentralCharacterChoice, HeisenbergRep, WeilSL2,
+                       projective_weil,
                        det_sign_character, isotropic_reduction,
                        graded_symplectic_split, induction_identity_check,
                        sl2_elements)
 from .heckealg import (HeckeError, CoxeterSystem, GroupWord,
                        ParameterFunction, LaurentPoly, HeckeAlgebra,
-                       HeckeElement, hecke_mul, TwistedGroupAlgebraContext,
-                       twisted_mul, SemidirectAlgebra, semidirect_product,
+                       HeckeElement, TwistedGroupAlgebraContext,
+                       twisted_mul, SemidirectAlgebra,
                        length_zero_subgroup, support_preserving_map_check)
 from .sp4oracle import (OracleError, TruncContext, TruncSeries, Mat2,
                         weyl_s, upper_u, coroot, iwahori_member,

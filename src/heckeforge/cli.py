@@ -203,11 +203,17 @@ def _hecke_check(args):
 def _system_from_file(path, cap):
     data = _load_json_input(path)
     try:
+        generators = data["generators"]
+        if not isinstance(generators, list):
+            raise ValueError(f"the generators {generators!r} are not a list")
         matrix = {}
-        for entry in data["matrix"]:
-            s, t, m = entry
-            matrix[s, t] = None if m in ("inf", None) else int(m)
-        return CoxeterSystem(tuple(data["generators"]), matrix,
+        for s, t, m in data["matrix"]:
+            # a JSON int, not a bool: int() read 3.7 as 3 and true as 1
+            if m not in ("inf", None) and type(m) is not int:
+                raise ValueError(f"the label of {[s, t, m]!r} is not an int, "
+                                 "\"inf\" or null")
+            matrix[s, t] = None if m in ("inf", None) else m
+        return CoxeterSystem(tuple(generators), matrix,
                              type_tag=data.get("type"), length_cap=cap)
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError(f"bad Coxeter matrix file: {e}")

@@ -5,16 +5,13 @@ cyclotomic polynomial together with a positive common denominator, so all
 representation-theoretic identities are checked with zero tolerance.
 Matrices keep one integer numpy plane per basis power, stored as int64
 when every entry fits and as an object array of Python ints otherwise; the
-dtype is the only flag.  A product of two matrices, or of a matrix by a
-scalar, is one stacked integer matrix product of all nonzero planes; its
-blocks are summed by i + j and folded into the output planes by x^(i+j) mod
-Phi_N.  A monomial, or a matrix whose every entry is a sum of zeta-powers
-times one scale (a Weil cell), also keeps that description, so that a
-product of two of them is computed on their exponents: a gather and an
-exponent add, or one histogram over (position, exponent mod N).  A product
-of a monomial with a dense matrix is a gather and a zeta-rotation.  Every
-operation runs in int64 only when an exact bound rules out overflow, and on
-Python ints otherwise.
+dtype is the only flag.  A monomial, or a matrix whose every entry is a sum
+of zeta-powers times one scale (a Weil cell), also keeps that description.
+A product of two described matrices is computed on their exponents, every
+other product and scaling is one stacked matrix product of the planes
+(_plane_product), and one reducer (_counted) turns counts of zeta-powers
+into coefficients.  Every operation runs in int64 only when an exact bound
+rules out overflow, and on Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -178,6 +175,8 @@ class CycloContext:
 
     def _scale_product(self, a, b):
         """a * b for CyclotomicNumbers of this context, memoised."""
+        if a is self._one or b is self._one:
+            return b if a is self._one else a
         return _memo(self._scale_products, (a.num, a.den, b.num, b.den),
                      lambda: a * b)
 
@@ -301,7 +300,7 @@ class CyclotomicNumber:
         return all(c == 0 for c in self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.num[1:])
+        return not any(self.num[1:])
 
     def as_rational(self):
         if not self.is_rational():
@@ -390,66 +389,50 @@ def _plane_product(ctx, a, b):
     return (fold.T @ blocks).reshape(deg, r, c)
 
 
-def _rotated(ctx, planes, exps, axis):
-    """planes with line j along axis (1: rows, 2: columns) times
-    zeta^exps[j], exps in 0 .. N-1: coefficient d of an entry goes to
-    x^(d + exps[j]) mod Phi_N, a row of ctx._powers.  One batched product of
-    each line's entries with the deg rows of its power; it runs in int64
-    when deg max|planes| max|x^k| bounds every partial sum below 2^63, and
-    on Python ints otherwise."""
-    deg = len(planes)
-    fold = ctx._powers[exps[:, None] + np.arange(deg)]
-    lines = np.moveaxis(planes, (axis, 0), (0, 2))
-    if planes.dtype == object or (planes.size and deg * _extent(planes)
-                                  * ctx._powers_extent >= 2 ** 63):
-        lines, fold = lines.astype(object), fold.astype(object)
-    return np.moveaxis(lines @ fold, (0, 2), (axis, 0))
-
-
-def _histogram_product(ctx, a, b, scale):
-    """The planes, over scale.den, of the product of the matrices that the
-    descriptions a and b describe, scale being the product of their scales.
-    Term i of a's column s[l, c] meets term l of b's column c at position
-    (r[i, s[l, c]], c) with exponent e[i, s[l, c]] + f[l, c]: one bincount
-    over (position, exponent mod N) counts them.  zeta^(N/2) = -1 folds a
-    count row of even N to N/2 exponents, and x^e is the e-th unit vector
-    below the degree, so the rows x^e mod Phi_N past the degree reduce it
-    to sum_e count_e zeta^e.  That sum times scale's numerator is the
-    entry: a product with its first coefficient where scale is rational
-    (kappa^2 = sgn(-1) / p), else with the rows x^d scale, d < deg, of
-    scale's table.  At most k_a k_b terms land at one position, which
-    bounds the partial sums; beyond int64 the last product runs on Python
-    ints."""
-    (r, e, _), (s, f, _) = a, b
-    n, N, deg = r.shape[1], ctx.n, ctx.degree
-    at = r.take(s, 1) * n + np.arange(n)
-    hist = np.bincount((at * N + (e.take(s, 1) + f) % N).ravel(),
-                       minlength=n * n * N).reshape(n * n, N)
+def _counted(ctx, hist, scale, terms):
+    """sum_e hist[e] scale zeta^e, as numerators over scale.den, for an
+    (N, R) array of counts of the powers zeta^e with at most `terms` counts
+    in a column: one column of the (deg, R) result per column of counts.
+    zeta^(N/2) = -1 folds the counts of even N to N/2 exponents.  x^e is
+    the e-th unit vector below the degree, and the rows x^e mod Phi_N past
+    it reduce the rest; a rational scale then multiplies by its first
+    coefficient.  Any other scale multiplies the folded counts by the rows
+    of its table.  terms max|scale.num| max|x^e| (times deg for a table)
+    bounds every partial sum; below 2^62, so that two results add up in
+    int64, the reduction runs in int64, and on Python ints otherwise."""
+    N, deg, num = ctx.n, ctx.degree, scale.num
     if N % 2 == 0:
-        hist = hist[:, :N // 2] - hist[:, N // 2:]
-    sums = hist[:, :deg] + hist[:, deg:] @ ctx._powers[deg:hist.shape[1]]
-    bound = len(r) * len(s) * ctx._powers_extent  # >= max|sums|
-    if scale.is_rational():
-        factor = scale.num[0]
-        if bound * abs(factor) >= 2 ** 63:
-            sums = sums.astype(object)
-        planes = sums * factor
-    else:
-        table = ctx._scale_table(scale)[:deg]
-        if table.dtype == object or bound * deg * _extent(table) >= 2 ** 63:
-            sums, table = sums.astype(object), table.astype(object)
-        planes = sums @ table
-    return planes.T.reshape(deg, n, n)
+        hist = hist[:N // 2] - hist[N // 2:]
+    if not scale.is_rational():
+        table = ctx._scale_table(scale)[:len(hist)].T
+        if terms * max(map(abs, num)) * deg * ctx._powers_extent >= 2 ** 62:
+            hist, table = hist.astype(object), table.astype(object)
+        return table @ hist
+    powers = ctx._powers[deg:len(hist)].T
+    if terms * abs(num[0]) * ctx._powers_extent >= 2 ** 62:
+        hist, powers = hist.astype(object), powers.astype(object)
+    sums = hist[:deg] + powers @ hist[deg:]
+    return sums if num[0] == 1 else sums * num[0]
+
+
+def _position_sums(ctx, n, at, scale, terms):
+    """The (deg, n, n) planes, over scale.den, of sum scale zeta^e E_rc over
+    the flat indices at = (e mod N) n^2 + r n + c, at most `terms` of them
+    at one position: one bincount reduced by _counted."""
+    hist = np.bincount(at.ravel(), minlength=ctx.n * n * n)
+    return _counted(ctx, hist.reshape(ctx.n, n * n), scale, terms).reshape(
+        ctx.degree, n, n)
 
 
 class CycloMatrix:
     """A square matrix over Q(zeta_N): one integer plane per basis power,
     over a positive common denominator.  A matrix built by
-    CycloMatrix.monomial, a Weil cell, and a product of such matrices also
-    keep their description (rows, exps, scale): rows and exps are (k, n)
-    int64 arrays and scale a CyclotomicNumber, and column c holds
-    sum_j scale zeta^exps[j, c] at the distinct rows rows[j, c].  A
-    monomial has k = 1, rows a permutation and scale 1 / den."""
+    CycloMatrix.monomial, a Weil cell, and a product of two such matrices
+    one of which has k = 1 also keep their description (rows, exps, scale):
+    rows and exps are (k, n) int64 arrays and scale a CyclotomicNumber, and
+    column c holds sum_j scale zeta^exps[j, c] at the distinct rows
+    rows[j, c].  A monomial has k = 1, rows a permutation and scale
+    1 / den."""
 
     __slots__ = ("ctx", "n", "planes", "den", "_description")
 
@@ -515,28 +498,21 @@ class CycloMatrix:
         m._description = rows, exps, scale
         return m
 
-    def _monomial(self):
-        """(rows, exps) when self is described with one term per column and
-        scale 1 / den, else None."""
-        d = self._description
-        if d is None or len(d[0]) != 1 or d[2].num != self.ctx._one.num:
-            return None
-        return d[0][0], d[1][0]
-
     @classmethod
     def from_zeta_powers(cls, ctx, n, rows, cols, exps, den=1):
         """sum zeta^e E_{r,c} / den over the integer arrays rows, cols and
-        exps, all of one shape: entries at a repeated position add up, and e
-        is read mod N."""
-        rows, cols, exps = (np.asarray(x, dtype=np.int64).ravel()
+        exps, all of one shape, rows and cols in 0 .. n-1: entries at a
+        repeated position add up, and e is read mod N."""
+        rows, cols, exps = (np.asarray(x, dtype=np.int64)
                             for x in (rows, cols, exps))
-        # at most len(exps) terms add up at one position
-        dtype = (np.int64 if ctx._powers_extent * len(exps) < 2 ** 63
-                 else object)
-        planes = np.zeros((ctx.degree, n, n), dtype=dtype)
-        np.add.at(planes, (slice(None), rows, cols),
-                  ctx._powers[exps % ctx.n].T.astype(dtype, copy=False))
-        return cls(ctx, n, planes, den)
+        try:
+            at = np.ravel_multi_index((exps, rows, cols), (ctx.n, n, n),
+                                      mode=("wrap", "raise", "raise"))
+        except ValueError:
+            raise CycloError("a position lies outside the matrix") from None
+        # at most exps.size terms land at one position
+        return cls(ctx, n, _position_sums(ctx, n, at, ctx._one, exps.size),
+                   den)
 
     @classmethod
     def from_entries(cls, ctx, entries):
@@ -566,45 +542,33 @@ class CycloMatrix:
 
     def __matmul__(self, other):
         """The product.  Two described factors multiply on their exponents:
-        where one has a term per column, the descriptions compose (a gather
-        and an exponent add) and the product stays described; otherwise one
-        histogram counts the terms (_histogram_product).  A monomial next to
-        a dense factor makes a gather and a zeta-rotation, and everything
-        else is the stacked product of planes (_plane_product)."""
+        term i of self's column s[l, c] meets term l of other's column c at
+        row r[i, s[l, c]] with exponent e[i, s[l, c]] + f[l, c].  Where
+        either factor has one term per column, those terms are the
+        product's description; otherwise one histogram counts them
+        (_position_sums).  Every other product is the stacked product of
+        planes (_plane_product)."""
         if self.ctx != other.ctx or self.n != other.n:
             raise CycloError("matrix context mismatch")
-        ctx, a, b = self.ctx, self._description, other._description
-        if a is not None and b is not None:
-            scale = ctx._scale_product(a[2], b[2])
-            if len(b[0]) == 1:
-                # column c is self's column rows[c] times zeta^exps[c]
-                rows, exps = b[0][0], b[1][0]
-                return CycloMatrix._described(
-                    ctx, a[0].take(rows, 1),
-                    (a[1].take(rows, 1) + exps) % ctx.n, scale)
-            if len(a[0]) == 1:
-                # other's row j moves to row rows[j], times zeta^exps[j]
-                rows, exps = a[0][0], a[1][0]
-                return CycloMatrix._described(
-                    ctx, rows.take(b[0]), (b[1] + exps.take(b[0])) % ctx.n,
-                    scale)
-            return CycloMatrix(ctx, self.n,
-                               _histogram_product(ctx, a, b, scale), scale.den)
-        den = self.den * other.den
-        right, left = other._monomial(), self._monomial()
-        if right is not None:
-            # column c is self's column rows[c] times zeta^exps[c]
-            rows, exps = right
-            planes = _rotated(ctx, self.planes[:, :, rows], exps, 2)
-        elif left is not None:
-            # row rows[r] is other's row r times zeta^exps[r]
-            rows, exps = left
-            lines = _rotated(ctx, other.planes, exps, 1)
-            planes = np.empty_like(lines)
-            planes[:, rows] = lines
-        else:
-            planes = _plane_product(ctx, self.planes, other.planes)
-        return CycloMatrix(ctx, self.n, planes, den)
+        ctx, n, a, b = self.ctx, self.n, self._description, other._description
+        if a is None or b is None:
+            return CycloMatrix(ctx, n, _plane_product(ctx, self.planes,
+                                                      other.planes),
+                               self.den * other.den)
+        (r, e, x), (s, f, y) = a, b
+        scale = ctx._scale_product(x, y)
+        rows, exps, k = r.take(s, 1), e.take(s, 1), len(r) * len(s)
+        if len(r) == 1 or len(s) == 1:
+            # (k, n) before the add: numpy adds arrays of one rank faster
+            rows, exps = rows.reshape(k, n), exps.reshape(k, n)
+            exps += f
+            exps %= ctx.n
+            return CycloMatrix._described(ctx, rows, exps, scale)
+        at = np.ravel_multi_index((exps + f, rows, np.arange(n)),
+                                  (ctx.n, n, n), mode="wrap")
+        # at most k_a k_b terms land at one position
+        return CycloMatrix(ctx, n, _position_sums(ctx, n, at, scale, k),
+                           scale.den)
 
     def __add__(self, other):
         if self.ctx != other.ctx or self.n != other.n:

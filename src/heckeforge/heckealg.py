@@ -457,10 +457,6 @@ class HeckeElement:
         return " + ".join(bits)
 
 
-def hecke_mul(a, b):
-    return a.algebra.mul(a, b)
-
-
 # ---------------------------------------------------------------------------
 # twisted group algebras
 
@@ -593,10 +589,6 @@ class SemidirectAlgebra:
                     key = (omega, z)
                     out[key] = out.get(key, self.hecke.poly(0)) + scalar * cz
         return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def semidirect_product(hecke, twisted, act):
-    return SemidirectAlgebra(hecke, twisted, act)
 
 
 def length_zero_subgroup(system, omega_elements, omega_mul, act):

@@ -8,12 +8,13 @@ All representation matrices are exact, over Q(zeta_{4p}).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
-from .cyclo import CycloContext, CycloMatrix, CyclotomicNumber, _extent
+from .cyclo import CycloContext, CycloMatrix, _counted
 from .ffield import FqContext, SignValue, _digits, _is_prime, sgn
 
 
@@ -201,10 +202,6 @@ class HeisenbergElement:
         return f"H({self.v}, {self.a})"
 
 
-def heisenberg_mul(x, y):
-    return x * y
-
-
 class CentralCharacterChoice:
     """An isomorphism iota: mu_p -> F_p, pinned by iota(zeta_p) = unit."""
 
@@ -284,7 +281,7 @@ class HeisenbergRep:
 
     def trace_with(self, mat, elem):
         """Trace of mat . rho(v, a): the trace of the product with the
-        monomial operator, a gather and a zeta-rotation of mat's columns."""
+        monomial operator."""
         return (mat @ self.operator(elem)).trace()
 
 
@@ -306,8 +303,8 @@ def _weil_tables(p, unit):
     # p kappa = sgn(2) sum_t zeta^(-squares[t])
     squares, (r, s) = 4 * (t * t * u % p), np.indices((p, p))
     fp = FqContext(p)
-    kappa = CyclotomicNumber(ctx, tuple((int(sgn(fp.elem(2))) * ctx._powers[
-        -squares % ctx.n].sum(axis=0)).tolist()), p)
+    kappa = sum(map(ctx.zeta_pow, (-squares).tolist()), ctx.zero()) * (
+        Fraction(int(sgn(fp.elem(2))), p))
     tables = (t, np.stack((r, s, r * r, 2 * r * s, s * s)),
               fp._tables.squares, (p + 1) // 2 * u * fp._tables.inv(t) % p)
     for table in tables:
@@ -329,9 +326,9 @@ class WeilSL2:
     product as their oracle (_oracle_weil).  The cell c = 0 is built as a
     monomial (CycloMatrix.monomial).  In the cell c != 0 every entry is
     kappa zeta^e, so it is described by the rows t, the exponents e and
-    the scale kappa, and its planes are one gather of kappa's table
-    (_kappa_powers, the rows p kappa zeta^e).  Products of cells are then
-    computed on their exponents (CycloMatrix.__matmul__).
+    the scale kappa, and its planes are one gather of the rows p kappa
+    zeta^e of kappa's table.  Products of cells are then computed on their
+    exponents (CycloMatrix.__matmul__).
     Multiplicativity is verified empirically by the test suite, not
     assumed."""
 
@@ -341,7 +338,6 @@ class WeilSL2:
         self.rep, self.p, self.cyclo = rep, rep.space.p, rep.cyclo
         (self._t, self._grid, self._square, self._half_inv, self._half,
          self._kappa) = _weil_tables(self.p, rep.iota.unit)
-        self._kappa_powers = self.cyclo._scale_table(self._kappa)
         self._cache = {}
 
     def _cell(self, g):
@@ -396,10 +392,6 @@ class WeilSL2:
                 self._cache[key] = CycloMatrix.monomial(
                     self.cyclo, t, self._cell(key)[t, s])
         return self._cache[key]
-
-
-def weil_sl2(rep, g):
-    return WeilSL2(rep)(g)
 
 
 def sl2_elements(p):
@@ -552,9 +544,9 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
     (WeilSL2._cell), so each (g, v) gets one integer histogram over Z/4p,
     the induced side counted at -chi^U(g).  kappa cancels where both sides
     carry it (U = 0); where only the left side does (a line), its terms
-    get a row of their own, reduced by the table of p kappa zeta^k.  A row
-    vanishes mod Phi_4p exactly when the sides agree at (v, 0), and so at
-    every (v, a), psi(a) being a unit.  The tests keep the per-g loop this
+    are counted apart.  cyclo._counted reduces the counts, and those of a
+    (g, v) vanish mod Phi_4p exactly when the sides agree at (v, 0), and so
+    at every (v, a), psi(a) being a unit.  The tests keep the per-g loop this
     replaced (_oracle_group_ring_check) and the character tables
     (_oracle_induction_check, _oracle_heisenberg_only) as oracles.
 
@@ -616,30 +608,30 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
     digit_products = [x * y for x, y in digit]
     form = np.array(space.form, dtype=np.int64)
     reps_f = reps @ form
-    size, n, deg = len(vecs), ctx.n, ctx.degree
-    # a (g, v) has one histogram row over Z/N per table: zeta^k and, where
-    # only the left side carries kappa, p kappa zeta^k.  A row counts at most
-    # `terms` terms of size 1, so terms (p max|x^k| + max|p kappa x^k|)
-    # bounds every partial sum of its reduction
-    tables = 1 + int(kappa.any())
-    kappa_table = weil._kappa_powers[:n // 2] if tables == 2 else 0
-    terms = rep.dim + len(reps) * qrep.dim
-    dtype = np.int64 if terms * (p * ctx._powers_extent + _extent(
-        np.asarray(kappa_table))) < 2 ** 63 else object
+    size, n = len(vecs), ctx.n
+    # a (g, v) counts at most `terms` zeta^k per scale: 1, or p and kappa
+    # where only the left side carries kappa (both numerators over p)
+    scales = ((ctx.from_rational(p), weil._kappa) if kappa.any()
+              else (ctx.one(),))
+    tables, terms = len(scales), rep.dim + len(reps) * qrep.dim
     block = max(1, _BLOCK_TERMS // (size * terms))
-    # per block: the offsets of its rows, and of its g's operator grids
-    rows_n = np.arange(block * size).reshape(block, size, 1) * tables * n
+    # per block: the columns of its (g, v), and the offsets of its g's
+    # operator grids
+    columns = np.arange(block * size).reshape(block, size, 1)
     g_at = np.arange(block)[:, None, None] * rep.dim ** 2
     q_at = np.arange(block)[:, None, None, None] * qrep.dim ** 2
     kappa_n, chi_n = kappa * n, (chi == 1) * (n // 2)  # -1 = zeta^{N/2}
     for start in range(0, len(group), block):
         at = slice(start, start + block)
         count = len(group[at])
-        row, dump = rows_n[:count], count * size * tables * n
+        # zeta^e of table t counts at (t N + e mod N, column)
+        col, width = columns[:count], count * size
+        dump = tables * n * width
         # omega(g)[s, rows[s]] zeta^exps[s]; a zero entry goes to the dump bin
         grid = omega(at)
         e = grid.ravel()[g_at[:len(grid)] + offsets] + exps
-        left = np.where(e < 0, dump, row + kappa_n[at, None, None] + e % n)
+        left = np.where(e < 0, dump, e % n * width
+                        + (kappa_n[at, None, None] * width + col))
         # r = (1, (w, 0)):  r^{-1} (g, (v, a)) r = (g, (v + l + w, a + c))
         # with l = -g^{-1} w and c = half (<l - w, v> + <l, w>): the code
         # of each conjugate, and its phase exponent, per (g, w, v)
@@ -654,19 +646,14 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
         grid = sigma(at)
         e = grid.ravel()[q_at[:len(grid)] + q_offsets[conj]]
         e += q_exps[conj] + k[..., None]
-        right = np.where(e < 0, dump, row[:, None] + e % n)
+        right = np.where(e < 0, dump, e % n * width + col[:, None])
         hist = np.bincount(np.concatenate((left.ravel(), right.ravel())),
-                           minlength=dump + 1)[:dump].astype(dtype, copy=False)
-        # zeta^{N/2} = -1 folds a row to N/2 = 2p coefficients, and x^k is
-        # the k-th unit vector below the degree
-        hist = hist.reshape(count * size, tables, 2, n // 2)
-        hist = hist[:, :, 0] - hist[:, :, 1]
-        sums = hist[:, 0, :deg] + hist[:, 0, deg:] @ ctx._powers[deg:n // 2]
+                           minlength=dump + 1)[:dump].reshape(tables, n, width)
+        sums = _counted(ctx, hist[0], scales[0], terms)
         if tables == 2:
-            sums = p * sums + hist[:, 1] @ kappa_table
-        bad = np.flatnonzero(sums)
-        if len(bad):
-            g, v = divmod(int(bad[0]) // deg, size)
+            sums = sums + _counted(ctx, hist[1], scales[1], terms)
+        if sums.any():
+            g, v = divmod(int(np.flatnonzero(sums.any(axis=0))[0]), size)
             details["witness"] = (tuple(map(tuple, group[start + g].tolist())),
                                   (_digits(v, p, space.dim), 0))
             return False, details
@@ -679,9 +666,3 @@ def _coset_representatives(space, fs):
     <e_i, .> with i <= k vanishes."""
     return _digit_array(space.p, len(fs)) @ np.array(
         fs, dtype=np.int64).reshape(-1, space.dim) % space.p
-
-
-def heisenberg_rep(space, iota=None):
-    """The Schroedinger-model representation of V# (functional entry
-    point)."""
-    return HeisenbergRep(space, iota)

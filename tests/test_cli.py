@@ -223,6 +223,31 @@ def test_hecke_matrix_file_refuses_what_names_no_generator(
     assert err.startswith("error: bad Coxeter matrix file") and named in err
 
 
+@pytest.mark.parametrize("data,check,named", [
+    ({"generators": ["s", "t"], "matrix": [["s", "t", 3.7]]}, "braid",
+     "3.7"),
+    ({"generators": ["s", "t"], "matrix": [["s", "t", 4.2]]}, "braid",
+     "4.2"),
+    ({"generators": ["s", "t"], "matrix": [["s", "t", 3.0]]}, "braid",
+     "3.0"),
+    ({"generators": ["s", "t"], "matrix": [["s", "t", True]]}, "braid",
+     "True"),
+    ({"generators": ["s", "t"], "matrix": [["s", "t", 1.5]]}, "assoc",
+     "1.5"),
+    ({"generators": ["s", "t"], "matrix": [["s", "t", "3"]]}, "braid",
+     "'3'"),
+    ({"generators": "st", "matrix": [["s", "t", 3]]}, "braid", "'st'")])
+def test_hecke_matrix_file_takes_int_labels_and_a_generator_list(
+        tmp_path, capsys, data, check, named):
+    # int() once read the label 3.7 as 3 (braid passed), 4.2 as 4, true as
+    # 1 and 1.5 as "m(s,t)=1", and the string "st" as the letters s and t
+    path = tmp_path / "cox.json"
+    path.write_text(json.dumps(data))
+    assert main(["hecke", "--type", str(path), "--check", check]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad Coxeter matrix file") and named in err
+
+
 @pytest.mark.parametrize("cox_type", ["file", "A1~"])
 def test_negative_len_cap_names_the_flag(cox_type, tmp_path, capsys):
     # the cap is a flag, not part of the matrix file
@@ -433,3 +458,17 @@ def test_parser_built_once_matches_fresh_parsers(monkeypatch, capsys):
         assert cli._parser is not parser
     assert cached == fresh
     assert [code for code, _ in cached] == [0, 0, 2, 2, 0, 2, 0, 0]
+
+
+@pytest.mark.parametrize("argv", [["suite"],
+                                  ["weil", "--p", "5", "--check", "mult"]])
+def test_weil_checks_never_reach_the_dense_kernel(monkeypatch, capsys, argv):
+    # every Weil and Heisenberg product of the battery and of the sampled
+    # multiplicativity check is computed on exponents
+    from heckeforge import cyclo
+
+    def refuse(*args):
+        raise AssertionError("reached _plane_product")
+    monkeypatch.setattr(cyclo, "_plane_product", refuse)
+    code, payload = _run(capsys, argv)
+    assert code == 0 and payload["pass"] is True

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from heckeforge import (CycloError, CycloContext, CyclotomicNumber,
                         CycloMatrix, HeisenbergElement, HeisenbergRep,
                         SymplecticSpace, WeilSL2, cyclotomic_polynomial)
-from heckeforge.cyclo import _extent, _nonzero_planes, _plane_product
+from heckeforge.cyclo import (_counted, _extent, _nonzero_planes,
+                              _plane_product)
 
 
 def _stored_canonically(m):
@@ -591,8 +592,8 @@ def test_negating_int64_min_leaves_int64(den):
 
 
 # ---------------------------------------------------------------------------
-# monomial factors: products are a gather and a zeta-rotation, checked
-# against the dense kernel and the object oracle
+# monomial factors: a product of two composes, and a product with a dense
+# matrix is the dense kernel; both checked against the object oracle
 
 
 @st.composite
@@ -633,12 +634,13 @@ def test_monomial_products_match_the_dense_kernel(conductor, n, entries,
         got = a @ b
         assert _agrees(got, _dense_product(a, b))
         assert _agrees(got, _as_object(a) @ _as_object(b))
-    assert (m @ k)._monomial() is not None
+    assert len((m @ k)._description[0]) == 1
     assert (d @ m)._description is None and (m @ d)._description is None
     # (m k)'s description is the composite: column c of k picks column
     # rows_k[c] of m
-    (r, e), (s, f) = m._monomial(), k._monomial()
-    assert (m @ k) == CycloMatrix.monomial(ctx, r[s], e[s] + f, m.den * k.den)
+    (r, e, _), (s, f, _) = m._description, k._description
+    assert (m @ k) == CycloMatrix.monomial(ctx, r[0, s[0]], e[0, s[0]] + f[0],
+                                           m.den * k.den)
 
 
 @settings(max_examples=80, deadline=None)
@@ -655,10 +657,11 @@ def test_sums_and_scalings_of_monomials_are_dense(conductor, n, data):
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(CONDUCTORS), st.integers(1, 4), st.data())
-def test_rotation_leaves_int64_beyond_the_bound(conductor, n, data):
-    # int64 entries of one sign at or near 2^63 - 1 on every plane: folding
-    # zeta^(d + e) mod Phi_N adds several of them, past int64, unless every
-    # exponent keeps the planes below the degree
+def test_monomial_products_leave_int64_beyond_the_bound(conductor, n,
+                                                        data):
+    # int64 entries of one sign at or near 2^63 - 1 on every plane, times a
+    # monomial: folding x^(d + e) mod Phi_N adds several of them, past int64,
+    # unless every exponent keeps the planes below the degree
     ctx = CycloContext(conductor)
     top = 2 ** 63 - 1 - data.draw(st.integers(0, 3))
     planes = np.full((ctx.degree, n, n), data.draw(st.sampled_from(
@@ -681,7 +684,9 @@ def test_monomial_rejects_what_is_not_a_monomial(rows, exps, den):
 def test_identity_is_a_monomial():
     ctx = CycloContext(12)
     ident = CycloMatrix.identity(ctx, 3)
-    assert ident._monomial() is not None
+    rows, exps, scale = ident._description
+    assert rows.tolist() == [[0, 1, 2]] and exps.tolist() == [[0, 0, 0]]
+    assert scale == ctx.one()
     assert ident == CycloMatrix.from_entries(
         ctx, [[int(i == j) for j in range(3)] for i in range(3)])
 
@@ -747,8 +752,8 @@ def _oracle_described(ctx, description):
 def test_described_products_match_the_dense_kernel(conductor, n, entries,
                                                    data):
     # described x described composes (one side k = 1) or takes the
-    # histogram (both k = n); described x dense is a rotation (a monomial)
-    # or the dense kernel; each agrees with _plane_product and the oracle
+    # histogram (both k = n); described x dense is the dense kernel; each
+    # agrees with _plane_product and the oracle
     ctx = CycloContext(conductor)
     da, a = data.draw(_described(ctx, n))
     db, b = data.draw(_described(ctx, n))
@@ -823,3 +828,72 @@ def test_kappa_products_skip_the_plane_kernel(monkeypatch):
     monkeypatch.setattr(cyclo, "_plane_product", refuse)
     assert [w(g) @ w(h), w(g) @ rho, rho @ w(h)] == want
     assert w(g) @ w(h) == w(((2, 4), (2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# the one reducer of zeta-power counts (_counted), and the build it replaced
+
+
+def _oracle_from_zeta_powers(ctx, n, rows, cols, exps, den=1):
+    """from_zeta_powers as it was before the reducer: one np.add.at of the
+    rows x^(e mod N) mod Phi_N into the planes."""
+    rows, cols, exps = (np.asarray(x, dtype=np.int64).ravel()
+                        for x in (rows, cols, exps))
+    dtype = (np.int64 if ctx._powers_extent * len(exps) < 2 ** 63
+             else object)
+    planes = np.zeros((ctx.degree, n, n), dtype=dtype)
+    np.add.at(planes, (slice(None), rows, cols),
+              ctx._powers[exps % ctx.n].T.astype(dtype, copy=False))
+    return CycloMatrix(ctx, n, planes, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.integers(0, 4), st.data())
+def test_from_zeta_powers_matches_the_add_at_oracle(conductor, n, data):
+    # repeated positions, exponents of either sign beyond N, den 1 .. 6 and
+    # the empty matrix
+    ctx = CycloContext(conductor)
+    entries = []
+    if n:
+        index = st.integers(0, n - 1)
+        entries = data.draw(st.lists(st.tuples(
+            index, index, st.integers(-3 * conductor, 3 * conductor)),
+            max_size=3 * n * n))
+        if entries:
+            entries += data.draw(st.lists(st.sampled_from(entries),
+                                          min_size=1, max_size=4))
+    rows, cols, exps = (np.array([e[i] for e in entries], dtype=np.int64)
+                        for i in range(3))
+    den = data.draw(st.integers(1, 6))
+    got = CycloMatrix.from_zeta_powers(ctx, n, rows, cols, exps, den)
+    assert _agrees(got, _oracle_from_zeta_powers(ctx, n, rows, cols, exps,
+                                                 den))
+    assert got._description is None
+
+
+@pytest.mark.parametrize("rows,cols", [([2], [0]), ([0], [2]), ([-1], [0]),
+                                       ([0, 1], [1, -1])])
+def test_from_zeta_powers_refuses_a_position_outside_the_matrix(rows, cols):
+    # a bincount over r n + c would read column n as the next row's first
+    with pytest.raises(CycloError, match="outside the matrix"):
+        CycloMatrix.from_zeta_powers(CycloContext(8), 2, rows, cols,
+                                     [0] * len(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.integers(1, 4), st.data())
+def test_counted_sums_stay_exact_near_the_bound(conductor, terms, data):
+    # `terms` counts of one zeta^e times a scale near 2^62 / terms: each
+    # reduction, and the sum of two, is exact, in int64 below the bound and
+    # on Python ints past it
+    ctx = CycloContext(conductor)
+    e = data.draw(st.integers(0, conductor - 1))
+    hist = np.zeros((conductor, 1), dtype=np.int64)
+    hist[e] = terms
+    top = data.draw(st.sampled_from([1, -1])) * (
+        2 ** 62 // terms + data.draw(st.integers(-2, 2)))
+    scale = ctx.zeta_pow(data.draw(st.sampled_from([0, 1]))) * top
+    want = list((scale * ctx.zeta_pow(e) * terms).num)
+    got = _counted(ctx, hist, scale, terms)
+    assert [int(x) for x in got[:, 0]] == want
+    assert [int(x) for x in (got + got)[:, 0]] == [2 * x for x in want]

@@ -7,9 +7,9 @@ import random
 import pytest
 
 from heckeforge import (HeckeError, CoxeterSystem, ParameterFunction,
-                        LaurentPoly, HeckeAlgebra, hecke_mul,
+                        LaurentPoly, HeckeAlgebra,
                         TwistedGroupAlgebraContext, twisted_mul,
-                        SemidirectAlgebra, semidirect_product,
+                        SemidirectAlgebra,
                         length_zero_subgroup, support_preserving_map_check)
 from heckeforge import checks
 from heckeforge.heckealg import INFINITY, LengthCapError
@@ -273,7 +273,7 @@ def test_associativity_random():
                            ParameterFunction(system, {"s": "qs", "t": "qt"}))
     triples = checks.random_triples(system, random.Random(0), 100, 4)
     assert checks.hecke_assoc(algebra, triples) == (True, None)
-    assert hecke_mul(algebra.one(), algebra.basis(("s",))) \
+    assert algebra.mul(algebra.one(), algebra.basis(("s",))) \
         == algebra.basis(("s",))
 
 
@@ -362,7 +362,7 @@ def _affine_semidirect():
     ctx = TwistedGroupAlgebraContext.trivial(els, mul)
     act = {"e": {"s0": "s0", "s1": "s1"},
            "f": {"s0": "s1", "s1": "s0"}}
-    return semidirect_product(algebra, ctx, act), algebra, ctx
+    return SemidirectAlgebra(algebra, ctx, act), algebra, ctx
 
 
 def test_semidirect_conjugation_formula():
