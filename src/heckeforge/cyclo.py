@@ -9,9 +9,13 @@ dtype is the only flag.  A monomial, or a matrix whose every entry is a sum
 of zeta-powers times one scale (a Weil cell), also keeps that description.
 A product of two described matrices is computed on their exponents, every
 other product and scaling is one stacked matrix product of the planes
-(_plane_product), and one reducer (_counted) turns counts of zeta-powers
-into coefficients.  Every operation runs in int64 only when an exact bound
-rules out overflow, and on Python ints otherwise.
+(_plane_product).  A context keeps one table, the rows x^s mod Phi_N, and
+one reducer (_counted) turns counts of zeta-powers into coefficients for
+products of numbers, Galois conjugates, scale tables, products of described
+matrices, from_zeta_powers and the induction check; only the plane kernel
+folds by the table itself.  Scale tables and scale products are kept in
+lru_caches.  Every operation runs in int64 only when an exact bound rules
+out overflow, and on Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -19,26 +23,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 import numpy as np
 
 
 class CycloError(ValueError):
     pass
-
-
-# entries kept by each of a context's caches of scale tables and products
-_SCALE_CACHE = 64
-
-
-def _memo(cache, key, build):
-    """cache[key], built on a miss; a full cache drops its oldest entry."""
-    value = cache.get(key)
-    if value is None:
-        if len(cache) >= _SCALE_CACHE:
-            del cache[next(iter(cache))]
-        value = cache[key] = build()
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -78,52 +69,26 @@ def cyclotomic_polynomial(n):
     return tuple(poly)
 
 
-def _euler_phi(n):
-    result = n
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
-    return result
+# the products of the scales of described matrices
+_product = lru_cache(maxsize=64)(mul)
 
 
 class CycloContext:
     """Q(zeta_N) presented as Q[x]/Phi_N(x)."""
 
     def __init__(self, conductor):
-        self.n = conductor
-        self.degree = _euler_phi(conductor)
         phi = cyclotomic_polynomial(conductor)
-        assert len(phi) == self.degree + 1 and phi[-1] == 1
-        self.phi = phi
-        # canonical vectors for x^k, k = 0 .. n-1 (covers reduction and
-        # arbitrary zeta powers)
-        table = []
-        cur = [0] * self.degree
-        cur[0] = 1
-        table.append(tuple(cur))
-        for _ in range(1, max(self.n, 2 * self.degree)):
-            nxt = [0] * (self.degree + 1)
-            for i, c in enumerate(cur):
-                nxt[i + 1] = c
-            if nxt[self.degree]:
-                lead = nxt[self.degree]
-                for i in range(self.degree):
-                    nxt[i] -= lead * phi[i]
-            cur = nxt[:self.degree]
-            table.append(tuple(cur))
-        self.power_table = table
-        # row s is x^s mod Phi_N for s < 2N: the products of planes i and j
-        # with i + j = s add row[d] times their sum to plane d
-        self._powers = np.array(table[:self.n] * 2, dtype=np.int64)
+        self.n, self.phi, self.degree = conductor, phi, len(phi) - 1
+        self._hash = hash(("CycloContext", conductor))
+        # row s is x^s mod Phi_N for s < 2N: x^s is x^(s-1) shifted up, less
+        # its top coefficient times Phi_N (which is monic)
+        powers = np.zeros((conductor, self.degree), dtype=np.int64)
+        powers[0, 0], low = 1, np.array(phi[:-1])
+        for s in range(1, conductor):
+            powers[s, 1:] = powers[s - 1, :-1]
+            powers[s] -= powers[s - 1, -1] * low
+        self._powers = np.concatenate((powers, powers))
         self._powers_extent = _extent(self._powers)
-        self._scale_tables, self._scale_products = {}, {}
         self._one = self.one()
 
     @staticmethod
@@ -137,7 +102,7 @@ class CycloContext:
         return isinstance(other, CycloContext) and self.n == other.n
 
     def __hash__(self):
-        return hash(("CycloContext", self.n))
+        return self._hash
 
     def __repr__(self):
         return f"CycloContext(Q(zeta_{self.n}))"
@@ -154,64 +119,42 @@ class CycloContext:
         num[0] = r.numerator
         return CyclotomicNumber(self, tuple(num), r.denominator)
 
+    @lru_cache(maxsize=64)
     def _scale_table(self, scale):
         """The read-only (N, deg) table of scale zeta^e over scale.den: row e
-        is the numerator of scale zeta^e, sum_i num_i x^(e + i) mod Phi_N.
-        zeta^e is a unit of Z[zeta], so every row has the content of
-        scale.num, which is prime to scale.den: a gather of rows needs no
-        normalisation."""
-        def build():
-            num = np.array(scale.num, dtype=object)
-            powers = self._powers[np.arange(self.degree)[:, None]
-                                  + np.arange(self.n)]
-            if self.degree * _extent(num) * self._powers_extent < 2 ** 63:
-                num = num.astype(np.int64)
-            else:
-                powers = powers.astype(object)
-            table = _int64_if_fits(np.tensordot(num, powers, axes=1))
-            table.setflags(write=False)
-            return table
-        return _memo(self._scale_tables, (scale.num, scale.den), build)
+        is the numerator of scale zeta^e, whose counts put num_i at
+        zeta^(e + i mod N).  zeta^e is a unit of Z[zeta], so every row has
+        the content of scale.num, which is prime to scale.den: a gather of
+        rows needs no normalisation."""
+        n, terms = np.arange(self.n), sum(map(abs, scale.num))
+        hist = np.zeros((self.n, self.n),
+                        dtype=np.int64 if terms < 2 ** 62 else object)
+        hist[(np.arange(self.degree)[:, None] + n) % self.n, n] = np.array(
+            scale.num, dtype=hist.dtype)[:, None]
+        table = np.ascontiguousarray(
+            _int64_if_fits(_counted(self, hist, self._one, terms)).T)
+        table.setflags(write=False)
+        return table
 
     def _scale_product(self, a, b):
         """a * b for CyclotomicNumbers of this context, memoised."""
         if a is self._one or b is self._one:
             return b if a is self._one else a
-        return _memo(self._scale_products, (a.num, a.den, b.num, b.den),
-                     lambda: a * b)
+        return _product(a, b)
 
     def zeta_pow(self, j):
-        return CyclotomicNumber(self, self.power_table[j % self.n], 1)
-
-    def reduce(self, coeffs):
-        """Reduce an overlong integer coefficient list mod Phi_N."""
-        half = self.n // 2
-        if self.n % 2 == 0 and half < len(coeffs) <= self.n:
-            # zeta^{N/2} = -1 folds the top half down without the table
-            folded = list(coeffs[:half])
-            for k, c in enumerate(coeffs[half:]):
-                folded[k] -= c
-            coeffs = folded
-        out = list(coeffs[:self.degree]) + [0] * (self.degree - len(coeffs))
-        for k in range(self.degree, len(coeffs)):
-            c = coeffs[k]
-            if c:
-                row = self.power_table[k]
-                for i in range(self.degree):
-                    out[i] += c * row[i]
-        return tuple(out)
+        return CyclotomicNumber(self, self._powers[j % self.n].tolist(), 1)
 
     def galois(self, a, k):
-        """The automorphism zeta -> zeta^k (k coprime to N)."""
+        """The automorphism zeta -> zeta^k (k coprime to N): a.num[j]
+        counts zeta^(j k mod N), at distinct exponents."""
         if gcd(k, self.n) != 1:
             raise CycloError("galois exponent must be coprime to N")
-        num = [0] * self.degree
-        for j, c in enumerate(a.num):
-            if c:
-                row = self.power_table[(j * k) % self.n]
-                for i in range(self.degree):
-                    num[i] += c * row[i]
-        return CyclotomicNumber(self, tuple(num), a.den)
+        terms = sum(map(abs, a.num))
+        hist = np.zeros(self.n, dtype=np.int64 if terms < 2 ** 62 else object)
+        hist[np.arange(self.degree) * k % self.n] = a.num
+        return CyclotomicNumber(
+            self, _counted(self, hist, self._one, terms).tolist(), a.den)
 
 
 class CyclotomicNumber:
@@ -265,15 +208,16 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        deg = self.ctx.degree
-        conv = [0] * (2 * deg - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other.num):
-                    if b:
-                        conv[i + j] += a * b
-        return CyclotomicNumber(self.ctx, self.ctx.reduce(conv),
-                                self.den * other.den)
+        ctx = self.ctx
+        terms = sum(map(abs, self.num)) * sum(map(abs, other.num))
+        dtype = np.int64 if terms < 2 ** 62 else object
+        # the convolution counts zeta^s, s < 2 deg - 1 < 2N
+        hist = np.zeros(2 * ctx.n, dtype)
+        hist[:2 * ctx.degree - 1] = np.convolve(np.array(self.num, dtype),
+                                                np.array(other.num, dtype))
+        sums = _counted(ctx, hist.reshape(2, ctx.n).sum(axis=0), ctx._one,
+                        terms)
+        return CyclotomicNumber(ctx, sums.tolist(), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -391,8 +335,9 @@ def _plane_product(ctx, a, b):
 
 def _counted(ctx, hist, scale, terms):
     """sum_e hist[e] scale zeta^e, as numerators over scale.den, for an
-    (N, R) array of counts of the powers zeta^e with at most `terms` counts
-    in a column: one column of the (deg, R) result per column of counts.
+    (N, R) or (N,) array of counts of the powers zeta^e whose absolute
+    values add up to at most `terms` in a column: one column of the
+    (deg, R) result per column of counts.
     zeta^(N/2) = -1 folds the counts of even N to N/2 exponents.  x^e is
     the e-th unit vector below the degree, and the rows x^e mod Phi_N past
     it reduce the rest; a rational scale then multiplies by its first

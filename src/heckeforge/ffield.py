@@ -126,10 +126,12 @@ def _is_irreducible(modulus, p):
 
 def _least_irreducible(p, m):
     """Deterministic search for the lexicographically least monic irreducible
-    polynomial of degree m over Z/p (coefficients compared low degree first)."""
+    polynomial of degree m over Z/p (coefficients compared low degree first).
+    The first p^(m-1) candidates have constant term 0, so for m >= 2 they are
+    divisible by x and the scan starts past them."""
     if m == 1:
         return (0, 1)
-    for idx in range(p ** m):
+    for idx in range(p ** (m - 1), p ** m):
         coeffs = []
         for i in range(m):
             coeffs.append((idx // p ** (m - 1 - i)) % p)

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffield import FqContext, FqElement, SignValue, sgn
+from .ffield import FqContext, FqElement, SignValue, _prime_factors, sgn
 
 
 class OracleError(ValueError):
@@ -88,17 +88,14 @@ def _field_for(q):
 
 
 def _prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                m += 1
-            if n != 1:
-                raise OracleError(f"{q} is not a prime power")
-            return p, m
-    raise OracleError(f"{q} is not a prime power")
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        raise OracleError(f"{q} is not a prime power")
+    p, m = primes[0], 0
+    while q > 1:
+        q //= p
+        m += 1
+    return p, m
 
 
 class TruncSeries:

@@ -491,9 +491,15 @@ def graded_symplectic_split(space, weights):
 
 @lru_cache(maxsize=None)
 def _sl2_array(p):
-    """SL_2(F_p) in sl2_elements order: a read-only (p^3 - p, 2, 2) array."""
-    a, b, c, d = np.indices((p,) * 4).reshape(4, -1)
-    group = np.stack((a, b, c, d), 1)[(a * d - b * c) % p == 1]
+    """SL_2(F_p) in sl2_elements order, (a, b, c, d) ascending: a read-only
+    (p^3 - p, 2, 2) array.  Where a = 0, c = -1/b and d is free; otherwise
+    d = (1 + bc)/a."""
+    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)])
+    b, d = np.indices((p - 1, p)).reshape(2, -1) + [[1], [0]]
+    a_zero = np.stack((0 * b, b, -inv[b] % p, d), 1)
+    a, b, c = np.indices((p - 1, p, p)).reshape(3, -1) + [[1], [0], [0]]
+    group = np.concatenate(
+        (a_zero, np.stack((a, b, c, (1 + b * c) * inv[a] % p), 1)))
     group.setflags(write=False)
     return group.reshape(-1, 2, 2)
 

@@ -14,6 +14,20 @@ from heckeforge.cyclo import (_counted, _extent, _nonzero_planes,
                               _plane_product)
 
 
+def _oracle_reduce(ctx, coeffs):
+    """The integer polynomial coeffs (low degree first) mod Phi_N, by long
+    division over Z: Phi_N is monic.  It shares nothing with the context's
+    table of powers."""
+    phi, deg = ctx.phi, ctx.degree
+    rem = [int(c) for c in coeffs] + [0] * deg
+    for top in range(len(rem) - 1, deg - 1, -1):
+        lead = rem[top]
+        if lead:
+            for i, c in enumerate(phi):
+                rem[top - deg + i] -= lead * c
+    return tuple(rem[:deg])
+
+
 def _stored_canonically(m):
     """The storage contract: int64 planes when every entry fits, else an
     object array of Python ints with an entry beyond int64."""
@@ -172,7 +186,7 @@ def _oracle_fold(ctx, conv, n):
         if k < deg:
             planes[k] = planes[k] + m
         else:
-            row = ctx.power_table[k]
+            row = _oracle_reduce(ctx, [0] * k + [1])
             for d in range(deg):
                 if row[d]:
                     planes[d] = planes[d] + row[d] * m
@@ -282,7 +296,7 @@ def test_kernel_at_the_int64_bound(conductor, n, data):
     deg = ctx.degree
     i = data.draw(st.integers(0, deg - 1))
     j = data.draw(st.integers(0, deg - 1))
-    fold = max(abs(x) for x in ctx.power_table[i + j])
+    fold = max(map(abs, _oracle_reduce(ctx, [0] * (i + j) + [1])))
     scale = data.draw(st.booleans())
     k = 1 if scale else n
     b_max = data.draw(st.integers(1, 5))
@@ -342,7 +356,7 @@ def _oracle_inv(x):
     ctx = x.ctx
     deg = ctx.degree
     # column j is x * zeta^j; the right-hand side is 1 = x.den / x.den
-    cols = [ctx.reduce([0] * j + list(x.num)) for j in range(deg)]
+    cols = [_oracle_reduce(ctx, [0] * j + list(x.num)) for j in range(deg)]
     a = [[Fraction(cols[j][i]) for j in range(deg)]
          + [Fraction(x.den if i == 0 else 0)] for i in range(deg)]
     for col in range(deg):
@@ -897,3 +911,83 @@ def test_counted_sums_stay_exact_near_the_bound(conductor, terms, data):
     got = _counted(ctx, hist, scale, terms)
     assert [int(x) for x in got[:, 0]] == want
     assert [int(x) for x in (got + got)[:, 0]] == [2 * x for x in want]
+
+
+# ---------------------------------------------------------------------------
+# numbers, conjugates, zeta powers and scale tables reduce through _counted;
+# _oracle_reduce, long division by Phi_N, is the independent oracle
+
+REDUCER_CONDUCTORS = [3, 4, 5, 8, 12, 20, 28, 44, 52]
+
+
+def _number(ctx, entries):
+    return st.builds(CyclotomicNumber, st.just(ctx),
+                     st.lists(entries, min_size=ctx.degree,
+                              max_size=ctx.degree).map(tuple),
+                     st.integers(1, 6))
+
+
+def _as_oracle(ctx, coeffs, den):
+    want = CyclotomicNumber(ctx, _oracle_reduce(ctx, coeffs), den)
+    return want.num, want.den
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(REDUCER_CONDUCTORS), st.data())
+def test_numbers_and_conjugates_match_long_division(conductor, data):
+    # entries reach beyond int64 (EDGE_ENTRIES), so both the int64 counts
+    # and the Python-int counts are reduced
+    ctx = CycloContext(conductor)
+    a, b = (data.draw(_number(ctx, _mixed)) for _ in range(2))
+    conv = [0] * (2 * ctx.degree)
+    for i, x in enumerate(a.num):
+        for j, y in enumerate(b.num):
+            conv[i + j] += x * y
+    got = a * b
+    assert (got.num, got.den) == _as_oracle(ctx, conv, a.den * b.den)
+    assert all(type(x) is int for x in got.num)
+    k = data.draw(st.sampled_from(
+        [k for k in range(1, conductor) if gcd(k, conductor) == 1]))
+    image = [0] * conductor
+    for j, x in enumerate(a.num):
+        image[j * k % conductor] += x
+    got = ctx.galois(a, k)
+    assert (got.num, got.den) == _as_oracle(ctx, image, a.den)
+    assert all(type(x) is int for x in got.num)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(REDUCER_CONDUCTORS), st.data())
+def test_zeta_powers_and_scale_tables_match_long_division(conductor, data):
+    # exponents of both signs beyond N; every row of a scale's table, the
+    # scale's numerator reaching beyond int64
+    ctx = CycloContext(conductor)
+    j = data.draw(st.integers(-3 * conductor, 3 * conductor))
+    got = ctx.zeta_pow(j)
+    assert (got.num, got.den) == _as_oracle(ctx, [0] * (j % conductor) + [1],
+                                            1)
+    scale = data.draw(_scale(ctx))
+    table = ctx._scale_table(scale)
+    for e in range(conductor):
+        assert tuple(int(x) for x in table[e]) == _oracle_reduce(
+            ctx, [0] * e + list(scale.num))
+
+
+def test_numbers_conjugates_and_scale_tables_reduce_through_counted(
+        monkeypatch):
+    from heckeforge import cyclo
+    ctx = CycloContext(20)
+    a = ctx.zeta_pow(3) + ctx.from_rational(Fraction(2, 3))
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2])
+        return counted(*args)
+    counted = cyclo._counted
+    monkeypatch.setattr(cyclo, "_counted", spy)
+    CycloContext._scale_table.cache_clear()
+    for run in (lambda: a * a, lambda: ctx.galois(a, 3),
+                lambda: ctx._scale_table(a)):
+        calls.clear()
+        run()
+        assert len(calls) == 1 and calls[0] == ctx.one()

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from heckeforge import (FieldError, FqContext, SignValue, sgn, square_root,
                         adjoin_zeta)
+from heckeforge import ffield
 from heckeforge.ffield import (SMALL_FIELD_BOUND, _CodeTables, _PolyArith,
-                               _PrimeArith)
+                               _PrimeArith, _is_irreducible,
+                               _least_irreducible)
 
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
@@ -41,6 +43,40 @@ def test_modulus_validation_and_default():
         ctx = FqContext(p, m)
         assert ctx.modulus == modulus
         assert FqContext(p, m, modulus) == ctx
+
+
+def _oracle_least_irreducible(p, m):
+    """The modulus search over every monic candidate of degree m, constant
+    term 0 included, in increasing order (low degree first)."""
+    for idx in range(p ** m):
+        cand = [(idx // p ** (m - 1 - i)) % p for i in range(m)] + [1]
+        if _is_irreducible(cand, p):
+            return tuple(cand)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_modulus_search_matches_the_full_scan(p):
+    m = 2
+    while p ** m <= 2500:
+        assert _least_irreducible(p, m) == _oracle_least_irreducible(p, m)
+        m += 1
+
+
+@pytest.mark.parametrize("p,m", [(3, 14), (5, 8)])
+def test_modulus_search_skips_the_candidates_divisible_by_x(
+        monkeypatch, p, m):
+    # the full scan ran a Rabin test on each of the p^(m-1) candidates with
+    # constant term 0 before the first one that can be irreducible
+    tests = []
+
+    def spy(modulus, q):
+        tests.append(modulus)
+        return is_irreducible(modulus, q)
+    is_irreducible = ffield._is_irreducible
+    monkeypatch.setattr(ffield, "_is_irreducible", spy)
+    ctx = FqContext(p, m)
+    assert len(tests) < 100
+    assert ctx.modulus[0] != 0 and is_irreducible(list(ctx.modulus), p)
 
 
 def test_linear_modulus_is_validated_and_presents_the_prime_field():

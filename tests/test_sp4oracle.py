@@ -16,8 +16,8 @@ from heckeforge import (FqContext, OracleError, TruncContext, TruncSeries,
                         quadratic_relation, SignValue)
 from heckeforge import sp4oracle
 from heckeforge.ffield import SMALL_FIELD_BOUND, _PolyArith, _PrimeArith
-from heckeforge.sp4oracle import (TWISTS, _coset_phis, _phi_rows, phi,
-                                  random_iwahori)
+from heckeforge.sp4oracle import (TWISTS, _coset_phis, _phi_rows,
+                                  _prime_power, phi, random_iwahori)
 
 
 def test_trunc_context_validation():
@@ -511,3 +511,29 @@ def test_phi_well_defined_on_every_pair_of_iwahori_elements():
         k1s = k1 * s
         for k2, e2 in zip(iwahori, eps):
             assert phi(k1s * k2, "sign") == e1 * e2
+
+
+def _oracle_prime_power(q):
+    """(p, m) with q = p^m by trial division over 2 .. q."""
+    for p in range(2, q + 1):
+        if q % p == 0:
+            m, n = 0, q
+            while n % p == 0:
+                n //= p
+                m += 1
+            if n != 1:
+                raise OracleError(f"{q} is not a prime power")
+            return p, m
+    raise OracleError(f"{q} is not a prime power")
+
+
+def test_prime_power_matches_trial_division():
+    for q in range(-3, 3001):
+        try:
+            want = _oracle_prime_power(q)
+        except OracleError as e:
+            with pytest.raises(OracleError) as got:
+                _prime_power(q)
+            assert str(got.value) == str(e)
+        else:
+            assert _prime_power(q) == want

@@ -18,8 +18,10 @@ from heckeforge import (SympError, SymplecticSpace, HeisenbergElement,
                         sl2_elements, SignValue, CycloContext, CycloError,
                         CycloMatrix)
 from heckeforge import checks, linalg, sympweil
-from heckeforge.sympweil import _stabilizer_sl2, _coset_representatives
+from heckeforge.sympweil import (_coset_representatives, _sl2_array,
+                                 _stabilizer_sl2)
 from heckeforge.cyclo import _plane_product
+from test_cyclo import _oracle_reduce
 from test_linalg import _null_space, _span_basis
 
 
@@ -1405,7 +1407,7 @@ def _oracle_group_ring_check(space, u_basis, mode="with_sl2_levi",
                     rhs[k] += chi * omega.den
                 else:
                     _add_trace(rhs, sigma_g, *sigma_columns[conj_v], k)
-            if any(ctx.reduce([x - y for x, y in zip(lhs, rhs)])):
+            if any(_oracle_reduce(ctx, [x - y for x, y in zip(lhs, rhs)])):
                 return False, (g, (v, 0))
     return True, None
 
@@ -1621,3 +1623,13 @@ def test_induction_check_keeps_its_errors():
         induction_identity_check(V, [(1, 0, 0, 0), (0, 1, 0, 0)])
     with pytest.raises(SympError, match="requires dim"):
         induction_identity_check(V, [], "with_sl2_levi")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_sl2_array_matches_the_masked_quadruples(p):
+    # every (a, b, c, d) in F_p^4, kept where ad - bc = 1
+    a, b, c, d = np.indices((p,) * 4).reshape(4, -1)
+    want = np.stack((a, b, c, d), 1)[(a * d - b * c) % p == 1]
+    got = _sl2_array(p)
+    assert got.dtype == want.dtype and not got.flags.writeable
+    assert np.array_equal(got, want.reshape(-1, 2, 2))
