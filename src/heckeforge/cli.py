@@ -16,7 +16,8 @@ import traceback
 from . import __version__, checks
 from .ffield import FieldError, FqContext, sgn
 from .quadspace import QuadraticSpace, OrthogonalMap, spinor_norm
-from .gradedorth import GradedQuadraticSpace, extended_sn, otilde_membership
+from .gradedorth import (GradedQuadraticSpace, _extended_value,
+                         otilde_membership)
 from .sympweil import SymplecticSpace, HeisenbergRep, SympError, WeilSL2
 from .heckealg import (CoxeterSystem, ParameterFunction, HeckeAlgebra,
                        HeckeError, LengthCapError)
@@ -113,10 +114,8 @@ def _cmd_extended_sn(args):
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError(f"bad input: {e}")
     fact = otilde_membership(space, element)
-    if fact is None:
-        _emit({"member": False, "value": None})
-        return 0
-    _emit({"member": True, "value": repr(extended_sn(space, element))})
+    value = None if fact is None else repr(_extended_value(space, *fact))
+    _emit({"member": fact is not None, "value": value})
     return 0
 
 

@@ -536,7 +536,9 @@ class CycloMatrix:
                            normalize=False)
 
     def scale(self, c):
-        """Multiply by a scalar (CyclotomicNumber or rational)."""
+        """Multiply by a scalar (CyclotomicNumber or rational).  It stays
+        public because the tests compare projective intertwiners up to a
+        scalar through it."""
         if not isinstance(c, CyclotomicNumber):
             c = self.ctx.from_rational(c)
         deg, n = self.ctx.degree, self.n

@@ -7,8 +7,7 @@ extending sgn o sn.
 from __future__ import annotations
 
 from .ffield import adjoin_zeta, sgn
-from .quadspace import (QuadraticSpace, OrthogonalMap, QuadSpaceError,
-                        sgn_spinor)
+from .quadspace import QuadraticSpace, OrthogonalMap, sgn_spinor
 from . import linalg
 
 
@@ -105,8 +104,11 @@ class GradedQuadraticSpace:
             raise GradedError("gram size does not match total block dimension")
         self.space = QuadraticSpace(ctx, gram)  # validates symmetry etc.
         self.gram = self.space.gram
+        # the block of each row (and column) index
+        self._row_block = [b for b in self.blocks for _ in b.cols]
         self._check_block_shape()
         self.ext_ctx, self.embed, self.zeta = adjoin_zeta(ctx)
+        self.ext_gram = self.embed_matrix(self.gram)
         # embed is F_p-linear: its image has the F_p-basis of the images of
         # 1, x, ..., x^(m-1), written as the columns of this matrix
         self._image_basis = linalg.transpose(
@@ -122,16 +124,12 @@ class GradedQuadraticSpace:
         self.sqrt_sign = sqrt_sign_of_minus_one
 
     def _check_block_shape(self):
-        zero = self.ctx.zero
-        for b1 in self.blocks:
-            for b2 in self.blocks:
-                if b1 is b2:
-                    continue
-                for i in b1.cols:
-                    for j in b2.cols:
-                        if self.gram[i][j] != zero:
-                            raise GradedError(
-                                "gram must be block-diagonal across orbits")
+        blk = self._row_block
+        for i, row in enumerate(self.gram):
+            for j, x in enumerate(row):
+                if blk[i] is not blk[j] and not x.is_zero():
+                    raise GradedError(
+                        "gram must be block-diagonal across orbits")
         for b in self.blocks:
             sub = tuple(tuple(self.gram[i][j] for j in b.cols)
                         for i in b.cols)
@@ -143,8 +141,8 @@ class GradedQuadraticSpace:
                 h = b.dim // 2
                 for i in range(h):
                     for j in range(h):
-                        if (sub[i][j] != zero
-                                or sub[h + i][h + j] != zero):
+                        if (not sub[i][j].is_zero()
+                                or not sub[h + i][h + j].is_zero()):
                             raise GradedError(
                                 f"asym block {b.label!r} violates the "
                                 "label-pairing shape")
@@ -185,10 +183,6 @@ class GradedQuadraticSpace:
             raise GradedError("element is not f-rational")
         return a
 
-    @property
-    def ext_gram(self):
-        return self.embed_matrix(self.gram)
-
 
 def zeta_scaling(space, label):
     """Multiplication by zeta on one asymmetric orbit-block, identity on the
@@ -205,6 +199,24 @@ def zeta_scaling(space, label):
     return tuple(rows)
 
 
+def _block_permutation(space, g):
+    """The map source label -> target label when the matrix g over f' sends
+    each orbit-block into one block of the same kind and dimension, no two
+    into the same block; otherwise None."""
+    blk = space._row_block
+    perm = {}
+    for src in space.blocks:
+        hit = {blk[i] for j in src.cols for i, row in enumerate(g)
+               if not row[j].is_zero()}
+        if len(hit) != 1:
+            return None
+        (tgt,) = hit
+        if tgt.kind != src.kind or tgt.dim != src.dim:
+            return None
+        perm[src.label] = tgt.label
+    return perm if len(set(perm.values())) == len(perm) else None
+
+
 def glplus_membership(space, g):
     """Whether g permutes the orbit-blocks respecting the asym/sym split.
 
@@ -214,27 +226,8 @@ def glplus_membership(space, g):
     g = space.ext_matrix(g)
     if linalg.det(g).is_zero():
         raise GradedError("singular matrix")
-    zero = space.ext_ctx.zero
-    perm = {}
-    targets = set()
-    for src in space.blocks:
-        hit = set()
-        for j in src.cols:
-            for i in range(space.dim):
-                if g[i][j] != zero:
-                    for t in space.blocks:
-                        if i in t.cols:
-                            hit.add(t.label)
-        if len(hit) != 1:
-            return False, None
-        tgt = space.block(hit.pop())
-        if tgt.kind != src.kind or tgt.dim != src.dim:
-            return False, None
-        if tgt.label in targets:
-            return False, None
-        targets.add(tgt.label)
-        perm[src.label] = tgt.label
-    return True, perm
+    perm = _block_permutation(space, g)
+    return perm is not None, perm
 
 
 def otilde_membership(space, g):
@@ -242,50 +235,49 @@ def otilde_membership(space, g):
     element of GL+ and each asym orbit carrying zeta-exponent 0 or 1.
 
     Returns (h as an OrthogonalMap on the f-space, exponent dict) or None.
+    When g permutes the blocks, g^T Gram g is block-diagonal, and g is a
+    member exactly when each of its diagonal blocks is that block's Gram
+    matrix (exponent 0) or, on an asym block, its negative (exponent 1,
+    as zeta^2 = -1), and h = g . zeta^-exponents is f-rational.  Every
+    block of Gram is nondegenerate, so that block test alone makes g
+    invertible (a singular g is not a member), and it makes h preserve
+    the form: neither is checked again.
     """
     g = space.ext_matrix(g)
-    if not glplus_membership(space, g)[0]:
+    if _block_permutation(space, g) is None:
         return None
     ext_gram = space.ext_gram
     pulled = linalg.mat_mul(linalg.mat_mul(linalg.transpose(g), ext_gram), g)
+    zinv = -space.zeta  # zeta^2 = -1
+    h = [list(row) for row in g]
     exps = {}
     for b in space.blocks:
-        sub = tuple(tuple(pulled[i][j] for j in b.cols) for i in b.cols)
-        ref = tuple(tuple(ext_gram[i][j] for j in b.cols) for i in b.cols)
-        neg = tuple(tuple(-x for x in row) for row in ref)
+        sub = [pulled[i][j] for i in b.cols for j in b.cols]
+        ref = [ext_gram[i][j] for i in b.cols for j in b.cols]
         if sub == ref:
             e = 0
-        elif sub == neg:
+        elif b.kind == "asym" and sub == [-x for x in ref]:
             e = 1
+            for row in h:
+                for j in b.cols:
+                    row[j] = row[j] * zinv
         else:
             return None
         if b.kind == "asym":
             exps[b.label] = e
-        elif e != 0:
-            return None
-    # divide out the zeta-scalings (scale columns of each twisted block);
-    # h keeps g's zero pattern and invertibility, so it is in GL+ as g is
-    zinv = space.zeta.inv()
-    h = [list(row) for row in g]
-    for b in space.blocks:
-        if b.kind == "asym" and exps[b.label] == 1:
-            for j in b.cols:
-                for i in range(space.dim):
-                    h[i][j] = h[i][j] * zinv
-    rational = []
-    for row in h:
-        out = []
-        for x in row:
-            try:
-                out.append(space.retract(x))
-            except GradedError:
-                return None
-        rational.append(tuple(out))
-    try:
-        h_map = OrthogonalMap(space.space, tuple(rational))
-    except QuadSpaceError:
+    rational = [[space._preimage(x) for x in row] for row in h]
+    if any(x is None for row in rational for x in row):
         return None
-    return h_map, exps
+    return OrthogonalMap(space.space, rational, check=False), exps
+
+
+def _extended_value(space, h, exps):
+    """The character's value on h . prod(zeta-scalings^exps)."""
+    value = Mu4Value.from_sign(sgn_spinor(h))
+    for b in space.blocks:
+        if exps.get(b.label):
+            value = value * space.sqrt_sign ** (b.dim // 2)
+    return value
 
 
 def extended_sn(space, g):
@@ -295,9 +287,4 @@ def extended_sn(space, g):
     fact = otilde_membership(space, g)
     if fact is None:
         raise GradedError("element is not in the extended orthogonal group")
-    h, exps = fact
-    value = Mu4Value.from_sign(sgn_spinor(h))
-    for b in space.blocks:
-        if b.kind == "asym" and exps[b.label]:
-            value = value * space.sqrt_sign ** (b.dim // 2)
-    return value
+    return _extended_value(space, *fact)

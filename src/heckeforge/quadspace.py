@@ -206,7 +206,8 @@ def factor_into_reflections(g):
     whenever current is not exceptional, so the length is rank(1-g).  In
     the exceptional (Wall/Eichler) case an auxiliary reflection is inserted
     first; the remainder then has odd rank and is not exceptional, so the
-    length is rank(1-g) + 2 <= dim + 2."""
+    length is rank(1-g) + 2 <= dim + 2.  It stays public as the tests'
+    oracle for spinor_norm: the product of the phi-values is sn(g)."""
     space = g.space
     basis = linalg.identity(space.ctx, space.dim)
     result = []

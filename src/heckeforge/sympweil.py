@@ -428,7 +428,8 @@ def det_sign_character(space, g, u_basis):
     subspace U spanned by u_basis.  The empty subspace gives +1.  In a
     symplectic basis whose first k e's are a basis of U, the matrix of g on
     U is (<g e_i, f_j>), and g stabilizes U exactly when every g e_i is
-    sum_j <g e_i, f_j> e_j."""
+    sum_j <g e_i, f_j> e_j.  It stays public as the tests' oracle for
+    _line_signs, which computes the same signs for a whole group at once."""
     p = space.p
     basis, k = space._symplectic_basis(u_basis)
     if not k:

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from heckeforge.cli import main
 
@@ -122,6 +123,43 @@ def test_extended_sn_non_member(tmp_path, capsys):
     code, payload = _run(capsys, ["extended-sn", "--input", str(path)])
     assert code == 0
     assert payload == {"member": False, "value": None}
+
+
+MIXED_SPACE = {"field": {"p": 3},
+               "blocks": [{"label": "a", "dim": 2, "kind": "asym"},
+                          {"label": "b", "dim": 1, "kind": "sym"}],
+               "gram": [[0, 1, 0], [1, 0, 0], [0, 0, 1]]}
+SINGULAR_ELEMENT = [[0, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_extended_sn_singular_element_is_not_a_member(tmp_path, capsys):
+    # the membership test once raised "singular matrix", which exited 3
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({**MIXED_SPACE, "element": SINGULAR_ELEMENT}))
+    code, payload = _run(capsys, ["extended-sn", "--input", str(path)])
+    assert code == 0
+    assert payload == {"member": False, "value": None}
+
+
+@pytest.mark.parametrize("element,member", [
+    ([["zeta", 0, 0], [0, "zeta", 0], [0, 0, 1]], True),
+    ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], False)])
+def test_extended_sn_decides_membership_once(element, member, tmp_path,
+                                             monkeypatch, capsys):
+    from heckeforge import cli, gradedorth
+    calls = []
+    otilde_membership = gradedorth.otilde_membership
+
+    def spied(space, g):
+        calls.append(g)
+        return otilde_membership(space, g)
+    monkeypatch.setattr(gradedorth, "otilde_membership", spied)
+    monkeypatch.setattr(cli, "otilde_membership", spied)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({**MIXED_SPACE, "element": element}))
+    code, payload = _run(capsys, ["extended-sn", "--input", str(path)])
+    assert code == 0 and payload["member"] is member
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("element", [
@@ -472,3 +510,181 @@ def test_weil_checks_never_reach_the_dense_kernel(monkeypatch, capsys, argv):
     monkeypatch.setattr(cyclo, "_plane_product", refuse)
     code, payload = _run(capsys, argv)
     assert code == 0 and payload["pass"] is True
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract, fuzzed: exit 0, 1 or 2 and never 3; a verdict is one
+# JSON line, the same on a second run; a refusal starts "error:" or "usage:"
+
+_NUMBERS = ["0", "1", "2", "3", "4", "5", "6", "-3", "9", "25", "x"]
+_ENTRIES = st.one_of(st.integers(-2, 9), st.sampled_from(
+    [1.5, "x", None, True, [], [0, 1], "zeta", "-zeta"]))
+_MATRICES = st.one_of(
+    st.lists(st.lists(_ENTRIES, min_size=1, max_size=3), max_size=3),
+    _ENTRIES)
+_FIELDS = st.one_of(
+    st.fixed_dictionaries(
+        {"p": st.sampled_from([0, 1, 2, 3, 4, 5, 6, -3, 9, 25, "3", None])},
+        optional={"m": st.sampled_from([0, 1, 2, -1, "2"]),
+                  "modulus": st.sampled_from([[1, 0, 1], [2, 0, 1], [1],
+                                              [0, 1], "x", []])}),
+    st.sampled_from([None, [], "F_3", {}]))
+_BLOCKS = st.lists(st.fixed_dictionaries({
+    "label": st.sampled_from(["a", "b", 1, None]),
+    "dim": st.sampled_from([0, 1, 2, 3, -2, "2", 1.5]),
+    "kind": st.sampled_from(["asym", "sym", "x"])}), max_size=3)
+_PLANE = {"field": {"p": 5}, "gram": [[0, 1], [1, 0]]}
+_GRADED_SPACES = [
+    MIXED_SPACE,
+    {**_PLANE, "blocks": [{"label": "a", "dim": 2, "kind": "asym"}]},
+    {"field": {"p": 3}, "blocks": [{"label": "a", "dim": 1, "kind": "sym"},
+                                   {"label": "b", "dim": 1, "kind": "sym"}],
+     "gram": [[1, 0], [0, 1]]}]
+
+
+def _square(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
+@st.composite
+def _graded_payloads(draw):
+    """A valid graded space with a square element, mostly well formed."""
+    space = draw(st.sampled_from(_GRADED_SPACES))
+    n = len(space["gram"])
+    element = draw(st.one_of(
+        _square(n, st.sampled_from([0, 0, 0, 1, -1, 2, "zeta", "-zeta"])),
+        _MATRICES))
+    return {**space, "element": element}
+
+
+_LETTERS = st.sampled_from(["s", "t", "u"])
+_COXETER_FILES = st.fixed_dictionaries({
+    "generators": st.one_of(st.lists(_LETTERS, max_size=3),
+                            st.sampled_from(["st", 3, None])),
+    "matrix": st.lists(st.tuples(_LETTERS, _LETTERS, st.sampled_from(
+        [0, 1, 2, 3, 4, 6, -1, "inf", None, 3.7, True, "3"])).map(list),
+        max_size=4)})
+
+
+def _json_text(strategy):
+    return st.one_of(strategy.map(json.dumps),
+                     st.sampled_from(["", "{", "[]", "null"]))
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), st.sampled_from(values).map(
+        lambda v: [name, v]))
+
+
+@st.composite
+def _cheap_invocations(draw):
+    """(argv, text of its JSON file), the file named {file} in argv."""
+    command = draw(st.sampled_from(["sgn", "spinor-norm", "extended-sn",
+                                    "weil", "hecke", "sp4", "suite"]))
+    if command == "sgn":
+        argv = (["sgn", "--p", draw(st.sampled_from(_NUMBERS)),
+                 "--element", draw(st.sampled_from(
+                     ["0", "1", "2", "-1", "0,1", "1,x", "", "x"]))]
+                + draw(_flag("--m", ["0", "1", "2", "3", "-1"]))
+                + draw(_flag("--modulus", ["1", "1,1", "1,0,1", "2,0,1",
+                                           "1,2,0,1", "x", ""])))
+        return argv, None
+    if command == "spinor-norm":
+        payload = st.one_of(
+            st.one_of(st.sampled_from([[[2, 0], [0, 3]], [[0, 4], [4, 0]],
+                                       [[-1, 0], [0, -1]]]),
+                      _square(2, st.integers(-1, 3))).map(
+                lambda m: {**_PLANE, "matrix": m}),
+            st.fixed_dictionaries({}, optional={
+                "field": _FIELDS, "gram": _MATRICES, "matrix": _MATRICES}))
+        return ["spinor-norm", "--input", "{file}"], draw(_json_text(payload))
+    if command == "extended-sn":
+        payload = st.one_of(
+            _graded_payloads(),
+            st.fixed_dictionaries({}, optional={
+                "field": _FIELDS, "blocks": _BLOCKS, "gram": _MATRICES,
+                "element": _MATRICES}))
+        return ["extended-sn", "--input", "{file}"], draw(_json_text(payload))
+    if command == "weil":
+        return (["weil", "--p", draw(st.sampled_from(_NUMBERS)),
+                 "--check", draw(st.sampled_from(["central", "split", "x"]))]
+                + draw(_flag("--dim", ["2", "4", "3", "0", "-2", "x"]))), None
+    if command == "hecke":
+        argv = (["hecke", "--type", draw(st.sampled_from(
+                    ["A2", "B2", "G2", "A1~", "X", "{file}"])),
+                 "--check", draw(st.sampled_from(["braid", "quadratic"]))]
+                + draw(_flag("--params", ["s=qs,t=qt", "s=a", "bad", "",
+                                          "s=q,s=r", "u=q"]))
+                + draw(_flag("--len-cap", ["-1", "0", "2", "64", "x"])))
+        return argv, draw(_json_text(_COXETER_FILES))
+    if command == "sp4":
+        return (["sp4", "--q", draw(st.sampled_from(_NUMBERS)),
+                 "--twist", draw(st.sampled_from(["trivial", "sign", "x"]))]
+                + draw(_flag("--N", ["-1", "0", "1", "2", "3"]))
+                + draw(_flag("--point", ["s", "e", "x"]))), None
+    return ["suite", "--filter", draw(st.sampled_from(
+        ["sp4oracle", "gradedorth", "quadspace", "nonsense"]))], None
+
+
+# each of these costs up to 0.3 s in-process, so they get a few examples
+_COSTLY_INVOCATIONS = st.one_of(
+    st.sampled_from([["suite"], ["suite", "--filter", "heckealg"]]),
+    st.builds(lambda t, cap: ["hecke", "--type", t, "--check", "assoc",
+                              "--len-cap", cap],
+              st.sampled_from(["A2", "B2", "G2", "A1~", "{file}"]),
+              st.sampled_from(["-1", "3", "64"])),
+    st.builds(lambda p, check: ["weil", "--p", p, "--check", check],
+              st.sampled_from(_NUMBERS),
+              st.sampled_from(["mult", "induction"]))).map(
+    lambda argv: (argv, json.dumps({"generators": ["s", "t"],
+                                    "matrix": [["s", "t", 4]]})))
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _assert_contract(capsys, tmp_path, argv, text):
+    if "{file}" in argv:
+        path = tmp_path / ("cox.json" if argv[0] == "hecke" else "in.json")
+        path.write_text(text)
+        argv = [str(path) if a == "{file}" else a for a in argv]
+    code, out, err = _outcome(capsys, argv)
+    assert code in (0, 1, 2), (argv, text, err)
+    if code == 2:
+        assert err.startswith(("error:", "usage:")), (argv, text, err)
+    else:
+        assert out.count("\n") == 1 and out.endswith("\n"), (argv, out)
+        json.loads(out)
+        assert _outcome(capsys, argv)[:2] == (code, out), argv
+
+
+_FUZZ = settings(derandomize=True, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@settings(_FUZZ, max_examples=400)
+@given(_cheap_invocations())
+@example((["extended-sn", "--input", "{file}"],
+          json.dumps({**MIXED_SPACE, "element": SINGULAR_ELEMENT})))
+@example((["sgn", "--p", "3", "--m", "1", "--modulus", "1", "--element",
+           "1"], None))
+@example((["hecke", "--type", "{file}", "--check", "braid"],
+          json.dumps({"generators": [], "matrix": [["s", "t", 1]]})))
+@example((["sgn", "--p", "3", "--m", "14", "--element", "2"], None))
+def test_cli_contract_fuzz(capsys, tmp_path, invocation):
+    _assert_contract(capsys, tmp_path, *invocation)
+
+
+@settings(_FUZZ, max_examples=8)
+@given(_COSTLY_INVOCATIONS)
+@example((["hecke", "--type", "{file}", "--check", "assoc"],
+          json.dumps({"generators": [], "matrix": []})))
+def test_cli_contract_fuzz_costly_checks(capsys, tmp_path, invocation):
+    _assert_contract(capsys, tmp_path, *invocation)

@@ -200,3 +200,149 @@ def test_random_mixed_space_restriction():
         if glplus_membership(sp, m)[0]:
             assert (extended_sn(sp, m)
                     == Mu4Value.from_sign(sgn_spinor(h)))
+
+
+def _mixed_space(p):
+    # an asym plane and a sym line
+    return GradedQuadraticSpace(FqContext(p),
+                                [("a", 2, "asym"), ("b", 1, "sym")],
+                                [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+
+
+def test_a_singular_matrix_is_not_a_member():
+    # otilde_membership once raised "singular matrix" through
+    # glplus_membership, which still refuses a singular matrix
+    sp = _mixed_space(3)
+    g = sp.embed_matrix([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert otilde_membership(sp, g) is None
+    with pytest.raises(GradedError, match="singular matrix"):
+        glplus_membership(sp, g)
+    with pytest.raises(GradedError, match="not in the extended orthogonal"):
+        extended_sn(sp, g)
+
+
+def _brute_force_membership(space, g):
+    """The factorization of g, found by trying every zeta-exponent e on the
+    asym blocks: h = g . z_e^-1 must be f-rational, permute the blocks
+    (an invertible matrix) and preserve the form."""
+    g = space.ext_matrix(g)
+    asym = [b.label for b in space.blocks if b.kind == "asym"]
+    for es in itertools.product((0, 1), repeat=len(asym)):
+        z = linalg.identity(space.ext_ctx, space.dim)
+        for label, e in zip(asym, es):
+            if e:
+                z = linalg.mat_mul(z, zeta_scaling(space, label))
+        h = linalg.mat_mul(g, linalg.mat_inv(z))
+        if not all(space.is_rational(x) for row in h for x in row):
+            continue
+        try:
+            if not glplus_membership(space, h)[0]:
+                continue
+            h_map = OrthogonalMap(space.space, [[space.retract(x) for x in row]
+                                                for row in h])
+        except (GradedError, QuadSpaceError):
+            continue
+        return h_map, dict(zip(asym, es))
+    return None
+
+
+def _assert_same_factorizations(space, matrices):
+    members = 0
+    for g in matrices:
+        fact, want = otilde_membership(space, g), _brute_force_membership(
+            space, g)
+        assert (fact is None) == (want is None), g
+        if fact is not None:
+            assert fact[0].matrix == want[0].matrix and fact[1] == want[1]
+            members += 1
+    return members
+
+
+@pytest.mark.parametrize("p,blocks,gram,rational,members", [
+    # every 2 x 2 matrix over F_9, 801 of them singular: O(V) has 4 and
+    # 8 elements, and the plane's ones also carry exponent 1
+    (3, [("a", 2, "asym")], [[0, 1], [1, 0]], False, 8),
+    (3, [("a", 1, "sym"), ("b", 1, "sym")], [[1, 0], [0, 1]], False, 8),
+    # -1 is a square in F_5, so zeta = 2 is rational: every 2 x 2 matrix
+    # over F_5, 145 of them singular
+    (5, [("a", 2, "asym")], [[0, 1], [1, 0]], True, 16)])
+def test_otilde_membership_matches_brute_force_exhaustive(
+        p, blocks, gram, rational, members):
+    sp = GradedQuadraticSpace(FqContext(p), blocks, gram)
+    els = list((sp.ctx if rational else sp.ext_ctx).elements())
+    matrices = [[flat[:2], flat[2:]]
+                for flat in itertools.product(els, repeat=4)]
+    if rational:
+        matrices = [sp.embed_matrix(m) for m in matrices]
+    assert _assert_same_factorizations(sp, matrices) == members
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_otilde_membership_matches_brute_force_on_the_mixed_space(p):
+    # seeded 3 x 3 matrices over f': uniform ones, ones that keep the
+    # blocks, and members h . z_e with, half the time, one entry redrawn
+    sp = _mixed_space(p)
+    ext = list(sp.ext_ctx.elements())
+    zero = sp.ext_ctx.zero
+    plane = [h.matrix for h in _orthogonal_matrices(
+        GradedQuadraticSpace(sp.ctx, [("a", 2, "asym")], [[0, 1], [1, 0]]))]
+    rng = random.Random(p)
+    matrices = []
+    for n in range(2400):
+        kind = n % 3
+        if kind == 0:
+            g = [[rng.choice(ext) for _ in range(3)] for _ in range(3)]
+        elif kind == 1:
+            g = [[rng.choice(ext) if (i < 2) == (j < 2) else zero
+                  for j in range(3)] for i in range(3)]
+        else:
+            a = rng.choice(plane)
+            h = sp.embed_matrix([[a[0][0], a[0][1], 0], [a[1][0], a[1][1], 0],
+                                 [0, 0, rng.choice((1, -1))]])
+            g = [list(row) for row in h]
+            if rng.randrange(2):
+                g = [list(row) for row in
+                     linalg.mat_mul(h, zeta_scaling(sp, "a"))]
+            if rng.randrange(2):
+                g[rng.randrange(3)][rng.randrange(3)] = rng.choice(ext)
+        matrices.append(g)
+    assert _assert_same_factorizations(sp, matrices) >= 400
+
+
+def test_otilde_membership_is_one_pass(monkeypatch):
+    # no determinant, no glplus_membership, no form check of h, and the
+    # two products of the pulled-back Gram matrix are the only ones
+    from heckeforge import gradedorth
+    sp = _mixed_space(3)
+    assert vars(sp)["ext_gram"] == sp.embed_matrix(sp.gram)
+    z = zeta_scaling(sp, "a")
+    inputs = [z, linalg.mat_mul(z, z),
+              sp.embed_matrix([[0, 0, 0], [0, 1, 0], [0, 0, 1]]),
+              sp.embed_matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+              sp.embed_matrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]])]
+    products, checks = [], []
+    mat_mul, orthogonal_map = linalg.mat_mul, gradedorth.OrthogonalMap
+
+    def counted(*args):
+        products.append(args)
+        return mat_mul(*args)
+
+    def spied(space, matrix, check=True):
+        checks.append(check)
+        return orthogonal_map(space, matrix, check=check)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("not a one-pass membership test")
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    monkeypatch.setattr(linalg, "det", refuse)
+    monkeypatch.setattr(gradedorth, "glplus_membership", refuse)
+    monkeypatch.setattr(GradedQuadraticSpace, "embed_matrix", refuse)
+    monkeypatch.setattr(gradedorth, "OrthogonalMap", spied)
+    decided = []
+    for g in inputs:
+        products.clear()
+        decided.append(otilde_membership(sp, g) is not None)
+        # the last input mixes the blocks: no product is formed
+        assert len(products) == (0 if g is inputs[-1] else 2)
+    assert decided == [True, True, False, False, False]
+    assert checks == [False, False]
