@@ -26,8 +26,5 @@ from .heckealg import (HeckeError, CoxeterSystem, GroupWord,
                        HeckeElement, TwistedGroupAlgebraContext,
                        twisted_mul, SemidirectAlgebra,
                        length_zero_subgroup, support_preserving_map_check)
-from .sp4oracle import (OracleError, TruncContext, TruncSeries, Mat2,
-                        weyl_s, upper_u, coroot, iwahori_member,
-                        bruhat_decompose, epsilon_char, convolve_s,
-                        convolve_e, welldefinedness_check,
-                        quadratic_relation)
+from .sp4oracle import (OracleError, TruncContext, convolve_s, convolve_e,
+                        welldefinedness_check, quadratic_relation)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from . import linalg
 from .cyclo import CycloMatrix
 from .ffield import FqContext, sgn
@@ -19,8 +21,8 @@ from .heckealg import CoxeterSystem, HeckeAlgebra, ParameterFunction
 from .quadspace import (NONSQUARE, OrthogonalMap, QuadraticSpace,
                         SquareClass, random_orthogonal, reflection,
                         sgn_spinor, spinor_norm)
-from .sp4oracle import (TruncContext, convolve_s, iwahori_member, upper_u,
-                        weyl_s, welldefinedness_check)
+from .sp4oracle import (TruncContext, _coset_reps, _in_iwahori, _stack_inv,
+                        _stack_mul, convolve_s, welldefinedness_check)
 from .sympweil import (HeisenbergElement, HeisenbergRep, SympError,
                        SymplecticSpace, WeilSL2, graded_symplectic_split,
                        induction_identity_check, isotropic_reduction,
@@ -292,17 +294,19 @@ def _truncation_independence():
 
 
 def _cosets_distinct():
+    """h_i^-1 h_j lies outside the Iwahori subgroup for every pair i != j
+    of representatives, all pairs as one stack."""
     ctx = TruncContext.for_q(3)
-    s = weyl_s(ctx)
-    reps = [upper_u(ctx, ctx.scalar(x)) * s for x in ctx.fq.elements()]
-    return _first({"pair": [i, j]} for i, a in enumerate(reps)
-                  for j, b in enumerate(reps)
-                  if i != j and iwahori_member(a.inv() * b))
+    tab, reps = ctx.fq._tables, _coset_reps(ctx)
+    i, j = np.nonzero(~np.eye(len(reps), dtype=bool))
+    same = _in_iwahori(_stack_mul(tab, _stack_inv(tab, reps[i]), reps[j]))
+    return _first({"pair": [int(a), int(b)]}
+                  for a, b in zip(i[same], j[same]))
 
 
 def _phi_well_defined():
     ok, pair = welldefinedness_check(3, 3, 100)
-    return (True, None) if ok else (False, {"k": [repr(k) for k in pair]})
+    return (True, None) if ok else (False, {"k": list(pair)})
 
 
 def suite():

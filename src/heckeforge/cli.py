@@ -42,11 +42,20 @@ def _load_json_input(path):
         raise UsageError(f"cannot read JSON input: {e}")
 
 
+def _key(obj, key, where=""):
+    """obj[key] of the JSON object at the path where ("" at the top level);
+    a missing key is a UsageError that names it."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise UsageError(f'{where} missing key "{key}"'.lstrip()) from None
+
+
 def _field_from_json(spec):
     try:
-        return FqContext(spec["p"], spec.get("m", 1),
+        return FqContext(_key(spec, "p", "field"), spec.get("m", 1),
                          tuple(spec["modulus"]) if "modulus" in spec else None)
-    except (KeyError, TypeError, FieldError) as e:
+    except (TypeError, FieldError) as e:
         raise UsageError(f"bad field description: {e}")
 
 
@@ -94,9 +103,9 @@ def _cmd_sgn(args):
 def _cmd_spinor_norm(args):
     data = _load_json_input(args.input)
     try:
-        ctx = _field_from_json(data["field"])
-        space = QuadraticSpace(ctx, data["gram"])
-        g = OrthogonalMap(space, data["matrix"])
+        ctx = _field_from_json(_key(data, "field"))
+        space = QuadraticSpace(ctx, _key(data, "gram"))
+        g = OrthogonalMap(space, _key(data, "matrix"))
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError(f"bad input: {e}")
     cls = spinor_norm(g)
@@ -107,10 +116,12 @@ def _cmd_spinor_norm(args):
 def _cmd_extended_sn(args):
     data = _load_json_input(args.input)
     try:
-        ctx = _field_from_json(data["field"])
-        blocks = [(b["label"], b["dim"], b["kind"]) for b in data["blocks"]]
-        space = GradedQuadraticSpace(ctx, blocks, data["gram"])
-        element = _graded_element(space, data["element"])
+        ctx = _field_from_json(_key(data, "field"))
+        blocks = [tuple(_key(b, key, f"blocks[{i}]")
+                        for key in ("label", "dim", "kind"))
+                  for i, b in enumerate(_key(data, "blocks"))]
+        space = GradedQuadraticSpace(ctx, blocks, _key(data, "gram"))
+        element = _graded_element(space, _key(data, "element"))
     except (KeyError, TypeError, ValueError) as e:
         raise UsageError(f"bad input: {e}")
     fact = otilde_membership(space, element)

@@ -209,8 +209,10 @@ class CyclotomicNumber:
     def __mul__(self, other):
         other = self._coerce(other)
         ctx = self.ctx
-        terms = sum(map(abs, self.num)) * sum(map(abs, other.num))
-        dtype = np.int64 if terms < 2 ** 62 else object
+        norms = sum(map(abs, self.num)), sum(map(abs, other.num))
+        terms = norms[0] * norms[1]
+        # the factors must fit as well: a zero factor makes terms 0
+        dtype = np.int64 if max(*norms, terms) < 2 ** 62 else object
         # the convolution counts zeta^s, s < 2 deg - 1 < 2N
         hist = np.zeros(2 * ctx.n, dtype)
         hist[:2 * ctx.degree - 1] = np.convolve(np.array(self.num, dtype),

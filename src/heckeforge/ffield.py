@@ -14,7 +14,7 @@ field and, as lists, the scalar codes of the small extension fields.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -397,6 +397,14 @@ class FqContext:
         self.zero = FqElement(self, 0)
         self.one = FqElement(self, 1)
 
+    @staticmethod
+    def shared(p, m=1):
+        """F_{p^m} with its least irreducible modulus, built once per
+        (p, m): a context is not changed after construction (its arithmetic
+        and tables are built once, on first use), so one serves every
+        caller."""
+        return _shared_field(p, m)
+
     @cached_property
     def _arith(self):
         """The code arithmetic, chosen and (for tables) built on first use."""
@@ -447,6 +455,11 @@ class FqContext:
     def units(self):
         for code in range(1, self.q):
             yield FqElement(self, code)
+
+
+@lru_cache(maxsize=64)
+def _shared_field(p, m):
+    return FqContext(p, m)
 
 
 class FqElement:
@@ -583,13 +596,20 @@ def adjoin_zeta(ctx):
 
     Returns (ctx2, embed, zeta) where embed maps ctx into ctx2 and
     zeta * zeta == -1 in ctx2.  If -1 is already a square, ctx2 is ctx and
-    embed is the identity.
+    embed is the identity.  Otherwise ctx2 is the shared F_{q^2}, and the
+    extension is built once per field.
     """
-    minus_one = -ctx.one
-    root = square_root(minus_one)
+    root = square_root(-ctx.one)
     if root is not None:
         return ctx, (lambda a: a), root
-    big = FqContext(ctx.p, 2 * ctx.m)
+    return _zeta_extension(ctx)
+
+
+@lru_cache(maxsize=64)
+def _zeta_extension(ctx):
+    """adjoin_zeta's (F_{q^2}, embed, zeta) when -1 is a nonsquare in ctx;
+    embed reads only codes and coefficients, so equal fields share it."""
+    big = FqContext.shared(ctx.p, 2 * ctx.m)
     if ctx.m == 1:
         def embed(a, _big=big):
             # a constant keeps its code

@@ -7,22 +7,22 @@ The two resulting quadratic relations differ in the linear coefficient
 ((q-1) vs 0), which is the computational witness that no support-preserving
 rescaling can identify the twisted and untwisted algebras.
 
-Mat2, bruhat_decompose, epsilon_char and phi work on one matrix.  The
-convolutions run as one batched pass over the q representatives h = u(x)s:
-h, h^-1 and h^-1 s are int64 arrays of F_q codes, and phi on all of them
-builds k1, k2, checks their determinants and Iwahori membership and reads
-epsilon off the field's O(q) lookup tables (FqContext._tables).  The tests
-keep the per-x sums over Mat2 and phi as the oracle.
+An element of SL_2(F_q[t]/(t^N)) has one representation here: a stack of R
+matrices is an int64 array of shape (R, 2, 2, N) whose last axis holds the
+F_q codes of a series' coefficients, computed on with the field's O(q)
+lookup tables (FqContext._tables).  The convolutions are one batched pass
+over the q representatives h = u(x)s, and welldefinedness_check is one
+pass over its sampled pairs.  The tests keep a per-matrix model of the
+group as the oracle of both.
 """
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 
 import numpy as np
 
-from .ffield import FqContext, FqElement, SignValue, _prime_factors, sgn
+from .ffield import FqContext, _prime_factors
 
 
 class OracleError(ValueError):
@@ -39,7 +39,6 @@ class TruncContext:
             raise OracleError("N >= 2 required")
         self.fq = fq_ctx
         self.trunc = trunc
-        self._one_codes = (1,) + (0,) * (trunc - 1)
 
     @classmethod
     def for_q(cls, q, trunc=3):
@@ -47,24 +46,6 @@ class TruncContext:
         after construction (its field builds its tables once, on first
         use), so one per (q, N) serves every caller."""
         return _context_for(cls, q, trunc)
-
-    def series(self, coeffs):
-        return TruncSeries(self, coeffs)
-
-    def scalar(self, c):
-        return self.series([c])
-
-    @property
-    def zero(self):
-        return TruncSeries._of(self, (0,) * self.trunc)
-
-    @property
-    def one(self):
-        return TruncSeries._of(self, self._one_codes)
-
-    @property
-    def t(self):
-        return self.series([0, 1])
 
     def __eq__(self, other):
         return self is other or (isinstance(other, TruncContext)
@@ -77,14 +58,8 @@ class TruncContext:
 
 @lru_cache(maxsize=32)
 def _context_for(cls, q, trunc):
-    return cls(_field_for(q), trunc)
-
-
-@lru_cache(maxsize=32)
-def _field_for(q):
-    """F_q, built once per q: its modulus search and tables are shared by
-    every truncation N."""
-    return FqContext(*_prime_power(q))
+    # the shared field: its modulus search and tables serve every N
+    return cls(FqContext.shared(*_prime_power(q)), trunc)
 
 
 def _prime_power(q):
@@ -98,253 +73,13 @@ def _prime_power(q):
     return p, m
 
 
-class TruncSeries:
-    """c_0 + c_1 t + ... + c_{N-1} t^{N-1} over F_q, stored as the tuple of
-    the F_q codes of its coefficients and computed on through the field's
-    code arithmetic."""
-
-    __slots__ = ("ctx", "codes")
-
-    def __init__(self, ctx, coeffs):
-        fq = ctx.fq
-        codes = [c.code if c.__class__ is FqElement and c.ctx is fq
-                 else fq.elem(c).code for c in coeffs[:ctx.trunc]]
-        codes += [0] * (ctx.trunc - len(codes))
-        self.ctx = ctx
-        self.codes = tuple(codes)
-
-    @classmethod
-    def _of(cls, ctx, codes):
-        """The series with these codes, a tuple of length ctx.trunc; no
-        coercion."""
-        out = object.__new__(cls)
-        out.ctx = ctx
-        out.codes = codes
-        return out
-
-    @property
-    def coeffs(self):
-        fq = self.ctx.fq
-        return tuple(FqElement(fq, c) for c in self.codes)
-
-    def _coerce(self, other):
-        if isinstance(other, TruncSeries):
-            if other.ctx is not self.ctx and other.ctx != self.ctx:
-                raise OracleError("context mismatch")
-            return other
-        return TruncSeries(self.ctx, [other])
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        add = self.ctx.fq._arith.add
-        return TruncSeries._of(self.ctx, tuple(map(add, self.codes,
-                                                   other.codes)))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        sub = self.ctx.fq._arith.sub
-        return TruncSeries._of(self.ctx, tuple(map(sub, self.codes,
-                                                   other.codes)))
-
-    def __neg__(self):
-        return TruncSeries._of(self.ctx, tuple(map(self.ctx.fq._arith.neg,
-                                                   self.codes)))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return TruncSeries._of(self.ctx, _mul_codes(self.ctx, self.codes,
-                                                    other.codes))
-
-    def val(self):
-        """t-adic valuation (trunc for the zero series)."""
-        for i, c in enumerate(self.codes):
-            if c:
-                return i
-        return self.ctx.trunc
-
-    def is_unit(self):
-        return self.codes[0] != 0
-
-    def is_zero(self):
-        return not any(self.codes)
-
-    def inv(self):
-        if not self.codes[0]:
-            raise OracleError("non-unit series")
-        ar = self.ctx.fq._arith
-        add, mul = ar.add, ar.mul
-        a = self.codes
-        out = [ar.inv(a[0])]
-        minus_inv0 = ar.neg(out[0])
-        for k in range(1, self.ctx.trunc):
-            acc = 0
-            for i in range(1, k + 1):
-                acc = add(acc, mul(a[i], out[k - i]))
-            out.append(mul(minus_inv0, acc))
-        return TruncSeries._of(self.ctx, tuple(out))
-
-    def residue(self):
-        """The image in F_q = O/(t)."""
-        return FqElement(self.ctx.fq, self.codes[0])
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncSeries)
-                and self.codes == other.codes and self.ctx == other.ctx)
-
-    def __hash__(self):
-        return hash((self.ctx, self.codes))
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        return "(" + " + ".join(f"{c}t^{i}" for i, c in enumerate(self.coeffs)
-                                if not c.is_zero()) + ")"
-
-
-def _mul_codes(ctx, a, b):
-    """The truncated product of two code tuples."""
-    ar = ctx.fq._arith
-    add, mul = ar.add, ar.mul
-    n = ctx.trunc
-    out = [0] * n
-    for i, x in enumerate(a):
-        if x:
-            for j in range(n - i):
-                y = b[j]
-                if y:
-                    out[i + j] = add(out[i + j], mul(x, y))
-    return tuple(out)
-
-
-def _pair_codes(ctx, op, x, y, z, w):
-    """op(x y, z w) coefficientwise, for code tuples x, y, z, w."""
-    return tuple(map(op, _mul_codes(ctx, x, y), _mul_codes(ctx, z, w)))
-
-
-class Mat2:
-    """An element of SL_2(F_q[t]/(t^N)).  The constructor checks
-    ad - bc = 1; products and inverses skip the check, since SL_2 is closed
-    under both."""
-
-    __slots__ = ("ctx", "a", "b", "c", "d")
-
-    def __init__(self, ctx, a, b, c, d):
-        def co(x):
-            if isinstance(x, TruncSeries):
-                if x.ctx is not ctx and x.ctx != ctx:
-                    raise OracleError("context mismatch")
-                return x
-            return ctx.series(x if isinstance(x, (list, tuple)) else [x])
-        self.ctx = ctx
-        self.a, self.b, self.c, self.d = co(a), co(b), co(c), co(d)
-        if _pair_codes(ctx, ctx.fq._arith.sub, self.a.codes, self.d.codes,
-                       self.b.codes, self.c.codes) != ctx._one_codes:
-            raise OracleError("determinant must be 1")
-
-    @classmethod
-    def _of(cls, ctx, a, b, c, d):
-        """The matrix of four series already known to have ad - bc = 1."""
-        out = object.__new__(cls)
-        out.ctx, out.a, out.b, out.c, out.d = ctx, a, b, c, d
-        return out
-
-    @classmethod
-    def identity(cls, ctx):
-        return cls(ctx, 1, 0, 0, 1)
-
-    def __mul__(self, other):
-        ctx = self.ctx
-        if other.ctx is not ctx and other.ctx != ctx:
-            raise OracleError("context mismatch")
-        add = ctx.fq._arith.add
-        a, b, c, d = self.a.codes, self.b.codes, self.c.codes, self.d.codes
-        e, f, g, h = other.a.codes, other.b.codes, other.c.codes, other.d.codes
-
-        def dot(x, y, z, w):
-            return TruncSeries._of(ctx, _pair_codes(ctx, add, x, y, z, w))
-        return Mat2._of(ctx, dot(a, e, b, g), dot(a, f, b, h),
-                        dot(c, e, d, g), dot(c, f, d, h))
-
-    def inv(self):
-        return Mat2._of(self.ctx, self.d, -self.b, -self.c, self.a)
-
-    def __eq__(self, other):
-        return (isinstance(other, Mat2) and self.ctx == other.ctx
-                and (self.a, self.b, self.c, self.d)
-                == (other.a, other.b, other.c, other.d))
-
-    def __hash__(self):
-        return hash((self.ctx, self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
-
-
-def weyl_s(ctx):
-    return Mat2(ctx, 0, 1, -1, 0)
-
-
-def upper_u(ctx, x):
-    return Mat2(ctx, 1, x, 0, 1)
-
-
-def coroot(ctx, u):
-    """alpha_2-vee(u) = diag(u, u^{-1}) for a unit u."""
-    u = u if isinstance(u, TruncSeries) else ctx.series([u])
-    return Mat2(ctx, u, 0, 0, u.inv())
-
-
-def iwahori_member(g):
-    """val pattern (unit, integral; positive, unit)."""
-    return (g.a.is_unit() and g.d.is_unit() and g.c.val() >= 1)
-
-
-def bruhat_decompose(g):
-    """("InI", g) when g lies in the Iwahori subgroup, else
-    ("IsI", (k1, k2)) with g = k1 . s . k2, k1, k2 in I."""
-    ctx = g.ctx
-    if g.c.val() >= 1:
-        if not iwahori_member(g):
-            raise OracleError("matrix escapes both cells")  # cannot happen
-        return ("InI", g)
-    cinv = g.c.inv()
-    k1 = Mat2(ctx, -ctx.one, -(g.a * cinv), 0, -ctx.one)
-    k2 = Mat2(ctx, g.c, g.d, 0, cinv)
-    return ("IsI", (k1, k2))
-
-
 TWISTS = ("trivial", "sign")
 
 
-def epsilon_char(k, twist):
-    """The mu_2-character of the Iwahori subgroup: trivial, or the sign of
-    the reduced upper-left entry (trivial on the pro-p part by
-    construction)."""
-    if twist not in TWISTS:
-        raise OracleError(f"unknown twist {twist!r}")
-    if not iwahori_member(k):
-        raise OracleError("epsilon is only defined on the Iwahori subgroup")
-    if twist == "trivial":
-        return SignValue(1)
-    return sgn(k.a.residue())
-
-
-def phi(g, twist):
-    """The bi-(I, epsilon)-equivariant function supported on IsI with
-    phi(s) = 1."""
-    cell, data = bruhat_decompose(g)
-    if cell != "IsI":
-        return 0
-    k1, k2 = data
-    return int(epsilon_char(k1, twist)) * int(epsilon_char(k2, twist))
-
-
 # ---------------------------------------------------------------------------
-# the convolution as one pass over the q coset representatives h = u(x)s.
 # A series is a row of N codes along the last axis of an int64 array, and a
 # stack of R matrices is an array of shape (R, 2, 2, N); arrays broadcast,
-# so a stack of shape (1, 2, 2, N) serves every row.  The arithmetic is the
-# field's lookup tables (FqContext._tables).
+# so a stack of shape (1, 2, 2, N) serves every row.
 
 
 def _series_mul(tab, x, y):
@@ -376,13 +111,41 @@ def _stack_mul(tab, g, h):
     return tab.add(terms[:, :, 0], terms[:, :, 1])
 
 
-def _phi_rows(tab, g, twist):
-    """phi on each matrix of the stack g, as bruhat_decompose, epsilon_char
-    and phi compute it on one matrix: 0 on InI; on IsI the product of the
-    characters of k1 = [[-1, -a/c], [0, -1]] and k2 = [[c, d], [0, 1/c]],
-    each checked to have determinant 1 and to lie in I."""
+def _stack_inv(tab, g):
+    """The inverses [[d, -b], [-c, a]] of the matrices [[a, b], [c, d]] of
+    determinant 1."""
+    swapped = g[:, ::-1, ::-1].swapaxes(1, 2)
+    return np.where(np.eye(2, dtype=bool)[:, :, None], swapped,
+                    tab.neg(swapped))
+
+
+def _weyl_s(ctx):
+    """s = [[0, 1], [-1, 0]] as a stack of one; -1 has the code p - 1."""
+    s = np.zeros((1, 2, 2, ctx.trunc), dtype=np.int64)
+    s[0, 0, 1, 0], s[0, 1, 0, 0] = 1, ctx.fq.p - 1
+    return s
+
+
+def _in_iwahori(g):
+    """True where g lies in the Iwahori subgroup: c in tO, a and d units
+    (over any leading axes)."""
+    return ((g[..., 1, 0, 0] == 0) & (g[..., 0, 0, 0] != 0)
+            & (g[..., 1, 1, 0] != 0))
+
+
+def _signs(tab, k):
+    """The sign character on the Iwahori stack k: the sign of the residue
+    of the upper-left entry (trivial on the pro-p part)."""
+    return np.where(tab.is_square(k[..., 0, 0, 0]), 1, -1)
+
+
+def _bruhat_factors(tab, g):
+    """(isi, k): isi is True where g lies in IsI rather than in I, and k of
+    shape (2, R', 2, 2, N) holds the factors k1 = [[-1, -a/c], [0, -1]] and
+    k2 = [[c, d], [0, 1/c]] with g = k1 s k2 of those R' rows, each checked
+    to have determinant 1 and to lie in I."""
     isi = g[:, 1, 0, 0] != 0
-    if not (g[~isi, 0, 0, 0].all() and g[~isi, 1, 1, 0].all()):
+    if not (isi | _in_iwahori(g)).all():
         raise OracleError("matrix escapes both cells")
     cells = g[isi]
     (a, _), (c, d) = cells.transpose(1, 2, 0, 3)
@@ -397,37 +160,40 @@ def _phi_rows(tab, g, twist):
     terms = _series_mul(tab, k[..., 0, :, :], k[..., 1, ::-1, :])
     if not (tab.sub(terms[..., 0, :], terms[..., 1, :]) == one).all():
         raise OracleError("determinant must be 1")
-    if not (k[..., 0, 0, 0].all() and k[..., 1, 1, 0].all()
-            and not k[..., 1, 0, 0].any()):
+    if not _in_iwahori(k).all():
         raise OracleError("epsilon is only defined on the Iwahori subgroup")
+    return isi, k
+
+
+def _phi_rows(tab, g, twist):
+    """The bi-(I, epsilon)-equivariant function supported on IsI with
+    phi(s) = 1, on each matrix of the stack g: 0 on I, and on IsI the
+    product of the characters of the two Bruhat factors."""
+    isi, k = _bruhat_factors(tab, g)
     out = np.zeros(len(g), dtype=np.int64)
-    if twist == "sign":
-        out[isi] = np.where(tab.is_square(k[..., 0, 0, 0]), 1, -1).prod(0)
-    else:
-        out[isi] = 1
+    out[isi] = _signs(tab, k).prod(0) if twist == "sign" else 1
     return out
+
+
+def _coset_reps(ctx):
+    """The representatives h = u(x)s, x in F_q in code order, as a stack."""
+    u = np.zeros((ctx.fq.q, 2, 2, ctx.trunc), dtype=np.int64)
+    u[:, 0, 0, 0] = u[:, 1, 1, 0] = 1
+    u[:, 0, 1, 0] = np.arange(ctx.fq.q)
+    return _stack_mul(ctx.fq._tables, u, _weyl_s(ctx))
 
 
 def _coset_phis(ctx, twist):
     """The rows phi(h), phi(h^-1) and phi(h^-1 s) over the representatives
-    h = u(x)s, x in F_q in code order, computed in one pass."""
+    h = u(x)s, computed in one pass."""
     if twist not in TWISTS:
         raise OracleError(f"unknown twist {twist!r}")
     tab = ctx.fq._tables
-    q = ctx.fq.q
-    s = weyl_s(ctx)
-    s = np.array([[[s.a.codes, s.b.codes], [s.c.codes, s.d.codes]]],
-                 dtype=np.int64)
-    u = np.zeros((q, 2, 2, ctx.trunc), dtype=np.int64)
-    u[:, 0, 0, 0] = u[:, 1, 1, 0] = 1
-    u[:, 0, 1, 0] = np.arange(q)
-    h = _stack_mul(tab, u, s)
-    # [[d, -b], [-c, a]] for each [[a, b], [c, d]]
-    swapped = h[:, ::-1, ::-1].swapaxes(1, 2)
-    h_inv = np.where(np.eye(2, dtype=bool)[:, :, None], swapped,
-                     tab.neg(swapped))
-    stacked = np.concatenate([h, h_inv, _stack_mul(tab, h_inv, s)])
-    return _phi_rows(tab, stacked, twist).reshape(3, q)
+    h = _coset_reps(ctx)
+    h_inv = _stack_inv(tab, h)
+    h_inv_s = _stack_mul(tab, h_inv, _weyl_s(ctx))
+    stacked = np.concatenate([h, h_inv, h_inv_s])
+    return _phi_rows(tab, stacked, twist).reshape(3, ctx.fq.q)
 
 
 def convolve_s(twist, q, trunc=3):
@@ -443,33 +209,37 @@ def convolve_e(twist, q, trunc=3):
     return int(phi_h @ phi_h_inv)
 
 
-def random_iwahori(ctx, rng):
-    fq = ctx.fq
-    els = list(fq.elements())
-    units = [e for e in els if not e.is_zero()]
-    n = ctx.trunc
-    a = ctx.series([rng.choice(units)] + [rng.choice(els)
-                                          for _ in range(n - 1)])
-    b = ctx.series([rng.choice(els) for _ in range(n)])
-    c = ctx.series([0] + [rng.choice(els) for _ in range(n - 1)])
-    d = (ctx.one + b * c) * a.inv()
-    return Mat2(ctx, a, b, c, d)
+def _random_iwahori(ctx, rng, count):
+    """count Iwahori elements drawn with the numpy Generator rng: a unit,
+    b any, c in tO and d = (1 + bc)/a, as a stack."""
+    tab, q, n = ctx.fq._tables, ctx.fq.q, ctx.trunc
+    k = np.zeros((count, 2, 2, n), dtype=np.int64)
+    k[:, 0, 0, 0] = rng.integers(1, q, count)
+    k[:, 0, 0, 1:] = rng.integers(0, q, (count, n - 1))
+    k[:, 0, 1] = rng.integers(0, q, (count, n))
+    k[:, 1, 0, 1:] = rng.integers(0, q, (count, n - 1))
+    one_plus_bc = _series_mul(tab, k[:, 0, 1], k[:, 1, 0])
+    one_plus_bc[:, 0] = tab.add(one_plus_bc[:, 0], 1)
+    k[:, 1, 1] = _series_mul(tab, one_plus_bc, _series_inv(tab, k[:, 0, 0]))
+    return k
 
 
 def welldefinedness_check(q, trunc=3, samples=500, seed=0):
-    """phi(k1 s k2) must not depend on the decomposition: build random
-    g = k1 s k2 and compare eps(k1)eps(k2) with the value from
-    bruhat_decompose, under the sign twist.  Returns (ok, witness)."""
+    """phi(k1 s k2) must not depend on the decomposition: draw samples
+    pairs of Iwahori elements and compare eps(k1) eps(k2) with phi of
+    g = k1 s k2, which decomposes g again, under the sign twist.  Returns
+    (ok, witness); the witness is the first failing pair (k1, k2), each as
+    nested lists of F_q codes."""
     ctx = TruncContext.for_q(q, trunc)
-    s = weyl_s(ctx)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        k1 = random_iwahori(ctx, rng)
-        k2 = random_iwahori(ctx, rng)
-        g = k1 * s * k2
-        built = int(epsilon_char(k1, "sign")) * int(epsilon_char(k2, "sign"))
-        if phi(g, "sign") != built:
-            return False, (k1, k2)
+    tab = ctx.fq._tables
+    rng = np.random.default_rng(seed)
+    k1 = _random_iwahori(ctx, rng, samples)
+    k2 = _random_iwahori(ctx, rng, samples)
+    g = _stack_mul(tab, _stack_mul(tab, k1, _weyl_s(ctx)), k2)
+    built = _signs(tab, k1) * _signs(tab, k2)
+    bad = np.flatnonzero(_phi_rows(tab, g, "sign") != built)
+    if bad.size:
+        return False, (k1[bad[0]].tolist(), k2[bad[0]].tolist())
     return True, None
 
 

@@ -302,7 +302,7 @@ def _weil_tables(p, unit):
     # contributes sgn(b/2) G); 1/G = conj(G)/p since G conj(G) = p, so
     # p kappa = sgn(2) sum_t zeta^(-squares[t])
     squares, (r, s) = 4 * (t * t * u % p), np.indices((p, p))
-    fp = FqContext(p)
+    fp = FqContext.shared(p)
     kappa = sum(map(ctx.zeta_pow, (-squares).tolist()), ctx.zero()) * (
         Fraction(int(sgn(fp.elem(2))), p))
     tables = (t, np.stack((r, s, r * r, 2 * r * s, s * s)),
@@ -445,7 +445,7 @@ def det_sign_character(space, g, u_basis):
     det = linalg.det(action, p)
     if det == 0:
         raise SympError("g is singular on the subspace")
-    return sgn(FqContext(p).elem(det))
+    return sgn(FqContext.shared(p).elem(det))
 
 
 def _require_totally_isotropic(space, u_basis):

@@ -22,12 +22,11 @@ from heckeforge import (
     TwistedGroupAlgebraContext, SemidirectAlgebra,
     support_preserving_map_check,
     # sp4oracle
-    TruncContext, weyl_s, upper_u, convolve_s, convolve_e, quadratic_relation,
-    iwahori_member,
+    TruncContext, convolve_s, convolve_e, quadratic_relation,
 )
 from heckeforge import checks, linalg
 from heckeforge.cli import main as cli_main
-from heckeforge.sp4oracle import phi
+from sp4_scalar import iwahori_member, phi, upper_u, weyl_s
 
 
 def _report(num, label, ok):
@@ -73,7 +72,7 @@ def test_criterion_02_appendix_b_independence():
         # coset count equals q and representatives are pairwise distinct
         ctx = TruncContext.for_q(q)
         s = weyl_s(ctx)
-        reps = [upper_u(ctx, ctx.scalar(x)) * s for x in ctx.fq.elements()]
+        reps = [upper_u(ctx, x) * s for x in ctx.fq.elements()]
         ok = ok and len(reps) == q
         for i in range(len(reps)):
             for j in range(len(reps)):
@@ -81,7 +80,7 @@ def test_criterion_02_appendix_b_independence():
                     ok = False
         # the x = 0 term vanishes exactly by the membership test
         for x in ctx.fq.elements():
-            h = upper_u(ctx, ctx.scalar(x)) * s
+            h = upper_u(ctx, x) * s
             contributes = phi(h.inv() * s, "trivial") != 0
             ok = ok and contributes == (not x.is_zero())
     _report(2, "convolution oracle: N-independence, q cosets, "

@@ -2,6 +2,7 @@
 its first witness on a deliberately broken input (a negative control, so
 that a check that always passes does not go unnoticed)."""
 
+import json
 import random
 
 import pytest
@@ -79,6 +80,24 @@ def test_phi_well_defined_samples_100_decompositions(monkeypatch):
     assert checks._phi_well_defined() == (True, None)
     assert [(args, kwargs) for args, kwargs, _ in calls] == [((3, 3, 100),
                                                               {})]
+
+
+def test_cosets_distinct_names_the_first_repeated_pair(monkeypatch):
+    # a negative control: representatives x = 0, 1, 1
+    reps = checks._coset_reps
+    monkeypatch.setattr(checks, "_coset_reps",
+                        lambda ctx: reps(ctx)[[0, 1, 1]])
+    assert checks._cosets_distinct() == (False, {"pair": [1, 2]})
+
+
+def test_phi_well_defined_witness_is_the_pair_as_code_lists(monkeypatch):
+    k1 = [[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]]
+    k2 = [[[2, 0, 0], [0, 0, 0]], [[0, 0, 0], [2, 0, 0]]]
+    monkeypatch.setattr(checks, "welldefinedness_check",
+                        lambda *args: (False, (k1, k2)))
+    ok, witness = checks._phi_well_defined()
+    assert not ok and witness == {"k": [k1, k2]}
+    assert json.loads(json.dumps(witness)) == witness
 
 
 def _doubling(algebra, when):

@@ -178,6 +178,54 @@ def test_extended_sn_element_of_another_size(element, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: bad input")
 
 
+@pytest.mark.parametrize("drop,message", [
+    ("field", 'missing key "field"'), ("gram", 'missing key "gram"'),
+    ("matrix", 'missing key "matrix"'), ("field.p", 'field missing key "p"')])
+def test_spinor_norm_missing_key_names_it(drop, message, tmp_path, capsys):
+    data = {"field": {"p": 3}, "gram": [[0, 1], [1, 0]],
+            "matrix": [[-1, 0], [0, -1]]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_dropped(data, drop)))
+    assert main(["spinor-norm", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("drop,message", [
+    ("field", 'missing key "field"'), ("blocks", 'missing key "blocks"'),
+    ("gram", 'missing key "gram"'), ("element", 'missing key "element"'),
+    ("field.p", 'field missing key "p"'),
+    ("blocks.0.label", 'blocks[0] missing key "label"'),
+    ("blocks.1.dim", 'blocks[1] missing key "dim"'),
+    ("blocks.1.kind", 'blocks[1] missing key "kind"')])
+def test_extended_sn_missing_key_names_it(drop, message, tmp_path, capsys):
+    data = {**MIXED_SPACE, "element": [["zeta", 0, 0], [0, "zeta", 0],
+                                       [0, 0, 1]]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_dropped(data, drop)))
+    assert main(["extended-sn", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _dropped(data, path):
+    """A deep copy of the JSON object data without the key at the dotted
+    path (list indices as digits)."""
+    data = json.loads(json.dumps(data))
+    *parents, key = path.split(".")
+    obj = data
+    for step in parents:
+        obj = obj[int(step)] if step.isdigit() else obj[step]
+    del obj[key]
+    return data
+
+
+def _missing_key_message(path):
+    """The CLI's message for the key at the dotted path: its parent as
+    blocks[i] or field, then the key."""
+    *parents, key = path.split(".")
+    where = "".join(f"[{s}]" if s.isdigit() else s for s in parents)
+    return f'{where} missing key "{key}"'.lstrip()
+
+
 def test_weil_mult_check(capsys):
     code, payload = _run(capsys, ["weil", "--p", "3", "--check", "mult"])
     assert code == 0 and payload["pass"] is True
@@ -558,6 +606,30 @@ def _graded_payloads(draw):
     return {**space, "element": element}
 
 
+_SPINOR_PAYLOADS = st.one_of(
+    st.sampled_from([[[2, 0], [0, 3]], [[0, 4], [4, 0]], [[-1, 0], [0, -1]]]),
+    _square(2, st.integers(-1, 3))).map(lambda m: {**_PLANE, "matrix": m})
+
+
+@st.composite
+def _dropped_key_invocations(draw):
+    """(argv, text of its JSON file, dotted path of a dropped key): a
+    well-formed spinor-norm or extended-sn space without one key the
+    command reads."""
+    command = draw(st.sampled_from(["spinor-norm", "extended-sn"]))
+    if command == "spinor-norm":
+        payload = draw(_SPINOR_PAYLOADS)
+        paths = ["field", "field.p", "gram", "matrix"]
+    else:
+        payload = draw(_graded_payloads())
+        paths = ["field", "field.p", "blocks", "gram", "element"] + [
+            f"blocks.{i}.{key}" for i in range(len(payload["blocks"]))
+            for key in ("label", "dim", "kind")]
+    path = draw(st.sampled_from(paths))
+    return ([command, "--input", "{file}"],
+            json.dumps(_dropped(payload, path)), path)
+
+
 _LETTERS = st.sampled_from(["s", "t", "u"])
 _COXETER_FILES = st.fixed_dictionaries({
     "generators": st.one_of(st.lists(_LETTERS, max_size=3),
@@ -592,10 +664,7 @@ def _cheap_invocations(draw):
         return argv, None
     if command == "spinor-norm":
         payload = st.one_of(
-            st.one_of(st.sampled_from([[[2, 0], [0, 3]], [[0, 4], [4, 0]],
-                                       [[-1, 0], [0, -1]]]),
-                      _square(2, st.integers(-1, 3))).map(
-                lambda m: {**_PLANE, "matrix": m}),
+            _SPINOR_PAYLOADS,
             st.fixed_dictionaries({}, optional={
                 "field": _FIELDS, "gram": _MATRICES, "matrix": _MATRICES}))
         return ["spinor-norm", "--input", "{file}"], draw(_json_text(payload))
@@ -650,13 +719,18 @@ def _outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
-def _assert_contract(capsys, tmp_path, argv, text):
+def _assert_contract(capsys, tmp_path, argv, text, dropped=None):
+    """dropped is the dotted path of a key missing from the JSON input,
+    which must then be the refusal's one reason."""
     if "{file}" in argv:
         path = tmp_path / ("cox.json" if argv[0] == "hecke" else "in.json")
         path.write_text(text)
         argv = [str(path) if a == "{file}" else a for a in argv]
     code, out, err = _outcome(capsys, argv)
     assert code in (0, 1, 2), (argv, text, err)
+    if dropped is not None:
+        assert (code, err) == (
+            2, f"error: {_missing_key_message(dropped)}\n"), (argv, text)
     if code == 2:
         assert err.startswith(("error:", "usage:")), (argv, text, err)
     else:
@@ -670,7 +744,7 @@ _FUZZ = settings(derandomize=True, deadline=None,
 
 
 @settings(_FUZZ, max_examples=400)
-@given(_cheap_invocations())
+@given(st.one_of(_cheap_invocations(), _dropped_key_invocations()))
 @example((["extended-sn", "--input", "{file}"],
           json.dumps({**MIXED_SPACE, "element": SINGULAR_ELEMENT})))
 @example((["sgn", "--p", "3", "--m", "1", "--modulus", "1", "--element",

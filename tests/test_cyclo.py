@@ -991,3 +991,11 @@ def test_numbers_conjugates_and_scale_tables_reduce_through_counted(
         calls.clear()
         run()
         assert len(calls) == 1 and calls[0] == ctx.one()
+
+
+def test_product_with_zero_of_a_number_beyond_int64():
+    # the 1-norm product is 0, but the entry -2^63 - 1 fits no int64
+    ctx = CycloContext(3)
+    big = CyclotomicNumber(ctx, (0, -2 ** 63 - 1), 1)
+    zero = CyclotomicNumber(ctx, (0, 0), 1)
+    assert (big * zero).num == (zero * big).num == (0, 0)

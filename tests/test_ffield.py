@@ -192,6 +192,43 @@ def test_adjoin_zeta(p, m):
     assert embed(ctx.one) == big.one
 
 
+def test_shared_field_is_built_once_per_p_and_m():
+    assert FqContext.shared(3, 2) is FqContext.shared(3, 2)
+    assert FqContext.shared(3, 2) == FqContext(3, 2)
+    assert FqContext.shared(7) is FqContext.shared(7, 1)
+    with pytest.raises(FieldError):
+        FqContext.shared(9)
+
+
+def _oracle_embedding(ctx, big):
+    """The embedding of ctx into big that sends x to the least root (in
+    code order) of ctx's modulus, evaluated by Horner's rule."""
+    roots = [r for r in big.elements()
+             if _horner(big, [big.elem(c) for c in ctx.modulus], r)
+             .is_zero()]
+    return lambda a: _horner(big, [big.elem(c) for c in a.coeffs], roots[0])
+
+
+def _horner(big, coeffs, x):
+    acc = big.zero
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (3, 3)])
+def test_adjoin_zeta_shares_the_extension_of_equal_fields(p, m):
+    # two equal fields, built apart, get one F_{q^2} and one embedding
+    first, second = FqContext(p, m), FqContext(p, m)
+    big, embed, zeta = adjoin_zeta(first)
+    big2, embed2, zeta2 = adjoin_zeta(second)
+    assert big is big2 is FqContext.shared(p, 2 * m)
+    assert embed is embed2 and zeta == zeta2
+    oracle = _oracle_embedding(first, big)
+    assert all(embed(a) == embed2(second.elem(a.coeffs)) == oracle(a)
+               for a in first.elements())
+
+
 def test_sign_value_arithmetic():
     assert SignValue(1) * SignValue(-1) == SignValue(-1)
     assert int(SignValue(-1)) == -1

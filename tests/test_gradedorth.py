@@ -32,6 +32,16 @@ def _orthogonal_matrices(space):
     return out
 
 
+@pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (3, 3)])
+def test_spaces_over_equal_fields_share_the_extension(p, m):
+    # -1 is a nonsquare in each field, so ext_ctx is F_{q^2}
+    first, second = (GradedQuadraticSpace(FqContext(p, m), [("b", 1, "sym")],
+                                          [[1]]) for _ in range(2))
+    assert first.ctx is not second.ctx
+    assert first.ext_ctx is second.ext_ctx
+    assert first.ext_ctx.q == (p ** m) ** 2
+
+
 @pytest.mark.parametrize("q", [3, 7, 9, 27])
 def test_retraction_matches_the_embedding_table(q):
     # F_27 (m = 3, -1 a nonsquare) embeds into F_729 off the constants

@@ -1,12 +1,15 @@
 """Every module of the package, the tests and the demos references each
-name it imports, and every private function of the package is referenced
-inside the package.  Stdlib ast scans; __future__ imports and the
-re-exports of __init__.py are exempt from the first."""
+name it imports, every private function of the package is referenced
+inside the package, and the package's public names are pinned.  Stdlib
+ast scans; __future__ imports and the re-exports of __init__.py are exempt
+from the first."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import heckeforge
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(path for folder in ("src/heckeforge", "tests", "demos")
@@ -84,3 +87,47 @@ def test_every_private_function_is_referenced_in_the_package():
     sources = [path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src/heckeforge").glob("*.py"))]
     assert unreferenced_private_functions(sources) == []
+
+
+# the public names of the package, module by module; a removal or an
+# addition changes this set on purpose
+PUBLIC_NAMES = {
+    # ffield
+    "FieldError", "FqContext", "FqElement", "SignValue", "sgn",
+    "square_root", "adjoin_zeta",
+    # quadspace
+    "QuadSpaceError", "QuadraticSpace", "OrthogonalMap", "SquareClass",
+    "TRIVIAL", "NONSQUARE", "reflection", "factor_into_reflections",
+    "spinor_norm", "sgn_spinor", "orthogonal_sum", "block_embed",
+    "random_orthogonal",
+    # gradedorth
+    "GradedError", "GradedQuadraticSpace", "Mu4Value", "zeta_scaling",
+    "glplus_membership", "otilde_membership", "extended_sn",
+    # cyclo
+    "CycloError", "CycloContext", "CyclotomicNumber", "CycloMatrix",
+    "cyclotomic_polynomial",
+    # sympweil
+    "SympError", "SymplecticSpace", "HeisenbergElement",
+    "CentralCharacterChoice", "HeisenbergRep", "WeilSL2", "projective_weil",
+    "det_sign_character", "isotropic_reduction", "graded_symplectic_split",
+    "induction_identity_check", "sl2_elements",
+    # heckealg
+    "HeckeError", "CoxeterSystem", "GroupWord", "ParameterFunction",
+    "LaurentPoly", "HeckeAlgebra", "HeckeElement",
+    "TwistedGroupAlgebraContext", "twisted_mul", "SemidirectAlgebra",
+    "length_zero_subgroup", "support_preserving_map_check",
+    # sp4oracle
+    "OracleError", "TruncContext", "convolve_s", "convolve_e",
+    "welldefinedness_check", "quadratic_relation",
+}
+
+
+def test_public_names_are_pinned():
+    """__init__.py re-exports exactly PUBLIC_NAMES, and each resolves."""
+    tree = ast.parse((ROOT / "src/heckeforge/__init__.py").read_text(
+        encoding="utf-8"))
+    exported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(exported) == len(set(exported))
+    assert set(exported) == PUBLIC_NAMES
+    assert all(hasattr(heckeforge, name) for name in PUBLIC_NAMES)

@@ -1,23 +1,27 @@
-"""Unit tests for the truncated-series Iwahori convolution oracle, with a
-per-coefficient FqElement series as the oracle of the code arithmetic."""
+"""Unit tests for the truncated-series Iwahori convolution oracle.  The
+per-matrix model in sp4_scalar is the oracle of the stacked code arrays,
+and a per-coefficient FqElement series is the oracle of the code
+arithmetic."""
 
 import itertools
-import random
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckeforge import (FqContext, OracleError, TruncContext, TruncSeries,
-                        Mat2, weyl_s, upper_u, coroot, iwahori_member,
-                        bruhat_decompose, epsilon_char, convolve_s,
+from heckeforge import (FqContext, OracleError, TruncContext, convolve_s,
                         convolve_e, welldefinedness_check,
                         quadratic_relation, SignValue)
 from heckeforge import sp4oracle
 from heckeforge.ffield import SMALL_FIELD_BOUND, _PolyArith, _PrimeArith
-from heckeforge.sp4oracle import (TWISTS, _coset_phis, _phi_rows,
-                                  _prime_power, phi, random_iwahori)
+from heckeforge.sp4oracle import (TWISTS, _bruhat_factors, _coset_phis,
+                                  _coset_reps, _in_iwahori, _phi_rows,
+                                  _prime_power, _random_iwahori, _signs,
+                                  _stack_inv, _stack_mul, _weyl_s)
+from sp4_scalar import (Mat2, bruhat_decompose, coroot, epsilon_char,
+                        iwahori_member, one, phi, series, stack, unstack,
+                        upper_u, weyl_s)
 
 
 def test_trunc_context_validation():
@@ -37,22 +41,23 @@ def test_for_q_is_shared():
     assert TruncContext.for_q(9, 2) is not TruncContext.for_q(9, 3)
     # one field per q: a second N does not search for a modulus again
     assert TruncContext.for_q(9, 2).fq is TruncContext.for_q(9, 3).fq
+    assert TruncContext.for_q(9, 2).fq is FqContext.shared(3, 2)
 
 
 def test_series_ring():
     ctx = TruncContext.for_q(3, trunc=4)
-    t = ctx.t
-    a = ctx.one + t + t * t
-    b = ctx.scalar(2) + t
+    t = series(ctx, [0, 1])
+    a = one(ctx) + t + t * t
+    b = series(ctx, [2]) + t
     assert a * b == b * a
     assert (a + b) - b == a
-    assert t.val() == 1 and ctx.zero.val() == 4
+    assert t.val() == 1 and series(ctx, []).val() == 4
     assert not t.is_unit()
     assert a.is_unit()
-    assert a * a.inv() == ctx.one
+    assert a * a.inv() == one(ctx)
     with pytest.raises(OracleError):
         t.inv()
-    assert (ctx.scalar(2) + t).residue() == ctx.fq.elem(2)
+    assert (series(ctx, [2]) + t).residue() == ctx.fq.elem(2)
     # truncation: t^4 = 0
     assert (t * t * t * t).is_zero()
 
@@ -69,31 +74,34 @@ def test_mat2_enforces_determinant():
 def test_mat2_rejects_series_of_another_context():
     ctx3, ctx5 = TruncContext.for_q(3), TruncContext.for_q(5)
     with pytest.raises(OracleError):
-        Mat2(ctx3, ctx5.one, 0, 0, 1)
+        Mat2(ctx3, one(ctx5), 0, 0, 1)
     with pytest.raises(OracleError):
-        Mat2(ctx3, 1, 0, 0, TruncContext.for_q(3, trunc=2).one)
-    assert Mat2(ctx3, TruncContext.for_q(3).one, 0, 0, 1) == \
+        Mat2(ctx3, 1, 0, 0, one(TruncContext.for_q(3, trunc=2)))
+    assert Mat2(ctx3, one(TruncContext.for_q(3)), 0, 0, 1) == \
         Mat2.identity(ctx3)
 
 
 def test_iwahori_membership_pattern():
     ctx = TruncContext.for_q(3)
-    assert iwahori_member(Mat2.identity(ctx))
-    assert iwahori_member(upper_u(ctx, ctx.one))
-    assert iwahori_member(Mat2(ctx, 1, 0, [0, 1], 1))  # c = t
-    assert not iwahori_member(weyl_s(ctx))
-    assert not iwahori_member(Mat2(ctx, 1, 0, 1, 1))  # c a unit
+    members = [Mat2.identity(ctx), upper_u(ctx, 1),
+               Mat2(ctx, 1, 0, [0, 1], 1)]  # c = t
+    others = [weyl_s(ctx), Mat2(ctx, 1, 0, 1, 1)]  # c a unit
+    assert [iwahori_member(g) for g in members + others] == [
+        True, True, True, False, False]
+    # the stacked mask agrees
+    assert _in_iwahori(stack(members + others)).tolist() == [
+        True, True, True, False, False]
 
 
 def test_bruhat_decompose_on_all_of_sl2_over_f3_mod_t_squared():
     """Every g lies in InI, or g = k1 s k2 with both factors in I."""
     ctx = TruncContext.for_q(3, 2)
     s = weyl_s(ctx)
-    series = [ctx.series(list(cs)) for cs
-              in itertools.product(ctx.fq.elements(), repeat=2)]
+    ring = [series(ctx, list(cs)) for cs
+            in itertools.product(ctx.fq.elements(), repeat=2)]
     group = []
-    for a, b, c, d in itertools.product(series, repeat=4):
-        if a * d - b * c == ctx.one:
+    for a, b, c, d in itertools.product(ring, repeat=4):
+        if a * d - b * c == one(ctx):
             group.append(Mat2(ctx, a, b, c, d))
     # |SL_2(F_3)| = 24 times the 3^3 elements of the kernel of reduction
     assert len(group) == 648
@@ -110,33 +118,44 @@ def test_bruhat_decompose_on_all_of_sl2_over_f3_mod_t_squared():
     # I has 6 * 9 * 3 = 162 elements (a a unit, b any, c in tO, d fixed by
     # the determinant) and IsI has q |I|
     assert (cells.count("InI"), cells.count("IsI")) == (162, 486)
+    # the stacked decomposition finds the same cells and the same factors
+    tab = ctx.fq._tables
+    isi, k = _bruhat_factors(tab, stack(group))
+    assert isi.tolist() == [cell == "IsI" for cell in cells]
+    factors = [bruhat_decompose(g)[1] for g, cell in zip(group, cells)
+               if cell == "IsI"]
+    assert (unstack(ctx, k[0]), unstack(ctx, k[1])) == (
+        [k1 for k1, _ in factors], [k2 for _, k2 in factors])
+    for twist in TWISTS:
+        assert _phi_rows(tab, stack(group), twist).tolist() == [
+            phi(g, twist) for g in group]
 
 
 def test_bruhat_decompose_reconstructs():
     ctx = TruncContext.for_q(5)
     s = weyl_s(ctx)
-    rng = random.Random(3)
-    for _ in range(50):
-        k1 = random_iwahori(ctx, rng)
-        k2 = random_iwahori(ctx, rng)
+    rng = np.random.default_rng(3)
+    draws = unstack(ctx, _random_iwahori(ctx, rng, 101))
+    for k1, k2 in zip(draws[:50], draws[50:100]):
         g = k1 * s * k2
         cell, data = bruhat_decompose(g)
         assert cell == "IsI"
         d1, d2 = data
         assert iwahori_member(d1) and iwahori_member(d2)
         assert d1 * s * d2 == g
-    k = random_iwahori(ctx, rng)
+    k = draws[100]
     cell, data = bruhat_decompose(k)
     assert cell == "InI" and data == k
 
 
 def test_epsilon_char():
     ctx = TruncContext.for_q(3)
-    k = upper_u(ctx, ctx.one)
+    k = upper_u(ctx, 1)
     assert epsilon_char(k, "trivial") == SignValue(1)
     assert epsilon_char(k, "sign") == SignValue(1)
     k2 = coroot(ctx, 2)  # upper-left residue 2, a nonsquare mod 3
     assert epsilon_char(k2, "sign") == SignValue(-1)
+    assert _signs(ctx.fq._tables, stack([k, k2])).tolist() == [1, -1]
     with pytest.raises(OracleError):
         epsilon_char(weyl_s(ctx), "sign")
     with pytest.raises(OracleError):
@@ -148,6 +167,11 @@ def test_phi_supported_on_isi():
     assert phi(Mat2.identity(ctx), "trivial") == 0
     assert phi(weyl_s(ctx), "trivial") == 1
     assert phi(weyl_s(ctx), "sign") == 1
+    # the literal s of the stacked pass is the oracle's s
+    assert unstack(ctx, _weyl_s(ctx)) == [weyl_s(ctx)]
+    g = stack([Mat2.identity(ctx), weyl_s(ctx)])
+    for twist in TWISTS:
+        assert _phi_rows(ctx.fq._tables, g, twist).tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49, 81, 121, 125, 243])
@@ -170,6 +194,54 @@ def test_truncation_independence():
 def test_welldefinedness():
     ok, witness = welldefinedness_check(3, samples=200)
     assert ok and witness is None
+
+
+def _drawn_pairs(q, trunc, samples, seed):
+    """welldefinedness_check's pairs (k1, k2), drawn as it draws them."""
+    ctx = TruncContext.for_q(q, trunc)
+    rng = np.random.default_rng(seed)
+    return (_random_iwahori(ctx, rng, samples),
+            _random_iwahori(ctx, rng, samples))
+
+
+@pytest.mark.parametrize("q,trunc", [(3, 3), (5, 3), (9, 2)])
+def test_welldefinedness_check_matches_the_oracle_on_its_draws(q, trunc):
+    """On the pairs welldefinedness_check draws, the stacked g = k1 s k2 and
+    phi(g) are the oracle's, and so is eps(k1) eps(k2)."""
+    ctx = TruncContext.for_q(q, trunc)
+    tab, s = ctx.fq._tables, weyl_s(ctx)
+    k1, k2 = _drawn_pairs(q, trunc, 60, 0)
+    g = _stack_mul(tab, _stack_mul(tab, k1, _weyl_s(ctx)), k2)
+    pairs = list(zip(unstack(ctx, k1), unstack(ctx, k2)))
+    assert all(iwahori_member(a) and iwahori_member(b) for a, b in pairs)
+    assert unstack(ctx, g) == [a * s * b for a, b in pairs]
+    assert _phi_rows(tab, g, "sign").tolist() == [
+        phi(a * s * b, "sign") for a, b in pairs]
+    assert (_signs(tab, k1) * _signs(tab, k2)).tolist() == [
+        int(epsilon_char(a, "sign")) * int(epsilon_char(b, "sign"))
+        for a, b in pairs]
+    assert welldefinedness_check(q, trunc, 60, 0) == (True, None)
+
+
+def test_welldefinedness_check_catches_a_phi_that_reads_k1_only(
+        monkeypatch):
+    """Negative control: a phi that drops k2's sign fails the check, whose
+    witness is the first failing pair as code lists."""
+    def k1_only(tab, g, twist):
+        isi, k = _bruhat_factors(tab, g)
+        out = np.zeros(len(g), dtype=np.int64)
+        out[isi] = _signs(tab, k[0])
+        return out
+    monkeypatch.setattr(sp4oracle, "_phi_rows", k1_only)
+    ok, witness = welldefinedness_check(3, 3, 100)
+    assert not ok
+    k1, k2 = _drawn_pairs(3, 3, 100, 0)
+    tab = TruncContext.for_q(3, 3).fq._tables
+    # the mutant reads the sign of [[-1, -a/c], [0, -1]], sgn(-1) = -1 at
+    # q = 3, so it fails first where eps(k1) eps(k2) = 1
+    built = _signs(tab, k1) * _signs(tab, k2)
+    first = int(np.flatnonzero(built == 1)[0])
+    assert witness == (k1[first].tolist(), k2[first].tolist())
 
 
 def test_quadratic_relation_pairs():
@@ -226,7 +298,7 @@ def _oracle_convolve_s(twist, q, trunc):
     s = weyl_s(ctx)
     total = 0
     for x in ctx.fq.elements():
-        h = upper_u(ctx, ctx.scalar(x)) * s
+        h = upper_u(ctx, x) * s
         total += phi(h, twist) * phi(h.inv() * s, twist)
     return total
 
@@ -237,7 +309,7 @@ def _oracle_convolve_e(twist, q, trunc):
     s = weyl_s(ctx)
     total = 0
     for x in ctx.fq.elements():
-        h = upper_u(ctx, ctx.scalar(x)) * s
+        h = upper_u(ctx, x) * s
         total += phi(h, twist) * phi(h.inv(), twist)
     return total
 
@@ -247,7 +319,8 @@ def _oracle_convolve_e(twist, q, trunc):
 def test_batched_pass_matches_the_per_x_oracle(q, trunc):
     ctx = TruncContext.for_q(q, trunc)
     s = weyl_s(ctx)
-    reps = [upper_u(ctx, ctx.scalar(x)) * s for x in ctx.fq.elements()]
+    reps = [upper_u(ctx, x) * s for x in ctx.fq.elements()]
+    assert unstack(ctx, _coset_reps(ctx)) == reps
     for twist in TWISTS:
         # the pass's phi values, representative by representative
         rows = _coset_phis(ctx, twist)
@@ -276,6 +349,21 @@ def test_a_wrong_series_inverse_fails_the_determinant_check(monkeypatch):
     monkeypatch.setattr(sp4oracle, "_series_inv", off_by_t)
     with pytest.raises(OracleError, match="determinant must be 1"):
         convolve_s("sign", 5, 2)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_stacked_coset_test_matches_the_oracle(q):
+    """h_i^-1 h_j lies in I exactly when the oracle says so, for every pair
+    of representatives: on the diagonal only."""
+    ctx = TruncContext.for_q(q, 3)
+    tab, s = ctx.fq._tables, weyl_s(ctx)
+    reps = [upper_u(ctx, x) * s for x in ctx.fq.elements()]
+    i, j = (a.ravel() for a in np.indices((q, q)))
+    h = _coset_reps(ctx)
+    got = _in_iwahori(_stack_mul(tab, _stack_inv(tab, h[i]), h[j]))
+    want = [iwahori_member(reps[a].inv() * reps[b]) for a, b in zip(i, j)]
+    assert got.tolist() == want == np.eye(q, dtype=bool).ravel().tolist()
+    assert unstack(ctx, _stack_inv(tab, h)) == [g.inv() for g in reps]
 
 
 def test_phi_rows_rejects_a_matrix_outside_both_cells():
@@ -435,17 +523,16 @@ def _series_pairs(draw):
     return ctx, coeffs(), coeffs()
 
 
-def _agrees(series, ref):
-    assert isinstance(series, TruncSeries)
-    assert series.coeffs == ref.coeffs
-    assert series.codes == tuple(c.code for c in ref.coeffs)
+def _agrees(got, ref):
+    assert got.coeffs == ref.coeffs
+    assert got.codes == tuple(c.code for c in ref.coeffs)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_series_pairs())
 def test_series_codes_match_reference(case):
     ctx, xs, ys = case
-    a, b = ctx.series(xs), ctx.series(ys)
+    a, b = series(ctx, xs), series(ctx, ys)
     ra, rb = RefSeries(ctx, xs), RefSeries(ctx, ys)
     _agrees(a, ra)
     _agrees(a + b, ra + rb)
@@ -462,55 +549,72 @@ def test_series_codes_match_reference(case):
     else:
         with pytest.raises(OracleError):
             a.inv()
+    # the stacked series arithmetic of sp4oracle
+    tab = ctx.fq._tables
+    x, y = np.array([a.codes]), np.array([b.codes])
+    assert sp4oracle._series_mul(tab, x, y).tolist() == [
+        [c.code for c in (ra * rb).coeffs]]
+    if ra.val() == 0:
+        assert sp4oracle._series_inv(tab, x).tolist() == [
+            [c.code for c in ra.inv().coeffs]]
 
 
 # ---------------------------------------------------------------------------
-# SL_2 is closed under products and inverses, which is why they skip the
-# constructor's determinant check
+# SL_2 is closed under products and inverses, which is why the stacked pass
+# checks determinants only on the Bruhat factors
 
 
-def _det_is_one(g):
-    return g.a * g.d - g.b * g.c == g.ctx.one
+def _det_is_one(tab, g):
+    """ad - bc = 1 on every matrix of the stack g."""
+    ad = sp4oracle._series_mul(tab, g[:, 0, 0], g[:, 1, 1])
+    bc = sp4oracle._series_mul(tab, g[:, 0, 1], g[:, 1, 0])
+    one = np.zeros(g.shape[-1], dtype=np.int64)
+    one[0] = 1
+    return (tab.sub(ad, bc) == one).all()
 
 
 @pytest.mark.parametrize("q,trunc", [(3, 2), (5, 3), (9, 2), (25, 3),
                                      (27, 4)])
 def test_products_and_inverses_keep_determinant_one(q, trunc):
     ctx = TruncContext.for_q(q, trunc)
-    s = weyl_s(ctx)
-    rng = random.Random(q * trunc)
-    for _ in range(25):
-        g, h = random_iwahori(ctx, rng), random_iwahori(ctx, rng)
-        k1, k2 = bruhat_decompose(g * s * h)[1]
-        for x in (g, h, k1, k2, g * s, s * h, g * s * h):
-            assert _det_is_one(x) and _det_is_one(x.inv())
-        for x, y in ((g, h), (k1, k2), (k1, s), (g * s * h, k2.inv())):
-            assert _det_is_one(x * y)
+    tab, s = ctx.fq._tables, _weyl_s(ctx)
+    g, h = _drawn_pairs(q, trunc, 25, q * trunc)
+    mul = lambda x, y: _stack_mul(tab, x, y)  # noqa: E731
+    _, (k1, k2) = _bruhat_factors(tab, mul(mul(g, s), h))
+    for x in (g, h, k1, k2, mul(g, s), mul(s, h), mul(mul(g, s), h)):
+        assert _det_is_one(tab, x) and _det_is_one(tab, _stack_inv(tab, x))
+    for x, y in ((g, h), (k1, k2), (k1, s), (mul(mul(g, s), h),
+                                             _stack_inv(tab, k2))):
+        assert _det_is_one(tab, mul(x, y))
+    # and the oracle, whose constructor checks the determinant, agrees
+    assert unstack(ctx, mul(g, h)) == [
+        a * b for a, b in zip(unstack(ctx, g), unstack(ctx, h))]
 
 
 def _iwahori_elements(ctx):
     """Every element of the Iwahori subgroup: a a unit, c in tO, d fixed by
     the determinant."""
-    series = [ctx.series(list(cs)) for cs
-              in itertools.product(ctx.fq.elements(), repeat=ctx.trunc)]
-    units = [a for a in series if a.is_unit()]
-    tails = [c for c in series if c.val() >= 1]
-    return [Mat2(ctx, a, b, c, (ctx.one + b * c) * a.inv())
-            for a in units for b in series for c in tails]
+    ring = [series(ctx, list(cs)) for cs
+            in itertools.product(ctx.fq.elements(), repeat=ctx.trunc)]
+    units = [a for a in ring if a.is_unit()]
+    tails = [c for c in ring if c.val() >= 1]
+    return [Mat2(ctx, a, b, c, (one(ctx) + b * c) * a.inv())
+            for a in units for b in ring for c in tails]
 
 
 def test_phi_well_defined_on_every_pair_of_iwahori_elements():
     """phi(k1 s k2) = eps(k1) eps(k2) for all (k1, k2) in I x I at
-    (q, N) = (3, 2); welldefinedness_check samples the same identity."""
+    (q, N) = (3, 2), with phi from the stacked pass and eps from the
+    oracle; welldefinedness_check samples the same identity."""
     ctx = TruncContext.for_q(3, 2)
-    s = weyl_s(ctx)
+    tab = ctx.fq._tables
     iwahori = _iwahori_elements(ctx)
     assert len(iwahori) == 2 * 3 * 9 * 3
-    eps = [int(epsilon_char(k, "sign")) for k in iwahori]
-    for k1, e1 in zip(iwahori, eps):
-        k1s = k1 * s
-        for k2, e2 in zip(iwahori, eps):
-            assert phi(k1s * k2, "sign") == e1 * e2
+    eps = np.array([int(epsilon_char(k, "sign")) for k in iwahori])
+    k = stack(iwahori)
+    i, j = (a.ravel() for a in np.indices((len(k), len(k))))
+    g = _stack_mul(tab, _stack_mul(tab, k[i], _weyl_s(ctx)), k[j])
+    assert (_phi_rows(tab, g, "sign") == eps[i] * eps[j]).all()
 
 
 def _oracle_prime_power(q):
