@@ -8,6 +8,7 @@ Exit codes: 0 success/pass, 1 check failure, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -15,8 +16,9 @@ import traceback
 
 from . import __version__, checks
 from .ffield import FieldError, FqContext, sgn
-from .quadspace import QuadraticSpace, OrthogonalMap, spinor_norm
-from .gradedorth import (GradedQuadraticSpace, _extended_value,
+from .quadspace import (QuadSpaceError, QuadraticSpace, OrthogonalMap,
+                        spinor_norm)
+from .gradedorth import (GradedError, GradedQuadraticSpace, _extended_value,
                          otilde_membership)
 from .sympweil import SymplecticSpace, HeisenbergRep, SympError, WeilSL2
 from .heckealg import (CoxeterSystem, ParameterFunction, HeckeAlgebra,
@@ -32,31 +34,100 @@ def _emit(payload):
     print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
 
 
-def _load_json_input(path):
+def _load_json_input(path, keys=()):
+    """The JSON at path (stdin for None or "-"); keys, when given, are the
+    keys of the object expected there, which a refusal names."""
     try:
         if path is None or path == "-":
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        raise UsageError(f"cannot read JSON input: {e}")
+        expected = ", ".join(f'"{k}"' for k in keys)
+        raise UsageError(f"cannot read JSON input: {e}" + (
+            f"; expected an object with the keys {expected}" if keys else ""))
 
 
 def _key(obj, key, where=""):
     """obj[key] of the JSON object at the path where ("" at the top level);
-    a missing key is a UsageError that names it."""
+    a missing key, or no object, is a UsageError that names the key."""
+    if not isinstance(obj, dict):
+        raise UsageError(f'{where or "input"}: expected a JSON object with '
+                         f'the key "{key}", got {_json_type(obj)}')
     try:
         return obj[key]
     except KeyError:
         raise UsageError(f'{where} missing key "{key}"'.lstrip()) from None
 
 
+def _json_type(value):
+    return "null" if value is None else type(value).__name__
+
+
+def _expect(ok, where, wanted, got):
+    if not ok:
+        raise UsageError(f"bad input: {where}: expected {wanted}, got {got}")
+
+
 def _field_from_json(spec):
+    p, m = _key(spec, "p", "field"), spec.get("m", 1)
+    modulus = spec.get("modulus", [])
+    for name, value in (("p", p), ("m", m)):
+        _expect(type(value) is int, f'"{name}"', "an int", _json_type(value))
+    _expect(isinstance(modulus, list) and all(type(c) is int
+                                              for c in modulus),
+            '"modulus"', "a list of ints", _json_type(modulus))
     try:
-        return FqContext(_key(spec, "p", "field"), spec.get("m", 1),
-                         tuple(spec["modulus"]) if "modulus" in spec else None)
-    except (TypeError, FieldError) as e:
-        raise UsageError(f"bad field description: {e}")
+        return FqContext(p, m, tuple(modulus) if "modulus" in spec else None)
+    except FieldError as e:
+        raise UsageError(f'bad field description: "field": {e}')
+
+
+def _json_matrix(data, key, ctx, n=None, names=()):
+    """data[key] as a square matrix of n rows (any n >= 1 when n is None)
+    whose entries are ints, lists of at most m ints, or the strings in
+    names; a fault is a UsageError naming the key and its position."""
+    rows = _key(data, key)
+    size = len(rows) if isinstance(rows, list) else 0
+    _expect(size and size == (n or size), f'"{key}"',
+            f"{n or '1 or more'} rows",
+            f"{size} rows" if isinstance(rows, list) else _json_type(rows))
+    *first, last = ["an int", "a list of ints"] + [f'"{x}"' for x in names]
+    wanted = f"{', '.join(first)} or {last}"
+    for i, row in enumerate(rows):
+        _expect(isinstance(row, list) and len(row) == size, f'"{key}" row {i}',
+                f"{size} entries", f"{len(row)} entries"
+                if isinstance(row, list) else _json_type(row))
+        for j, x in enumerate(row):
+            where = f'"{key}" row {i} entry {j}'
+            if isinstance(x, list) and all(type(c) is int for c in x):
+                _expect(len(x) <= ctx.m, where,
+                        f"at most {ctx.m} coefficients", len(x))
+            else:
+                _expect(type(x) is int or x in names, where, wanted,
+                        _json_type(x))
+    return rows
+
+
+def _json_blocks(data):
+    """The (label, dim, kind) of each of data's blocks; a fault is a
+    UsageError naming the key."""
+    blocks, seen = _key(data, "blocks"), []
+    _expect(isinstance(blocks, list), '"blocks"', "a list",
+            _json_type(blocks))
+    for i, b in enumerate(blocks):
+        label, dim, kind = (_key(b, key, f"blocks[{i}]")
+                            for key in ("label", "dim", "kind"))
+        _expect(not isinstance(label, (list, dict)) and label not in seen,
+                f'blocks[{i}] "label"', "a new string or number", repr(label))
+        _expect(type(dim) is int and dim > 0, f'blocks[{i}] "dim"',
+                "a positive int", repr(dim))
+        _expect(kind in ("asym", "sym"), f'blocks[{i}] "kind"',
+                '"asym" or "sym"', repr(kind))
+        _expect(kind == "sym" or dim % 2 == 0, f'blocks[{i}] "dim"',
+                "an even int for an asym block", dim)
+        seen.append(label)
+    return [(b["label"], b["dim"], b["kind"]) for b in blocks]
 
 
 def _parse_modulus(text):
@@ -101,49 +172,49 @@ def _cmd_sgn(args):
 
 
 def _cmd_spinor_norm(args):
-    data = _load_json_input(args.input)
-    try:
-        ctx = _field_from_json(_key(data, "field"))
-        space = QuadraticSpace(ctx, _key(data, "gram"))
-        g = OrthogonalMap(space, _key(data, "matrix"))
-    except (KeyError, TypeError, ValueError) as e:
-        raise UsageError(f"bad input: {e}")
+    data = _load_json_input(args.input, ("field", "gram", "matrix"))
+    ctx = _field_from_json(_key(data, "field"))
+    gram = _json_matrix(data, "gram", ctx)
+    matrix = _json_matrix(data, "matrix", ctx, len(gram))
+    with _blame("gram"):
+        space = QuadraticSpace(ctx, gram)
+    with _blame("matrix"):
+        g = OrthogonalMap(space, matrix)
     cls = spinor_norm(g)
     _emit({"square_class": repr(cls), "sign": repr(cls.sign())})
     return 0
 
 
 def _cmd_extended_sn(args):
-    data = _load_json_input(args.input)
-    try:
-        ctx = _field_from_json(_key(data, "field"))
-        blocks = [tuple(_key(b, key, f"blocks[{i}]")
-                        for key in ("label", "dim", "kind"))
-                  for i, b in enumerate(_key(data, "blocks"))]
-        space = GradedQuadraticSpace(ctx, blocks, _key(data, "gram"))
-        element = _graded_element(space, _key(data, "element"))
-    except (KeyError, TypeError, ValueError) as e:
-        raise UsageError(f"bad input: {e}")
-    fact = otilde_membership(space, element)
+    data = _load_json_input(args.input,
+                            ("field", "blocks", "gram", "element"))
+    ctx = _field_from_json(_key(data, "field"))
+    blocks = _json_blocks(data)
+    gram = _json_matrix(data, "gram", ctx, sum(b[1] for b in blocks))
+    element = _json_matrix(data, "element", ctx, len(gram), ("zeta", "-zeta"))
+    with _blame("gram"):
+        space = GradedQuadraticSpace(ctx, blocks, gram)
+    fact = otilde_membership(space, _graded_element(space, element))
     value = None if fact is None else repr(_extended_value(space, *fact))
     _emit({"member": fact is not None, "value": value})
     return 0
 
 
+@contextlib.contextmanager
+def _blame(key):
+    """A library refusal of well-formed input, as a UsageError naming the
+    key it read."""
+    try:
+        yield
+    except (FieldError, QuadSpaceError, GradedError) as e:
+        raise UsageError(f'bad input: "{key}": {e}') from None
+
+
 def _graded_element(space, rows):
     """Entries are base-field ints/coeff-lists, or 'zeta'/'-zeta'."""
-    out = []
-    for row in rows:
-        line = []
-        for c in row:
-            if c == "zeta":
-                line.append(space.zeta)
-            elif c == "-zeta":
-                line.append(-space.zeta)
-            else:
-                line.append(space.embed(space.ctx.elem(c)))
-        out.append(line)
-    return space.ext_matrix(out)
+    named = {"zeta": space.zeta, "-zeta": -space.zeta}
+    return [[named[c] if isinstance(c, str) else space.embed(space.ctx.elem(c))
+             for c in row] for row in rows]
 
 
 def _cmd_weil(args):

@@ -15,6 +15,7 @@ field and, as lists, the scalar codes of the small extension fields.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from operator import mul as _int_mul
 
 import numpy as np
 
@@ -226,6 +227,9 @@ class _PrimeArith:
     def mul(self, a, b):
         return a * b % self.p
 
+    def dot(self, u, v):
+        return sum(map(_int_mul, u, v)) % self.p
+
     def inv(self, a):
         return pow(a, -1, self.p)
 
@@ -265,6 +269,12 @@ class _PolyArith:
     def mul(self, a, b):
         return _code(_poly_mulmod(self.digits(a), self.digits(b),
                                   self.modulus, self.p), self.p)
+
+    def dot(self, u, v):
+        acc = 0
+        for a, b in zip(u, v):
+            acc = self.add(acc, self.mul(a, b))
+        return acc
 
     def pow(self, a, e):
         return _code(_poly_powmod(self.digits(a), e, self.modulus, self.p),
@@ -354,6 +364,17 @@ class _CodeTables:
 
     # scalar only
 
+    def dot(self, u, v):
+        """sum u_i v_i over two sequences of codes."""
+        exp, log, zech = self.exp, self.log, self.zech
+        acc = 0
+        for a, b in zip(u, v):
+            if a and b:
+                t = exp[log[a] + log[b]]
+                la = log[acc]
+                acc = exp[la + zech[log[t] - la]]
+        return acc
+
     def digits(self, a):
         return _digits(a, self.p, self.m)
 
@@ -433,18 +454,24 @@ class FqContext:
             return f"FqContext(F_{self.p})"
         return f"FqContext(F_{self.p}^{self.m}, modulus={self.modulus})"
 
-    def elem(self, value):
-        """Build an element from an integer (constant) or coefficient list."""
+    def code(self, value):
+        """The code of an element, an integer (constant) or coefficient
+        list, with no FqElement built."""
         if isinstance(value, FqElement):
             if value.ctx is not self and value.ctx != self:
                 raise FieldError("context mismatch")
-            return value
+            return value.code
         if isinstance(value, int):
-            return FqElement(self, value % self.p)
+            return value % self.p
         coeffs = list(value)
         if len(coeffs) > self.m:
             raise FieldError("too many coefficients")
-        return FqElement(self, _code(coeffs, self.p))
+        return _code(coeffs, self.p)
+
+    def elem(self, value):
+        """Build an element from an integer (constant) or coefficient list."""
+        code = self.code(value)
+        return value if isinstance(value, FqElement) else FqElement(self, code)
 
     def elements(self):
         """All q elements, in lexicographic coefficient order (the first

@@ -6,7 +6,7 @@ extending sgn o sn.
 
 from __future__ import annotations
 
-from .ffield import adjoin_zeta, sgn
+from .ffield import _digits, adjoin_zeta, sgn
 from .quadspace import QuadraticSpace, OrthogonalMap, sgn_spinor
 from . import linalg
 
@@ -99,7 +99,6 @@ class GradedQuadraticSpace:
         self.dim = start
         if len({b.label for b in self.blocks}) != len(self.blocks):
             raise GradedError("duplicate block labels")
-        gram = tuple(tuple(ctx.elem(c) for c in row) for row in gram)
         if len(gram) != self.dim:
             raise GradedError("gram size does not match total block dimension")
         self.space = QuadraticSpace(ctx, gram)  # validates symmetry etc.
@@ -109,6 +108,8 @@ class GradedQuadraticSpace:
         self._check_block_shape()
         self.ext_ctx, self.embed, self.zeta = adjoin_zeta(ctx)
         self.ext_gram = self.embed_matrix(self.gram)
+        self._ext_gram = tuple(tuple(x.code for x in row)
+                               for row in self.ext_gram)
         # embed is F_p-linear: its image has the F_p-basis of the images of
         # 1, x, ..., x^(m-1), written as the columns of this matrix
         self._image_basis = linalg.transpose(
@@ -124,28 +125,21 @@ class GradedQuadraticSpace:
         self.sqrt_sign = sqrt_sign_of_minus_one
 
     def _check_block_shape(self):
-        blk = self._row_block
-        for i, row in enumerate(self.gram):
-            for j, x in enumerate(row):
-                if blk[i] is not blk[j] and not x.is_zero():
-                    raise GradedError(
-                        "gram must be block-diagonal across orbits")
+        blk, gram = self._row_block, self.space._gram
+        if any(blk[i] is not blk[j] and x for i, row in enumerate(gram)
+               for j, x in enumerate(row)):
+            raise GradedError("gram must be block-diagonal across orbits")
         for b in self.blocks:
-            sub = tuple(tuple(self.gram[i][j] for j in b.cols)
-                        for i in b.cols)
-            if linalg.det(sub).is_zero():
+            sub = tuple(tuple(gram[i][j] for j in b.cols) for i in b.cols)
+            if not linalg._det(self.space._ar, sub):
                 raise GradedError(f"block {b.label!r} is degenerate")
-            if b.kind == "asym":
-                # within an asym orbit the form pairs a label only with its
-                # negative: both half-diagonal sub-blocks vanish
-                h = b.dim // 2
-                for i in range(h):
-                    for j in range(h):
-                        if (not sub[i][j].is_zero()
-                                or not sub[h + i][h + j].is_zero()):
-                            raise GradedError(
-                                f"asym block {b.label!r} violates the "
-                                "label-pairing shape")
+            # within an asym orbit the form pairs a label only with its
+            # negative: both half-diagonal sub-blocks vanish
+            h = b.dim // 2
+            if b.kind == "asym" and any(sub[i][j] or sub[h + i][h + j]
+                                        for i in range(h) for j in range(h)):
+                raise GradedError(f"asym block {b.label!r} violates the "
+                                  "label-pairing shape")
 
     def block(self, label):
         for b in self.blocks:
@@ -156,7 +150,10 @@ class GradedQuadraticSpace:
     # -- matrices over the extension field -------------------------------
 
     def ext_matrix(self, rows):
-        m = tuple(tuple(self.ext_ctx.elem(c) for c in row) for row in rows)
+        return linalg._elements(self.ext_ctx, self._ext_codes(rows))
+
+    def _ext_codes(self, rows):
+        m = tuple(tuple(map(self.ext_ctx.code, row)) for row in rows)
         if len(m) != self.dim or any(len(r) != self.dim for r in m):
             raise GradedError("matrix dimension mismatch")
         return m
@@ -166,22 +163,23 @@ class GradedQuadraticSpace:
                      for row in m)
 
     def _preimage(self, x):
-        """The element of f that embeds to x, or None."""
+        """The element of f that embeds to the code x, as an int (m = 1) or
+        a coefficient tuple, or None."""
         ctx = self.ctx
         if ctx.m == 1:
             # the image of F_p is the constants, whose codes are below p
-            return ctx.elem(x.code) if x.code < ctx.p else None
-        sol = linalg.solve(self._image_basis, x.coeffs, ctx.p)
-        return None if sol is None else ctx.elem(sol)
+            return x if x < ctx.p else None
+        return linalg.solve(self._image_basis,
+                            _digits(x, ctx.p, self.ext_ctx.m), ctx.p)
 
     def is_rational(self, x):
-        return self._preimage(x) is not None
+        return self._preimage(self.ext_ctx.code(x)) is not None
 
     def retract(self, x):
-        a = self._preimage(x)
+        a = self._preimage(self.ext_ctx.code(x))
         if a is None:
             raise GradedError("element is not f-rational")
-        return a
+        return self.ctx.elem(a)
 
 
 def zeta_scaling(space, label):
@@ -190,24 +188,19 @@ def zeta_scaling(space, label):
     b = space.block(label)
     if b.kind != "asym":
         raise GradedError("zeta-scaling is only defined on asym orbits")
-    one = space.ext_ctx.one
-    zero = space.ext_ctx.zero
-    rows = []
-    for i in range(space.dim):
-        d = space.zeta if i in b.cols else one
-        rows.append(tuple(d if i == j else zero for j in range(space.dim)))
-    return tuple(rows)
+    ext, n = space.ext_ctx, space.dim
+    return tuple(tuple((space.zeta if i in b.cols else ext.one) if i == j
+                       else ext.zero for j in range(n)) for i in range(n))
 
 
 def _block_permutation(space, g):
-    """The map source label -> target label when the matrix g over f' sends
-    each orbit-block into one block of the same kind and dimension, no two
-    into the same block; otherwise None."""
+    """The map source label -> target label when the code matrix g over f'
+    sends each orbit-block into one block of the same kind and dimension,
+    no two into the same block; otherwise None."""
     blk = space._row_block
     perm = {}
     for src in space.blocks:
-        hit = {blk[i] for j in src.cols for i, row in enumerate(g)
-               if not row[j].is_zero()}
+        hit = {blk[i] for j in src.cols for i, row in enumerate(g) if row[j]}
         if len(hit) != 1:
             return None
         (tgt,) = hit
@@ -223,8 +216,8 @@ def glplus_membership(space, g):
     Returns (True, permutation mapping source label -> target label) or
     (False, None).  g must be invertible over f'.
     """
-    g = space.ext_matrix(g)
-    if linalg.det(g).is_zero():
+    g = space._ext_codes(g)
+    if not linalg._det(space.ext_ctx._arith, g):
         raise GradedError("singular matrix")
     perm = _block_permutation(space, g)
     return perm is not None, perm
@@ -243,12 +236,13 @@ def otilde_membership(space, g):
     invertible (a singular g is not a member), and it makes h preserve
     the form: neither is checked again.
     """
-    g = space.ext_matrix(g)
+    ar = space.ext_ctx._arith
+    g = space._ext_codes(g)
     if _block_permutation(space, g) is None:
         return None
-    ext_gram = space.ext_gram
-    pulled = linalg.mat_mul(linalg.mat_mul(linalg.transpose(g), ext_gram), g)
-    zinv = -space.zeta  # zeta^2 = -1
+    ext_gram = space._ext_gram
+    pulled = linalg._mul(ar, linalg._mul(ar, linalg.transpose(g), ext_gram), g)
+    zinv = ar.neg(space.zeta.code)  # zeta^2 = -1
     h = [list(row) for row in g]
     exps = {}
     for b in space.blocks:
@@ -256,11 +250,11 @@ def otilde_membership(space, g):
         ref = [ext_gram[i][j] for i in b.cols for j in b.cols]
         if sub == ref:
             e = 0
-        elif b.kind == "asym" and sub == [-x for x in ref]:
+        elif b.kind == "asym" and sub == list(map(ar.neg, ref)):
             e = 1
             for row in h:
                 for j in b.cols:
-                    row[j] = row[j] * zinv
+                    row[j] = ar.mul(row[j], zinv)
         else:
             return None
         if b.kind == "asym":

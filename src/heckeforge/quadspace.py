@@ -8,8 +8,9 @@ form is phi(v) = B(v,v)/2, which is an equivalence since q is odd.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
-from .ffield import SignValue, sgn
+from .ffield import FqElement, SignValue, sgn
 from . import linalg
 
 
@@ -51,21 +52,27 @@ NONSQUARE = SquareClass(False)
 
 
 class QuadraticSpace:
-    """A nondegenerate quadratic space (V, phi) over F_q, phi(v) = B(v,v)/2."""
+    """A nondegenerate quadratic space (V, phi) over F_q, phi(v) = B(v,v)/2.
+    The Gram matrix is kept as codes; gram gives it as FqElements."""
 
     def __init__(self, ctx, gram):
         self.ctx = ctx
-        gram = tuple(tuple(ctx.elem(c) for c in row) for row in gram)
+        self._ar = ar = ctx._arith
+        gram = tuple(tuple(map(ctx.code, row)) for row in gram)
         n = len(gram)
         if n < 1 or any(len(row) != n for row in gram):
             raise QuadSpaceError("gram matrix must be square")
         if gram != linalg.transpose(gram):
             raise QuadSpaceError("gram matrix must be symmetric")
-        if linalg.det(gram).is_zero():
+        if not linalg._det(ar, gram):
             raise QuadSpaceError("gram matrix must be nondegenerate")
-        self.gram = gram
+        self._gram = gram
         self.dim = n
-        self._half = ctx.elem(2).inv()
+        self._half = ar.inv(2)
+
+    @cached_property
+    def gram(self):
+        return linalg._elements(self.ctx, self._gram)
 
     @classmethod
     def diagonal(cls, ctx, entries):
@@ -79,27 +86,28 @@ class QuadraticSpace:
     def hyperbolic_plane(cls, ctx):
         return cls(ctx, [[0, 1], [1, 0]])
 
-    def bilinear(self, u, v):
-        if len(u) != self.dim or len(v) != self.dim:
+    def _codes(self, v):
+        if len(v) != self.dim:
             raise QuadSpaceError("dimension mismatch")
-        u = tuple(self.ctx.elem(x) for x in u)
-        v = tuple(self.ctx.elem(x) for x in v)
-        acc = self.ctx.zero
-        for i in range(self.dim):
-            if u[i].is_zero():
-                continue
-            for j in range(self.dim):
-                acc = acc + u[i] * self.gram[i][j] * v[j]
-        return acc
+        return tuple(map(self.ctx.code, v))
+
+    def _bilinear(self, u, v):
+        return self._ar.dot(u, linalg._vec(self._ar, self._gram, v))
+
+    def _phi(self, v):
+        return self._ar.mul(self._bilinear(v, v), self._half)
+
+    def bilinear(self, u, v):
+        u, v = self._codes(u), self._codes(v)
+        return FqElement(self.ctx, self._bilinear(u, v))
 
     def evaluate_form(self, v):
         """phi(v) = B(v,v)/2."""
-        return self.bilinear(v, v) * self._half
+        return FqElement(self.ctx, self._phi(self._codes(v)))
 
     def vectors(self):
-        for coeffs in itertools.product(list(self.ctx.elements()),
-                                        repeat=self.dim):
-            yield coeffs
+        yield from itertools.product(list(self.ctx.elements()),
+                                     repeat=self.dim)
 
     def nonzero_vectors(self):
         zero = (self.ctx.zero,) * self.dim
@@ -109,81 +117,97 @@ class QuadraticSpace:
 
     def __eq__(self, other):
         return (isinstance(other, QuadraticSpace)
-                and self.ctx == other.ctx and self.gram == other.gram)
+                and self.ctx == other.ctx and self._gram == other._gram)
 
     def __hash__(self):
-        return hash((self.ctx, self.gram))
+        return hash((self.ctx, self._gram))
 
 
 class OrthogonalMap:
-    """An element of O(V, phi)(F_q), stored as a matrix acting on columns.
-    check verifies that the matrix is dim x dim and preserves the form;
-    the library passes check=False only for isometries by construction."""
+    """An element of O(V, phi)(F_q), stored as a code matrix acting on
+    columns; matrix gives it as FqElements.  check verifies that the matrix
+    is dim x dim and preserves the form; the library passes check=False
+    only for isometries by construction."""
 
     def __init__(self, space, matrix, check=True):
         self.space = space
-        matrix = tuple(tuple(space.ctx.elem(c) for c in row) for row in matrix)
+        code = space.ctx.code
+        self._m = m = tuple(tuple(map(code, row)) for row in matrix)
         if check:
-            if len(matrix) != space.dim or any(len(row) != space.dim
-                                               for row in matrix):
+            if len(m) != space.dim or any(len(row) != space.dim
+                                          for row in m):
                 raise QuadSpaceError("matrix must be dim x dim")
-            gt = linalg.mat_mul(linalg.mat_mul(linalg.transpose(matrix),
-                                               space.gram), matrix)
-            if gt != space.gram:
+            ar, gram = space._ar, space._gram
+            if linalg._mul(ar, linalg._mul(ar, linalg.transpose(m), gram),
+                           m) != gram:
                 raise QuadSpaceError("matrix does not preserve the form")
-        self.matrix = matrix
+
+    @classmethod
+    def _of(cls, space, m):
+        """The map of the code matrix m, an isometry by construction."""
+        g = cls.__new__(cls)
+        g.space, g._m = space, m
+        return g
+
+    @cached_property
+    def matrix(self):
+        return linalg._elements(self.space.ctx, self._m)
 
     @classmethod
     def identity(cls, space):
-        return cls(space, linalg.identity(space.ctx, space.dim), check=False)
+        return cls._of(space, linalg._identity(space.dim))
 
     def __mul__(self, other):
         if self.space != other.space:
             raise QuadSpaceError("space mismatch")
-        return OrthogonalMap(self.space,
-                             linalg.mat_mul(self.matrix, other.matrix),
-                             check=False)
+        return OrthogonalMap._of(self.space, linalg._mul(
+            self.space._ar, self._m, other._m))
 
     def inv(self):
-        return OrthogonalMap(self.space, linalg.mat_inv(self.matrix),
-                             check=False)
+        return OrthogonalMap._of(self.space,
+                                 linalg._inv(self.space._ar, self._m))
 
     def __call__(self, v):
-        return linalg.mat_vec(self.matrix, tuple(self.space.ctx.elem(c)
-                                                 for c in v))
+        space = self.space
+        return tuple(FqElement(space.ctx, c) for c in linalg._vec(
+            space._ar, self._m, tuple(map(space.ctx.code, v))))
 
     def is_identity(self):
-        return self.matrix == linalg.identity(self.space.ctx, self.space.dim)
+        return self._m == linalg._identity(self.space.dim)
 
     def det(self):
-        return linalg.det(self.matrix)
+        return FqElement(self.space.ctx,
+                         linalg._det(self.space._ar, self._m))
 
     def __eq__(self, other):
         return (isinstance(other, OrthogonalMap)
-                and self.space == other.space and self.matrix == other.matrix)
+                and self.space == other.space and self._m == other._m)
 
     def __hash__(self):
-        return hash((self.space, self.matrix))
+        return hash((self.space, self._m))
 
 
 def reflection(space, v):
     """The reflection r_v(w) = w - B(w,v)/phi(v) * v, for anisotropic v,
     built as the rank-1 update I - v (Gram v)^T / phi(v)."""
-    v = tuple(space.ctx.elem(c) for c in v)
-    phi_v = space.evaluate_form(v)
-    if phi_v.is_zero():
+    ar = space._ar
+    v = space._codes(v)
+    phi_v = space._phi(v)
+    if not phi_v:
         raise QuadSpaceError("reflection vector must be anisotropic")
-    s = linalg.vec_scale(phi_v.inv(), linalg.mat_vec(space.gram, v))
-    ident = linalg.identity(space.ctx, space.dim)
-    matrix = tuple(tuple(e - vi * sj for e, sj in zip(row, s))
-                   for row, vi in zip(ident, v))
-    return OrthogonalMap(space, matrix, check=False)
+    c = ar.inv(phi_v)
+    s = [ar.mul(c, x) for x in linalg._vec(ar, space._gram, v)]
+    matrix = tuple(tuple(ar.sub(int(i == j), ar.mul(vi, sj))
+                         for j, sj in enumerate(s))
+                   for i, vi in enumerate(v))
+    return OrthogonalMap._of(space, matrix)
 
 
 def _one_minus(g):
-    """The matrix of 1 - g."""
-    ident = linalg.identity(g.space.ctx, g.space.dim)
-    return tuple(linalg.vec_sub(e, row) for e, row in zip(ident, g.matrix))
+    """The code matrix of 1 - g."""
+    sub = g.space._ar.sub
+    return tuple(tuple(sub(int(i == j), x) for j, x in enumerate(row))
+                 for i, row in enumerate(g._m))
 
 
 def _is_exceptional(g):
@@ -191,11 +215,11 @@ def _is_exceptional(g):
     refinement of Cartan-Dieudonne, g != 1 is a product of rank(1-g)
     reflections exactly when it is not exceptional; otherwise it needs two
     more."""
+    ar = g.space._ar
     m = _one_minus(g)
-    image_gram = linalg.mat_mul(linalg.mat_mul(linalg.transpose(m),
-                                               g.space.gram), m)
-    return (not g.is_identity()
-            and all(x.is_zero() for row in image_gram for x in row))
+    image_gram = linalg._mul(ar, linalg._mul(ar, linalg.transpose(m),
+                                             g.space._gram), m)
+    return not g.is_identity() and not any(map(any, image_gram))
 
 
 def factor_into_reflections(g):
@@ -243,18 +267,19 @@ def spinor_norm(g):
     B(e_c,v)^2/phi(v), the class of phi(v); the class equals the product of
     phi-values over any reflection factorization of g."""
     space = g.space
+    ar = space._ar
     m = _one_minus(g)
-    _, pivots = linalg.rref(m)
+    _, pivots, _ = linalg._eliminate(m, ar)
     if not pivots:
         return TRIVIAL
     # row i of M^T is M e_i; Gram is symmetric, so column j of Gram is row j
     cols = linalg.transpose(m)
-    gram_rows = tuple(space.gram[j] for j in pivots)
-    wall = tuple(linalg.mat_vec(gram_rows, cols[i]) for i in pivots)
-    d = linalg.det(wall)
-    if d.is_zero():
+    gram_rows = tuple(space._gram[j] for j in pivots)
+    d = linalg._det(ar, tuple(linalg._vec(ar, gram_rows, cols[i])
+                              for i in pivots))
+    if not d:
         raise QuadSpaceError("Wall form is degenerate")
-    return SquareClass.of(d)
+    return SquareClass(ar.is_square(d))
 
 
 def sgn_spinor(g):
@@ -267,29 +292,20 @@ def orthogonal_sum(v1, v2):
     field."""
     if v1.ctx != v2.ctx:
         raise QuadSpaceError("context mismatch")
-    ctx = v1.ctx
     n1, n2 = v1.dim, v2.dim
-    gram = []
-    for i in range(n1):
-        gram.append(tuple(v1.gram[i]) + (ctx.zero,) * n2)
-    for i in range(n2):
-        gram.append((ctx.zero,) * n1 + tuple(v2.gram[i]))
-    return QuadraticSpace(ctx, gram)
+    return QuadraticSpace(v1.ctx, [row + (0,) * n2 for row in v1.gram]
+                          + [(0,) * n1 + row for row in v2.gram])
 
 
 def block_embed(space_sum, g1, g2):
     """g1 (+) g2 as an orthogonal map on the orthogonal sum."""
-    ctx = space_sum.ctx
-    n1 = len(g1.matrix)
-    n2 = len(g2.matrix)
+    n1 = len(g1._m)
+    n2 = len(g2._m)
     if n1 + n2 != space_sum.dim:
         raise QuadSpaceError("dimension mismatch")
-    rows = []
-    for i in range(n1):
-        rows.append(tuple(g1.matrix[i]) + (ctx.zero,) * n2)
-    for i in range(n2):
-        rows.append((ctx.zero,) * n1 + tuple(g2.matrix[i]))
-    return OrthogonalMap(space_sum, rows, check=False)
+    rows = ([row + (0,) * n2 for row in g1._m]
+            + [(0,) * n1 + row for row in g2._m])
+    return OrthogonalMap._of(space_sum, tuple(rows))
 
 
 def random_orthogonal(space, rng, max_reflections=None):

@@ -42,11 +42,6 @@ def _digit_array(p, m):
     return digits
 
 
-def _identity_matrix(d):
-    """The d x d identity; its rows are the unit vectors of F_p^d."""
-    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -96,13 +91,14 @@ class SymplecticSpace:
         partner in the pool, unless e lies in the radical of the form.
         Projection keeps the vectors of U = span(first) inside U, and those
         that depend on the e's found so far drop out as zeros.  Returns
-        (basis, k): the first k e's are a basis of U."""
-        p = self.p
+        (basis, k): the first k e's are a basis of U.  The vectors are codes
+        of F_p, computed on by linalg's kernel."""
+        p, ar = self.p, FqContext.shared(self.p)._arith
         _require_totally_isotropic(self, first)
         es, fs = [], []
         pool = [v for v in (_vec_mod(u, p) for u in first) if any(v)]
         k, in_u = 0, len(pool)  # in_u: the pool's leading vectors of U
-        pool += _identity_matrix(self.dim)
+        pool += linalg._identity(self.dim)
         while len(es) < self.n:
             e = pool[0]
             for v in pool:
@@ -111,7 +107,7 @@ class SymplecticSpace:
                     break
             else:
                 raise SympError("form must be nondegenerate")
-            f = linalg.vec_scale(pow(c, p - 2, p), v, p)
+            f = tuple(ar.mul(ar.inv(c), x) for x in v)
             es.append(e)
             fs.append(f)
             k += in_u > 0
@@ -120,11 +116,9 @@ class SymplecticSpace:
             # reduce the pool modulo the found hyperbolic pair
             new_pool = []
             for v in pool:
-                a = self.pairing(v, f)
-                b = self.pairing(e, v)
-                w = linalg.vec_sub(v, linalg.vec_scale(a, e, p), p)
-                w = linalg.vec_sub(w, linalg.vec_scale(b, f, p), p)
-                new_pool.append(w)
+                # v - <v, f> e - <e, v> f, one dot per coordinate
+                w = (1, -self.pairing(v, f), -self.pairing(e, v))
+                new_pool.append(tuple(ar.dot(w, t) for t in zip(v, e, f)))
             in_u = sum(map(any, new_pool[:in_u]))
             pool = [w for w in new_pool if any(w)]
         return tuple(es) + tuple(fs), k
@@ -134,8 +128,9 @@ class SymplecticSpace:
         (e_1..e_n, f_1..f_n): v = sum_i <v, f_i> e_i + <e_i, v> f_i, so
         its rows are F f_i, then F^T e_i."""
         es, fs = basis[:self.n], basis[self.n:]
-        return (linalg.mat_mul(fs, linalg.transpose(self.form), self.p)
-                + linalg.mat_mul(es, self.form, self.p))
+        ar = FqContext.shared(self.p)._arith
+        return (linalg._mul(ar, fs, linalg.transpose(self.form))
+                + linalg._mul(ar, es, self.form))
 
     def coordinates(self, v):
         """Coordinates of v in the distinguished symplectic basis."""
@@ -479,7 +474,7 @@ def graded_symplectic_split(space, weights):
         for j in range(space.dim):
             if space.form[i][j] % space.p and weights[i] + weights[j] != 0:
                 raise SympError("pairing violates the weight constraint")
-    units = _identity_matrix(space.dim)
+    units = linalg._identity(space.dim)
     v1 = [units[i] for i, w in enumerate(weights) if w < 0]
     v2 = [units[i] for i, w in enumerate(weights) if w == 0]
     v3 = [units[i] for i, w in enumerate(weights) if w > 0]

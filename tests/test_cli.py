@@ -1,6 +1,7 @@
 """End-to-end tests of the hecke-forge command-line interface."""
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -733,12 +734,17 @@ def _assert_contract(capsys, tmp_path, argv, text, dropped=None):
             2, f"error: {_missing_key_message(dropped)}\n"), (argv, text)
     if code == 2:
         assert err.startswith(("error:", "usage:")), (argv, text, err)
+        if argv[0] in ("spinor-norm", "extended-sn"):
+            # every refusal of these JSON inputs names a key they read
+            assert _NAMES_A_KEY.search(err), (argv, text, err)
     else:
         assert out.count("\n") == 1 and out.endswith("\n"), (argv, out)
         json.loads(out)
         assert _outcome(capsys, argv)[:2] == (code, out), argv
 
 
+_NAMES_A_KEY = re.compile(
+    r'"(field|p|m|modulus|gram|matrix|blocks|label|dim|kind|element)"')
 _FUZZ = settings(derandomize=True, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 

@@ -320,8 +320,9 @@ def test_otilde_membership_matches_brute_force_on_the_mixed_space(p):
 
 
 def test_otilde_membership_is_one_pass(monkeypatch):
-    # no determinant, no glplus_membership, no form check of h, and the
-    # two products of the pulled-back Gram matrix are the only ones
+    # no elimination (so no determinant), no glplus_membership, no form
+    # check of h, and the two code-matrix products of the pulled-back Gram
+    # matrix are the only ones
     from heckeforge import gradedorth
     sp = _mixed_space(3)
     assert vars(sp)["ext_gram"] == sp.embed_matrix(sp.gram)
@@ -331,7 +332,7 @@ def test_otilde_membership_is_one_pass(monkeypatch):
               sp.embed_matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
               sp.embed_matrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]])]
     products, checks = [], []
-    mat_mul, orthogonal_map = linalg.mat_mul, gradedorth.OrthogonalMap
+    mat_mul, orthogonal_map = linalg._mul, gradedorth.OrthogonalMap
 
     def counted(*args):
         products.append(args)
@@ -343,8 +344,8 @@ def test_otilde_membership_is_one_pass(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("not a one-pass membership test")
-    monkeypatch.setattr(linalg, "mat_mul", counted)
-    monkeypatch.setattr(linalg, "det", refuse)
+    monkeypatch.setattr(linalg, "_mul", counted)
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
     monkeypatch.setattr(gradedorth, "glplus_membership", refuse)
     monkeypatch.setattr(GradedQuadraticSpace, "embed_matrix", refuse)
     monkeypatch.setattr(gradedorth, "OrthogonalMap", spied)

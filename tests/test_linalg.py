@@ -35,7 +35,8 @@ def _null_space(m, p=None):
     reduced echelon form.  No package code needs it; the tests' oracles
     for U-perp and the coset transversal do."""
     cols = len(m[0])
-    zero, one = linalg._zero_one(m, p)
+    zero, one = (0, 1) if p is not None else (m[0][0].ctx.zero,
+                                              m[0][0].ctx.one)
     a, pivots = linalg.rref(m, p)
     basis = []
     for fc in range(cols):
