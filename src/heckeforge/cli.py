@@ -30,6 +30,21 @@ class UsageError(Exception):
     pass
 
 
+_REFUSALS = (FieldError, QuadSpaceError, GradedError, SympError, HeckeError,
+             OracleError)
+
+
+@contextlib.contextmanager
+def _blame(name, errors=_REFUSALS, refusal="bad input"):
+    """A library refusal (one of errors) of what was read from the flag or
+    JSON key name, as a UsageError that names it.  Input is read under it;
+    a check runs under it only for LengthCapError, a fault of --len-cap."""
+    try:
+        yield
+    except errors as e:
+        raise UsageError(f"{refusal}: {name}: {e}") from None
+
+
 def _emit(payload):
     print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
 
@@ -54,19 +69,18 @@ def _key(obj, key, where=""):
     if not isinstance(obj, dict):
         raise UsageError(f'{where or "input"}: expected a JSON object with '
                          f'the key "{key}", got {_json_type(obj)}')
-    try:
-        return obj[key]
-    except KeyError:
-        raise UsageError(f'{where} missing key "{key}"'.lstrip()) from None
+    if key not in obj:
+        raise UsageError(f'{where} missing key "{key}"'.lstrip())
+    return obj[key]
 
 
 def _json_type(value):
     return "null" if value is None else type(value).__name__
 
 
-def _expect(ok, where, wanted, got):
+def _expect(ok, where, wanted, got, refusal="bad input"):
     if not ok:
-        raise UsageError(f"bad input: {where}: expected {wanted}, got {got}")
+        raise UsageError(f"{refusal}: {where}: expected {wanted}, got {got}")
 
 
 def _field_from_json(spec):
@@ -77,10 +91,8 @@ def _field_from_json(spec):
     _expect(isinstance(modulus, list) and all(type(c) is int
                                               for c in modulus),
             '"modulus"', "a list of ints", _json_type(modulus))
-    try:
+    with _blame('"field"'):
         return FqContext(p, m, tuple(modulus) if "modulus" in spec else None)
-    except FieldError as e:
-        raise UsageError(f'bad field description: "field": {e}')
 
 
 def _json_matrix(data, key, ctx, n=None, names=()):
@@ -130,22 +142,14 @@ def _json_blocks(data):
     return [(b["label"], b["dim"], b["kind"]) for b in blocks]
 
 
-def _parse_modulus(text):
-    """--modulus: integer coefficients, low degree first, separated by
-    commas; one coefficient is a constant polynomial."""
+def _parse_ints(flag, text):
+    """The value of --modulus or --element: integer coefficients, low
+    degree first, separated by commas; one is a constant."""
     try:
         return tuple(int(c) for c in text.split(","))
     except ValueError:
-        raise UsageError(f"bad --modulus {text!r}")
-
-
-def _parse_element(text):
-    try:
-        if "," in text:
-            return [int(c) for c in text.split(",")]
-        return int(text)
-    except ValueError:
-        raise UsageError(f"bad element {text!r}")
+        raise UsageError(f"bad input: {flag}: expected ints separated by "
+                         f"commas, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -153,19 +157,16 @@ def _parse_element(text):
 
 
 def _cmd_sgn(args):
-    modulus = _parse_modulus(args.modulus) if args.modulus else None
-    element = _parse_element(args.element)
-    try:
+    modulus = _parse_ints("--modulus", args.modulus) if args.modulus else None
+    element = _parse_ints("--element", args.element)
+    with _blame("--p"):
+        FqContext.shared(args.p)
+    with _blame("--m or --modulus" if modulus else "--m"):
         ctx = FqContext(args.p, args.m, modulus)
-    except FieldError as e:
-        raise UsageError(f"bad --p, --m or --modulus: {e}" if modulus
-                         else f"bad input: {e}")
-    try:
+    with _blame("--element"):
         a = ctx.elem(element)
-    except FieldError as e:
-        raise UsageError(f"bad input: {e}")
     if a.is_zero():
-        raise UsageError("sgn is undefined at 0")
+        raise UsageError("bad input: --element: sgn is undefined at 0")
     _emit({"p": ctx.p, "m": ctx.m, "modulus": list(ctx.modulus),
            "element": list(a.coeffs), "sgn": repr(sgn(a))})
     return 0
@@ -176,9 +177,9 @@ def _cmd_spinor_norm(args):
     ctx = _field_from_json(_key(data, "field"))
     gram = _json_matrix(data, "gram", ctx)
     matrix = _json_matrix(data, "matrix", ctx, len(gram))
-    with _blame("gram"):
+    with _blame('"gram"'):
         space = QuadraticSpace(ctx, gram)
-    with _blame("matrix"):
+    with _blame('"matrix"'):
         g = OrthogonalMap(space, matrix)
     cls = spinor_norm(g)
     _emit({"square_class": repr(cls), "sign": repr(cls.sign())})
@@ -192,22 +193,12 @@ def _cmd_extended_sn(args):
     blocks = _json_blocks(data)
     gram = _json_matrix(data, "gram", ctx, sum(b[1] for b in blocks))
     element = _json_matrix(data, "element", ctx, len(gram), ("zeta", "-zeta"))
-    with _blame("gram"):
+    with _blame('"gram"'):
         space = GradedQuadraticSpace(ctx, blocks, gram)
     fact = otilde_membership(space, _graded_element(space, element))
     value = None if fact is None else repr(_extended_value(space, *fact))
     _emit({"member": fact is not None, "value": value})
     return 0
-
-
-@contextlib.contextmanager
-def _blame(key):
-    """A library refusal of well-formed input, as a UsageError naming the
-    key it read."""
-    try:
-        yield
-    except (FieldError, QuadSpaceError, GradedError) as e:
-        raise UsageError(f'bad input: "{key}": {e}') from None
 
 
 def _graded_element(space, rows):
@@ -221,10 +212,8 @@ def _cmd_weil(args):
     p, dim = args.p, args.dim
     if dim % 2 or dim < 2:
         raise UsageError("--dim must be a positive even integer")
-    try:
+    with _blame("--p"):
         V = SymplecticSpace.standard(p, dim // 2)
-    except SympError as e:
-        raise UsageError(f"bad input: {e}")
     check = args.check
     rng = random.Random(0)
     if check == "mult":
@@ -252,52 +241,54 @@ def _verdict(payload, ok, witness):
 
 
 def _cmd_hecke(args):
-    try:
-        return _hecke_check(args)
-    except LengthCapError as e:
-        # the cap is the user's --len-cap
-        raise UsageError(f"{e}; raise --len-cap")
-
-
-def _hecke_check(args):
     if args.len_cap < 0:
         raise UsageError(f"--len-cap must be >= 0, not {args.len_cap}")
-    try:
-        system = (CoxeterSystem.from_type(args.type, length_cap=args.len_cap)
-                  if not args.type.endswith(".json")
-                  else _system_from_file(args.type, args.len_cap))
-        params = _params_from_flag(system, args.params)
-        algebra = HeckeAlgebra(system, params)
-    except (HeckeError, UsageError) as e:
-        raise UsageError(str(e))
-    check = args.check
-    if check == "braid":
-        ok, witness = checks.hecke_braid(algebra)
-    elif check == "quadratic":
-        ok, witness = checks.hecke_quadratic(algebra)
+    if args.type.endswith(".json"):
+        system = _system_from_file(args.type, args.len_cap)
     else:
-        ok, witness = checks.hecke_assoc(algebra, checks.random_triples(
-            system, random.Random(0), 500, 5))
+        with _blame("--type"):
+            system = CoxeterSystem.from_type(args.type,
+                                             length_cap=args.len_cap)
+    with _blame("--params"):
+        algebra = HeckeAlgebra(system, _params_from_flag(system, args.params))
+    check = args.check
+    with _blame("--len-cap", LengthCapError):
+        if check == "braid":
+            ok, witness = checks.hecke_braid(algebra)
+        elif check == "quadratic":
+            ok, witness = checks.hecke_quadratic(algebra)
+        else:
+            ok, witness = checks.hecke_assoc(algebra, checks.random_triples(
+                system, random.Random(0), 500, 5))
     return _verdict({"check": check, "type": args.type}, ok, witness)
 
 
 def _system_from_file(path, cap):
-    data = _load_json_input(path)
-    try:
-        generators = data["generators"]
-        if not isinstance(generators, list):
-            raise ValueError(f"the generators {generators!r} are not a list")
-        matrix = {}
-        for s, t, m in data["matrix"]:
-            # a JSON int, not a bool: int() read 3.7 as 3 and true as 1
-            if m not in ("inf", None) and type(m) is not int:
-                raise ValueError(f"the label of {[s, t, m]!r} is not an int, "
-                                 "\"inf\" or null")
-            matrix[s, t] = None if m in ("inf", None) else m
-        return CoxeterSystem(tuple(generators), matrix,
+    """The Coxeter system of the JSON object {generators, matrix} at path;
+    a fault names the key and position."""
+    data = _load_json_input(path, ("generators", "matrix"))
+    generators, matrix = (_key(data, key, "Coxeter matrix file")
+                          for key in ("generators", "matrix"))
+    refusal = "bad Coxeter matrix file"
+    _expect(isinstance(generators, list) and not any(
+                isinstance(s, (list, dict)) for s in generators),
+            '"generators"', "a list of strings or numbers", repr(generators),
+            refusal)
+    _expect(isinstance(matrix, list), '"matrix"', "a list", repr(matrix),
+            refusal)
+    labels = {}
+    for i, entry in enumerate(matrix):
+        # a label is a JSON int, not a bool: int() read 3.7 as 3, true as 1
+        _expect(isinstance(entry, list) and len(entry) == 3
+                and not any(isinstance(x, (list, dict)) for x in entry[:2])
+                and (entry[2] in ("inf", None) or type(entry[2]) is int),
+                f'"matrix" entry {i}', '[s, t, m], m an int, "inf" or null',
+                repr(entry), refusal)
+        s, t, m = entry
+        labels[s, t] = None if m in ("inf", None) else m
+    with _blame('"generators" and "matrix"', refusal=refusal):
+        return CoxeterSystem(tuple(generators), labels,
                              type_tag=data.get("type"), length_cap=cap)
-    except (KeyError, TypeError, ValueError) as e:
-        raise UsageError(f"bad Coxeter matrix file: {e}")
 
 
 def _params_from_flag(system, flag):
@@ -315,10 +306,10 @@ def _params_from_flag(system, flag):
 def _cmd_sp4(args):
     if args.twist not in ("trivial", "sign"):
         raise UsageError("--twist must be trivial or sign")
-    try:
+    with _blame("--q"):
+        TruncContext.for_q(args.q)
+    with _blame("--N"):
         TruncContext.for_q(args.q, args.N)
-    except (FieldError, OracleError) as e:
-        raise UsageError(f"bad input: {e}")
     fn = convolve_s if args.point == "s" else convolve_e
     value = fn(args.twist, args.q, args.N)
     _emit({"q": args.q, "twist": args.twist, "point": args.point,
@@ -335,8 +326,8 @@ def _cmd_suite(args):
     modules = sorted({m for m, _, _ in battery})
     if args.filter:
         if args.filter not in modules:
-            raise UsageError(f"unknown module {args.filter!r}; "
-                             f"choose from {modules}")
+            raise UsageError(f"bad input: --filter: unknown module "
+                             f"{args.filter!r}; choose from {modules}")
         battery = [c for c in battery if c[0] == args.filter]
     results = []
     all_ok = True

@@ -14,7 +14,7 @@ field and, as lists, the scalar codes of the small extension fields.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from operator import mul as _int_mul
 
 import numpy as np
@@ -290,6 +290,14 @@ class _PolyArith:
         return _tonelli_shanks(self, a)
 
 
+def _primitive(arith):
+    """The primitive element of F_q least in code order."""
+    n = arith.q - 1
+    cofactors = [n // r for r in _prime_factors(n)]
+    return next(c for c in range(2, arith.q)
+                if all(arith.pow(c, e) != 1 for e in cofactors))
+
+
 class _CodeTables:
     """The arithmetic of F_q on codes by lookups into tables of size O(q),
     built once per field from its defining arithmetic.  With g the
@@ -304,17 +312,15 @@ class _CodeTables:
     int codes and return ints."""
 
     def __init__(self, arith):
-        self.p, self.m, q = arith.p, arith.m, arith.q
-        n = self.n = q - 1
-        cofactors = [n // r for r in _prime_factors(n)]
-        g = next(c for c in range(2, q)
-                 if all(arith.pow(c, e) != 1 for e in cofactors))
+        self.p, self.m, self.q = arith.p, arith.m, arith.q
+        n = self.n = self.q - 1
+        g = _primitive(arith)
         powers = [1]
         for _ in range(n - 1):
             powers.append(arith.mul(powers[-1], g))
         self.exp = np.zeros(4 * n + 1, dtype=np.int64)
         self.exp[:2 * n] = powers + powers
-        self.log = np.full(q, 2 * n, dtype=np.int64)
+        self.log = np.full(self.q, 2 * n, dtype=np.int64)
         self.log[powers] = np.arange(n)
         d = np.arange(4 * n + 1)
         d[2 * n + 1:] -= 4 * n + 1
@@ -322,7 +328,7 @@ class _CodeTables:
         units = self.log[[arith.add(a, 1) for a in powers]]
         self.zech = np.where(d < -n, d, np.where(d > n, 0, units[d % n]))
         # -g^k = g^(k + n/2)
-        self.negs = np.zeros(q, dtype=np.int64)
+        self.negs = np.zeros(self.q, dtype=np.int64)
         self.negs[powers] = self.exp[n // 2:n // 2 + n]
         self.squares = self.log % 2 == 0
         self.squares[0] = False
@@ -642,22 +648,21 @@ def _zeta_extension(ctx):
             # a constant keeps its code
             return FqElement(_big, a.code)
     else:
-        # embed by sending x to the least root of the old modulus
-        root_elt = None
-        for cand in big.elements():
-            acc = big.zero
-            for c in reversed(ctx.modulus):
-                acc = acc * cand + big.elem(c)
-            if acc.is_zero():
-                root_elt = cand
-                break
-        assert root_elt is not None
+        # x goes to the least root of the modulus in code order.  The roots
+        # are m Frobenius conjugates in F_q's image, whose units are the
+        # powers of h = g^(q + 1); a scan of those q - 1 codes finds one
+        ar, root = big._arith, 1
+        h = ar.pow(_primitive(ar), ctx.q + 1)
+        while reduce(lambda acc, c: ar.add(ar.mul(acc, root), c),
+                     reversed(ctx.modulus), 0):
+            root = ar.mul(root, h)
+        root = min(ar.pow(root, ctx.p ** j) for j in range(ctx.m))
+        # the images of 1, x, ..., x^(m - 1); a coefficient is a constant,
+        # whose code it is
+        images = [ar.pow(root, i) for i in range(ctx.m)]
 
-        def embed(a, _big=big, _r=root_elt):
-            acc = _big.zero
-            for c in reversed(a.coeffs):
-                acc = acc * _r + _big.elem(c)
-            return acc
+        def embed(a, _big=big, _images=images):
+            return FqElement(_big, _big._arith.dot(a.coeffs, _images))
     zeta = square_root(-big.one)
     assert zeta is not None
     return big, embed, zeta

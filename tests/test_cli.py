@@ -114,6 +114,18 @@ def test_extended_sn_subcommand(tmp_path, capsys):
     assert payload == {"member": True, "value": "i"}
 
 
+@pytest.mark.parametrize("p,m", [(3, 7), (11, 3)])
+def test_extended_sn_over_a_large_field(p, m, tmp_path, capsys):
+    # adjoin_zeta once scanned F_{q^2}: a minute over F_{3^7}
+    data = {"field": {"p": p, "m": m},
+            "blocks": [{"label": "a", "dim": 2, "kind": "asym"}],
+            "gram": [[0, 1], [1, 0]], "element": [["zeta", 0], [0, "zeta"]]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    code, payload = _run(capsys, ["extended-sn", "--input", str(path)])
+    assert code == 0 and payload == {"member": True, "value": "i"}
+
+
 def test_extended_sn_non_member(tmp_path, capsys):
     data = {"field": {"p": 3},
             "blocks": [{"label": "a", "dim": 2, "kind": "asym"}],
@@ -346,6 +358,71 @@ def test_negative_len_cap_names_the_flag(cox_type, tmp_path, capsys):
                  "--len-cap", "-1"]) == 2
     err = capsys.readouterr().err
     assert "--len-cap" in err and "Coxeter matrix file" not in err
+
+
+def test_bug_inside_the_coxeter_system_of_a_good_file_exits_3(
+        tmp_path, monkeypatch, capsys):
+    # the file reader once caught every TypeError and reported it as bad input
+    from heckeforge.heckealg import CoxeterSystem
+    monkeypatch.setattr(CoxeterSystem, "_build_cartan",
+                        lambda self: _raise_type_error())
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({"generators": ["s", "t"],
+                                "matrix": [["s", "t", 3]]}))
+    assert main(["hecke", "--type", str(path), "--check", "braid"]) == 3
+    assert "TypeError: deliberate bug" in capsys.readouterr().err
+
+
+def _raise_type_error():
+    raise TypeError("deliberate bug")
+
+
+_A2 = {"generators": ["s", "t"]}
+
+
+@pytest.mark.parametrize("argv,data,named", [
+    (["hecke", "--check", "braid"], {"generators": [["s"], "t"],
+                                     "matrix": [["s", "t", 3]]},
+     'bad Coxeter matrix file: "generators": expected a list of strings'),
+    (["hecke", "--check", "braid"], {**_A2, "matrix": [["s", "t"]]},
+     'bad Coxeter matrix file: "matrix" entry 0: expected [s, t, m]'),
+    (["hecke", "--check", "braid"], {**_A2, "matrix": 5},
+     'bad Coxeter matrix file: "matrix": expected a list, got 5'),
+    (["hecke", "--check", "braid"], _A2,
+     'Coxeter matrix file missing key "matrix"'),
+    (["hecke", "--check", "braid"], [1],
+     'expected a JSON object with the key "generators", got list'),
+    (["sgn", "--p", "4", "--element", "1"], None, "--p: p = 4 is not"),
+    (["sgn", "--p", "3", "--element", "x"], None,
+     "--element: expected ints separated by commas, got 'x'"),
+    (["sgn", "--p", "3", "--element", "0"], None,
+     "--element: sgn is undefined at 0"),
+    (["sgn", "--p", "3", "--element", "1,2"], None,
+     "--element: too many coefficients"),
+    (["sgn", "--p", "3", "--m", "0", "--element", "1"], None,
+     "--m: extension degree must be >= 1"),
+    (["weil", "--p", "9", "--check", "central"], None,
+     "--p: p must be an odd prime"),
+    (["hecke", "--type", "X2", "--check", "braid"], None,
+     "--type: unknown type tag 'X2'"),
+    (["hecke", "--type", "A2", "--params", "s=a,t=b", "--check", "braid"],
+     None, "--params: generators s,t are conjugate"),
+    (["hecke", "--type", "A2", "--params", "s=a", "--check", "braid"], None,
+     "--params: parameter function must cover S exactly"),
+    (["sp4", "--q", "6", "--twist", "sign"], None,
+     "--q: 6 is not a prime power"),
+    (["sp4", "--q", "9", "--N", "1", "--twist", "sign"], None,
+     "--N: N >= 2 required")])
+def test_refusal_names_the_flag_or_key(argv, data, named, tmp_path, capsys):
+    # these once printed Python exception texts ("unhashable type: 'list'",
+    # "'int' object is not iterable") or named no flag
+    if data is not None:
+        (tmp_path / "cox.json").write_text(json.dumps(data))
+        argv = argv[:1] + ["--type", str(tmp_path / "cox.json")] + argv[1:]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err, err
 
 
 def test_sp4_subcommand(capsys):
@@ -734,9 +811,10 @@ def _assert_contract(capsys, tmp_path, argv, text, dropped=None):
             2, f"error: {_missing_key_message(dropped)}\n"), (argv, text)
     if code == 2:
         assert err.startswith(("error:", "usage:")), (argv, text, err)
-        if argv[0] in ("spinor-norm", "extended-sn"):
-            # every refusal of these JSON inputs names a key they read
-            assert _NAMES_A_KEY.search(err), (argv, text, err)
+        # every refusal names a flag of the subcommand or a key of its JSON
+        # input, on its last line (argparse's error follows its usage)
+        assert _names_the_fault(argv[0]).search(err.splitlines()[-1]), (
+            argv, text, err)
     else:
         assert out.count("\n") == 1 and out.endswith("\n"), (argv, out)
         json.loads(out)
@@ -744,7 +822,24 @@ def _assert_contract(capsys, tmp_path, argv, text, dropped=None):
 
 
 _NAMES_A_KEY = re.compile(
-    r'"(field|p|m|modulus|gram|matrix|blocks|label|dim|kind|element)"')
+    r'"(field|p|m|modulus|gram|matrix|blocks|label|dim|kind|element|'
+    r'generators)"')
+_FLAGS = {"sgn": "p|m|modulus|element", "weil": "p|dim|check",
+          "hecke": "type|params|check|len-cap", "sp4": "q|twist|N|point",
+          "suite": "filter"}
+
+
+def _names_the_fault(command):
+    """The pattern of the flags and JSON keys a refusal of command may
+    name: keys only for the JSON inputs, flags and the Coxeter file's keys
+    for hecke."""
+    if command in ("spinor-norm", "extended-sn"):
+        return _NAMES_A_KEY
+    flags = rf"--({_FLAGS[command]})\b"
+    return re.compile(f"{_NAMES_A_KEY.pattern}|{flags}" if command == "hecke"
+                      else flags)
+
+
 _FUZZ = settings(derandomize=True, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 

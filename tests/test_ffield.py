@@ -1,6 +1,8 @@
 """Unit tests for the F_q layer: sgn, square roots, zeta adjunction, and
 the integer-coded arithmetic against the polynomial path as its oracle."""
 
+import random
+import time
 from functools import lru_cache
 
 import pytest
@@ -9,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from heckeforge import (FieldError, FqContext, SignValue, sgn, square_root,
                         adjoin_zeta)
 from heckeforge import ffield
-from heckeforge.ffield import (SMALL_FIELD_BOUND, _CodeTables, _PolyArith,
-                               _PrimeArith, _is_irreducible,
+from heckeforge.ffield import (SMALL_FIELD_BOUND, FqElement, _CodeTables,
+                               _PolyArith, _PrimeArith, _is_irreducible,
                                _least_irreducible)
+from heckeforge.gradedorth import GradedQuadraticSpace
 
 
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
@@ -202,11 +205,12 @@ def test_shared_field_is_built_once_per_p_and_m():
 
 def _oracle_embedding(ctx, big):
     """The embedding of ctx into big that sends x to the least root (in
-    code order) of ctx's modulus, evaluated by Horner's rule."""
-    roots = [r for r in big.elements()
-             if _horner(big, [big.elem(c) for c in ctx.modulus], r)
-             .is_zero()]
-    return lambda a: _horner(big, [big.elem(c) for c in a.coeffs], roots[0])
+    code order) of ctx's modulus, evaluated by Horner's rule: the first
+    root of a scan of big in code order."""
+    root = next(r for r in big.elements()
+                if _horner(big, [big.elem(c) for c in ctx.modulus], r)
+                .is_zero())
+    return lambda a: _horner(big, [big.elem(c) for c in a.coeffs], root)
 
 
 def _horner(big, coeffs, x):
@@ -216,7 +220,7 @@ def _horner(big, coeffs, x):
     return acc
 
 
-@pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (3, 3)])
+@pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (3, 3), (3, 5), (7, 3)])
 def test_adjoin_zeta_shares_the_extension_of_equal_fields(p, m):
     # two equal fields, built apart, get one F_{q^2} and one embedding
     first, second = FqContext(p, m), FqContext(p, m)
@@ -227,6 +231,49 @@ def test_adjoin_zeta_shares_the_extension_of_equal_fields(p, m):
     oracle = _oracle_embedding(first, big)
     assert all(embed(a) == embed2(second.elem(a.coeffs)) == oracle(a)
                for a in first.elements())
+
+
+@pytest.mark.parametrize("p,m", [(3, 7), (11, 3)])
+def test_adjoin_zeta_finds_the_least_root_without_a_scan_of_the_big_field(
+        p, m):
+    # a scan of F_{q^2} took a minute at F_{3^7}: the root search runs over
+    # the q - 1 units of F_q's image, and the build is linear in q
+    ctx = FqContext(p, m)
+    start = time.perf_counter()
+    big, embed, zeta = ffield._zeta_extension.__wrapped__(ctx)
+    assert time.perf_counter() - start < 2
+    assert big is FqContext.shared(p, 2 * m) and zeta * zeta == -big.one
+    root = embed(ctx.elem([0, 1]))
+    modulus = [big.elem(c) for c in ctx.modulus]
+    # the roots of the modulus are the m Frobenius conjugates of root
+    conjugates = [root ** (p ** j) for j in range(m)]
+    assert len({c.code for c in conjugates}) == m
+    assert all(_horner(big, modulus, c).is_zero() for c in conjugates)
+    assert root.code == min(c.code for c in conjugates)
+    rng = random.Random(p * m)
+    sample = [ctx.elem([rng.randrange(p) for _ in range(m)])
+              for _ in range(20)]
+    for a, b in zip(sample, sample[1:]):
+        assert embed(a + b) == embed(a) + embed(b)
+        assert embed(a * b) == embed(a) * embed(b)
+    assert embed(ctx.one) == big.one
+
+
+def test_zeta_extension_makes_no_field_element_arithmetic(monkeypatch):
+    # the root search, the embedding and the extended Gram matrix of a
+    # graded space run on codes
+    def refuse(*args):
+        raise AssertionError("FqElement arithmetic")
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+                 "inv"):
+        monkeypatch.setattr(FqElement, name, refuse)
+    ctx = FqContext(3, 5)
+    big, embed, _ = ffield._zeta_extension.__wrapped__(ctx)
+    assert [embed(ctx.elem([0, 1])).code, embed(ctx.elem([1, 2, 1])).code] \
+        == [9, 100]
+    space = GradedQuadraticSpace(FqContext(3, 3), [("a", 2, "asym")],
+                                 [[0, 1], [1, 0]])
+    assert space.ext_ctx.q == 3 ** 6 and space._ext_gram == ((0, 1), (1, 0))
 
 
 def test_sign_value_arithmetic():
