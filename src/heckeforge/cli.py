@@ -49,9 +49,10 @@ def _emit(payload):
     print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
 
 
-def _load_json_input(path, keys=()):
-    """The JSON at path (stdin for None or "-"); keys, when given, are the
-    keys of the object expected there, which a refusal names."""
+def _load_json_input(path, flag, keys):
+    """The JSON at path (stdin for None or "-"), read from the flag named
+    flag; a refusal names the flag, and the keys of the object expected
+    there."""
     try:
         if path is None or path == "-":
             return json.load(sys.stdin)
@@ -59,8 +60,8 @@ def _load_json_input(path, keys=()):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         expected = ", ".join(f'"{k}"' for k in keys)
-        raise UsageError(f"cannot read JSON input: {e}" + (
-            f"; expected an object with the keys {expected}" if keys else ""))
+        raise UsageError(f"bad input: {flag}: cannot read JSON: {e}; "
+                         f"expected an object with the keys {expected}")
 
 
 def _key(obj, key, where=""):
@@ -173,7 +174,8 @@ def _cmd_sgn(args):
 
 
 def _cmd_spinor_norm(args):
-    data = _load_json_input(args.input, ("field", "gram", "matrix"))
+    data = _load_json_input(args.input, "--input",
+                            ("field", "gram", "matrix"))
     ctx = _field_from_json(_key(data, "field"))
     gram = _json_matrix(data, "gram", ctx)
     matrix = _json_matrix(data, "matrix", ctx, len(gram))
@@ -187,7 +189,7 @@ def _cmd_spinor_norm(args):
 
 
 def _cmd_extended_sn(args):
-    data = _load_json_input(args.input,
+    data = _load_json_input(args.input, "--input",
                             ("field", "blocks", "gram", "element"))
     ctx = _field_from_json(_key(data, "field"))
     blocks = _json_blocks(data)
@@ -266,7 +268,7 @@ def _cmd_hecke(args):
 def _system_from_file(path, cap):
     """The Coxeter system of the JSON object {generators, matrix} at path;
     a fault names the key and position."""
-    data = _load_json_input(path, ("generators", "matrix"))
+    data = _load_json_input(path, "--type", ("generators", "matrix"))
     generators, matrix = (_key(data, key, "Coxeter matrix file")
                           for key in ("generators", "matrix"))
     refusal = "bad Coxeter matrix file"

@@ -6,16 +6,18 @@ representation-theoretic identities are checked with zero tolerance.
 Matrices keep one integer numpy plane per basis power, stored as int64
 when every entry fits and as an object array of Python ints otherwise; the
 dtype is the only flag.  A monomial, or a matrix whose every entry is a sum
-of zeta-powers times one scale (a Weil cell), also keeps that description.
-A product of two described matrices is computed on their exponents, every
-other product and scaling is one stacked matrix product of the planes
-(_plane_product).  A context keeps one table, the rows x^s mod Phi_N, and
-one reducer (_counted) turns counts of zeta-powers into coefficients for
-products of numbers, Galois conjugates, scale tables, products of described
-matrices, from_zeta_powers and the induction check; only the plane kernel
-folds by the table itself.  Scale tables and scale products are kept in
-lru_caches.  Every operation runs in int64 only when an exact bound rules
-out overflow, and on Python ints otherwise.
+of zeta-powers times one scale (a Weil cell), keeps that description
+instead, and builds its planes only when they are read.  A product of two
+described matrices is computed on their exponents, and so are their
+equality and the trace of one; every other product and scaling is one
+stacked matrix product of the planes (_plane_product).  A context keeps
+one table, the rows x^s mod Phi_N, and one reducer (_counted) turns counts
+of zeta-powers into coefficients for products of numbers, Galois
+conjugates, scale tables, products of described matrices, traces of
+described matrices, from_zeta_powers and the induction check; only the
+plane kernel folds by the table itself.  Scale tables and scale products
+are kept in lru_caches.  Every operation runs in int64 only when an exact
+bound rules out overflow, and on Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -375,27 +377,46 @@ class CycloMatrix:
     """A square matrix over Q(zeta_N): one integer plane per basis power,
     over a positive common denominator.  A matrix built by
     CycloMatrix.monomial, a Weil cell, and a product of two such matrices
-    one of which has k = 1 also keep their description (rows, exps, scale):
-    rows and exps are (k, n) int64 arrays and scale a CyclotomicNumber, and
-    column c holds sum_j scale zeta^exps[j, c] at the distinct rows
-    rows[j, c].  A monomial has k = 1, rows a permutation and scale
-    1 / den."""
+    one of which has k = 1 keep their description (rows, exps, scale)
+    instead: rows and exps are (k, n) int64 arrays, exps in 0 .. N-1, and
+    scale a CyclotomicNumber, and column c holds sum_j scale
+    zeta^exps[j, c] at the distinct rows rows[j, c].  Its planes are built
+    each time they are read, and not kept.  A monomial has k = 1, rows a
+    permutation and scale 1 / den."""
 
-    __slots__ = ("ctx", "n", "planes", "den", "_description")
+    __slots__ = ("ctx", "n", "den", "_planes", "_description")
 
     def __init__(self, ctx, n, planes, den=1, normalize=True):
         self.ctx = ctx
         self.n = n
-        # (degree, n, n): int64 when every entry fits, else Python ints
-        self.planes = _int64_if_fits(planes)
+        self.planes = planes
         self.den = den
-        self._description = None
         if normalize:
             self._normalize()
 
+    @property
+    def planes(self):
+        """(degree, n, n): int64 when every entry fits, else Python ints;
+        a described matrix gathers them from its scale's table on each
+        read.  The rows of that table are primitive over scale.den, so the
+        planes are normalised unless the matrix is empty."""
+        if self._description is None:
+            return self._planes
+        rows, exps, scale = self._description
+        table = self.ctx._scale_table(scale)
+        planes = np.zeros((self.ctx.degree, self.n, self.n), table.dtype)
+        planes[:, rows, np.arange(self.n)] = table.take(exps, 0).transpose(
+            2, 0, 1)
+        return _int64_if_fits(planes)
+
+    @planes.setter
+    def planes(self, planes):
+        self._planes = _int64_if_fits(planes)
+        self._description = None
+
     def _normalize(self):
         if self.den < 0:
-            self.planes = _int64_if_fits(_negated(self.planes))
+            self.planes = _negated(self.planes)
             self.den = -self.den
         if self.den == 1:
             return
@@ -403,7 +424,7 @@ class CycloMatrix:
         g = gcd(self.den, int(np.gcd.reduce(self.planes, axis=None)))
         if g > 1:
             planes = self.planes if g < 2 ** 63 else self.planes.astype(object)
-            self.planes = _int64_if_fits(planes // g)
+            self.planes = planes // g
             self.den //= g
 
     @classmethod
@@ -434,14 +455,11 @@ class CycloMatrix:
     @classmethod
     def _described(cls, ctx, rows, exps, scale):
         """The matrix of the description (rows, exps, scale), exps in
-        0 .. N-1: its planes are one gather of scale's table.  The rows of
-        that table are primitive over scale.den, so the planes are
-        normalised unless the matrix is empty."""
-        n = rows.shape[1]
-        table = ctx._scale_table(scale)
-        planes = np.zeros((ctx.degree, n, n), dtype=table.dtype)
-        planes[:, rows, np.arange(n)] = table.take(exps, 0).transpose(2, 0, 1)
-        m = cls(ctx, n, planes, scale.den, normalize=not n)
+        0 .. N-1, which it keeps in place of planes.  Its denominator is
+        scale.den, and 1 for the empty matrix, as normalising gives."""
+        m = cls.__new__(cls)
+        m.ctx, m.n, m._planes = ctx, rows.shape[1], None
+        m.den = scale.den if m.n else 1
         m._description = rows, exps, scale
         return m
 
@@ -553,20 +571,55 @@ class CycloMatrix:
                            self.den * c.den)
 
     def trace(self):
-        diagonal = self.planes.diagonal(axis1=1, axis2=2).astype(object)
-        return CyclotomicNumber(self.ctx, diagonal.sum(axis=1).tolist(),
-                                self.den)
+        """The diagonal's sum; a described matrix counts the exponents of
+        its terms on the diagonal (_counted)."""
+        if self._description is None:
+            diagonal = self.planes.diagonal(axis1=1, axis2=2).astype(object)
+            return CyclotomicNumber(self.ctx, diagonal.sum(axis=1).tolist(),
+                                    self.den)
+        rows, exps, scale = self._description
+        diagonal = exps[rows == np.arange(self.n)]
+        sums = _counted(self.ctx, np.bincount(diagonal, minlength=self.ctx.n),
+                        scale, len(diagonal))
+        return CyclotomicNumber(self.ctx, sums.tolist(), scale.den)
 
     def is_zero(self):
         return not self.planes.any()
 
     def __eq__(self, other):
+        """Equal planes and denominators; two described matrices of one
+        nonzero scale compare their terms instead (_same_terms)."""
         if not isinstance(other, CycloMatrix):
             return NotImplemented
         if self.ctx != other.ctx or self.n != other.n:
             return False
+        a, b = self._description, other._description
+        if (a is not None and b is not None and a[2] == b[2]
+                and not a[2].is_zero()):
+            return _same_terms(a, b)
         return self.den == other.den and bool(
             (self.planes == other.planes).all())
 
     def __hash__(self):
         raise TypeError("CycloMatrix is unhashable")
+
+
+def _same_terms(a, b):
+    """Whether the descriptions a and b of one nonzero scale describe the
+    same matrix.  Every term is a nonzero entry, at a row of its own in its
+    column, so they do exactly when each column has the same (row,
+    exponent) pairs: the same number of terms (or no columns at all), and
+    the same exponent at every row, absent (-1) where a column has no
+    term.  Where the rows agree term by term, or k = 1, the terms are
+    compared in place."""
+    (r, e, _), (s, f, _) = a, b
+    if r.shape != s.shape:
+        return not r.shape[1]
+    if (r == s).all():
+        return bool((e == f).all())
+    if len(r) == 1:
+        return False
+    n = r.shape[1]
+    grids = np.full((2, n, n), -1)
+    grids[0, r, np.arange(n)], grids[1, s, np.arange(n)] = e, f
+    return bool((grids[0] == grids[1]).all())

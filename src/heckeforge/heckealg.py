@@ -75,6 +75,9 @@ class CoxeterSystem:
                 if m[s, t] != m[t, s]:
                     raise HeckeError("Coxeter matrix must be symmetric")
         self.m = m
+        # every GroupWord hashes its system: hash the matrix once, as a set
+        # of entries, which needs no order on the generators
+        self._hash = hash((self.generators, frozenset(m.items())))
         self._index = {s: i for i, s in enumerate(self.generators)}
         self.rank = len(self.generators)
         self._cartan = self._build_cartan()
@@ -157,13 +160,12 @@ class CoxeterSystem:
         return len(self.normal_form(letters))
 
     def __eq__(self, other):
-        return (isinstance(other, CoxeterSystem)
-                and self.generators == other.generators
-                and self.m == other.m)
+        return self is other or (isinstance(other, CoxeterSystem)
+                                 and self.generators == other.generators
+                                 and self.m == other.m)
 
     def __hash__(self):
-        return hash((self.generators, tuple(sorted(
-            (k, v if v is not None else 0) for k, v in self.m.items()))))
+        return self._hash
 
     def __repr__(self):
         return f"CoxeterSystem({self.type_tag or self.generators})"

@@ -321,9 +321,11 @@ class WeilSL2:
     product as their oracle (_oracle_weil).  The cell c = 0 is built as a
     monomial (CycloMatrix.monomial).  In the cell c != 0 every entry is
     kappa zeta^e, so it is described by the rows t, the exponents e and
-    the scale kappa, and its planes are one gather of the rows p kappa
-    zeta^e of kappa's table.  Products of cells are then computed on their
-    exponents (CycloMatrix.__matmul__).
+    the scale kappa; its planes, one gather of the rows p kappa zeta^e of
+    kappa's table, are built only when read.  The cache keeps these
+    descriptions, 2 p^2 ints per omega(g).  Products of cells are computed
+    on their exponents (CycloMatrix.__matmul__), and so is the equality of
+    two described operators.
     Multiplicativity is verified empirically by the test suite, not
     assumed."""
 
@@ -530,6 +532,32 @@ def _identity_entries(dim):
 _BLOCK_TERMS = 1 << 13
 
 
+@lru_cache(maxsize=None)
+def _induction_tables(space, prime, unit):
+    """induction_identity_check's read-only tables that depend only on the
+    space and on iota = (prime, unit), built once: the HeisenbergRep; the
+    vectors v of V in code order and rho(v)'s monomials (rows, exps); the
+    offsets of the entries [s, rows[s]] in an operator's grid; per
+    coordinate i and x in F_p the codes (x + v_i) p^i and the products
+    x v_i; the form; and the coordinate and basis matrices, which take g to
+    the symplectic basis."""
+    rep = HeisenbergRep(space, CentralCharacterChoice(prime, unit))
+    p, d, vecs = space.p, space.dim, _digit_array(space.p, space.dim)
+    rows, exps = rep._monomials(vecs)
+    x = np.arange(p)[:, None]
+    digit_sums = tuple((x + v) % p * p ** i for i, v in enumerate(vecs.T))
+    digit_products = tuple(x * v for v in vecs.T)
+    form, to_coordinates, basis = (
+        np.array(m, dtype=np.int64).reshape(d, d)
+        for m in (space.form, space._to_coordinates, space.basis))
+    offsets = np.arange(rep.dim) * rep.dim + rows
+    for table in (exps, offsets, *digit_sums, *digit_products, form,
+                  to_coordinates, basis):
+        table.setflags(write=False)
+    return (rep, vecs, exps, offsets, digit_sums, digit_products, form,
+            to_coordinates, basis)
+
+
 def induction_identity_check(space, u_basis, mode="with_sl2_levi",
                              include_chi=True, iota=None):
     """Exact character comparison for the restriction-vs-induction identity
@@ -561,7 +589,11 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
     # of U: the lifts of U-perp/U are the pairs past k
     basis, k = space._symplectic_basis(u_basis)
     quotient = SymplecticSpace.standard(p, n - k)
-    rep, qrep = HeisenbergRep(space, iota), HeisenbergRep(quotient, iota)
+    iota = iota or CentralCharacterChoice(p)
+    (rep, vecs, exps, offsets, digit_sums, digit_products, form,
+     to_coordinates, symplectic_basis) = _induction_tables(space, iota.p,
+                                                           iota.unit)
+    qrep = _induction_tables(quotient, iota.p, iota.unit)[0]
     reps = _coset_representatives(space, basis[n:n + k])
     details = {"induced_dim": len(reps) * qrep.dim, "rep_dim": rep.dim,
                "witness": None}
@@ -583,16 +615,15 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
         # omega(g)'s exponents on its grid, from g in the symplectic basis;
         # sigma(g) is omega(g) for U = 0, where the quotient is V itself, and
         # the identity on one dimension for a line
-        cells = (np.array(space._to_coordinates) @ group
-                 @ np.array(space.basis).T % p).reshape(-1, 4).T
+        cells = (to_coordinates @ group @ symplectic_basis.T % p
+                 ).reshape(-1, 4).T
         omega = lambda at: weil._cell(cells[:, at, None, None])
         sigma = omega if quotient.dim else _identity_entries(1)
         kappa = (cells[2] != 0) & (quotient.dim == 0)
     else:
         raise SympError(f"unknown mode {mode!r}")
 
-    vecs, ctx = _digit_array(p, space.dim), rep.cyclo
-    rows, exps = rep._monomials(vecs)
+    ctx = rep.cyclo
     # coordinates in the adapted basis: those on the lifts name v's image in
     # U-perp/U, and a v with a nonzero coordinate <e_i, v> on f_1..f_k lies
     # outside U-perp and adds no induced term
@@ -601,14 +632,7 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
     q_rows, q_exps = qrep._monomials(
         coords[:, [*range(k, n), *range(n + k, 2 * n)]])
     q_exps[coords[:, n:n + k].any(axis=1)] = _ABSENT
-    # the offsets of the entries [s, rows[s]] in an operator's grid, and per
-    # coordinate i and x in F_p the codes (x + v_i) p^i and products x v_i
-    offsets = np.arange(rep.dim) * rep.dim + rows
     q_offsets = np.arange(qrep.dim) * qrep.dim + q_rows
-    digit = [(np.arange(p)[:, None], vecs[:, i]) for i in range(space.dim)]
-    digit_sums = [(x + y) % p * p ** i for i, (x, y) in enumerate(digit)]
-    digit_products = [x * y for x, y in digit]
-    form = np.array(space.form, dtype=np.int64)
     reps_f = reps @ form
     size, n = len(vecs), ctx.n
     # a (g, v) counts at most `terms` zeta^k per scale: 1, or p and kappa

@@ -378,6 +378,8 @@ def _raise_type_error():
 
 
 _A2 = {"generators": ["s", "t"]}
+# stands for a path to a file that does not exist
+_MISSING = object()
 
 
 @pytest.mark.parametrize("argv,data,named", [
@@ -412,10 +414,17 @@ _A2 = {"generators": ["s", "t"]}
     (["sp4", "--q", "6", "--twist", "sign"], None,
      "--q: 6 is not a prime power"),
     (["sp4", "--q", "9", "--N", "1", "--twist", "sign"], None,
-     "--N: N >= 2 required")])
+     "--N: N >= 2 required"),
+    (["spinor-norm", "--input", _MISSING], None,
+     "--input: cannot read JSON: [Errno 2]"),
+    (["hecke", "--type", _MISSING, "--check", "braid"], None,
+     "--type: cannot read JSON: [Errno 2]")])
 def test_refusal_names_the_flag_or_key(argv, data, named, tmp_path, capsys):
     # these once printed Python exception texts ("unhashable type: 'list'",
-    # "'int' object is not iterable") or named no flag
+    # "'int' object is not iterable") or named no flag; a file that cannot
+    # be read once named only the keys expected in it
+    argv = [str(tmp_path / "missing.json") if a == _MISSING else a
+            for a in argv]
     if data is not None:
         (tmp_path / "cox.json").write_text(json.dumps(data))
         argv = argv[:1] + ["--type", str(tmp_path / "cox.json")] + argv[1:]

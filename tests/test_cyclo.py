@@ -11,7 +11,7 @@ from heckeforge import (CycloError, CycloContext, CyclotomicNumber,
                         CycloMatrix, HeisenbergElement, HeisenbergRep,
                         SymplecticSpace, WeilSL2, cyclotomic_polynomial)
 from heckeforge.cyclo import (_counted, _extent, _nonzero_planes,
-                              _plane_product)
+                              _plane_product, _same_terms)
 
 
 def _oracle_reduce(ctx, coeffs):
@@ -740,11 +740,13 @@ def _described(draw, ctx, n, k=None):
     describe."""
     k = draw(st.sampled_from([1, n])) if k is None else k
     if k == 1:
-        rows = np.array([draw(st.permutations(range(n)))])
+        rows = np.array([draw(st.permutations(range(n)))], dtype=np.int64)
     else:
-        rows = np.array([draw(st.permutations(range(n))) for _ in range(n)]).T
+        rows = np.array([draw(st.permutations(range(n))) for _ in range(n)],
+                        dtype=np.int64).T.reshape(k, n)
     exps = np.array(draw(st.lists(st.integers(0, ctx.n - 1), min_size=k * n,
-                                  max_size=k * n))).reshape(k, n)
+                                  max_size=k * n)),
+                    dtype=np.int64).reshape(k, n)
     scale = draw(_scale(ctx))
     return ((rows, exps, scale),
             CycloMatrix._described(ctx, rows, exps, scale))
@@ -782,6 +784,90 @@ def test_described_products_match_the_dense_kernel(conductor, n, entries,
     assert ((a @ b)._description is not None) == (
         min(len(da[0]), len(db[0])) == 1)
     assert (a @ d)._description is None and (d @ a)._description is None
+
+
+def _eager_gather(ctx, rows, exps, scale):
+    """A described matrix as _described built it while it kept planes: one
+    gather of scale's table, normalised by the constructor only when the
+    matrix is empty."""
+    n = rows.shape[1]
+    table = ctx._scale_table(scale)
+    planes = np.zeros((ctx.degree, n, n), dtype=table.dtype)
+    planes[:, rows, np.arange(n)] = table.take(exps, 0).transpose(2, 0, 1)
+    return CycloMatrix(ctx, n, planes, scale.den, normalize=not n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.integers(0, 4), st.data())
+def test_planes_built_on_read_match_the_eager_gather(conductor, n, data):
+    # a described matrix keeps no planes: each read gathers them anew, and
+    # the trace is counted off the description
+    ctx = CycloContext(conductor)
+    desc, m = data.draw(_described(ctx, n))
+    want = _eager_gather(ctx, *desc)
+    assert _agrees(m, want) and _agrees(m, _oracle_described(ctx, desc))
+    assert m._planes is None and m.planes is not m.planes
+    assert m.trace() == want.trace() == _as_object(want).trace()
+    assert all(m.entry(i, j) == want.entry(i, j)
+               for i in range(n) for j in range(n))
+
+
+@st.composite
+def _twin(draw, ctx, description):
+    """Another description built from description (rows, exps, scale): the
+    terms of every column in a drawn order, then one edit: none, one
+    exponent moved by N/2 (a sign where N is even), one term moved to
+    another row, another scale, or the scale negated with every exponent
+    moved by N/2."""
+    rows, exps, scale = description
+    k, n = rows.shape
+    order = np.array([draw(st.permutations(range(k))) for _ in range(n)],
+                     dtype=np.int64).T.reshape(k, n)
+    rows, exps = (np.take_along_axis(x, order, 0) for x in (rows, exps))
+    edits = ["none", "scale", "negate"] + (["half", "row"] if n else [])
+    edit = draw(st.sampled_from(edits))
+    j = draw(st.integers(0, k - 1)) if n else 0
+    c = draw(st.integers(0, n - 1)) if n else 0
+    if edit == "half":
+        exps[j, c] = (exps[j, c] + ctx.n // 2) % ctx.n
+    elif edit == "row":
+        # another row of the column: a free one, or another term's (swap)
+        r = draw(st.sampled_from([x for x in range(n) if x != rows[j, c]]
+                                 or [rows[j, c]]))
+        rows[rows[:, c] == r, c] = rows[j, c]
+        rows[j, c] = r
+    elif edit == "scale":
+        scale = draw(_scale(ctx))
+    elif edit == "negate":
+        scale, exps = -scale, (exps + ctx.n // 2) % ctx.n
+    return (rows, exps, scale), CycloMatrix._described(ctx, rows, exps, scale)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(CONDUCTORS), st.integers(0, 4), st.data())
+def test_description_equality_matches_plane_equality(conductor, n, data):
+    # k = 1 and k = n terms per column, with n = 0 too; two descriptions of
+    # one nonzero scale compare their (row, exponent) pairs, whatever the
+    # order of the terms in a column, and every other pair compares planes;
+    # the object oracle decides, against a twin and against an independent
+    # description, which may have another k
+    ctx = CycloContext(conductor)
+    da, a = data.draw(_described(ctx, n))
+    for db, b in (data.draw(_twin(ctx, da)), data.draw(_described(ctx, n))):
+        want = _oracle_described(ctx, da) == _oracle_described(ctx, db)
+        assert (a == b) == (b == a) == want
+        if da[2] == db[2] and not da[2].is_zero():
+            assert _same_terms(da, db) == _same_terms(db, da) == want
+
+
+def test_descriptions_of_scale_zero_compare_planes():
+    # every entry of a description of scale 0 is 0, whatever its terms, so
+    # two of them are equal though their (row, exponent) pairs differ
+    ctx = CycloContext(8)
+    a, b = (CycloMatrix._described(ctx, np.array([rows]), np.array([exps]),
+                                   ctx.zero())
+            for rows, exps in (([0, 1], [0, 1]), ([1, 0], [3, 2])))
+    assert a == b == CycloMatrix.zeros(ctx, 2)
 
 
 @settings(max_examples=80, deadline=None)

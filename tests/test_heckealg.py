@@ -28,6 +28,26 @@ def test_normal_forms_a2():
     assert system.length(("s", "t", "s", "t")) == 2
 
 
+def test_coxeter_systems_hash_once_and_by_value(monkeypatch):
+    # the hash is computed at construction: hashing a word reads no entry
+    # of the Coxeter matrix, and equal systems built apart hash alike
+    system = CoxeterSystem.from_type("B2")
+    twin = CoxeterSystem(("s", "t"), {("t", "s"): 4})
+    assert system == twin and hash(system) == hash(twin)
+    assert system != CoxeterSystem.from_type("A2")
+    monkeypatch.setattr(system, "m", None)
+    assert hash(system.word(("s", "t"))) == hash(twin.word(("s", "t")))
+
+
+def test_coxeter_system_of_mixed_letters_hashes():
+    # the hash once sorted the matrix's entries, so letters of two types
+    # (which a Coxeter matrix file may give) raised TypeError on the first
+    # hash of a word
+    system = CoxeterSystem(("s", 1), {("s", 1): 3})
+    algebra = HeckeAlgebra(system, ParameterFunction.constant(system))
+    assert checks.hecke_braid(algebra) == (True, None)
+
+
 def test_group_order_b2_g2():
     for tag, order in (("A2", 6), ("B2", 8), ("G2", 12)):
         system = CoxeterSystem.from_type(tag)

@@ -919,28 +919,57 @@ def test_induction_identity_trivial_subspace():
 @pytest.mark.parametrize("p", [3, 5])
 def test_induction_trivial_subspace_builds_each_weil_operator_once(
         p, monkeypatch):
-    # WeilSL2 builds each omega(g) once, a cache miss being one CycloMatrix
-    # (a kappa-table gather where c != 0, a monomial where c = 0) and a hit
-    # none; the batched check reads omega(g)'s exponents off WeilSL2._cell
-    # and builds no operator at all
-    calls = []
-    build = CycloMatrix.__init__
+    # WeilSL2 describes each omega(g) once, a cache miss being one
+    # CycloMatrix._described (a Weil cell where c != 0, a monomial where
+    # c = 0) and a hit none, and neither builds planes or a dense matrix;
+    # the batched check reads omega(g)'s exponents off WeilSL2._cell and
+    # builds no operator and no planes at all
+    described, dense, planes = [], [], []
+    build, describe = CycloMatrix.__init__, CycloMatrix._described.__func__
+    read = CycloMatrix.planes
 
-    def counted(self, ctx, n, *args, **kwargs):
-        calls.append(n)
+    def counted_init(self, ctx, n, *args, **kwargs):
+        dense.append(n)
         build(self, ctx, n, *args, **kwargs)
-    monkeypatch.setattr(CycloMatrix, "__init__", counted)
+
+    def counted_described(cls, ctx, rows, exps, scale):
+        described.append(rows.shape[1])
+        return describe(cls, ctx, rows, exps, scale)
+
+    def counted_read(self):
+        planes.append(self.n)
+        return read.fget(self)
+    monkeypatch.setattr(CycloMatrix, "__init__", counted_init)
+    monkeypatch.setattr(CycloMatrix, "_described",
+                        classmethod(counted_described))
+    monkeypatch.setattr(CycloMatrix, "planes",
+                        property(counted_read, read.fset))
     V = SymplecticSpace.standard(p, 1)
     w = WeilSL2(HeisenbergRep(V))
     group = list(sl2_elements(p))
     for g in group + group:
         w(g)
-    assert calls == [p] * len(group)
-    del calls[:]
+    assert described == [p] * len(group) and dense == planes == []
+    del described[:]
     for u_basis in [[]] + [[line] for line in _lines(p)]:
         ok, _ = induction_identity_check(V, u_basis, "with_sl2_levi")
         assert ok
-    assert calls == []
+    assert described == dense == planes == []
+
+
+def test_weil_cache_keeps_descriptions_only():
+    # every omega(g) of SL_2(F_7) is cached as its description: rows and
+    # exponents, at most 2 p^2 int64 in all, and no planes (2 (p - 1) p^2
+    # int64 each, which the cache once held)
+    p = 7
+    w = WeilSL2(HeisenbergRep(SymplecticSpace.standard(p, 1)))
+    for g in sl2_elements(p):
+        w(g)
+    assert len(w._cache) == p ** 3 - p
+    for m in w._cache.values():
+        rows, exps, _ = m._description
+        assert m._planes is None
+        assert rows.nbytes + exps.nbytes <= 2 * p * p * 8
 
 
 @pytest.mark.parametrize("p,unit", [(3, 1), (5, 1), (5, 2), (7, 3)])
