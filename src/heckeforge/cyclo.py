@@ -8,14 +8,13 @@ when every entry fits and as an object array of Python ints otherwise; the
 dtype is the only flag.  A monomial, or a matrix whose every entry is a sum
 of zeta-powers times one scale (a Weil cell), keeps that description
 instead, and builds its planes only when they are read.  A product of two
-described matrices is computed on their exponents, and so are their
-equality and the trace of one; every other product and scaling is one
-stacked matrix product of the planes (_plane_product).  A context keeps
-one table, the rows x^s mod Phi_N, and one reducer (_counted) turns counts
-of zeta-powers into coefficients for products of numbers, Galois
-conjugates, scale tables, products of described matrices, traces of
-described matrices, from_zeta_powers and the induction check; only the
-plane kernel folds by the table itself.  Scale tables and scale products
+described matrices is computed on their exponents, and so is their
+equality; every other product and scaling is one stacked matrix product
+of the planes (_plane_product).  A context keeps one table, the rows x^s
+mod Phi_N, and one reducer (_counted) turns counts of zeta-powers into
+coefficients for products of numbers, Galois conjugates, scale tables,
+products of described matrices, from_zeta_powers and the induction check;
+only the plane kernel folds by the table itself.  Scale tables and scale products
 are kept in lru_caches.  Every operation runs in int64 only when an exact
 bound rules out overflow, and on Python ints otherwise.
 """
@@ -571,17 +570,9 @@ class CycloMatrix:
                            self.den * c.den)
 
     def trace(self):
-        """The diagonal's sum; a described matrix counts the exponents of
-        its terms on the diagonal (_counted)."""
-        if self._description is None:
-            diagonal = self.planes.diagonal(axis1=1, axis2=2).astype(object)
-            return CyclotomicNumber(self.ctx, diagonal.sum(axis=1).tolist(),
-                                    self.den)
-        rows, exps, scale = self._description
-        diagonal = exps[rows == np.arange(self.n)]
-        sums = _counted(self.ctx, np.bincount(diagonal, minlength=self.ctx.n),
-                        scale, len(diagonal))
-        return CyclotomicNumber(self.ctx, sums.tolist(), scale.den)
+        diagonal = self.planes.diagonal(axis1=1, axis2=2).astype(object)
+        return CyclotomicNumber(self.ctx, diagonal.sum(axis=1).tolist(),
+                                self.den)
 
     def is_zero(self):
         return not self.planes.any()
@@ -608,17 +599,9 @@ def _same_terms(a, b):
     """Whether the descriptions a and b of one nonzero scale describe the
     same matrix.  Every term is a nonzero entry, at a row of its own in its
     column, so they do exactly when each column has the same (row,
-    exponent) pairs: the same number of terms (or no columns at all), and
-    the same exponent at every row, absent (-1) where a column has no
-    term.  Where the rows agree term by term, or k = 1, the terms are
-    compared in place."""
+    exponent) pairs: each side's exponents scattered onto an n x n grid,
+    -1 where a column has no term, give equal grids."""
     (r, e, _), (s, f, _) = a, b
-    if r.shape != s.shape:
-        return not r.shape[1]
-    if (r == s).all():
-        return bool((e == f).all())
-    if len(r) == 1:
-        return False
     n = r.shape[1]
     grids = np.full((2, n, n), -1)
     grids[0, r, np.arange(n)], grids[1, s, np.arange(n)] = e, f

@@ -532,7 +532,7 @@ def _identity_entries(dim):
 _BLOCK_TERMS = 1 << 13
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _induction_tables(space, prime, unit):
     """induction_identity_check's read-only tables that depend only on the
     space and on iota = (prime, unit), built once: the HeisenbergRep; the
@@ -593,7 +593,7 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
     (rep, vecs, exps, offsets, digit_sums, digit_products, form,
      to_coordinates, symplectic_basis) = _induction_tables(space, iota.p,
                                                            iota.unit)
-    qrep = _induction_tables(quotient, iota.p, iota.unit)[0]
+    qrep = HeisenbergRep(quotient, iota)
     reps = _coset_representatives(space, basis[n:n + k])
     details = {"induced_dim": len(reps) * qrep.dim, "rep_dim": rep.dim,
                "witness": None}

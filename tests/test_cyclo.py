@@ -800,8 +800,7 @@ def _eager_gather(ctx, rows, exps, scale):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(CONDUCTORS), st.integers(0, 4), st.data())
 def test_planes_built_on_read_match_the_eager_gather(conductor, n, data):
-    # a described matrix keeps no planes: each read gathers them anew, and
-    # the trace is counted off the description
+    # a described matrix keeps no planes: each read gathers them anew
     ctx = CycloContext(conductor)
     desc, m = data.draw(_described(ctx, n))
     want = _eager_gather(ctx, *desc)
