@@ -11,12 +11,14 @@ instead, and builds its planes only when they are read.  A product of two
 described matrices is computed on their exponents, and so is their
 equality; every other product and scaling is one stacked matrix product
 of the planes (_plane_product).  A context keeps one table, the rows x^s
-mod Phi_N, and one reducer (_counted) turns counts of zeta-powers into
-coefficients for products of numbers, Galois conjugates, scale tables,
-products of described matrices, from_zeta_powers and the induction check;
-only the plane kernel folds by the table itself.  Scale tables and scale products
-are kept in lru_caches.  Every operation runs in int64 only when an exact
-bound rules out overflow, and on Python ints otherwise.
+mod Phi_N for s < N, and one reducer (_counted) turns counts of
+zeta-powers into coefficients for products of numbers, Galois conjugates,
+scale tables, products of described and of dense matrices, scalings,
+from_zeta_powers and the induction check.  Scale tables and scale products
+are kept in lru_caches.  Products and reductions run in int64 under the
+reducer's one exact bound, and on Python ints beyond it.  Sums and
+negations run on Python ints, and the constructor brings their planes back
+to int64: no Weil or Heisenberg check adds, negates or scales a matrix.
 """
 
 from __future__ import annotations
@@ -81,14 +83,14 @@ class CycloContext:
         phi = cyclotomic_polynomial(conductor)
         self.n, self.phi, self.degree = conductor, phi, len(phi) - 1
         self._hash = hash(("CycloContext", conductor))
-        # row s is x^s mod Phi_N for s < 2N: x^s is x^(s-1) shifted up, less
+        # row s is x^s mod Phi_N for s < N: x^s is x^(s-1) shifted up, less
         # its top coefficient times Phi_N (which is monic)
         powers = np.zeros((conductor, self.degree), dtype=np.int64)
         powers[0, 0], low = 1, np.array(phi[:-1])
         for s in range(1, conductor):
             powers[s, 1:] = powers[s - 1, :-1]
             powers[s] -= powers[s - 1, -1] * low
-        self._powers = np.concatenate((powers, powers))
+        self._powers = powers
         self._powers_extent = _extent(self._powers)
         self._one = self.one()
 
@@ -281,13 +283,6 @@ def _int64_if_fits(planes):
         return planes
 
 
-def _negated(planes):
-    """-planes, on Python ints when an int64 entry is INT64_MIN."""
-    if planes.dtype != object and planes.min() == -2 ** 63:
-        planes = planes.astype(object)
-    return -planes
-
-
 def _extent(planes):
     """max |entry| as a Python int, read from min and max so that an int64
     minimum is negated only after leaving int64."""
@@ -299,41 +294,27 @@ def _plane_product(ctx, a, b):
 
     a has shape (deg, r, k) and b (deg, k, c), with integer entries.  The
     products of all nonzero planes of a with all nonzero planes of b are one
-    stacked (L r) x k by k x (R c) matrix product.  The blocks are summed by
-    i + j, and one product with the rows x^(i+j) mod Phi_N sends those sums
-    to the deg output planes.  This runs in int64 when an exact bound shows
-    that no partial sum can overflow (an object operand has an entry beyond
-    int64, which breaks the bound), and on Python ints otherwise.
+    stacked (L r) x k by k x (R c) matrix product.  Its blocks are summed
+    into counts of zeta^((i + j) mod N), which _counted reduces.  terms =
+    L R k max|a| max|b| bounds the counts of a column and every partial sum
+    of the block product, so _counted's bound decides whether the product
+    runs in int64 or on Python ints.
     """
     deg, r, k = a.shape
     c = b.shape[2]
     left, right = _nonzero_planes(a), _nonzero_planes(b)
     if not len(left) or not len(right):
         return np.zeros((deg, r, c), dtype=np.int64)
-    sums = (left[:, None] + right).ravel()
-    counts = np.bincount(sums)
-    powers = np.flatnonzero(counts)
-    counts = counts[powers]
-    fold = ctx._powers[powers]
-    # max|a| max|b| k max_d sum_{i in L, j in R} |x^(i+j)|_d bounds every
-    # partial sum of the fold, and of the block sums by i + j too, since
-    # every x^s has a coefficient of size at least 1
-    if a.dtype == object or (_extent(a) * _extent(b) * k
-                             * int((counts[:, None] * np.abs(fold))
-                                   .sum(axis=0).max())
-                             >= 2 ** 63):
-        a, b, fold = a.astype(object), b.astype(object), fold.astype(object)
+    terms = len(left) * len(right) * k * _extent(a) * _extent(b)
+    dtype = np.int64 if terms * ctx._powers_extent < 2 ** 62 else object
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     lhs = a[left].reshape(-1, k)
     rhs = b[right].transpose(1, 0, 2).reshape(k, -1)
     blocks = (lhs @ rhs).reshape(len(left), r, len(right), c)
-    blocks = blocks.transpose(0, 2, 1, 3).reshape(-1, r * c)
-    if len(left) > 1 and len(right) > 1:
-        # sum the blocks by i + j; with one plane on either side the sums
-        # are distinct and already in increasing order
-        order = np.argsort(sums, kind="stable")
-        blocks = np.add.reduceat(blocks[order], np.cumsum(counts) - counts,
-                                 axis=0)
-    return (fold.T @ blocks).reshape(deg, r, c)
+    counts = np.zeros((ctx.n, r * c), dtype)
+    np.add.at(counts, (left[:, None] + right).ravel() % ctx.n,
+              blocks.transpose(0, 2, 1, 3).reshape(-1, r * c))
+    return _counted(ctx, counts, ctx._one, terms).reshape(deg, r, c)
 
 
 def _counted(ctx, hist, scale, terms):
@@ -415,7 +396,7 @@ class CycloMatrix:
 
     def _normalize(self):
         if self.den < 0:
-            self.planes = _negated(self.planes)
+            self.planes = -self.planes.astype(object)
             self.den = -self.den
         if self.den == 1:
             return
@@ -537,13 +518,8 @@ class CycloMatrix:
     def __add__(self, other):
         if self.ctx != other.ctx or self.n != other.n:
             raise CycloError("matrix context mismatch")
-        a, b = self.planes, other.planes
-        # (max|a| + 1) other.den + (max|b| + 1) self.den bounds every entry
-        # of the sum, and both denominators
-        if a.dtype != b.dtype or (
-                a.dtype != object and (_extent(a) + 1) * other.den
-                + (_extent(b) + 1) * self.den >= 2 ** 63):
-            a, b = a.astype(object), b.astype(object)
+        # on Python ints; the constructor brings the planes back to int64
+        a, b = self.planes.astype(object), other.planes.astype(object)
         return CycloMatrix(self.ctx, self.n, a * other.den + b * self.den,
                            self.den * other.den)
 
@@ -551,8 +527,8 @@ class CycloMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return CycloMatrix(self.ctx, self.n, _negated(self.planes), self.den,
-                           normalize=False)
+        return CycloMatrix(self.ctx, self.n, -self.planes.astype(object),
+                           self.den, normalize=False)
 
     def scale(self, c):
         """Multiply by a scalar (CyclotomicNumber or rational).  It stays
@@ -562,8 +538,7 @@ class CycloMatrix:
             c = self.ctx.from_rational(c)
         deg, n = self.ctx.degree, self.n
         # c's coefficients are 1x1 planes acting on the planes viewed as rows
-        coeffs = _int64_if_fits(np.array(c.num, dtype=object)
-                                ).reshape(deg, 1, 1)
+        coeffs = np.array(c.num, dtype=object).reshape(deg, 1, 1)
         planes = _plane_product(self.ctx, coeffs,
                                 self.planes.reshape(deg, 1, n * n))
         return CycloMatrix(self.ctx, n, planes.reshape(deg, n, n),

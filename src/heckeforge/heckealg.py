@@ -602,9 +602,9 @@ def length_zero_subgroup(system, omega_elements, omega_mul, act):
     return ctx
 
 
-def support_preserving_map_check(algebra_a, algebra_b, scalars, length_bound=4):
+def support_preserving_map_check(algebra_a, algebra_b, scalars):
     """Whether T_w -> c_w T'_w extends to an algebra homomorphism, checked
-    on all products T_s . T_w with l(w) <= length_bound.  Both algebras
+    on all products T_s . T_w with l(w) <= 4.  Both algebras
     must share the Coxeter system and the coefficient ring (names)."""
     if algebra_a.system != algebra_b.system:
         raise HeckeError("algebras must share the index group")
@@ -625,7 +625,7 @@ def support_preserving_map_check(algebra_a, algebra_b, scalars, length_bound=4):
     words = [GroupWord(system, ())]
     seen = {words[0]}
     frontier = [words[0]]
-    for _ in range(length_bound):
+    for _ in range(4):
         nxt = []
         for w in frontier:
             for s in system.generators:

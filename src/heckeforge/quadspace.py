@@ -308,15 +308,14 @@ def block_embed(space_sum, g1, g2):
     return OrthogonalMap._of(space_sum, tuple(rows))
 
 
-def random_orthogonal(space, rng, max_reflections=None):
-    """A random product of reflections (uniform enough for property tests).
-    Each reflection vector is uniform on the anisotropic vectors: uniform
-    vectors are drawn and the isotropic ones (zero included) rejected."""
-    if max_reflections is None:
-        max_reflections = 2 * space.dim
+def random_orthogonal(space, rng):
+    """A random product of at most 2 dim reflections (uniform enough for
+    property tests).  Each reflection vector is uniform on the anisotropic
+    vectors: uniform vectors are drawn and the isotropic ones (zero
+    included) rejected."""
     els = list(space.ctx.elements())
     g = OrthogonalMap.identity(space)
-    for _ in range(rng.randrange(max_reflections + 1)):
+    for _ in range(rng.randrange(2 * space.dim + 1)):
         while True:
             v = tuple(rng.choice(els) for _ in range(space.dim))
             if not space.evaluate_form(v).is_zero():

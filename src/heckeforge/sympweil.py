@@ -70,7 +70,10 @@ class SymplecticSpace:
         self._to_coordinates = self._coordinate_matrix(self.basis)
 
     @classmethod
+    @lru_cache(maxsize=32)
     def standard(cls, p, n):
+        """The form of <e_i, f_j> = delta_ij on F_p^{2n}, built once per
+        (p, n): spaces do not change after construction."""
         d = 2 * n
         form = [[0] * d for _ in range(d)]
         for i in range(n):

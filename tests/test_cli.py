@@ -2,11 +2,13 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from heckeforge.cli import main
+from test_cyclo import _refuse_the_dense_kernel
 
 
 def _run(capsys, argv):
@@ -455,6 +457,13 @@ def test_suite_filter(capsys):
     assert all(c["module"] == "sp4oracle" for c in payload["checks"])
 
 
+def test_suite_prints_the_golden_bytes(capsys):
+    # the whole battery's stdout, byte for byte, as checked in
+    assert main(["suite"]) == 0
+    golden = Path(__file__).with_name("golden") / "suite.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_suite_unknown_filter(capsys):
     assert main(["suite", "--filter", "nonsense"]) == 2
 
@@ -637,12 +646,9 @@ def test_parser_built_once_matches_fresh_parsers(monkeypatch, capsys):
                                   ["weil", "--p", "5", "--check", "mult"]])
 def test_weil_checks_never_reach_the_dense_kernel(monkeypatch, capsys, argv):
     # every Weil and Heisenberg product of the battery and of the sampled
-    # multiplicativity check is computed on exponents
-    from heckeforge import cyclo
-
-    def refuse(*args):
-        raise AssertionError("reached _plane_product")
-    monkeypatch.setattr(cyclo, "_plane_product", refuse)
+    # multiplicativity check is computed on exponents, and none of them
+    # adds, negates or scales a matrix
+    _refuse_the_dense_kernel(monkeypatch)
     code, payload = _run(capsys, argv)
     assert code == 0 and payload["pass"] is True
 

@@ -290,17 +290,17 @@ def test_scale_matches_per_plane_oracle(ops, data):
 @given(st.sampled_from(CONDUCTORS), st.integers(1, 6), st.data())
 def test_kernel_at_the_int64_bound(conductor, n, data):
     """One-plane operands of constant sign whose kernel bound
-    max|a| max|b| k max_d sum |fold| is 2^63 - 1 or less, or just above it;
-    the largest entry of the product then reaches the bound."""
+    terms max|x^e| = max|a| max|b| k max|x^e| is the last value below 2^62
+    or the first at or above it, so the product runs in int64 or on Python
+    ints."""
     ctx = CycloContext(conductor)
     deg = ctx.degree
     i = data.draw(st.integers(0, deg - 1))
     j = data.draw(st.integers(0, deg - 1))
-    fold = max(map(abs, _oracle_reduce(ctx, [0] * (i + j) + [1])))
     scale = data.draw(st.booleans())
     k = 1 if scale else n
     b_max = data.draw(st.integers(1, 5))
-    a_max = ((2 ** 63 - 1) // (b_max * k * fold)
+    a_max = ((2 ** 62 - 1) // (b_max * k * ctx._powers_extent)
              + data.draw(st.integers(0, 1)))
     a_sign = data.draw(st.sampled_from([1, -1]))
     b_sign = data.draw(st.sampled_from([1, -1]))
@@ -324,9 +324,10 @@ def test_kernel_at_the_int64_bound(conductor, n, data):
 @given(st.sampled_from(CONDUCTORS), st.integers(1, 6), st.data())
 def test_kernel_at_the_int64_bound_with_shared_powers(conductor, n, data):
     """Constant operands on planes 0..u-1 and 0..w-1 with u + w <= deg + 1:
-    min(u, w) block products land on one power x^s, s < deg, so the largest
-    entry of the product is the bound max|a| max|b| k min(u, w), taken at
-    2^63 - 1 or less, or just above it."""
+    min(u, w) block products land on one power x^s, s < deg.  The kernel
+    bound terms max|x^e| = u w k max|a| max|b| max|x^e| is the last value
+    below 2^62 or the first at or above it, so the product runs in int64 or
+    on Python ints."""
     ctx = CycloContext(conductor)
     deg = ctx.degree
     u = data.draw(st.integers(1, deg))
@@ -334,7 +335,7 @@ def test_kernel_at_the_int64_bound_with_shared_powers(conductor, n, data):
     scale = data.draw(st.booleans())
     k = 1 if scale else n
     b_max = data.draw(st.integers(1, 5))
-    a_max = ((2 ** 63 - 1) // (b_max * k * min(u, w))
+    a_max = ((2 ** 62 - 1) // (u * w * b_max * k * ctx._powers_extent)
              + data.draw(st.integers(0, 1)))
     a_val = data.draw(st.sampled_from([1, -1])) * a_max
     planes = np.zeros((deg, n, n), dtype=object)
@@ -392,9 +393,11 @@ def test_galois_norm_inverse_matches_elimination(conductor, data):
 
 
 def _oracle_plane_product(ctx, a, b):
-    """_plane_product on object planes: both operands go to int64 when they
-    fit, the product runs in int64 under the same bound, and the result
-    comes back as Python ints."""
+    """_plane_product as it was before it counted through _counted, on
+    object planes: both operands go to int64 when they fit, the product
+    runs in int64 under its own bound and folds its blocks by the rows
+    x^((i + j) mod N) mod Phi_N, and the result comes back as Python
+    ints."""
     def int64_if_fits(planes):
         try:
             return planes.astype(np.int64)
@@ -411,7 +414,7 @@ def _oracle_plane_product(ctx, a, b):
     counts = np.bincount(sums)
     powers = np.flatnonzero(counts)
     counts = counts[powers]
-    fold = ctx._powers[powers]
+    fold = ctx._powers[powers % ctx.n]
     if a.dtype == object or (_extent(a) * _extent(b) * k
                              * int((counts[:, None] * np.abs(fold))
                                    .sum(axis=0).max())
@@ -911,20 +914,27 @@ def test_scale_tables_are_primitive_over_their_denominator(conductor, data):
         assert gcd(content, scale.den) == 1
 
 
+def _refuse_the_dense_kernel(monkeypatch):
+    """Make _plane_product, CycloMatrix.__add__, __neg__ and scale raise."""
+    from heckeforge import cyclo
+    for owner, name in ((cyclo, "_plane_product"), (CycloMatrix, "__add__"),
+                        (CycloMatrix, "__neg__"), (CycloMatrix, "scale")):
+        def refuse(*args, name=name):
+            raise AssertionError(f"reached {name}")
+        monkeypatch.setattr(owner, name, refuse)
+
+
 def test_kappa_products_skip_the_plane_kernel(monkeypatch):
     # omega(g) omega(h) for cells with c != 0, and their products with
-    # Heisenberg operators, never reach _plane_product
-    from heckeforge import cyclo
+    # Heisenberg operators, never reach _plane_product, nor a sum, negation
+    # or scaling of matrices
     rep = HeisenbergRep(SymplecticSpace.standard(5, 1))
     w = WeilSL2(rep)
     g, h = ((1, 2), (3, 2)), ((0, 4), (1, 0))
     rho = rep.operator(HeisenbergElement(rep.space, (1, 3), 2))
     want = [_dense_product(w(g), w(h)), _dense_product(w(g), rho),
             _dense_product(rho, w(h))]
-
-    def refuse(*args):
-        raise AssertionError("reached _plane_product")
-    monkeypatch.setattr(cyclo, "_plane_product", refuse)
+    _refuse_the_dense_kernel(monkeypatch)
     assert [w(g) @ w(h), w(g) @ rho, rho @ w(h)] == want
     assert w(g) @ w(h) == w(((2, 4), (2, 2)))
 

@@ -852,6 +852,27 @@ def test_induction_check_runs_no_elimination(monkeypatch):
             for p, n, u, mode, chi in cases] == want
 
 
+def test_a_second_check_builds_no_symplectic_space(monkeypatch):
+    # the quotient U-perp/U is SymplecticSpace.standard(p, n - k), built once
+    # per (p, n - k): a second check or reduction on the same space and line
+    # constructs no space
+    cases = [(SymplecticSpace.standard(5, 1), [(1, 0)], "with_sl2_levi"),
+             (SymplecticSpace.standard(3, 2), [(1, 0, 0, 0)],
+              "heisenberg_only")]
+    want = [induction_identity_check(V, u, mode) for V, u, mode in cases]
+    built, init = [], SymplecticSpace.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(SymplecticSpace, "__init__", spy)
+    assert [induction_identity_check(V, u, mode)
+            for V, u, mode in cases] == want
+    for V, u, _ in cases:
+        isotropic_reduction(V, u)
+    assert built == []
+
+
 def test_reduction_runs_no_elimination_and_det_sign_one(monkeypatch):
     V = SymplecticSpace.standard(5, 2)
     g = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 3, 0), (0, 0, 0, 1))
