@@ -139,15 +139,17 @@ def isotropic_lines(space):
 
 def induction_needs_chi(space, lines):
     """For U each of the lines: the restriction-vs-induction identity holds
-    with chi^U and fails without it."""
+    with chi^U and fails without it.  A failure names the line and, when
+    the check with chi^U fails, its first witness (g, (v, 0))."""
     for line in lines:
-        with_chi, _ = induction_identity_check(
+        with_chi, details = induction_identity_check(
             space, [line], "with_sl2_levi", include_chi=True)
         without, _ = induction_identity_check(
             space, [line], "with_sl2_levi", include_chi=False)
         if not with_chi or without:
             return False, {"line": list(line), "with_chi": with_chi,
-                           "without_chi": without}
+                           "without_chi": without,
+                           "witness": details["witness"]}
     return True, None
 
 

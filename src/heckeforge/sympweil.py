@@ -292,7 +292,8 @@ def _weil_tables(p, unit):
     """WeilSL2's read-only tables for psi = iota^-1, iota(zeta_p) = unit: the
     points t; the grid (t, s, t^2, 2ts, s^2) of their pairs; True at the
     nonzero squares of F_p (FqContext(p)'s table); psi_exp(1 / 2c) (0 at
-    c = 0); psi_exp(1 / 2); and kappa."""
+    c = 0); per a, True where s = a t (everywhere for a = 0, the cell
+    c != 0); psi_exp(1 / 2); kappa; and 1 / kappa = sgn(2) G."""
     ctx, t, u = CycloContext.shared(4 * p), np.arange(p), pow(unit, p - 2, p)
     # squares[t] = 4 psi_exp(t^2), so that G = sum_t zeta^squares[t] is the
     # quadratic Gauss sum.  The constant of omega(w) is forced by W U(b) W =
@@ -301,13 +302,17 @@ def _weil_tables(p, unit):
     # p kappa = sgn(2) sum_t zeta^(-squares[t])
     squares, (r, s) = 4 * (t * t * u % p), np.indices((p, p))
     fp = FqContext.shared(p)
+    sign2 = int(sgn(fp.elem(2)))
     kappa = sum(map(ctx.zeta_pow, (-squares).tolist()), ctx.zero()) * (
-        Fraction(int(sgn(fp.elem(2))), p))
+        Fraction(sign2, p))
+    kappa_inv = sum(map(ctx.zeta_pow, squares.tolist()), ctx.zero()) * sign2
     tables = (t, np.stack((r, s, r * r, 2 * r * s, s * s)),
-              fp._tables.squares, (p + 1) // 2 * u * fp._tables.inv(t) % p)
+              fp._tables.squares, (p + 1) // 2 * u * fp._tables.inv(t) % p,
+              (s == t[:, None, None] * r % p).reshape(p, -1)
+              | (t == 0)[:, None])
     for table in tables:
         table.setflags(write=False)
-    return tables + ((p + 1) // 2 * u % p, kappa)
+    return tables + ((p + 1) // 2 * u % p, kappa, kappa_inv)
 
 
 class WeilSL2:
@@ -336,38 +341,40 @@ class WeilSL2:
         if rep.space.n != 1:
             raise SympError("weil_sl2 needs a 2-dimensional space")
         self.rep, self.p, self.cyclo = rep, rep.space.p, rep.cyclo
-        (self._t, self._grid, self._square, self._half_inv, self._half,
-         self._kappa) = _weil_tables(self.p, rep.iota.unit)
+        (self._t, self._grid, self._square, self._half_inv, self._support,
+         self._half, self._kappa, self._kappa_inv) = _weil_tables(
+            self.p, rep.iota.unit)
         self._cache = {}
 
     def _cell(self, g):
-        """omega(g)'s exponents on the (t, s) grid, for g = (a, b, c, d),
-        ints or int arrays that broadcast against it: the entry [t, s] is
-        kappa zeta^e where c != 0, zeta^e where c = 0 and s = a t, and 0
-        where e is _ABSENT.  An int c evaluates its own cell only, and an
-        array c picks each g's cell from both."""
+        """omega(g)'s exponents on the (t, s) grid, for g = (a, b, c, d):
+        ints, or (G,) int arrays for one grid per g, flattened to t p + s.
+        The entry [t, s] is kappa zeta^e where c != 0, zeta^e where c = 0
+        and s = a t, and 0 where e is _ABSENT.  Each g is evaluated by its
+        own cell's formula; arrays by their coefficients of (t^2, 2ts, s^2),
+        1 / 2c being 0 at c = 0, in one product."""
         p, (a, b, c, d) = self.p, g
-        t, s, tt, ts2, ss = self._grid
+        tt, ts2, ss = self._grid[2:]
+        h = self._half_inv[c]
 
         # psi_exp's argument: (a t^2 - 2ts + d s^2) / 2c, or ab t^2 / 2
-        # where c = 0
-        def upper():
-            return self._half_inv[c] * (a * tt - ts2 + d * ss)
-
-        def lower():
-            return a * b * self._half % p * tt
-
-        # the cell's entries lie where c != 0 or s = a t
+        # where c = 0; the cell's entries lie where c != 0 or s = a t
         if np.ndim(c):
-            x, phase = np.where(c, c, a), np.where(c, upper(), lower())
-            support = (c != 0) | (s == a * t % p)
+            zero = c == 0
+            phase = np.stack((a * (h + zero * b * self._half), -h, d * h),
+                             -1) @ self._grid[2:].reshape(3, -1)
+            x = np.where(zero, a, c)[:, None]
+            support = self._support[a * zero] if zero.any() else None
         elif c:
-            x, phase, support = c, upper(), None
+            x, phase, support = c, h * (a * tt - ts2 + d * ss), None
         else:
-            x, phase, support = a, lower(), s == a * t % p
+            x, phase = a, a * b * self._half % p * tt
+            support = self._support[a].reshape(p, p)
         # sgn(c), or sgn(a) where c = 0; the sign -1 is zeta_{4p}^{2p}
-        e = np.where(self._square[x], 0, 2 * p) + 4 * (phase % p)
-        return e if support is None else np.where(support, e, _ABSENT)
+        phase %= p
+        phase *= 4
+        phase += np.where(self._square[x], 0, 2 * p)
+        return phase if support is None else np.where(support, phase, _ABSENT)
 
     def __call__(self, g):
         if len(g) != 2 or any(len(row) != 2 for row in g):
@@ -508,11 +515,12 @@ def _sl2_array(p):
 def _stabilizer_sl2(space, u_basis):
     """The (G, 2, 2) array of the g in SL_2(F_p), in sl2_elements order, that
     map the span of the independent u_basis (no vector or one) into itself:
-    g u lies on the line of u exactly when det(u, g u) = 0."""
+    g u lies on the line of u exactly when det(u, g u) = c x^2 + (d - a) x y
+    - b y^2 = 0."""
     group = _sl2_array(space.p)
     for x, y in u_basis:
-        gu = group @ np.array((x, y))
-        group = group[(x * gu[:, 1] - y * gu[:, 0]) % space.p == 0]
+        group = group[group.reshape(-1, 4) @ (-x * y, -y * y, x * x, x * y)
+                      % space.p == 0]
     return group
 
 
@@ -527,8 +535,16 @@ def _line_signs(space, group, e, f, square):
 
 def _identity_entries(dim):
     """The identity's exponents for every g, as WeilSL2._cell gives omega's."""
-    grid = np.where(np.eye(dim, dtype=bool), 0, _ABSENT)[None]
+    grid = np.where(np.eye(dim, dtype=bool), 0, _ABSENT).reshape(1, -1)
     return lambda at: grid
+
+
+def _row_sums(tables, index):
+    """sum_i tables[i][index[..., i]]: one gathered row per coordinate."""
+    total = tables[0][index[..., 0]]
+    for i in range(1, len(tables)):
+        total += tables[i][index[..., i]]
+    return total
 
 
 # gathered terms per block of the group: they bound the pass's arrays
@@ -539,26 +555,30 @@ _BLOCK_TERMS = 1 << 13
 def _induction_tables(space, prime, unit):
     """induction_identity_check's read-only tables that depend only on the
     space and on iota = (prime, unit), built once: the HeisenbergRep; the
-    vectors v of V in code order and rho(v)'s monomials (rows, exps); the
-    offsets of the entries [s, rows[s]] in an operator's grid; per
-    coordinate i and x in F_p the codes (x + v_i) p^i and the products
-    x v_i; the form; and the coordinate and basis matrices, which take g to
-    the symplectic basis."""
+    vectors v of V in code order, transposed; per s, rho(v)'s exps and the
+    offsets of its entries [s, rows[s]] in an operator's grid; per
+    coordinate i and y < 2p the code digits ((y + v_i) mod p) p^i and y v_i
+    mod p; 4 psi_exp(x / 2); the bin rows of the exponents below 8N (past
+    the dump row N from 4N on) and of -1; the form; and the coordinate and
+    basis matrices, which take g to the symplectic basis."""
     rep = HeisenbergRep(space, CentralCharacterChoice(prime, unit))
-    p, d, vecs = space.p, space.dim, _digit_array(space.p, space.dim)
+    p, d, vecs, n = (space.p, space.dim, _digit_array(space.p, space.dim),
+                     rep.cyclo.n)
     rows, exps = rep._monomials(vecs)
-    x = np.arange(p)[:, None]
-    digit_sums = tuple((x + v) % p * p ** i for i, v in enumerate(vecs.T))
-    digit_products = tuple(x * v for v in vecs.T)
-    form, to_coordinates, basis = (
-        np.array(m, dtype=np.int64).reshape(d, d)
-        for m in (space.form, space._to_coordinates, space.basis))
-    offsets = np.arange(rep.dim) * rep.dim + rows
-    for table in (exps, offsets, *digit_sums, *digit_products, form,
-                  to_coordinates, basis):
+    tables = (
+        vecs.T.copy(), exps.T.copy(),
+        (np.arange(rep.dim) * rep.dim + rows).T.copy(),
+        (np.arange(2 * p)[:, None] + vecs.T[:, None]) % p
+        * p ** np.arange(d)[:, None, None],
+        np.arange(2 * p)[:, None] * vecs.T[:, None] % p,
+        4 * rep._psi_exp((p + 1) // 2 * np.arange(2 * d * p * p)),
+        np.append(np.arange(8 * n) % n + np.arange(8 * n) // (4 * n) * (n + 1),
+                  n),
+        *(np.array(m, dtype=np.int64).reshape(d, d)
+          for m in (space.form, space._to_coordinates, space.basis)))
+    for table in tables:
         table.setflags(write=False)
-    return (rep, vecs, exps, offsets, digit_sums, digit_products, form,
-            to_coordinates, basis)
+    return (rep,) + tables
 
 
 def induction_identity_check(space, u_basis, mode="with_sl2_levi",
@@ -570,39 +590,51 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
     group (g = 1, omega and sigma the identities; any dimension),
     with_sl2_levi the stabilizer of U in SL_2(F_p) with omega = sigma the
     Weil representation (dim V = 2).  sigma acts on U-perp/U; for a
-    Lagrangian U that is the central character on one dimension.
-
-    One batched pass runs over blocks of g.  Every entry of omega(g),
-    sigma(g) and rho(v) is a zeta_{4p}-power, times kappa where c != 0
-    (WeilSL2._cell), so each (g, v) gets one integer histogram over Z/4p,
-    the induced side counted at -chi^U(g).  kappa cancels where both sides
-    carry it (U = 0); where only the left side does (a line), its terms
-    are counted apart.  cyclo._counted reduces the counts, and those of a
-    (g, v) vanish mod Phi_4p exactly when the sides agree at (v, 0), and so
-    at every (v, a), psi(a) being a unit.  The tests keep the per-g loop this
-    replaced (_oracle_group_ring_check) and the character tables
-    (_oracle_induction_check, _oracle_heisenberg_only) as oracles.
+    Lagrangian U that is the central character on one dimension.  One pass
+    per (space, U, mode, iota) decides the check with chi^U and without it:
+    _induction_pass keeps both verdicts in an lru_cache of 256 entries
+    keyed by the space, U as given mod p, the mode and iota's prime and unit.
 
     Returns (equal, details): details carries the induced dimension (coset
     representatives times dim sigma), rep_dim, and the first witness
     (g, (v, 0)) of a difference in group order, or None.
     """
+    prime, unit = (iota.p, iota.unit) if iota else (space.p, 1)
+    induced_dim, rep_dim, verdicts = _induction_pass(
+        space, tuple(_vec_mod(u, space.p) for u in u_basis), mode, prime,
+        unit)
+    equal, witness = verdicts[bool(include_chi)]
+    return equal, {"induced_dim": induced_dim, "rep_dim": rep_dim,
+                   "witness": witness}
+
+
+@lru_cache(maxsize=256)
+def _induction_pass(space, u_basis, mode, prime, unit):
+    """(induced_dim, rep_dim, (control, with_chi)): the verdicts (equal,
+    witness) without and with chi^U.  One batched pass runs over blocks of
+    g.  Every entry of omega(g),
+    sigma(g) and rho(v) is a zeta_{4p}-power, times kappa where c != 0, so
+    one bincount gives each (g, v) an integer histogram over Z/4p per side.
+    kappa cancels where both sides carry it (U = 0); where only the left
+    side does (a line), the induced side is reduced at scale 1 / kappa.
+    chi^U(g) = +-1 multiplies the induced side; the sides agree at (v, 0),
+    and so at every (v, a), exactly when they agree mod Phi_4p.  The tests
+    keep the single-chi pass this replaced (_oracle_single_pass), the per-g
+    loop (_oracle_group_ring_check) and the character tables
+    (_oracle_induction_check, _oracle_heisenberg_only) as oracles."""
     p, n = space.p, space.n
     # a symplectic basis (e_1..e_n, f_1..f_n) whose first k e's are a basis
     # of U: the lifts of U-perp/U are the pairs past k
     basis, k = space._symplectic_basis(u_basis)
     quotient = SymplecticSpace.standard(p, n - k)
-    iota = iota or CentralCharacterChoice(p)
-    (rep, vecs, exps, offsets, digit_sums, digit_products, form,
-     to_coordinates, symplectic_basis) = _induction_tables(space, iota.p,
-                                                           iota.unit)
-    qrep = HeisenbergRep(quotient, iota)
+    (rep, vecs_t, exps, offsets, codes, products, phases, bin_rows, form,
+     to_coordinates, symplectic_basis) = _induction_tables(space, prime, unit)
+    qrep = HeisenbergRep(quotient, rep.iota)
     reps = _coset_representatives(space, basis[n:n + k])
-    details = {"induced_dim": len(reps) * qrep.dim, "rep_dim": rep.dim,
-               "witness": None}
+    chi = None
     if mode == "heisenberg_only":
         group = inverses_t = np.eye(space.dim, dtype=np.int64)[None]
-        chi, kappa = np.ones(1, dtype=int), np.zeros(1, dtype=bool)
+        kappa = np.zeros(1, dtype=bool)
         omega, sigma = _identity_entries(rep.dim), _identity_entries(qrep.dim)
     elif mode == "with_sl2_levi":
         if quotient.dim not in (0, 2):
@@ -613,80 +645,94 @@ def induction_identity_check(space, u_basis, mode="with_sl2_levi",
         # the transposed inverse of ((a, b), (c, d)) is ((d, -c), (-b, a))
         inverses_t = group[:, ::-1, ::-1] * np.array([[1, -1], [-1, 1]])
         weil = WeilSL2(rep)
-        chi = (_line_signs(space, group, basis[0], basis[1], weil._square)
-               if include_chi and k else np.ones(len(group), dtype=int))
+        if k:
+            chi = _line_signs(space, group, basis[0], basis[1], weil._square)
         # omega(g)'s exponents on its grid, from g in the symplectic basis;
-        # sigma(g) is omega(g) for U = 0, where the quotient is V itself, and
-        # the identity on one dimension for a line
+        # sigma(g) is omega(g) for U = 0, where the quotient is V itself
         cells = (to_coordinates @ group @ symplectic_basis.T % p
                  ).reshape(-1, 4).T
-        omega = lambda at: weil._cell(cells[:, at, None, None])
-        sigma = omega if quotient.dim else _identity_entries(1)
+        omega = sigma = lambda at: weil._cell(cells[:, at])
         kappa = (cells[2] != 0) & (quotient.dim == 0)
     else:
         raise SympError(f"unknown mode {mode!r}")
 
-    ctx = rep.cyclo
+    size, left, right = vecs_t.shape[1], rep.dim, len(reps) * qrep.dim
     # coordinates in the adapted basis: those on the lifts name v's image in
     # U-perp/U, and a v with a nonzero coordinate <e_i, v> on f_1..f_k lies
     # outside U-perp and adds no induced term
-    coords = vecs @ np.array(space._coordinate_matrix(basis),
-                             dtype=np.int64).T % p
-    q_rows, q_exps = qrep._monomials(
-        coords[:, [*range(k, n), *range(n + k, 2 * n)]])
+    coords = vecs_t.T @ np.array(space._coordinate_matrix(basis),
+                                 dtype=np.int64).T % p
+    if quotient.dim:
+        q_rows, q_exps = qrep._monomials(
+            coords[:, [*range(k, n), *range(n + k, 2 * n)]])
+        q_offsets = np.arange(qrep.dim) * qrep.dim + q_rows
+    else:  # the point's one monomial is 1
+        q_exps = np.zeros((size, 1), dtype=np.int64)
     q_exps[coords[:, n:n + k].any(axis=1)] = _ABSENT
-    q_offsets = np.arange(qrep.dim) * qrep.dim + q_rows
-    reps_f = reps @ form
-    size, n = len(vecs), ctx.n
-    # a (g, v) counts at most `terms` zeta^k per scale: 1, or p and kappa
-    # where only the left side carries kappa (both numerators over p)
-    scales = ((ctx.from_rational(p), weil._kappa) if kappa.any()
-              else (ctx.one(),))
-    tables, terms = len(scales), rep.dim + len(reps) * qrep.dim
-    block = max(1, _BLOCK_TERMS // (size * terms))
-    # per block: the columns of its (g, v), and the offsets of its g's
-    # operator grids
-    columns = np.arange(block * size).reshape(block, size, 1)
-    g_at = np.arange(block)[:, None, None] * rep.dim ** 2
-    q_at = np.arange(block)[:, None, None, None] * qrep.dim ** 2
-    kappa_n, chi_n = kappa * n, (chi == 1) * (n // 2)  # -1 = zeta^{N/2}
+    # the induced side counts from 4N on: bin_rows takes it past the left
+    # side's rows, and a zero entry's negative exponent to the dump row
+    ctx, n = rep.cyclo, rep.cyclo.n
+    q_exps += 4 * n
+    # the conjugates' phase <l - w, v> + <l, w> is <l, v> + <l, w> - <w, v>
+    w_v = -reps @ form @ vecs_t % p
+    block = max(1, _BLOCK_TERMS // (size * (left + right)))
+    terms = max(left, right)  # the zeta^e that a histogram counts at most
+    cols = np.arange(block * size).reshape(block, 1, size)
+    signs = (None,) if chi is None else (None, chi)
+    witnesses = [None] * len(signs)
     for start in range(0, len(group), block):
+        if all(witnesses):
+            break
         at = slice(start, start + block)
         count = len(group[at])
-        # zeta^e of table t counts at (t N + e mod N, column)
-        col, width = columns[:count], count * size
-        dump = tables * n * width
-        # omega(g)[s, rows[s]] zeta^exps[s]; a zero entry goes to the dump bin
-        grid = omega(at)
-        e = grid.ravel()[g_at[:len(grid)] + offsets] + exps
-        left = np.where(e < 0, dump, e % n * width
-                        + (kappa_n[at, None, None] * width + col))
+        width = count * size
+        # per g: omega(g)[s, rows[s]] zeta^exps[s] per s, then the induced
+        # terms per (w, q), each a row over v
+        e = np.empty((count, left + right, size), dtype=np.int64)
+        np.add(np.take(omega(at), offsets, axis=1), exps, out=e[:, :left])
         # r = (1, (w, 0)):  r^{-1} (g, (v, a)) r = (g, (v + l + w, a + c))
         # with l = -g^{-1} w and c = half (<l - w, v> + <l, w>): the code
-        # of each conjugate, and its phase exponent, per (g, w, v)
+        # of each conjugate, and its phase, per (g, w, v)
         ls = -reps @ inverses_t[at] % p
-        lf = ls @ form
-        shift, pair = (ls + reps) % p, (lf - reps_f) % p
-        conj = sum(t[shift[..., i]] for i, t in enumerate(digit_sums))
-        k = sum(t[pair[..., i]] for i, t in enumerate(digit_products))
-        k = 4 * rep._psi_exp((p + 1) // 2 * (
-            k + (lf * reps).sum(axis=2, keepdims=True)))
-        k += chi_n[at, None, None]
-        grid = sigma(at)
-        e = grid.ravel()[q_at[:len(grid)] + q_offsets[conj]]
-        e += q_exps[conj] + k[..., None]
-        right = np.where(e < 0, dump, e % n * width + col[:, None])
-        hist = np.bincount(np.concatenate((left.ravel(), right.ravel())),
-                           minlength=dump + 1)[:dump].reshape(tables, n, width)
-        sums = _counted(ctx, hist[0], scales[0], terms)
-        if tables == 2:
-            sums = sums + _counted(ctx, hist[1], scales[1], terms)
-        if sums.any():
-            g, v = divmod(int(np.flatnonzero(sums.any(axis=0))[0]), size)
-            details["witness"] = (tuple(map(tuple, group[start + g].tolist())),
-                                  (_digits(v, p, space.dim), 0))
-            return False, details
-    return details["induced_dim"] == rep.dim, details
+        lf = ls @ form % p
+        conj, phase = _row_sums(codes, ls + reps), _row_sums(products, lf)
+        phase += w_v
+        phase += (lf * reps).sum(axis=2, keepdims=True)
+        induced = e[:, left:].reshape(count, len(reps), qrep.dim, size)
+        np.add(q_exps[conj].transpose(0, 1, 3, 2), phases[phase][:, :, None],
+               out=induced)
+        if qrep.dim > 1:
+            grid = sigma(at)
+            induced += np.take_along_axis(
+                grid, q_offsets[conj].reshape(len(grid), -1), 1).reshape(
+                    *conj.shape, qrep.dim).transpose(0, 1, 3, 2)
+        # zeta^e counts at (side, e mod N, g, v)
+        bins = (bin_rows * width)[np.maximum(e, -1, out=e)]
+        bins += cols[:count]
+        hist = np.bincount(bins.ravel(), minlength=2 * (n + 1) * width
+                           ).reshape(2, n + 1, width)[:, :n]
+        # zeta^(N/2) = -1 folds the counts to N/2 = deg + 2 rows, where the
+        # relations left are sum_m (-zeta^2)^m zeta^j = 0 for j = 0, 1: the
+        # folded counts f vanish mod Phi_N exactly when f[e + 2] = -f[e]
+        folded = hist[:, :n // 2] - hist[:, n // 2:]
+        lhs, rhs = (folded[:, 2:] + folded[:, :-2]).reshape(2, -1, count, size)
+        at_kappa = kappa[at]
+        if at_kappa.any():
+            scaled = _counted(ctx, hist[1], weil._kappa_inv, terms)
+            # from the power basis of Q(zeta_N) to those coordinates
+            scaled[:-2] += scaled[2:]
+            rhs = np.where(at_kappa[:, None], scaled.reshape(rhs.shape), rhs)
+        for i, sign in enumerate(signs):
+            if witnesses[i] is None:
+                differs = (lhs != (rhs if sign is None
+                                   else rhs * sign[at, None])).any(axis=0)
+                if differs.any():
+                    g, v = divmod(int(np.argmax(differs)), size)
+                    witnesses[i] = (
+                        tuple(map(tuple, group[start + g].tolist())),
+                        (_digits(v, p, space.dim), 0))
+    verdicts = tuple((w is None and right == rep.dim, w) for w in witnesses)
+    return right, rep.dim, (verdicts[0], verdicts[-1])
 
 
 def _coset_representatives(space, fs):

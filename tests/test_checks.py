@@ -226,15 +226,29 @@ def test_induction_needs_chi_first_witness(monkeypatch):
     space = SymplecticSpace.standard(3, 1)
     lines = checks.isotropic_lines(space)
     assert checks.induction_needs_chi(space, lines) == (True, None)
+    check = checks.induction_identity_check
 
     def equal_without_chi(space, u_basis, mode, include_chi):
         # the identity "holds" without chi^U on every line but the first
-        return include_chi or u_basis != [lines[0]], {}
+        return include_chi or u_basis != [lines[0]], {"witness": None}
     monkeypatch.setattr(checks, "induction_identity_check",
                         equal_without_chi)
     assert checks.induction_needs_chi(space, lines) == (
         False, {"line": list(lines[1]), "with_chi": True,
-                "without_chi": True})
+                "without_chi": True, "witness": None})
+
+    def control_on_the_second_line(space, u_basis, mode, include_chi):
+        # chi^U dropped from the check with it on the second line: that
+        # check fails, and its first (g, (v, 0)) is the witness
+        return check(space, u_basis, mode,
+                     include_chi and u_basis != [lines[1]])
+    monkeypatch.setattr(checks, "induction_identity_check",
+                        control_on_the_second_line)
+    _, witness = check(space, [lines[1]], "with_sl2_levi", False)
+    assert witness["witness"] is not None
+    assert checks.induction_needs_chi(space, lines) == (
+        False, {"line": list(lines[1]), "with_chi": False,
+                "without_chi": False, "witness": witness["witness"]})
 
 
 def test_graded_split_first_witness(monkeypatch):

@@ -20,7 +20,7 @@ from heckeforge import (SympError, SymplecticSpace, HeisenbergElement,
 from heckeforge import checks, linalg, sympweil
 from heckeforge.sympweil import (_coset_representatives, _sl2_array,
                                  _stabilizer_sl2)
-from heckeforge.cyclo import _plane_product
+from heckeforge.cyclo import _counted, _plane_product
 from test_cyclo import _oracle_reduce
 from test_linalg import _null_space, _span_basis
 
@@ -807,7 +807,19 @@ def test_det_sign_character_matches_the_solve_oracle(p):
     assert outcomes == {1, -1, "unstable"}
 
 
-def test_induction_check_reduces_u_to_a_basis_once(monkeypatch):
+@pytest.fixture
+def empty_pass_cache():
+    """Empties the induction check's kept results, here and after the test:
+    call it right before a watched call, so that the call makes a real
+    pass, and no result computed under a test's patch outlives it."""
+    clear = sympweil._induction_pass.cache_clear
+    clear()
+    yield clear
+    clear()
+
+
+def test_induction_check_reduces_u_to_a_basis_once(monkeypatch,
+                                                   empty_pass_cache):
     """The check builds one symplectic basis adapted to U and reads U-perp,
     the quotient, the coset representatives and the coordinates off it;
     every other basis it builds (the quotient's) starts from no vectors."""
@@ -818,6 +830,7 @@ def test_induction_check_reduces_u_to_a_basis_once(monkeypatch):
     monkeypatch.setattr(SymplecticSpace, "_symplectic_basis", spy)
     V = SymplecticSpace.standard(3, 2)
     u_basis = [(1, 0, 0, 0), (2, 0, 0, 0)]
+    empty_pass_cache()
     ok, _ = induction_identity_check(V, u_basis, "heisenberg_only")
     assert ok
     assert [c for c in calls if c] == [u_basis]
@@ -841,21 +854,23 @@ def _forbid_elimination(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", forbidden)
 
 
-def test_induction_check_runs_no_elimination(monkeypatch):
+def test_induction_check_runs_no_elimination(monkeypatch, empty_pass_cache):
     cases = _induction_cases()
     want = [induction_identity_check(SymplecticSpace.standard(p, n), u, mode,
                                      chi) for p, n, u, mode, chi in cases]
     assert any(ok for ok, _ in want) and not all(ok for ok, _ in want)
     _forbid_elimination(monkeypatch)
+    empty_pass_cache()
     assert [induction_identity_check(SymplecticSpace.standard(p, n), u, mode,
                                      chi)
             for p, n, u, mode, chi in cases] == want
 
 
-def test_a_second_check_builds_no_symplectic_space(monkeypatch):
+def test_a_second_check_builds_no_symplectic_space(monkeypatch,
+                                                   empty_pass_cache):
     # the quotient U-perp/U is SymplecticSpace.standard(p, n - k), built once
     # per (p, n - k): a second check or reduction on the same space and line
-    # constructs no space
+    # constructs no space, even when it makes a pass of its own
     cases = [(SymplecticSpace.standard(5, 1), [(1, 0)], "with_sl2_levi"),
              (SymplecticSpace.standard(3, 2), [(1, 0, 0, 0)],
               "heisenberg_only")]
@@ -866,6 +881,7 @@ def test_a_second_check_builds_no_symplectic_space(monkeypatch):
         built.append(args)
         init(self, *args)
     monkeypatch.setattr(SymplecticSpace, "__init__", spy)
+    empty_pass_cache()
     assert [induction_identity_check(V, u, mode)
             for V, u, mode in cases] == want
     for V, u, _ in cases:
@@ -939,7 +955,7 @@ def test_induction_identity_trivial_subspace():
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_induction_trivial_subspace_builds_each_weil_operator_once(
-        p, monkeypatch):
+        p, monkeypatch, empty_pass_cache):
     # WeilSL2 describes each omega(g) once, a cache miss being one
     # CycloMatrix._described (a Weil cell where c != 0, a monomial where
     # c = 0) and a hit none, and neither builds planes or a dense matrix;
@@ -972,6 +988,7 @@ def test_induction_trivial_subspace_builds_each_weil_operator_once(
         w(g)
     assert described == [p] * len(group) and dense == planes == []
     del described[:]
+    empty_pass_cache()
     for u_basis in [[]] + [[line] for line in _lines(p)]:
         ok, _ = induction_identity_check(V, u_basis, "with_sl2_levi")
         assert ok
@@ -1304,7 +1321,8 @@ def test_heisenberg_only_matches_the_character_table_oracle(p, n, u_basis):
     (1, []), (1, [(1, 0)]), (2, []), (2, [(0, 1, 1, 0)]),
     (2, [(1, 0, 0, 0), (0, 1, 0, 0)])])
 def test_heisenberg_only_fails_on_a_short_transversal(monkeypatch, n,
-                                                      u_basis):
+                                                      u_basis,
+                                                      empty_pass_cache):
     # dropping a coset representative loses part of the induced character
     # at v = 0; the witness is the one element g = 1 of the trivial group
     V = SymplecticSpace.standard(3, n)
@@ -1312,6 +1330,7 @@ def test_heisenberg_only_fails_on_a_short_transversal(monkeypatch, n,
     short = _coset_representatives(V, basis[n:n + k])[:-1]
     monkeypatch.setattr(sympweil, "_coset_representatives",
                         lambda space, fs: short)
+    empty_pass_cache()
     equal, details = induction_identity_check(V, u_basis, "heisenberg_only")
     zero = (0,) * V.dim
     ident = tuple(tuple(int(i == j) for j in range(V.dim))
@@ -1511,6 +1530,176 @@ def test_heisenberg_only_matches_the_group_ring_oracle(p, n, u_basis):
 
 
 # ---------------------------------------------------------------------------
+# oracle: the single-chi pass that the two-verdict pass replaced
+
+
+def _oracle_single_pass(space, u_basis, mode="with_sl2_levi",
+                        include_chi=True, iota=None):
+    """(equal, witness) of induction_identity_check by one single-chi pass
+    per call, over the whole group at once: each (g, v) gets one histogram
+    over Z/4p, the induced side counted at -chi^U(g) (-1 being
+    zeta^(N/2)) and the left side's kappa terms in a table of their own,
+    reduced by cyclo._counted at scales p and kappa; omega(g)'s exponents
+    come from both Bruhat-cell formulas on every g, and the conjugates'
+    codes and phases from per-digit tables."""
+    p, n = space.p, space.n
+    iota = iota or CentralCharacterChoice(p)
+    basis, k = space._symplectic_basis(u_basis)
+    quotient = SymplecticSpace.standard(p, n - k)
+    rep, qrep = HeisenbergRep(space, iota), HeisenbergRep(quotient, iota)
+    vecs = sympweil._digit_array(p, space.dim)
+    rows, exps = rep._monomials(vecs)
+    x = np.arange(p)[:, None]
+    digit_sums = [(x + v) % p * p ** i for i, v in enumerate(vecs.T)]
+    digit_products = [x * v for v in vecs.T]
+    form = np.array(space.form, dtype=np.int64)
+    reps = _coset_representatives(space, basis[n:n + k])
+    absent = sympweil._ABSENT
+
+    def identity(dim):
+        return np.where(np.eye(dim, dtype=bool), 0, absent)[None]
+    if mode == "heisenberg_only":
+        group = inverses_t = np.eye(space.dim, dtype=np.int64)[None]
+        chi, kappa = np.ones(1, dtype=int), np.zeros(1, dtype=bool)
+        omega, sigma = identity(rep.dim), identity(qrep.dim)
+    else:
+        group = _stabilizer_sl2(space, basis[:k])
+        inverses_t = group[:, ::-1, ::-1] * np.array([[1, -1], [-1, 1]])
+        weil = WeilSL2(rep)
+        chi = (sympweil._line_signs(space, group, basis[0], basis[1],
+                                    weil._square)
+               if include_chi and k else np.ones(len(group), dtype=int))
+        to_coordinates, to_basis = (np.array(m).reshape(2, 2) for m in (
+            space._to_coordinates, space.basis))
+        a, b, c, d = (to_coordinates @ group @ to_basis.T % p).reshape(
+            -1, 4).T[:, :, None, None]
+        t, s, tt, ts2, ss = weil._grid
+        upper = weil._half_inv[c] * (a * tt - ts2 + d * ss)
+        lower = a * b * weil._half % p * tt
+        e = np.where(weil._square[np.where(c, c, a)], 0, 2 * p) + 4 * (
+            np.where(c, upper, lower) % p)
+        omega = np.where((c != 0) | (s == a * t % p), e, absent)
+        sigma = omega if quotient.dim else identity(1)
+        kappa = (c.ravel() != 0) & (quotient.dim == 0)
+    ctx, big_n = rep.cyclo, rep.cyclo.n
+    coords = vecs @ np.array(space._coordinate_matrix(basis),
+                             dtype=np.int64).T % p
+    q_rows, q_exps = qrep._monomials(
+        coords[:, [*range(k, n), *range(n + k, 2 * n)]])
+    q_exps[coords[:, n:n + k].any(axis=1)] = absent
+    q_offsets = np.arange(qrep.dim) * qrep.dim + q_rows
+    scales = ((ctx.from_rational(p), weil._kappa) if kappa.any()
+              else (ctx.one(),))
+    terms, width = rep.dim + len(reps) * qrep.dim, len(group) * len(vecs)
+    col = np.arange(width).reshape(len(group), len(vecs), 1)
+    dump = len(scales) * big_n * width
+    e = omega.reshape(len(omega), -1)[:, np.arange(rep.dim) * rep.dim
+                                      + rows] + exps
+    left = np.where(e < 0, dump, e % big_n * width
+                    + (kappa[:, None, None] * big_n * width + col))
+    ls = -reps @ inverses_t % p
+    lf = ls @ form
+    shift, pair = (ls + reps) % p, (lf - reps @ form) % p
+    conj = sum(t[shift[..., i]] for i, t in enumerate(digit_sums))
+    phase = 4 * rep._psi_exp((p + 1) // 2 * (
+        sum(t[pair[..., i]] for i, t in enumerate(digit_products))
+        + (lf * reps).sum(axis=2, keepdims=True)))
+    phase += ((chi == 1) * (big_n // 2))[:, None, None]
+    e = np.take_along_axis(
+        sigma.reshape(len(sigma), -1),
+        q_offsets[conj].reshape(len(sigma), -1), 1).reshape(
+            q_offsets[conj].shape) + q_exps[conj] + phase[..., None]
+    right = np.where(e < 0, dump, e % big_n * width + col[:, None])
+    hist = np.bincount(np.concatenate((left.ravel(), right.ravel())),
+                       minlength=dump + 1)[:dump].reshape(
+        len(scales), big_n, width)
+    sums = sum(_counted(ctx, h, scale, terms)
+               for h, scale in zip(hist, scales))
+    if sums.any():
+        g, v = divmod(int(np.flatnonzero(sums.any(axis=0))[0]), len(vecs))
+        return False, (tuple(map(tuple, group[g].tolist())),
+                       (sympweil._digits(v, p, space.dim), 0))
+    return len(reps) * qrep.dim == rep.dim, None
+
+
+def _single_pass_cases():
+    """(p, n, U, mode, unit): every line at p = 3, 5 and 7, U = 0 at p = 3
+    and 5, the Lagrangian of the dim-4 space under heisenberg_only, and
+    every line at p = 5 under iota units 2 and 3."""
+    return ([(p, 1, [line], "with_sl2_levi", 1) for p in (3, 5, 7)
+             for line in _lines(p)]
+            + [(p, 1, [], "with_sl2_levi", 1) for p in (3, 5)]
+            + [(3, 2, [(1, 0, 0, 0), (0, 1, 0, 0)], "heisenberg_only", 1)]
+            + [(5, 1, [line], "with_sl2_levi", unit) for unit in (2, 3)
+               for line in _lines(5)])
+
+
+@pytest.mark.parametrize("p,n,u_basis,mode,unit", _single_pass_cases())
+@pytest.mark.parametrize("order", [(True, False), (False, True)],
+                         ids=["chi-first", "control-first"])
+def test_induction_pass_matches_the_single_pass_oracle(
+        p, n, u_basis, mode, unit, order, empty_pass_cache):
+    # one pass decides both verdicts: in either call order, from an empty
+    # cache, each is the oracle's, and both calls make one pass
+    V, iota = SymplecticSpace.standard(p, n), CentralCharacterChoice(p, unit)
+    empty_pass_cache()
+    for include_chi in order:
+        equal, details = induction_identity_check(V, u_basis, mode,
+                                                  include_chi, iota)
+        assert (equal, details["witness"]) == _oracle_single_pass(
+            V, u_basis, mode, include_chi, iota)
+    assert sympweil._induction_pass.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("p,line,flipped", [(5, (1, 1), 7), (7, (2, 1), 30),
+                                            (5, (1, 0), 0)])
+def test_induction_pass_names_a_flipped_chi(monkeypatch, p, line, flipped,
+                                            empty_pass_cache):
+    # negative control: chi^U with its sign flipped on one element g of the
+    # stabilizer breaks the identity first at g, in the pass and in the
+    # oracle alike, and leaves the control's verdict as it was
+    V = SymplecticSpace.standard(p, 1)
+    control = induction_identity_check(V, [line], include_chi=False)
+    signs = sympweil._line_signs
+
+    def flip(*args):
+        chi = signs(*args).copy()
+        chi[flipped] *= -1
+        return chi
+    monkeypatch.setattr(sympweil, "_line_signs", flip)
+    empty_pass_cache()
+    g = tuple(map(tuple, _stabilizer_sl2(V, [line])[flipped].tolist()))
+    equal, details = induction_identity_check(V, [line])
+    assert not equal and details["witness"][0] == g
+    assert (equal, details["witness"]) == _oracle_single_pass(V, [line])
+    assert induction_identity_check(V, [line], include_chi=False) == control
+
+
+def test_a_check_and_its_control_make_one_pass(monkeypatch,
+                                               empty_pass_cache):
+    # each pass evaluates omega once per block (one block at p = 5): the
+    # pair on one line, in either order and with U given mod p, makes one
+    # pass; another line or another iota makes a new one
+    calls, cell = [], WeilSL2._cell
+
+    def counted(self, g):
+        calls.append(g)
+        return cell(self, g)
+    monkeypatch.setattr(WeilSL2, "_cell", counted)
+    V = SymplecticSpace.standard(5, 1)
+    empty_pass_cache()
+    assert induction_identity_check(V, [(1, 1)])[0]
+    assert not induction_identity_check(V, [(6, -4)], include_chi=False)[0]
+    assert len(calls) == 1
+    assert not induction_identity_check(V, [(2, 1)], include_chi=False)[0]
+    assert induction_identity_check(V, [(2, 1)])[0]
+    assert len(calls) == 2
+    iota = CentralCharacterChoice(5, 2)
+    assert induction_identity_check(V, [(1, 1)], iota=iota)[0]
+    assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
 # the batched pass against both oracles
 
 
@@ -1590,9 +1779,10 @@ def test_complement_transversal_matches_the_null_space_oracle(p, n):
         assert len(set(labels)) == len(labels) == p ** k
 
 
-def test_induction_check_on_python_ints(monkeypatch):
-    # cyclo's bound past 2^62 sends every reduction of the histograms to
-    # Python ints; the verdicts and witnesses stay those of the int64 pass
+def test_induction_check_on_python_ints(monkeypatch, empty_pass_cache):
+    # cyclo's bound past 2^62 sends every reduction of the histograms at
+    # scale 1 / kappa to Python ints; the verdicts and witnesses stay those
+    # of the int64 pass
     V = SymplecticSpace.standard(5, 1)
     cases = [([], True), ([(1, 1)], True), ([(1, 1)], False),
              ([(1, 0)], False)]
@@ -1607,6 +1797,7 @@ def test_induction_check_on_python_ints(monkeypatch):
     counted = sympweil._counted
     monkeypatch.setattr(sympweil, "_counted", spy)
     monkeypatch.setattr(CycloContext.shared(20), "_powers_extent", 2 ** 62)
+    empty_pass_cache()
     assert [induction_identity_check(V, u, "with_sl2_levi", chi)
             for u, chi in cases] == want
     assert dtypes == {np.dtype(object)}
